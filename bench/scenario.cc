@@ -89,46 +89,20 @@ void CompileScenario::RunFor(sim::PicoSeconds dt) {
   system_->hv.RunUntil(now() + dt);
 }
 
-Status CompileScenario::SaveState(sim::Snapshot& snap) const {
-  if (Status s = system_->SaveState(snap); s != Status::kSuccess) {
-    return s;
-  }
-  if (Status s = vm_->SaveState(snap.Section("vmm.guest", 1));
-      s != Status::kSuccess) {
-    return s;
-  }
-  if (Status s = gk_->SaveState(snap.Section("guest.kernel", 1));
-      s != Status::kSuccess) {
-    return s;
-  }
-  if (Status s = driver_->SaveState(snap.Section("guest.driver", 1));
-      s != Status::kSuccess) {
-    return s;
-  }
-  return workload_->SaveState(snap.Section("guest.workload", 1));
+template <class Ar>
+void CompileScenario::Io(Ar& ar) {
+  ar.Io(*system_);
+  ar.Section("vmm.guest", 1, *vm_);
+  ar.Section("guest.kernel", 1, *gk_);
+  ar.Section("guest.driver", 1, *driver_);
+  ar.Section("guest.workload", 1, *workload_);
 }
 
-Status CompileScenario::LoadState(sim::Snapshot& snap) {
-  if (Status s = system_->LoadState(snap); s != Status::kSuccess) {
-    return s;
-  }
-  const auto load = [&snap](const char* name, auto* obj) -> Status {
-    sim::SnapReader r = snap.Open(name, 1);
-    if (Status s = obj->LoadState(r); s != Status::kSuccess) {
-      return s;
-    }
-    return r.Finish();
-  };
-  if (Status s = load("vmm.guest", vm_.get()); s != Status::kSuccess) {
-    return s;
-  }
-  if (Status s = load("guest.kernel", gk_.get()); s != Status::kSuccess) {
-    return s;
-  }
-  if (Status s = load("guest.driver", driver_.get()); s != Status::kSuccess) {
-    return s;
-  }
-  return load("guest.workload", workload_.get());
+Status CompileScenario::SaveState(sim::Snapshot& snap) const {
+  return snap.Save(*this);
+}
+Status CompileScenario::LoadState(const sim::Snapshot& snap) {
+  return snap.Restore(*this);
 }
 
 }  // namespace nova::bench

@@ -43,11 +43,11 @@ class CompileScenario {
   // Node sections (via NovaSystem) plus the scenario layers: the VMM's
   // device models and the host-side guest bookkeeping.
   Status SaveState(sim::Snapshot& snap) const;
-  Status LoadState(sim::Snapshot& snap);
+  Status LoadState(const sim::Snapshot& snap);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
-  // snapshot-x-list(CompileScenario): config_, system_, vm_, mux_, gk_,
-  //   driver_, workload_
   RunConfig config_;
   std::unique_ptr<root::NovaSystem> system_;
   std::unique_ptr<vmm::Vmm> vm_;

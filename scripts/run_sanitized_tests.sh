@@ -9,9 +9,7 @@ BUILD_DIR="${BUILD_DIR:-build-asan}"
 cmake -B "${BUILD_DIR}" -S . -DNOVA_SANITIZE=ON -DCMAKE_BUILD_TYPE=Debug
 cmake --build "${BUILD_DIR}" -j "$(nproc)"
 
-# Leak checking is off by default: kernel objects (Pd/Ec capability graphs)
-# are reference-cycled by design and reported as reachable-at-exit leaks.
-# Override with ASAN_OPTIONS=detect_leaks=1 to audit them.
-export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=0:strict_string_checks=1}"
+export ASAN_OPTIONS="${ASAN_OPTIONS:-detect_leaks=1:strict_string_checks=1}"
 export UBSAN_OPTIONS="${UBSAN_OPTIONS:-print_stacktrace=1:halt_on_error=1}"
-ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)"
+# The bench golden diffs (label `golden`) run in the plain build only.
+ctest --test-dir "${BUILD_DIR}" --output-on-failure -j "$(nproc)" -LE golden

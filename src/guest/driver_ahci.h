@@ -57,30 +57,16 @@ class GuestAhciDriver {
 
   // Host-side mirror of the driver's in-flight bookkeeping; the emitted
   // code and logic slots are construction-time (verified).
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U32(prepare_logic_);
-    w.U32(completion_logic_);
-    w.U32(issued_mask_);
-    w.U64(issued_count_);
-    w.U64(completed_count_);
-    w.U64(retried_count_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    if (r.U32() != prepare_logic_ || r.U32() != completion_logic_) {
-      r.Fail();
-    }
-    issued_mask_ = r.U32();
-    issued_count_ = r.U64();
-    completed_count_ = r.U64();
-    retried_count_ = r.U64();
-    return r.ok() ? Status::kSuccess : Status::kBadParameter;
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Verify(prepare_logic_);
+    ar.Verify(completion_logic_);
+    ar.Io(issued_mask_, issued_count_, completed_count_, retried_count_);
   }
 
  private:
-  // snapshot-x-list(GuestAhciDriver): gk_, config_, prepare_logic_,
-  //   completion_logic_, on_complete_, issued_mask_, issued_count_,
-  //   completed_count_, retried_count_
   void PrepareLogic(hw::GuestState& gs);
   void CompletionLogic(hw::GuestState& gs);
 

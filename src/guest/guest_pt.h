@@ -42,10 +42,12 @@ class GuestPageTableBuilder {
   std::uint64_t pool_next() const { return pool_next_; }
   // The pool cursor is the builder's only mutable state — table frame
   // *contents* live in guest RAM and ride the memory image.
-  void set_pool_next(std::uint64_t gpa) { pool_next_ = gpa; }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(pool_next_);
+  }
 
  private:
-  // snapshot-x-list(GuestPageTableBuilder): mem_, gpa_to_hpa_, pool_next_
   std::uint32_t ReadEntry(std::uint64_t table_gpa, std::uint64_t index) const {
     return mem_->Read32(gpa_to_hpa_(table_gpa) + index * 4);
   }

@@ -103,25 +103,15 @@ class GuestKernel {
   // pool cursor. Everything else the kernel owns (image, tables, counters)
   // lives in guest RAM and rides the memory snapshot; the emitted image is
   // construction-time and only verified (entry point must match).
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(entry_);
-    w.U64(heap_next_);
-    w.U64(pt_.pool_next());
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    if (r.U64() != entry_) {
-      r.Fail();
-    }
-    heap_next_ = r.U64();
-    pt_.set_pool_next(r.U64());
-    return r.ok() ? Status::kSuccess : Status::kBadParameter;
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Verify(entry_);
+    ar.Io(heap_next_, pt_);
   }
 
  private:
-  // snapshot-x-list(GuestKernel): mem_, gpa_to_hpa_, mux_, config_, text_,
-  //   pt_, heap_next_, entry_, vectors_, device_windows_, timer_hook_,
-  //   tick_counter_gva_
   void PfLogic(hw::GuestState& gs);
   void BuildKernelMappings(std::uint64_t root_gpa);
 

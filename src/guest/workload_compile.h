@@ -54,64 +54,23 @@ class CompileWorkload {
   // Full host-side workload state: the RNG stream, per-process address
   // spaces and working sets, and every progress cursor. Process count and
   // logic-slot ids are construction-time (verified).
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U32(static_cast<std::uint32_t>(processes_.size()));
-    w.U32(unit_logic_);
-    w.U32(addr_logic_);
-    if (Status s = rng_.SaveState(w); s != Status::kSuccess) {
-      return s;
-    }
-    for (const Process& p : processes_) {
-      w.U64(p.cr3);
-      w.U32(static_cast<std::uint32_t>(p.touched.size()));
-      for (const std::uint32_t page : p.touched) {
-        w.U32(page);
-      }
-    }
-    w.U32(current_);
-    w.U64(units_done_);
-    w.U64(fresh_pages_);
-    w.U64(switches_);
-    w.U64(disk_reads_);
-    w.U64(next_lba_);
-    w.U32(disk_outstanding_);
-    w.U32(next_fresh_page_);
-    w.Bool(done_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    if (r.U32() != processes_.size() || r.U32() != unit_logic_ ||
-        r.U32() != addr_logic_) {
-      r.Fail();
-      return Status::kBadParameter;
-    }
-    if (Status s = rng_.LoadState(r); s != Status::kSuccess) {
-      return s;
-    }
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Verify(static_cast<std::uint32_t>(processes_.size()));
+    ar.Verify(unit_logic_);
+    ar.Verify(addr_logic_);
+    ar.Io(rng_);
     for (Process& p : processes_) {
-      p.cr3 = r.U64();
-      p.touched.resize(r.U32());
-      for (std::uint32_t& page : p.touched) {
-        page = r.U32();
-      }
+      ar.Io(p.cr3);
+      ar.Seq(sim::kCount32, p.touched);
     }
-    current_ = r.U32();
-    units_done_ = r.U64();
-    fresh_pages_ = r.U64();
-    switches_ = r.U64();
-    disk_reads_ = r.U64();
-    next_lba_ = r.U64();
-    disk_outstanding_ = r.U32();
-    next_fresh_page_ = r.U32();
-    done_ = r.Bool();
-    return r.ok() ? Status::kSuccess : Status::kBadParameter;
+    ar.Io(current_, units_done_, fresh_pages_, switches_, disk_reads_,
+          next_lba_, disk_outstanding_, next_fresh_page_, done_);
   }
 
  private:
-  // snapshot-x-list(CompileWorkload): gk_, driver_, config_, rng_,
-  //   processes_, current_, units_done_, fresh_pages_, switches_,
-  //   disk_reads_, next_lba_, disk_outstanding_, next_fresh_page_, done_,
-  //   unit_logic_, addr_logic_
   struct Process {
     std::uint64_t cr3 = 0;
     std::vector<std::uint32_t> touched;  // Working-set page indices.

@@ -60,53 +60,4 @@ std::size_t CapSpace::used() const {
   return n;
 }
 
-Status CapSpace::SaveState(sim::SnapWriter& w, const OidOf& oid_of) const {
-  w.U32(committed_);
-  w.U64(committed_count_);
-  std::uint32_t occupied = 0;
-  for (const Capability& cap : slots_) {
-    if (cap.object != nullptr) {
-      ++occupied;
-    }
-  }
-  w.U32(occupied);
-  for (CapSel sel = 0; sel < slots_.size(); ++sel) {
-    const Capability& cap = slots_[sel];
-    if (cap.object == nullptr) {
-      continue;
-    }
-    const std::uint64_t oid = oid_of(cap.object.get());
-    if (oid == KObject::kNoOid) {
-      return Status::kBadParameter;  // Unregistered object in a slot.
-    }
-    w.U32(sel);
-    w.U64(oid);
-    w.U8(cap.perms);
-  }
-  return Status::kSuccess;
-}
-
-Status CapSpace::LoadState(sim::SnapReader& r, const RefOf& ref_of) {
-  committed_ = r.U32();
-  committed_count_ = r.U64();
-  slots_.assign(kCapSpaceSlots, Capability{});
-  const std::uint32_t occupied = r.U32();
-  for (std::uint32_t i = 0; i < occupied && r.ok(); ++i) {
-    const CapSel sel = r.U32();
-    const std::uint64_t oid = r.U64();
-    const std::uint8_t perms = r.U8();
-    if (sel >= slots_.size()) {
-      r.Fail();
-      return Status::kBadParameter;
-    }
-    ObjRef obj = ref_of(oid);
-    if (obj == nullptr) {
-      r.Fail();
-      return Status::kBadParameter;
-    }
-    slots_[sel] = Capability{std::move(obj), perms};
-  }
-  return r.status();
-}
-
 }  // namespace nova::hv

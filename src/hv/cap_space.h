@@ -7,6 +7,7 @@
 #define SRC_HV_CAP_SPACE_H_
 
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/hv/object.h"
@@ -67,17 +68,43 @@ class CapSpace {
 
   std::size_t used() const;
 
-  // Serialization addresses capability objects by oid; the caller supplies
-  // the translation because the object registry lives in the hypervisor.
-  // LoadState replaces every slot and never invokes the charge callback:
-  // the owning account is overlaid separately by the kernel snapshot.
-  using OidOf = std::function<std::uint64_t(const KObject*)>;
-  using RefOf = std::function<ObjRef(std::uint64_t)>;
-  Status SaveState(sim::SnapWriter& w, const OidOf& oid_of) const;
-  Status LoadState(sim::SnapReader& r, const RefOf& ref_of);
+  // Drop every capability without touching the charge accounting (kernel
+  // teardown; see ~Hypervisor).
+  void Clear() { slots_.assign(slots_.size(), Capability{}); }
+
+  // Snapshot field list. Occupied slots travel as (selector, object,
+  // perms); `refs` encodes the object as its oid because the object
+  // registry lives in the hypervisor (hv/snapshot.cc). Loading replaces
+  // every slot and never invokes the charge callback: the owning account
+  // is overlaid separately by the kernel snapshot.
+  template <class Ar, class Refs>
+  void Io(Ar& ar, Refs& refs) {
+    ar.Io(committed_, committed_count_);
+    std::vector<std::pair<CapSel, Capability>> used;
+    if constexpr (Ar::kLoading) {
+      slots_.assign(kCapSpaceSlots, Capability{});
+    } else {
+      for (CapSel sel = 0; sel < slots_.size(); ++sel) {
+        if (slots_[sel].object != nullptr) {
+          used.emplace_back(sel, slots_[sel]);
+        }
+      }
+    }
+    ar.Seq(sim::kCount32, used, [&](std::pair<CapSel, Capability>& e) {
+      ar.Io(e.first);
+      refs.Required(ar, e.second.object);
+      ar.Io(e.second.perms);
+      if constexpr (Ar::kLoading) {
+        if (e.first >= slots_.size()) {
+          ar.Fail();
+        } else {
+          slots_[e.first] = e.second;
+        }
+      }
+    });
+  }
 
  private:
-  // snapshot-x-list(CapSpace): slots_, charge_, committed_, committed_count_
   std::vector<Capability> slots_;
   ChargeFn charge_;
   std::uint32_t committed_ = 0;  // Bitmask, one bit per chunk.

@@ -86,9 +86,6 @@ class DirtyLog {
   // TLB, so no stale writable translation survives (re)arming.
   void FlushVmTlbs();
 
-  // snapshot-x-list(DirtyLog): hv_, vm_, mode_, fault_counter_, tracer_,
-  //   trace_fault_, armed_, faults_, dirty_frames_, dirty_pages_
-  //   (rebuilt per migration round; never armed across a checkpoint)
   Hypervisor* hv_;
   Pd* vm_;
   DirtyTrackMode mode_;

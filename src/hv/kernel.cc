@@ -91,7 +91,29 @@ void Hypervisor::RegisterObject(const ObjRef& obj) {
   objects_.push_back(ObjSlot{obj, obj->type()});
 }
 
-Hypervisor::~Hypervisor() = default;
+Hypervisor::~Hypervisor() {
+  // The kernel object graph is cyclic — a domain's capability space holds
+  // its own handle and its ECs, and each EC holds its domain — so it is
+  // torn down here. vTLBs go first, while the pool and tag allocator they
+  // hand frames and tags back to still exist; emptying every capability
+  // space then lets the remaining references unwind.
+  std::vector<ObjRef> live;
+  for (const ObjSlot& slot : objects_) {
+    if (ObjRef obj = slot.ref.lock(); obj != nullptr) {
+      live.push_back(std::move(obj));
+    }
+  }
+  for (const ObjRef& obj : live) {
+    if (obj->type() == ObjType::kEc) {
+      static_cast<Ec&>(*obj).set_vtlb(nullptr);
+    }
+  }
+  for (const ObjRef& obj : live) {
+    if (obj->type() == ObjType::kPd) {
+      static_cast<Pd&>(*obj).caps().Clear();
+    }
+  }
+}
 
 hw::PhysAddr Hypervisor::PoolAlloc() {
   if (!pool_free_.empty()) {

@@ -199,13 +199,15 @@ class Hypervisor : public KmemPool {
   // Serialize every piece of mutable kernel state (object graph, cap
   // spaces, quotas, mapping database, scheduler queues, vTLB contexts,
   // frame pool, tag allocator, lock models, kernel stat registry, VM
-  // engines) into the "hv.kernel" section. Object identity on the wire is
-  // the creation-order oid; restore overlays a twin Hypervisor whose
-  // scenario construction ran the identical creation sequence.
-  // Fails kBadParameter if any registered object was already destroyed
-  // (snapshot before domain teardown only) or a pending event is untagged.
-  Status SaveState(sim::Snapshot& snap) const;
-  Status LoadState(sim::Snapshot& snap);
+  // engines) as one section (NovaSystem names it "hv.kernel"). Object
+  // identity on the wire is the creation-order oid; restore overlays a
+  // twin Hypervisor whose scenario construction ran the identical creation
+  // sequence. Fails kBadParameter if any registered object was already
+  // destroyed (snapshot before domain teardown only).
+  Status SaveState(sim::SnapWriter& w) const;
+  Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
   // Object registry: every kernel object gets a creation-order ordinal.
   ObjRef ObjectByOid(std::uint64_t oid) const {
@@ -241,6 +243,10 @@ class Hypervisor : public KmemPool {
   struct KernelLock {
     std::uint32_t last_cpu = ~0u;
     sim::PicoSeconds hold_until_ps = 0;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(last_cpu, hold_until_ps);
+    }
   };
   void ChargeLock(KernelLock& lock, std::uint32_t cpu_id);
 
@@ -404,12 +410,6 @@ class Hypervisor : public KmemPool {
     }
   }
 
-  // snapshot-x-list(Hypervisor): machine_, costs_, stats_, ctr_, tracer_,
-  //   trc_, mdb_, kernel_reserve_, pool_next_, pool_free_, fault_plan_,
-  //   root_pd_, engines_, cpu_states_, gsi_sms_, gsi_direct_, tlb_tags_,
-  //   vtlb_policy_, vcpus_, ecs_, sms_, host_paging_mode_,
-  //   boot_cpu_for_step_, objects_, dirty_log_, sched_lock_, mdb_lock_,
-  //   xcall_lock_
   hw::Machine* machine_;
   HvCosts costs_;
   sim::StatRegistry stats_;

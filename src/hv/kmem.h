@@ -67,19 +67,14 @@ class KmemQuota {
     limit_ = frames > limit_ ? 0 : limit_ - frames;
   }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(limit_);
-    w.U64(used_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    limit_ = r.U64();
-    used_ = r.U64();
-    return r.status();
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(limit_, used_);
   }
 
  private:
-  // snapshot-x-list(KmemQuota): limit_, used_
   std::uint64_t limit_ = kUnlimited;  // kUnlimited => pass-through.
   std::uint64_t used_ = 0;
 };

@@ -1,7 +1,6 @@
 #include "src/hv/mdb.h"
 
 #include <algorithm>
-#include <unordered_map>
 
 namespace nova::hv {
 
@@ -105,86 +104,6 @@ void Mdb::Revoke(const Pd* pd, const Crd& crd, bool include_self,
   }
 }
 
-Status Mdb::SaveState(sim::SnapWriter& w, const PdOidOf& oid_of) const {
-  // Node identity on the wire is the index in nodes_. The pointer-keyed
-  // index is lookup-only — it is never iterated, so bucket order cannot
-  // reach the encoding.
-  // nova-lint: allow(determinism) -- lookup-only table, never iterated
-  std::unordered_map<const MdbNode*, std::uint64_t> index;
-  index.reserve(nodes_.size());
-  for (std::size_t i = 0; i < nodes_.size(); ++i) {
-    index[nodes_[i].get()] = i;
-  }
-  w.U64(nodes_.size());
-  for (const auto& node : nodes_) {
-    const std::uint64_t pd_oid = oid_of(node->pd);
-    if (pd_oid == ~0ull) {
-      return Status::kBadParameter;  // Node owned by an unregistered domain.
-    }
-    w.U64(pd_oid);
-    w.U8(static_cast<std::uint8_t>(node->kind));
-    w.U64(node->base);
-    w.U64(node->count);
-    w.U8(node->perms);
-    w.U64(node->src_base);
-    w.U64(node->parent != nullptr ? index.at(node->parent) : ~0ull);
-    w.U32(static_cast<std::uint32_t>(node->children.size()));
-    for (const MdbNode* child : node->children) {
-      w.U64(index.at(child));
-    }
-  }
-  return Status::kSuccess;
-}
-
-Status Mdb::LoadState(sim::SnapReader& r, const PdByOid& pd_of) {
-  nodes_.clear();
-  const std::uint64_t n = r.U64();
-  nodes_.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) {
-    nodes_.push_back(std::make_unique<MdbNode>());
-  }
-  std::vector<std::vector<std::uint64_t>> children(n);
-  std::vector<std::uint64_t> parents(n, ~0ull);
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    MdbNode* node = nodes_[i].get();
-    node->pd = pd_of(r.U64());
-    node->kind = static_cast<CrdKind>(r.U8());
-    node->base = r.U64();
-    node->count = r.U64();
-    node->perms = r.U8();
-    node->src_base = r.U64();
-    parents[i] = r.U64();
-    const std::uint32_t nc = r.U32();
-    children[i].resize(nc);
-    for (std::uint32_t c = 0; c < nc && r.ok(); ++c) {
-      children[i][c] = r.U64();
-    }
-    if (node->pd == nullptr) {
-      r.Fail();
-    }
-  }
-  if (!r.ok()) {
-    nodes_.clear();
-    return r.status();
-  }
-  for (std::uint64_t i = 0; i < n; ++i) {
-    if (parents[i] != ~0ull) {
-      if (parents[i] >= n) {
-        r.Fail();
-        return r.status();
-      }
-      nodes_[i]->parent = nodes_[parents[i]].get();
-    }
-    for (const std::uint64_t c : children[i]) {
-      if (c >= n) {
-        r.Fail();
-        return r.status();
-      }
-      nodes_[i]->children.push_back(nodes_[c].get());
-    }
-  }
-  return r.status();
-}
 
 void Mdb::DropDomain(const Pd* pd, const UnmapFn& unmap) {
   for (;;) {

@@ -10,6 +10,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <unordered_map>
 #include <vector>
 
 #include "src/hv/types.h"
@@ -77,20 +78,72 @@ class Mdb {
 
   std::size_t node_count() const { return nodes_.size(); }
 
-  // Serialization addresses owning domains by oid and nodes by their index
-  // in `nodes_` (scan order is part of Find's semantics, so the list order
-  // is restored exactly). LoadState rebuilds the whole database; nothing
+  // Snapshot field list. Nodes travel in list order (scan order is part
+  // of Find's semantics, so it is restored exactly), their links as
+  // indices into that list, and their owning domains through `refs` as
+  // oids (hv/snapshot.cc). Loading rebuilds the whole database; nothing
   // outside Mdb holds MdbNode pointers across calls.
-  using PdOidOf = std::function<std::uint64_t(const Pd*)>;
-  using PdByOid = std::function<Pd*(std::uint64_t)>;
-  Status SaveState(sim::SnapWriter& w, const PdOidOf& oid_of) const;
-  Status LoadState(sim::SnapReader& r, const PdByOid& pd_of);
+  template <class Ar, class Refs>
+  void Io(Ar& ar, Refs& refs) {
+    constexpr std::uint64_t kNone = ~0ull;
+    // nova-lint: allow(determinism) -- lookup-only table, never iterated
+    std::unordered_map<const MdbNode*, std::uint64_t> index;
+    if constexpr (!Ar::kLoading) {
+      for (std::size_t i = 0; i < nodes_.size(); ++i) {
+        index[nodes_[i].get()] = i;
+      }
+    }
+    std::vector<std::uint64_t> parents;
+    std::vector<std::vector<std::uint64_t>> children;
+    ar.Seq(sim::kCount64, nodes_, [&](std::unique_ptr<MdbNode>& node) {
+      if constexpr (Ar::kLoading) {
+        node = std::make_unique<MdbNode>();
+      }
+      refs.Required(ar, node->pd);
+      ar.Io(node->kind, node->base, node->count, node->perms, node->src_base);
+      std::uint64_t parent = kNone;
+      std::vector<std::uint64_t> kids;
+      if constexpr (!Ar::kLoading) {
+        parent = node->parent != nullptr ? index.at(node->parent) : kNone;
+        for (const MdbNode* child : node->children) {
+          kids.push_back(index.at(child));
+        }
+      }
+      ar.Io(parent);
+      ar.Seq(sim::kCount32, kids);
+      if constexpr (Ar::kLoading) {
+        parents.push_back(parent);
+        children.push_back(std::move(kids));
+      }
+    });
+    if constexpr (Ar::kLoading) {
+      const std::uint64_t n = nodes_.size();
+      for (std::uint64_t i = 0; i < n && ar.ok(); ++i) {
+        if (parents[i] != kNone) {
+          if (parents[i] >= n) {
+            ar.Fail();
+            break;
+          }
+          nodes_[i]->parent = nodes_[parents[i]].get();
+        }
+        for (const std::uint64_t c : children[i]) {
+          if (c >= n) {
+            ar.Fail();
+            break;
+          }
+          nodes_[i]->children.push_back(nodes_[c].get());
+        }
+      }
+      if (!ar.ok()) {
+        nodes_.clear();
+      }
+    }
+  }
 
  private:
   void RevokeSubtree(MdbNode* node, const UnmapFn& unmap);
   void Erase(MdbNode* node);
 
-  // snapshot-x-list(Mdb): nodes_
   std::vector<std::unique_ptr<MdbNode>> nodes_;
 };
 

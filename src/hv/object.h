@@ -57,7 +57,6 @@ class KObject {
   }
 
  private:
-  // snapshot-x-list(KObject): type_, oid_, dead_, release_
   ObjType type_;
   std::uint64_t oid_ = kNoOid;
   bool dead_ = false;

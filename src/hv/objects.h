@@ -28,9 +28,11 @@ class Vtlb;
 // abstracts from the difference between a user application and a VM.
 class Pd : public KObject {
  public:
+  static constexpr ObjType kType = ObjType::kPd;
+
   Pd(std::string name, bool is_vm, hw::PhysMem* mem, hw::PagingMode mode,
      hw::PhysAddr pt_root, KmemPool* pool)
-      : KObject(ObjType::kPd),
+      : KObject(kType),
         name_(std::move(name)),
         is_vm_(is_vm),
         pool_(pool),
@@ -107,12 +109,21 @@ class Pd : public KObject {
   void NoteCore(std::uint32_t cpu_id) { cores_mask_ |= 1ull << cpu_id; }
   void ClearCore(std::uint32_t cpu_id) { cores_mask_ &= ~(1ull << cpu_id); }
   void ClearCores() { cores_mask_ = 0; }
-  // Snapshot overlay only.
-  void SetCoresMask(std::uint64_t mask) { cores_mask_ = mask; }
+  // Snapshot field list; `refs` encodes kernel-object references as oids
+  // (hv/snapshot.cc). Name and kind are construction invariants.
+  template <class Ar, class Refs>
+  void Io(Ar& ar, Refs& refs) {
+    ar.Verify(name_);
+    ar.Verify(is_vm_);
+    ar.Io(kmem_);
+    refs.Io(ar, kmem_donor_);
+    caps_.Io(ar, refs);
+    ar.Io(mem_space_, io_space_, vm_tag_);
+    ar.Seq(sim::kCount32, devices_);
+    ar.Io(cores_mask_);
+  }
 
  private:
-  // snapshot-x-list(Pd): name_, is_vm_, pool_, kmem_, kmem_donor_, caps_,
-  //   mem_space_, io_space_, vm_tag_, devices_, cores_mask_
   std::string name_;
   bool is_vm_;
   KmemPool* pool_;
@@ -129,6 +140,8 @@ class Pd : public KObject {
 // Execution context: a thread, a dedicated event handler, or a virtual CPU.
 class Ec : public KObject {
  public:
+  static constexpr ObjType kType = ObjType::kEc;
+
   enum class Kind : std::uint8_t {
     kLocal,   // Portal handler; runs only on incoming IPC (no own SC).
     kGlobal,  // Thread with its own scheduling context.
@@ -149,7 +162,7 @@ class Ec : public KObject {
   using StepFn = std::function<void()>;
 
   Ec(Kind kind, std::shared_ptr<Pd> pd, std::uint32_t cpu)
-      : KObject(ObjType::kEc), kind_(kind), pd_(std::move(pd)), cpu_(cpu) {}
+      : KObject(kType), kind_(kind), pd_(std::move(pd)), cpu_(cpu) {}
 
   Kind kind() const { return kind_; }
   Pd& pd() { return *pd_; }
@@ -198,10 +211,22 @@ class Ec : public KObject {
   bool busy() const { return busy_; }
   void set_busy(bool b) { busy_ = b; }
 
+  // Snapshot field list (the vTLB, attached lazily by the kernel, follows
+  // in hv/snapshot.cc). Kind, home CPU and domain are construction
+  // invariants.
+  template <class Ar, class Refs>
+  void Io(Ar& ar, Refs& refs) {
+    ar.Verify(kind_);
+    ar.Verify(cpu_);
+    ar.Verify(pd_->oid());
+    ar.Io(utcb_, evt_base_, block_state_, wake_status_);
+    refs.Io(ar, blocked_on_);
+    ar.Io(timeout_event_);
+    refs.Io(ar, sc_);
+    ar.Io(busy_, gstate_, ctl_);
+  }
+
  private:
-  // snapshot-x-list(Ec): kind_, pd_, cpu_, utcb_, handler_, step_fn_,
-  //   gstate_, ctl_, vtlb_, evt_base_, block_state_, wake_status_,
-  //   blocked_on_, timeout_event_, sc_, busy_
   Kind kind_;
   std::shared_ptr<Pd> pd_;
   std::uint32_t cpu_;
@@ -223,8 +248,10 @@ class Ec : public KObject {
 // Scheduling context: couples a time quantum with a priority (§5.1).
 class Sc : public KObject {
  public:
+  static constexpr ObjType kType = ObjType::kSc;
+
   Sc(std::shared_ptr<Ec> ec, std::uint8_t prio, sim::Cycles quantum)
-      : KObject(ObjType::kSc), ec_(std::move(ec)), prio_(prio), quantum_(quantum),
+      : KObject(kType), ec_(std::move(ec)), prio_(prio), quantum_(quantum),
         left_(quantum) {}
 
   Ec& ec() { return *ec_; }
@@ -237,8 +264,6 @@ class Sc : public KObject {
 
   sim::Cycles left() const { return left_; }
   void Refill() { left_ = quantum_; }
-  // Snapshot overlay only.
-  void SetLeft(sim::Cycles c) { left_ = c; }
   // Consume cycles; returns true if the quantum is depleted.
   bool Consume(sim::Cycles c) {
     left_ = c >= left_ ? 0 : left_ - c;
@@ -248,8 +273,15 @@ class Sc : public KObject {
   bool queued() const { return queued_; }
   void set_queued(bool q) { queued_ = q; }
 
+  template <class Ar, class Refs>
+  void Io(Ar& ar, Refs& /*refs*/) {
+    ar.Verify(ec_->oid());
+    ar.Verify(prio_);
+    ar.Verify(quantum_);
+    ar.Io(left_, queued_);
+  }
+
  private:
-  // snapshot-x-list(Sc): ec_, prio_, quantum_, left_, queued_
   std::shared_ptr<Ec> ec_;
   std::uint8_t prio_;
   sim::Cycles quantum_;
@@ -260,16 +292,24 @@ class Sc : public KObject {
 // Portal: a dedicated entry point into a protection domain (§5.2).
 class Pt : public KObject {
  public:
+  static constexpr ObjType kType = ObjType::kPt;
+
   Pt(std::shared_ptr<Ec> handler, Mtd m, std::uint64_t id)
-      : KObject(ObjType::kPt), handler_(std::move(handler)), mtd_(m), id_(id) {}
+      : KObject(kType), handler_(std::move(handler)), mtd_(m), id_(id) {}
 
   Ec& handler() { return *handler_; }
   Mtd mtd() const { return mtd_; }
   void set_mtd(Mtd m) { mtd_ = m; }
   std::uint64_t id() const { return id_; }
 
+  template <class Ar, class Refs>
+  void Io(Ar& ar, Refs& /*refs*/) {
+    ar.Verify(handler_->oid());
+    ar.Io(mtd_);
+    ar.Verify(id_);
+  }
+
  private:
-  // snapshot-x-list(Pt): handler_, mtd_, id_
   std::shared_ptr<Ec> handler_;
   Mtd mtd_;
   std::uint64_t id_;
@@ -279,7 +319,9 @@ class Pt : public KObject {
 // interrupts (§5, Semaphore).
 class Sm : public KObject {
  public:
-  explicit Sm(std::uint64_t initial) : KObject(ObjType::kSm), counter_(initial) {}
+  static constexpr ObjType kType = ObjType::kSm;
+
+  explicit Sm(std::uint64_t initial) : KObject(kType), counter_(initial) {}
 
   std::uint64_t counter() const { return counter_; }
   void set_counter(std::uint64_t c) { counter_ = c; }
@@ -296,8 +338,15 @@ class Sm : public KObject {
   Pd* owner() const { return owner_; }
   void set_owner(Pd* pd) { owner_ = pd; }
 
+  template <class Ar, class Refs>
+  void Io(Ar& ar, Refs& refs) {
+    ar.Io(counter_, gsi_);
+    refs.Io(ar, owner_);
+    ar.Seq(sim::kCount32, waiters_,
+           [&](std::shared_ptr<Ec>& ec) { refs.Required(ar, ec); });
+  }
+
  private:
-  // snapshot-x-list(Sm): counter_, waiters_, gsi_, owner_
   std::uint64_t counter_;
   std::deque<std::shared_ptr<Ec>> waiters_;
   std::uint32_t gsi_ = ~0u;

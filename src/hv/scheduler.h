@@ -42,7 +42,6 @@ class RunQueue {
   void Clear();
 
  private:
-  // snapshot-x-list(RunQueue): levels_, bitmap_
   std::array<std::deque<Sc*>, 256> levels_;
   std::array<std::uint64_t, 4> bitmap_{};
 };
@@ -85,7 +84,6 @@ class CpuState {
   bool Runnable() const { return current_ != nullptr || !runqueue_.empty(); }
 
  private:
-  // snapshot-x-list(CpuState): runqueue_, current_, halted_vcpus_
   RunQueue runqueue_;
   Sc* current_ = nullptr;
   std::vector<std::shared_ptr<Ec>> halted_vcpus_;

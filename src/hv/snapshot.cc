@@ -4,607 +4,183 @@
 // Identity model: objects are addressed by creation-order oid; the
 // restore target is a *twin* — a Hypervisor whose scenario construction
 // ran the identical creation sequence, so oid i names the equivalent
-// object on both sides. LoadState overlays mutable state onto the twin's
+// object on both sides. Loading overlays mutable state onto the twin's
 // objects; immutable construction parameters (names, kinds, home CPUs,
 // priorities) are verified, not restored, so a mismatched twin fails
 // loudly instead of silently diverging.
-#include <algorithm>
 #include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "src/hv/kernel.h"
-#include "src/hv/snapshot.h"
 
 namespace nova::hv {
 namespace {
 
-// --- Plain-struct helpers -------------------------------------------------
+// Kernel-object references travel as oids, kNoOid for null; loading
+// resolves them in the twin's registry.
+class OidRefs {
+ public:
+  explicit OidRefs(const Hypervisor& hv) : hv_(hv) {}
 
-void SaveCrd(sim::SnapWriter& w, const Crd& crd) {
-  w.U8(static_cast<std::uint8_t>(crd.kind));
-  w.U64(crd.base);
-  w.U8(crd.order);
-  w.U8(crd.perms);
-}
+  // Null, or an oid naming no object of the pointee's type, loads as null.
+  template <class Ar, class P>
+  void Io(Ar& ar, P& ref) {
+    Visit(ar, ref, /*required=*/false);
+  }
+  // Must name a registered object of the pointee's type, in both
+  // directions.
+  template <class Ar, class P>
+  void Required(Ar& ar, P& ref) {
+    Visit(ar, ref, /*required=*/true);
+  }
 
-void LoadCrd(sim::SnapReader& r, Crd* crd) {
-  crd->kind = static_cast<CrdKind>(r.U8());
-  crd->base = r.U64();
-  crd->order = r.U8();
-  crd->perms = r.U8();
-}
+ private:
+  template <class Ar, class P>
+  void Visit(Ar& ar, P& ref, bool required) {
+    using T = typename std::pointer_traits<P>::element_type;
+    std::uint64_t oid = ref == nullptr ? KObject::kNoOid : ref->oid();
+    ar.Io(oid);
+    if constexpr (Ar::kLoading) {
+      std::shared_ptr<T> obj;
+      if constexpr (std::is_same_v<T, KObject>) {
+        obj = hv_.ObjectByOid(oid);
+      } else {
+        obj = RefAs<T>(hv_.ObjectByOid(oid), T::kType);
+      }
+      if constexpr (std::is_pointer_v<P>) {
+        ref = obj == nullptr ? nullptr : obj.get();
+      } else {
+        ref = std::move(obj);
+      }
+    }
+    if (required && (oid == KObject::kNoOid || ref == nullptr)) {
+      ar.Fail();
+    }
+  }
 
-void SaveArch(sim::SnapWriter& w, const ArchState& a) {
-  for (const std::uint64_t reg : a.regs) {
-    w.U64(reg);
-  }
-  w.U64(a.rip);
-  w.U64(a.insn_len);
-  w.Bool(a.interrupts_enabled);
-  w.U64(a.cr3);
-  w.U64(a.cr2);
-  w.Bool(a.paging);
-  w.U64(a.qual_gva);
-  w.U64(a.qual_gpa);
-  w.U64(a.qual);
-  w.Bool(a.inject_pending);
-  w.U8(a.inject_vector);
-  w.Bool(a.request_intr_window);
-  w.Bool(a.halted);
-  w.U64(a.tsc);
-}
-
-void LoadArch(sim::SnapReader& r, ArchState* a) {
-  for (std::uint64_t& reg : a->regs) {
-    reg = r.U64();
-  }
-  a->rip = r.U64();
-  a->insn_len = r.U64();
-  a->interrupts_enabled = r.Bool();
-  a->cr3 = r.U64();
-  a->cr2 = r.U64();
-  a->paging = r.Bool();
-  a->qual_gva = r.U64();
-  a->qual_gpa = r.U64();
-  a->qual = r.U64();
-  a->inject_pending = r.Bool();
-  a->inject_vector = r.U8();
-  a->request_intr_window = r.Bool();
-  a->halted = r.Bool();
-  a->tsc = r.U64();
-}
-
-void SaveUtcb(sim::SnapWriter& w, const Utcb& u) {
-  w.U32(u.untyped);
-  for (const std::uint64_t word : u.words) {
-    w.U64(word);
-  }
-  w.U32(u.num_typed);
-  for (const TypedItem& item : u.typed) {
-    SaveCrd(w, item.crd);
-    w.U64(item.hotspot);
-  }
-  SaveCrd(w, u.recv_window);
-  SaveArch(w, u.arch);
-  w.U32(u.mtd);
-}
-
-void LoadUtcb(sim::SnapReader& r, Utcb* u) {
-  u->untyped = r.U32();
-  for (std::uint64_t& word : u->words) {
-    word = r.U64();
-  }
-  u->num_typed = r.U32();
-  for (TypedItem& item : u->typed) {
-    LoadCrd(r, &item.crd);
-    item.hotspot = r.U64();
-  }
-  LoadCrd(r, &u->recv_window);
-  LoadArch(r, &u->arch);
-  u->mtd = r.U32();
-}
+  const Hypervisor& hv_;
+};
 
 }  // namespace
 
-// Extern (snapshot.h): shared with user-level guest checkpointing.
-void SaveGuestState(sim::SnapWriter& w, const hw::GuestState& g) {
-  for (const std::uint64_t reg : g.regs) {
-    w.U64(reg);
-  }
-  w.U64(g.rip);
-  w.U64(g.cr3);
-  w.U64(g.cr2);
-  w.Bool(g.paging);
-  w.Bool(g.interrupts_enabled);
-  w.Bool(g.halted);
-  for (const std::uint64_t handler : g.idt) {
-    w.U64(handler);
-  }
-  w.U32(static_cast<std::uint32_t>(g.frame_depth));
-  for (const hw::GuestState::Frame& f : g.frames) {
-    w.U64(f.rip);
-    w.Bool(f.interrupts_enabled);
-    for (const std::uint64_t reg : f.regs) {
-      w.U64(reg);
-    }
-  }
-  w.Bool(g.inject_pending);
-  w.U8(g.inject_vector);
-  w.Bool(g.request_intr_window);
-  w.Bool(g.recall_pending);
-}
-
-void LoadGuestState(sim::SnapReader& r, hw::GuestState* g) {
-  for (std::uint64_t& reg : g->regs) {
-    reg = r.U64();
-  }
-  g->rip = r.U64();
-  g->cr3 = r.U64();
-  g->cr2 = r.U64();
-  g->paging = r.Bool();
-  g->interrupts_enabled = r.Bool();
-  g->halted = r.Bool();
-  for (std::uint64_t& handler : g->idt) {
-    handler = r.U64();
-  }
-  g->frame_depth = static_cast<int>(r.U32());
-  for (hw::GuestState::Frame& f : g->frames) {
-    f.rip = r.U64();
-    f.interrupts_enabled = r.Bool();
-    for (std::uint64_t& reg : f.regs) {
-      reg = r.U64();
-    }
-  }
-  g->inject_pending = r.Bool();
-  g->inject_vector = r.U8();
-  g->request_intr_window = r.Bool();
-  g->recall_pending = r.Bool();
-}
-
-namespace {
-
-// VmControls minus io_passthrough: the bitmap pointer targets the owning
-// PD's IoSpace, which the twin wires at construction.
-void SaveControls(sim::SnapWriter& w, const hw::VmControls& c) {
-  w.U8(static_cast<std::uint8_t>(c.mode));
-  w.U8(static_cast<std::uint8_t>(c.nested_format));
-  w.U64(c.nested_root);
-  w.U16(c.tag);
-  w.U16(c.base_tag);
-  w.Bool(c.direct_interrupts);
-  w.Bool(c.intercept_cpuid);
-  w.Bool(c.intercept_hlt);
-  w.Bool(c.intercept_cr3);
-  w.Bool(c.intercept_invlpg);
-  w.Bool(c.intercept_vmcall);
-}
-
-void LoadControls(sim::SnapReader& r, hw::VmControls* c) {
-  c->mode = static_cast<hw::TranslationMode>(r.U8());
-  c->nested_format = static_cast<hw::PagingMode>(r.U8());
-  c->nested_root = r.U64();
-  c->tag = r.U16();
-  c->base_tag = r.U16();
-  c->direct_interrupts = r.Bool();
-  c->intercept_cpuid = r.Bool();
-  c->intercept_hlt = r.Bool();
-  c->intercept_cr3 = r.Bool();
-  c->intercept_invlpg = r.Bool();
-  c->intercept_vmcall = r.Bool();
-}
-
-std::uint64_t OidOrNone(const KObject* obj) {
-  return obj == nullptr ? KObject::kNoOid : obj->oid();
-}
-
-// Nullable raw-pointer extraction: a restored oid may legitimately be
-// kNoOid (field was null at save time), so null is a valid result here.
-template <typename T>
-T* MaybeRaw(const std::shared_ptr<T>& ref) {
-  return ref == nullptr ? nullptr : ref.get();
-}
-
-}  // namespace
-
-Status Hypervisor::SaveState(sim::Snapshot& snap) const {
-  sim::SnapWriter& w = snap.Section("hv.kernel", 1);
-
-  // Pool / allocator / boot state.
-  w.U64(kernel_reserve_);
-  w.U64(pool_next_);
-  w.U64(pool_free_.size());
-  for (const hw::PhysAddr frame : pool_free_) {
-    w.U64(frame);
-  }
-  w.U32(boot_cpu_for_step_);
-  for (const KernelLock* lock : {&sched_lock_, &mdb_lock_, &xcall_lock_}) {
-    w.U32(lock->last_cpu);
-    w.U64(lock->hold_until_ps);
-  }
-  Status st = tlb_tags_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  w.Bool(vtlb_policy_.cache_contexts);
-  w.Bool(vtlb_policy_.use_vpid);
-  w.U32(vtlb_policy_.max_cached_frames);
-
-  // Kernel stat registry (Table 2 counters) and per-CPU VM engines.
-  st = stats_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  w.U32(static_cast<std::uint32_t>(engines_.size()));
-  for (const auto& engine : engines_) {
-    st = engine->SaveState(w);
-    if (!Ok(st)) {
-      return st;
-    }
-  }
-
-  // Object graph, in creation (oid) order. An expired entry means the
-  // checkpoint races domain destruction — refuse rather than guess.
-  w.U64(objects_.size());
+template <class Ar>
+void Hypervisor::Io(Ar& ar) {
+  OidRefs refs(*this);
+  // Every registered object, held for the whole visit. An expired entry
+  // means a checkpoint racing domain destruction — refuse rather than
+  // guess — or a twin that already destroyed something; holding the rest
+  // keeps release hooks from firing while references are rewritten.
+  std::vector<ObjRef> objs;
+  objs.reserve(objects_.size());
   for (const ObjSlot& slot : objects_) {
-    const ObjRef obj = slot.ref.lock();
-    if (obj == nullptr) {
-      return Status::kBadParameter;
-    }
-    w.U8(static_cast<std::uint8_t>(slot.type));
-    w.Bool(obj->dead());
-    switch (slot.type) {
-      case ObjType::kPd: {
-        const auto pd = std::static_pointer_cast<Pd>(obj);
-        w.Str(pd->name());
-        w.Bool(pd->is_vm());
-        st = pd->kmem().SaveState(w);
-        if (!Ok(st)) {
-          return st;
-        }
-        w.U64(OidOrNone(pd->kmem_donor().get()));
-        st = pd->caps().SaveState(w, OidOrNone);
-        if (!Ok(st)) {
-          return st;
-        }
-        st = pd->mem_space().SaveState(w);
-        if (!Ok(st)) {
-          return st;
-        }
-        st = pd->io_space().SaveState(w);
-        if (!Ok(st)) {
-          return st;
-        }
-        w.U16(pd->vm_tag());
-        const auto& devices = pd->assigned_devices();
-        w.U32(static_cast<std::uint32_t>(devices.size()));
-        for (const std::uint16_t dev : devices) {
-          w.U16(dev);
-        }
-        w.U64(pd->cores_mask());
-        break;
-      }
-      case ObjType::kEc: {
-        const auto ec = std::static_pointer_cast<Ec>(obj);
-        w.U8(static_cast<std::uint8_t>(ec->kind()));
-        w.U32(ec->cpu());
-        w.U64(ec->pd().oid());
-        SaveUtcb(w, ec->utcb());
-        w.U32(ec->evt_base());
-        w.U8(static_cast<std::uint8_t>(ec->block_state()));
-        w.U8(static_cast<std::uint8_t>(ec->wake_status()));
-        w.U64(OidOrNone(ec->blocked_on()));
-        w.U64(ec->timeout_event());
-        w.U64(OidOrNone(ec->sc()));
-        w.Bool(ec->busy());
-        SaveGuestState(w, ec->gstate());
-        SaveControls(w, ec->ctl());
-        const bool has_vtlb = ec->vtlb() != nullptr;
-        w.Bool(has_vtlb);
-        if (has_vtlb) {
-          st = ec->vtlb()->SaveState(w);
-          if (!Ok(st)) {
-            return st;
-          }
-        }
-        break;
-      }
-      case ObjType::kSc: {
-        const auto sc = std::static_pointer_cast<Sc>(obj);
-        w.U64(sc->ec().oid());
-        w.U8(sc->prio());
-        w.U64(sc->quantum());
-        w.U64(sc->left());
-        w.Bool(sc->queued());
-        break;
-      }
-      case ObjType::kPt: {
-        const auto pt = std::static_pointer_cast<Pt>(obj);
-        w.U64(pt->handler().oid());
-        w.U32(pt->mtd());
-        w.U64(pt->id());
-        break;
-      }
-      case ObjType::kSm: {
-        const auto sm = std::static_pointer_cast<Sm>(obj);
-        w.U64(sm->counter());
-        w.U32(sm->bound_gsi());
-        w.U64(OidOrNone(sm->owner()));
-        const auto& waiters = sm->waiters();
-        w.U32(static_cast<std::uint32_t>(waiters.size()));
-        for (const auto& waiter : waiters) {
-          w.U64(waiter->oid());
-        }
-        break;
-      }
+    objs.push_back(slot.ref.lock());
+    if (objs.back() == nullptr) {
+      ar.Fail();
+      return;
     }
   }
 
-  // GSI bindings, by oid. Snapshots run with the machine quiesced; no
-  // delivery or rebind can race the save.
+  // Pool / allocator / boot state, kernel stat registry (Table 2
+  // counters) and per-CPU VM engines.
+  ar.Io(kernel_reserve_, pool_next_);
+  ar.Seq(sim::kCount64, pool_free_);
+  ar.Io(boot_cpu_for_step_, sched_lock_, mdb_lock_, xcall_lock_, tlb_tags_,
+        vtlb_policy_, stats_);
+  ar.Verify(static_cast<std::uint32_t>(engines_.size()));
+  for (auto& engine : engines_) {
+    ar.Io(*engine);
+  }
+
+  // Object graph, in creation (oid) order.
+  ar.Verify(std::uint64_t{objects_.size()});
+  for (const ObjRef& obj : objs) {
+    ar.Verify(obj->type());
+    bool dead = obj->dead();
+    ar.Io(dead);
+    if (!ar.ok()) {
+      return;
+    }
+    if constexpr (Ar::kLoading) {
+      if (dead) {
+        obj->MarkDead();
+      }
+    }
+    switch (obj->type()) {
+      case ObjType::kPd:
+        static_cast<Pd&>(*obj).Io(ar, refs);
+        break;
+      case ObjType::kEc: {
+        auto& ec = static_cast<Ec&>(*obj);
+        ec.Io(ar, refs);
+        bool has_vtlb = ec.vtlb() != nullptr;
+        ar.Io(has_vtlb);
+        if (has_vtlb) {
+          // Attaches the twin's vTLB, which it has not needed yet.
+          Vtlb& vtlb = VtlbFor(&ec);
+          ar.Io(vtlb);
+        }
+        break;
+      }
+      case ObjType::kSc:
+        static_cast<Sc&>(*obj).Io(ar, refs);
+        break;
+      case ObjType::kPt:
+        static_cast<Pt&>(*obj).Io(ar, refs);
+        break;
+      case ObjType::kSm:
+        static_cast<Sm&>(*obj).Io(ar, refs);
+        break;
+    }
+  }
+
+  // GSI bindings. Snapshots run with the machine quiesced; no delivery or
+  // rebind can race them.
   // nova-lint: allow(lock-discipline) -- quiesced-machine snapshot
-  for (const auto& sm : gsi_sms_) {
-    w.U64(OidOrNone(sm.get()));
+  for (auto& sm : gsi_sms_) {
+    refs.Io(ar, sm);
   }
   // nova-lint: allow(lock-discipline) -- quiesced-machine snapshot
-  for (const auto& ec : gsi_direct_) {
-    w.U64(OidOrNone(ec.get()));
+  for (auto& ec : gsi_direct_) {
+    refs.Io(ar, ec);
   }
 
   // Per-core scheduler state. Machine-wide enumeration by design:
   // nova-lint: allow(per-cpu-state)
-  w.U32(static_cast<std::uint32_t>(cpu_states_.size()));
+  ar.Verify(static_cast<std::uint32_t>(cpu_states_.size()));
   // nova-lint: allow(per-cpu-state)
-  for (const CpuState& state : cpu_states_) {
-    w.U64(OidOrNone(state.current()));
-    std::vector<Sc*> ready;
-    state.CollectReady(&ready);
-    w.U32(static_cast<std::uint32_t>(ready.size()));
-    for (const Sc* sc : ready) {
-      w.U64(sc->oid());
+  for (CpuState& state : cpu_states_) {
+    Sc* current = state.current();
+    std::vector<Sc*> ready;  // Dequeue order: priority-descending, FIFO.
+    if constexpr (!Ar::kLoading) {
+      state.CollectReady(&ready);
     }
-    const auto& halted = state.halted();
-    w.U32(static_cast<std::uint32_t>(halted.size()));
-    for (const auto& ec : halted) {
-      w.U64(ec->oid());
+    refs.Io(ar, current);
+    ar.Seq(sim::kCount32, ready, [&](Sc*& sc) { refs.Required(ar, sc); });
+    ar.Seq(sim::kCount32, state.halted(),
+           [&](std::shared_ptr<Ec>& ec) { refs.Required(ar, ec); });
+    if constexpr (Ar::kLoading) {
+      state.SetCurrent(current);
+      state.ClearReady();
+      // Enqueueing in the saved dequeue order reproduces the exact deque
+      // contents; the queued flag was already overlaid, so drop it for the
+      // guard and re-set it via Enqueue.
+      for (Sc* sc : ready) {
+        if (sc != nullptr) {
+          sc->set_queued(false);
+          state.Enqueue(sc);
+        }
+      }
     }
   }
 
   // Mapping database and root sanity anchor.
   // nova-lint: allow(lock-discipline) -- quiesced-machine snapshot
-  st = mdb_.SaveState(w, [](const Pd* pd) { return OidOrNone(pd); });
-  if (!Ok(st)) {
-    return st;
-  }
-  w.U64(OidOrNone(root_pd_.get()));
-  return Status::kSuccess;
+  mdb_.Io(ar, refs);
+  ar.Verify(root_pd_ == nullptr ? KObject::kNoOid : root_pd_->oid());
 }
 
-Status Hypervisor::LoadState(sim::Snapshot& snap) {
-  sim::SnapReader r = snap.Open("hv.kernel", 1);
-
-  // Lock every registered object for the duration of the overlay, so no
-  // release hook can fire while reference chains are being rewritten. A
-  // twin must not have destroyed anything yet.
-  std::vector<ObjRef> keeper;
-  keeper.reserve(objects_.size());
-  for (const ObjSlot& slot : objects_) {
-    ObjRef obj = slot.ref.lock();
-    if (obj == nullptr) {
-      return Status::kBadParameter;
-    }
-    keeper.push_back(std::move(obj));
-  }
-
-  kernel_reserve_ = r.U64();
-  pool_next_ = r.U64();
-  pool_free_.clear();
-  const std::uint64_t free_count = r.U64();
-  for (std::uint64_t i = 0; i < free_count && r.ok(); ++i) {
-    pool_free_.push_back(r.U64());
-  }
-  boot_cpu_for_step_ = r.U32();
-  for (KernelLock* lock : {&sched_lock_, &mdb_lock_, &xcall_lock_}) {
-    lock->last_cpu = r.U32();
-    lock->hold_until_ps = r.U64();
-  }
-  Status st = tlb_tags_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  vtlb_policy_.cache_contexts = r.Bool();
-  vtlb_policy_.use_vpid = r.Bool();
-  vtlb_policy_.max_cached_frames = r.U32();
-
-  st = stats_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  if (r.U32() != engines_.size()) {
-    return Status::kBadParameter;
-  }
-  for (auto& engine : engines_) {
-    st = engine->LoadState(r);
-    if (!Ok(st)) {
-      return st;
-    }
-  }
-
-  // Object overlay. Construction-time invariants (type, name, kind, home
-  // CPU, priority, wiring oids) are verified against the twin.
-  if (r.U64() != objects_.size()) {
-    return Status::kBadParameter;
-  }
-  const auto by_oid = [this](std::uint64_t oid) { return ObjectByOid(oid); };
-  for (std::uint64_t oid = 0; oid < objects_.size(); ++oid) {
-    const ObjRef& obj = keeper[oid];
-    if (static_cast<ObjType>(r.U8()) != obj->type()) {
-      return Status::kBadParameter;
-    }
-    if (r.Bool()) {
-      obj->MarkDead();
-    }
-    switch (obj->type()) {
-      case ObjType::kPd: {
-        auto pd = std::static_pointer_cast<Pd>(obj);
-        if (r.Str() != pd->name() || r.Bool() != pd->is_vm()) {
-          return Status::kBadParameter;
-        }
-        st = pd->kmem().LoadState(r);
-        if (!Ok(st)) {
-          return st;
-        }
-        pd->set_kmem_donor(RefAs<Pd>(by_oid(r.U64()), ObjType::kPd));
-        st = pd->caps().LoadState(r, by_oid);
-        if (!Ok(st)) {
-          return st;
-        }
-        st = pd->mem_space().LoadState(r);
-        if (!Ok(st)) {
-          return st;
-        }
-        st = pd->io_space().LoadState(r);
-        if (!Ok(st)) {
-          return st;
-        }
-        pd->set_vm_tag(r.U16());
-        auto& devices = pd->assigned_devices();
-        devices.clear();
-        const std::uint32_t num_devices = r.U32();
-        for (std::uint32_t i = 0; i < num_devices && r.ok(); ++i) {
-          devices.push_back(r.U16());
-        }
-        pd->SetCoresMask(r.U64());
-        break;
-      }
-      case ObjType::kEc: {
-        auto ec = std::static_pointer_cast<Ec>(obj);
-        if (static_cast<Ec::Kind>(r.U8()) != ec->kind() ||
-            r.U32() != ec->cpu() || r.U64() != ec->pd().oid()) {
-          return Status::kBadParameter;
-        }
-        LoadUtcb(r, &ec->utcb());
-        ec->set_evt_base(r.U32());
-        ec->set_block_state(static_cast<Ec::BlockState>(r.U8()));
-        ec->set_wake_status(static_cast<Status>(r.U8()));
-        ec->set_blocked_on(MaybeRaw(RefAs<Sm>(by_oid(r.U64()), ObjType::kSm)));
-        ec->set_timeout_event(r.U64());
-        ec->set_sc(MaybeRaw(RefAs<Sc>(by_oid(r.U64()), ObjType::kSc)));
-        ec->set_busy(r.Bool());
-        LoadGuestState(r, &ec->gstate());
-        LoadControls(r, &ec->ctl());
-        if (r.Bool()) {
-          // Vtlbs attach lazily; the twin has not run a shadow exit yet.
-          st = VtlbFor(ec.get()).LoadState(r);
-          if (!Ok(st)) {
-            return st;
-          }
-        }
-        break;
-      }
-      case ObjType::kSc: {
-        auto sc = std::static_pointer_cast<Sc>(obj);
-        if (r.U64() != sc->ec().oid() || r.U8() != sc->prio() ||
-            r.U64() != sc->quantum()) {
-          return Status::kBadParameter;
-        }
-        sc->SetLeft(r.U64());
-        sc->set_queued(r.Bool());
-        break;
-      }
-      case ObjType::kPt: {
-        auto pt = std::static_pointer_cast<Pt>(obj);
-        if (r.U64() != pt->handler().oid()) {
-          return Status::kBadParameter;
-        }
-        pt->set_mtd(r.U32());
-        if (r.U64() != pt->id()) {
-          return Status::kBadParameter;
-        }
-        break;
-      }
-      case ObjType::kSm: {
-        auto sm = std::static_pointer_cast<Sm>(obj);
-        sm->set_counter(r.U64());
-        sm->bind_gsi(r.U32());
-        sm->set_owner(MaybeRaw(RefAs<Pd>(by_oid(r.U64()), ObjType::kPd)));
-        auto& waiters = sm->waiters();
-        waiters.clear();
-        const std::uint32_t num_waiters = r.U32();
-        for (std::uint32_t i = 0; i < num_waiters && r.ok(); ++i) {
-          auto waiter = RefAs<Ec>(by_oid(r.U64()), ObjType::kEc);
-          if (waiter == nullptr) {
-            r.Fail();
-            break;
-          }
-          waiters.push_back(std::move(waiter));
-        }
-        break;
-      }
-    }
-    if (!r.ok()) {
-      return r.status();
-    }
-  }
-
-  // Restore happens before the machine runs; nothing can race it.
-  // nova-lint: allow(lock-discipline) -- quiesced-machine restore
-  for (auto& sm : gsi_sms_) {
-    sm = RefAs<Sm>(by_oid(r.U64()), ObjType::kSm);
-  }
-  // nova-lint: allow(lock-discipline) -- quiesced-machine restore
-  for (auto& ec : gsi_direct_) {
-    ec = RefAs<Ec>(by_oid(r.U64()), ObjType::kEc);
-  }
-
-  // Per-core scheduler overlay. Machine-wide rebuild by design:
-  // nova-lint: allow(per-cpu-state)
-  if (r.U32() != cpu_states_.size()) {
-    return Status::kBadParameter;
-  }
-  // nova-lint: allow(per-cpu-state)
-  for (CpuState& state : cpu_states_) {
-    state.SetCurrent(MaybeRaw(RefAs<Sc>(by_oid(r.U64()), ObjType::kSc)));
-    state.ClearReady();
-    const std::uint32_t num_ready = r.U32();
-    for (std::uint32_t i = 0; i < num_ready && r.ok(); ++i) {
-      auto sc = RefAs<Sc>(by_oid(r.U64()), ObjType::kSc);
-      if (sc == nullptr) {
-        r.Fail();
-        break;
-      }
-      // Enqueue in the saved dequeue order (priority-descending, FIFO per
-      // level) reproduces the exact deque contents; the queued flag was
-      // already overlaid, so drop it for the guard and re-set via Enqueue.
-      sc->set_queued(false);
-      state.Enqueue(sc.get());
-    }
-    auto& halted = state.halted();
-    halted.clear();
-    const std::uint32_t num_halted = r.U32();
-    for (std::uint32_t i = 0; i < num_halted && r.ok(); ++i) {
-      auto ec = RefAs<Ec>(by_oid(r.U64()), ObjType::kEc);
-      if (ec == nullptr) {
-        r.Fail();
-        break;
-      }
-      halted.push_back(std::move(ec));
-    }
-  }
-  if (!r.ok()) {
-    return r.status();
-  }
-
-  // nova-lint: allow(lock-discipline) -- quiesced-machine restore
-  st = mdb_.LoadState(r, [this](std::uint64_t oid) {
-    return MaybeRaw(RefAs<Pd>(ObjectByOid(oid), ObjType::kPd));
-  });
-  if (!Ok(st)) {
-    return st;
-  }
-  if (r.U64() != OidOrNone(root_pd_.get())) {
-    return Status::kBadParameter;
-  }
-  return r.Finish();
-}
+Status Hypervisor::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status Hypervisor::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::hv

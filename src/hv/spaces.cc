@@ -105,53 +105,38 @@ void MemSpace::ForEachMapping(const MappingVisitor& visit) const {
   }
 }
 
-Status MemSpace::SaveState(sim::SnapWriter& w) const {
-  w.U64(pages_.size());
-  ForEachMapping([&w](std::uint64_t page, std::uint64_t hpa_page,
-                      std::uint8_t perms, bool large) {
-    w.U64(page);
-    w.U64(hpa_page);
-    w.U8(perms);
-    w.Bool(large);
-  });
-  return Status::kSuccess;
-}
-
-Status MemSpace::LoadState(sim::SnapReader& r) {
-  pages_.clear();
-  const std::uint64_t n = r.U64();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    const std::uint64_t page = r.U64();
-    const std::uint64_t hpa_page = r.U64();
-    const std::uint8_t perms = r.U8();
-    const bool large = r.Bool();
-    pages_[page] = Holding{hpa_page, perms, large};
+template <class Ar>
+void MemSpace::Io(Ar& ar) {
+  if constexpr (Ar::kLoading) {
+    pages_.clear();
   }
-  return r.status();
+  ar.Keyed(sim::kCount64, pages_);
 }
 
-Status IoSpace::SaveState(sim::SnapWriter& w) const {
+Status MemSpace::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status MemSpace::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+
+template <class Ar>
+void IoSpace::Io(Ar& ar) {
+  // The port bitmap as 1024 words, bit b of word w being port 64w + b.
   for (std::size_t word = 0; word < 1024; ++word) {
     std::uint64_t bits = 0;
-    for (std::size_t b = 0; b < 64; ++b) {
-      if (bitmap_.test(word * 64 + b)) {
-        bits |= 1ull << b;
+    if constexpr (!Ar::kLoading) {
+      for (std::size_t b = 0; b < 64; ++b) {
+        bits |= static_cast<std::uint64_t>(bitmap_.test(word * 64 + b)) << b;
       }
     }
-    w.U64(bits);
-  }
-  return Status::kSuccess;
-}
-
-Status IoSpace::LoadState(sim::SnapReader& r) {
-  for (std::size_t word = 0; word < 1024; ++word) {
-    const std::uint64_t bits = r.U64();
-    for (std::size_t b = 0; b < 64; ++b) {
-      bitmap_.set(word * 64 + b, (bits & (1ull << b)) != 0);
+    ar.Io(bits);
+    if constexpr (Ar::kLoading) {
+      for (std::size_t b = 0; b < 64; ++b) {
+        bitmap_.set(word * 64 + b, ((bits >> b) & 1) != 0);
+      }
     }
   }
-  return r.status();
 }
+
+Status IoSpace::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status IoSpace::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 void IoSpace::Grant(std::uint64_t port, std::uint64_t count) {
   for (std::uint64_t p = port; p < port + count && p < 65536; ++p) {

@@ -57,15 +57,20 @@ class MemSpace {
   // frames and rides the memory section of the snapshot.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   struct Holding {
     std::uint64_t hpa_page;
     std::uint8_t perms;
     bool large;  // Part of a superpage mapping.
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(hpa_page, perms, large);
+    }
   };
 
-  // snapshot-x-list(MemSpace): table_, alloc_, pages_
   hw::PageTable table_;
   hw::PageTable::FrameAllocator alloc_;
   std::unordered_map<std::uint64_t, Holding> pages_;
@@ -81,9 +86,10 @@ class IoSpace {
 
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
-  // snapshot-x-list(IoSpace): bitmap_
   std::bitset<65536> bitmap_;
 };
 

@@ -45,6 +45,10 @@ struct Crd {
   std::uint8_t perms = 0;
 
   std::uint64_t count() const { return 1ull << order; }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(kind, base, order, perms);
+  }
   static Crd Mem(std::uint64_t page, std::uint8_t order, std::uint8_t perms) {
     return Crd{CrdKind::kMem, page, order, perms};
   }

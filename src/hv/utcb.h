@@ -35,12 +35,23 @@ struct ArchState {
   bool request_intr_window = false;
   bool halted = false;
   std::uint64_t tsc = 0;
+
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(regs, rip, insn_len, interrupts_enabled, cr3, cr2, paging, qual_gva,
+          qual_gpa, qual, inject_pending, inject_vector, request_intr_window,
+          halted, tsc);
+  }
 };
 
 // A typed item requests a resource delegation as part of a message.
 struct TypedItem {
   Crd crd;                 // What the sender offers (from its spaces).
   std::uint64_t hotspot;   // Where the receiver wants it (base unit index).
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(crd, hotspot);
+  }
 };
 
 struct Utcb {
@@ -64,6 +75,11 @@ struct Utcb {
     untyped = 0;
     num_typed = 0;
     mtd = 0;
+  }
+
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(untyped, words, num_typed, typed, recv_window, arch, mtd);
   }
 };
 

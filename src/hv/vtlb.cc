@@ -495,51 +495,21 @@ void Vtlb::EnforceFrameBudget() {
   }
 }
 
-Status Vtlb::SaveState(sim::SnapWriter& w) const {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(contexts_.size());
-  // nova-lint: allow(determinism) -- collected then sorted before encoding
-  for (const auto& [key, ctx] : contexts_) {
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  w.U64(keys.size());
-  for (const std::uint64_t key : keys) {
-    const Context& ctx = contexts_.at(key);
-    w.U64(key);
-    w.U64(ctx.root);
-    w.U16(ctx.tag);
-    w.U64(ctx.frames);
-    w.U64(ctx.last_use);
-  }
-  w.U64(active_key_);
-  w.Bool(has_active_);
-  w.U64(use_clock_);
-  w.U64(frames_held_);
-  return Status::kSuccess;
-}
-
-Status Vtlb::LoadState(sim::SnapReader& r) {
+template <class Ar>
+void Vtlb::Io(Ar& ar) {
   // The twin's lazily-attached Vtlb starts empty (fresh boot never ran a
   // shadow fill before the checkpoint overlay), so there is nothing to
   // free here; the restored roots are pool frames whose contents arrived
-  // with the memory section.
-  contexts_.clear();
-  const std::uint64_t n = r.U64();
-  for (std::uint64_t i = 0; i < n && r.ok(); ++i) {
-    const std::uint64_t key = r.U64();
-    Context ctx;
-    ctx.root = r.U64();
-    ctx.tag = r.U16();
-    ctx.frames = r.U64();
-    ctx.last_use = r.U64();
-    contexts_[key] = ctx;
+  // with the memory section. The counters alias the kernel StatRegistry
+  // and travel with it; trace ids are interned at construction.
+  if constexpr (Ar::kLoading) {
+    contexts_.clear();
   }
-  active_key_ = r.U64();
-  has_active_ = r.Bool();
-  use_clock_ = r.U64();
-  frames_held_ = r.U64();
-  return r.status();
+  ar.Keyed(sim::kCount64, contexts_);
+  ar.Io(active_key_, has_active_, use_clock_, frames_held_);
 }
+
+Status Vtlb::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status Vtlb::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::hv

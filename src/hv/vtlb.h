@@ -52,6 +52,10 @@ struct VtlbPolicy {
                                     // (effective only on tagged CPUs).
   std::uint32_t max_cached_frames = 512;  // Shadow-frame budget before LRU
                                           // context eviction kicks in.
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(cache_contexts, use_vpid, max_cached_frames);
+  }
 };
 
 class Vtlb {
@@ -126,6 +130,8 @@ class Vtlb {
   // LoadState overlays the map.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   struct Context {
@@ -133,6 +139,10 @@ class Vtlb {
     hw::TlbTag tag = hw::kHostTag;
     std::uint64_t frames = 0;     // Frames in this tree, incl. the root.
     std::uint64_t last_use = 0;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(root, tag, frames, last_use);
+    }
   };
 
   // Per-context hardware tags in effect?
@@ -158,12 +168,6 @@ class Vtlb {
   void FreeTree(Context& ctx);        // Whole tree, including the root.
   void EnforceFrameBudget();
 
-  // snapshot-x-list(Vtlb): env_, policy_, contexts_, active_key_,
-  //   has_active_, use_clock_, frames_held_, flushes_, switch_hits_,
-  //   switch_misses_, evictions_, pressure_evictions_, trace_flush_,
-  //   trace_hit_, trace_miss_, trace_evict_, trace_pevict_
-  //   (the counter references alias the StatRegistry, serialized with it;
-  //   the trace ids are interned at construction)
   Env env_;
   VtlbPolicy policy_;
   std::unordered_map<std::uint64_t, Context> contexts_;

@@ -227,56 +227,17 @@ void AhciController::CompleteSlot(int slot, Status status,
   UpdateIrq();
 }
 
-Status AhciController::SaveState(sim::SnapWriter& w) const {
-  w.U32(ghc_);
-  w.U32(is_);
-  w.U32(px_clb_);
-  w.U32(px_fb_);
-  w.U32(px_is_);
-  w.U32(px_ie_);
-  w.U32(px_cmd_);
-  w.U32(px_ci_);
-  w.U32(error_slots_);
-  w.U64(dma_faults_);
-  for (const Inflight& fl : inflight_) {
-    w.Bool(fl.active);
-    w.Bool(fl.write);
-    w.U64(fl.data.size());
-    w.Bytes(fl.data.data(), fl.data.size());
-    w.U32(static_cast<std::uint32_t>(fl.prdt.size()));
-    for (const auto& [dba, len] : fl.prdt) {
-      w.U64(dba);
-      w.U32(len);
-    }
-  }
-  return Status::kSuccess;
+template <class Ar>
+void AhciController::Io(Ar& ar) {
+  ar.Io(ghc_, is_, px_clb_, px_fb_, px_is_, px_ie_, px_cmd_, px_ci_,
+        error_slots_, dma_faults_, inflight_);
 }
 
+Status AhciController::SaveState(sim::SnapWriter& w) const {
+  return w.Save(*this);
+}
 Status AhciController::LoadState(sim::SnapReader& r) {
-  ghc_ = r.U32();
-  is_ = r.U32();
-  px_clb_ = r.U32();
-  px_fb_ = r.U32();
-  px_is_ = r.U32();
-  px_ie_ = r.U32();
-  px_cmd_ = r.U32();
-  px_ci_ = r.U32();
-  error_slots_ = r.U32();
-  dma_faults_ = r.U64();
-  for (Inflight& fl : inflight_) {
-    fl = Inflight{};
-    fl.active = r.Bool();
-    fl.write = r.Bool();
-    fl.data.resize(static_cast<std::size_t>(r.U64()));
-    r.Bytes(fl.data.data(), fl.data.size());
-    const std::uint32_t n = r.U32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::uint64_t dba = r.U64();
-      const std::uint32_t len = r.U32();
-      fl.prdt.emplace_back(dba, len);
-    }
-  }
-  return r.status();
+  return r.Restore(*this);
 }
 
 void AhciController::UpdateIrq() {

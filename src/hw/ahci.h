@@ -78,6 +78,8 @@ class AhciController : public Device {
   // model's pending table is saved separately by the machine orchestrator.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   void IssueSlot(int slot);
@@ -86,9 +88,6 @@ class AhciController : public Device {
   void FailSlot(int slot);
   void UpdateIrq();
 
-  // snapshot-x-list(AhciController): iommu_, irq_, gsi_, disk_, ghc_, is_,
-  // px_clb_, px_fb_, px_is_, px_ie_, px_cmd_, px_ci_, error_slots_,
-  // inflight_, dma_faults_, fault_plan_, tracer_, trace_issue_, trace_dma_
   Iommu* iommu_;
   IrqChip* irq_;
   std::uint32_t gsi_;
@@ -111,6 +110,12 @@ class AhciController : public Device {
     bool write = false;
     std::vector<std::uint8_t> data;
     std::vector<std::pair<std::uint64_t, std::uint32_t>> prdt;  // (addr, len).
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(active, write);
+      ar.Seq(sim::kCount64, data);
+      ar.Seq(sim::kCount32, prdt);
+    }
   };
   Inflight inflight_[ahci::kNumSlots];
   std::uint64_t dma_faults_ = 0;

@@ -55,27 +55,14 @@ class Cpu {
   double Utilization() const { return busy_.Utilization(NowPs()); }
   void ResetUtilization() { busy_.Reset(NowPs()); }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(cycles_);
-    w.Bool(idle_);
-    Status st = busy_.SaveState(w);
-    if (!Ok(st)) {
-      return st;
-    }
-    return tlb_.SaveState(w);
-  }
-  Status LoadState(sim::SnapReader& r) {
-    cycles_ = r.U64();
-    idle_ = r.Bool();
-    Status st = busy_.LoadState(r);
-    if (!Ok(st)) {
-      return st;
-    }
-    return tlb_.LoadState(r);
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(cycles_, idle_, busy_, tlb_);
   }
 
  private:
-  // snapshot-x-list(Cpu): id_, model_, tlb_, cycles_, busy_, idle_
   std::uint32_t id_;
   const CpuModel* model_;
   Tlb tlb_;

@@ -143,74 +143,24 @@ void DiskModel::Fire(RequestId id) {
   }
 }
 
-Status DiskModel::SaveState(sim::SnapWriter& w) const {
-  w.U64(static_cast<std::uint64_t>(busy_until_));
-  w.U64(next_request_);
-  Status st = completed_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
+template <class Ar>
+void DiskModel::Io(Ar& ar) {
+  ar.Io(busy_until_, next_request_, completed_, media_errors_);
+  if constexpr (Ar::kLoading) {
+    sectors_.clear();
+    pending_.clear();
   }
-  st = media_errors_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  // Written sectors, sorted for a deterministic encoding.
-  std::map<std::uint64_t, const std::vector<std::uint8_t>*> sorted;
-  // nova-lint: allow(determinism) -- accumulates into a sorted std::map
-  for (const auto& [sector, bytes] : sectors_) {
-    sorted.emplace(sector, &bytes);
-  }
-  w.U64(sorted.size());
-  for (const auto& [sector, bytes] : sorted) {
-    w.U64(sector);
-    w.Bytes(bytes->data(), bytes->size());
-  }
-  w.U32(static_cast<std::uint32_t>(pending_.size()));
-  for (const auto& [id, p] : pending_) {
-    w.U64(id);
-    w.Bool(p.write);
-    w.U64(p.offset);
-    w.U64(p.bytes);
-    w.U64(p.cookie);
-    w.U64(p.payload.size());
-    w.Bytes(p.payload.data(), p.payload.size());
-  }
-  return Status::kSuccess;
+  // Written sectors: raw sector bytes, no length prefix.
+  ar.Keyed(sim::kCount64, sectors_, [&ar](std::vector<std::uint8_t>& bytes) {
+    if constexpr (Ar::kLoading) {
+      bytes.resize(kSectorSize);
+    }
+    ar.Bytes(bytes.data(), kSectorSize);
+  });
+  ar.Keyed(sim::kCount32, pending_);
 }
 
-Status DiskModel::LoadState(sim::SnapReader& r) {
-  busy_until_ = static_cast<sim::PicoSeconds>(r.U64());
-  next_request_ = r.U64();
-  Status st = completed_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = media_errors_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  sectors_.clear();
-  const std::uint64_t n_sectors = r.U64();
-  for (std::uint64_t i = 0; i < n_sectors; ++i) {
-    const std::uint64_t sector = r.U64();
-    auto& store = sectors_[sector];
-    store.resize(kSectorSize);
-    r.Bytes(store.data(), kSectorSize);
-  }
-  pending_.clear();
-  const std::uint32_t n_pending = r.U32();
-  for (std::uint32_t i = 0; i < n_pending; ++i) {
-    const RequestId id = r.U64();
-    Pending p;
-    p.write = r.Bool();
-    p.offset = r.U64();
-    p.bytes = r.U64();
-    p.cookie = r.U64();
-    p.payload.resize(static_cast<std::size_t>(r.U64()));
-    r.Bytes(p.payload.data(), p.payload.size());
-    pending_.emplace(id, std::move(p));
-  }
-  return r.status();
-}
+Status DiskModel::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status DiskModel::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::hw

@@ -88,6 +88,8 @@ class DiskModel {
   // queue's snapshot; this model's rebinder rebuilds their closures.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   struct Pending {
@@ -96,6 +98,11 @@ class DiskModel {
     std::uint64_t bytes = 0;
     std::uint64_t cookie = 0;
     std::vector<std::uint8_t> payload;  // Writes only.
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(write, offset, bytes, cookie);
+      ar.Seq(sim::kCount64, payload);
+    }
   };
 
   sim::PicoSeconds ServiceTime(std::uint64_t bytes) const;
@@ -104,9 +111,6 @@ class DiskModel {
   RequestId Enqueue(Pending p);
   void Fire(RequestId id);
 
-  // snapshot-x-list(DiskModel): events_, geometry_, name_, busy_until_,
-  // sectors_, completed_, media_errors_, fault_plan_, pending_,
-  // next_request_, handler_
   sim::EventQueue* events_;
   DiskGeometry geometry_;
   std::string name_;

@@ -40,6 +40,10 @@ struct GuestState {
     std::uint64_t rip;
     bool interrupts_enabled;
     std::array<std::uint64_t, isa::kNumRegs> regs;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(rip, interrupts_enabled, regs);
+    }
   };
   std::array<Frame, kMaxIntrNesting> frames{};
   int frame_depth = 0;
@@ -52,6 +56,13 @@ struct GuestState {
   // Recall: forces the next instruction boundary to exit (hypercall-driven,
   // §7.5 of the paper).
   bool recall_pending = false;
+
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(regs, rip, cr3, cr2, paging, interrupts_enabled, halted, idt,
+          frame_depth, frames, inject_pending, inject_vector,
+          request_intr_window, recall_pending);
+  }
 };
 
 // How guest memory accesses translate to host-physical addresses.
@@ -91,6 +102,15 @@ struct VmControls {
   // other ports exit. Null means "intercept everything" for VMs; native
   // mode ignores it.
   const std::bitset<65536>* io_passthrough = nullptr;
+
+  // Everything but io_passthrough: the bitmap pointer targets the owning
+  // PD's IoSpace, which the twin wires at construction.
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(mode, nested_format, nested_root, tag, base_tag, direct_interrupts,
+          intercept_cpuid, intercept_hlt, intercept_cr3, intercept_invlpg,
+          intercept_vmcall);
+  }
 };
 
 enum class ExitReason : std::uint8_t {

@@ -153,87 +153,27 @@ Status Iommu::DmaWrite(DeviceId dev, std::uint64_t iova, const void* data,
   return Status::kSuccess;
 }
 
-Status Iommu::SaveState(sim::SnapWriter& w) const {
-  std::vector<DeviceId> devs;
-  devs.reserve(contexts_.size());
-  // nova-lint: allow(determinism) -- collected then sorted before encoding
-  for (const auto& [dev, ctx] : contexts_) {
-    devs.push_back(dev);
+template <class Ar>
+void Iommu::Io(Ar& ar) {
+  if constexpr (Ar::kLoading) {
+    contexts_.clear();
+    allowed_gsis_.clear();
   }
-  std::sort(devs.begin(), devs.end());
-  w.U32(static_cast<std::uint32_t>(devs.size()));
-  for (const DeviceId dev : devs) {
-    const PageTable& table = *contexts_.at(dev).table;
-    w.U16(dev);
-    w.U64(table.root());
-    w.U8(static_cast<std::uint8_t>(table.mode()));
-  }
-  std::vector<DeviceId> gsi_devs;
-  gsi_devs.reserve(allowed_gsis_.size());
-  // nova-lint: allow(determinism) -- collected then sorted before encoding
-  for (const auto& [dev, mask] : allowed_gsis_) {
-    gsi_devs.push_back(dev);
-  }
-  std::sort(gsi_devs.begin(), gsi_devs.end());
-  w.U32(static_cast<std::uint32_t>(gsi_devs.size()));
-  for (const DeviceId dev : gsi_devs) {
-    w.U16(dev);
-    w.U64(allowed_gsis_.at(dev));
-  }
-  w.U32(static_cast<std::uint32_t>(protected_.size()));
-  for (const auto& [base, size] : protected_) {
-    w.U64(base);
-    w.U64(size);
-  }
-  Status st = faults_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  w.U32(static_cast<std::uint32_t>(fault_log_.size()));
-  for (const FaultRecord& f : fault_log_) {
-    w.U16(f.dev);
-    w.U64(f.iova);
-    w.Bool(f.write);
-  }
-  return Status::kSuccess;
+  ar.Keyed(sim::kCount32, contexts_, [&](Context& ctx) {
+    PhysAddr root = ctx.table ? ctx.table->root() : 0;
+    PagingMode mode = ctx.table ? ctx.table->mode() : PagingMode{};
+    ar.Io(root, mode);
+    if constexpr (Ar::kLoading) {
+      ctx.table = std::make_unique<PageTable>(mem_, mode, root);
+    }
+  });
+  ar.Keyed(sim::kCount32, allowed_gsis_);
+  ar.Seq(sim::kCount32, protected_);
+  ar.Io(faults_);
+  ar.Seq(sim::kCount32, fault_log_);
 }
 
-Status Iommu::LoadState(sim::SnapReader& r) {
-  contexts_.clear();
-  const std::uint32_t n_ctx = r.U32();
-  for (std::uint32_t i = 0; i < n_ctx; ++i) {
-    const DeviceId dev = r.U16();
-    const PhysAddr root = r.U64();
-    const auto mode = static_cast<PagingMode>(r.U8());
-    AttachDevice(dev, root, mode);
-  }
-  allowed_gsis_.clear();
-  const std::uint32_t n_gsi = r.U32();
-  for (std::uint32_t i = 0; i < n_gsi; ++i) {
-    const DeviceId dev = r.U16();
-    allowed_gsis_[dev] = r.U64();
-  }
-  protected_.clear();
-  const std::uint32_t n_prot = r.U32();
-  for (std::uint32_t i = 0; i < n_prot; ++i) {
-    const PhysAddr base = r.U64();
-    const std::uint64_t size = r.U64();
-    protected_.emplace_back(base, size);
-  }
-  Status st = faults_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  fault_log_.clear();
-  const std::uint32_t n_log = r.U32();
-  for (std::uint32_t i = 0; i < n_log; ++i) {
-    FaultRecord f;
-    f.dev = r.U16();
-    f.iova = r.U64();
-    f.write = r.Bool();
-    fault_log_.push_back(f);
-  }
-  return r.status();
-}
+Status Iommu::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status Iommu::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::hw

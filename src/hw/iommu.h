@@ -64,6 +64,10 @@ class Iommu {
     DeviceId dev = 0;
     std::uint64_t iova = 0;
     bool write = false;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(dev, iova, write);
+    }
   };
   const std::vector<FaultRecord>& fault_log() const { return fault_log_; }
   void ClearFaultLog() { fault_log_.clear(); }
@@ -73,6 +77,8 @@ class Iommu {
   // GSI allow-masks, protected ranges, and the fault counter/log.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   static constexpr std::size_t kMaxFaultRecords = 64;
@@ -86,8 +92,6 @@ class Iommu {
     std::unique_ptr<PageTable> table;
   };
 
-  // snapshot-x-list(Iommu): mem_, present_, contexts_, allowed_gsis_,
-  // protected_, faults_, fault_log_
   PhysMem* mem_;
   bool present_;
   std::unordered_map<DeviceId, Context> contexts_;

@@ -28,6 +28,10 @@ class IrqChip {
     bool masked = true;
     std::uint32_t cpu = 0;
     std::uint8_t vector = 0;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(enabled, masked, cpu, vector);
+    }
   };
 
   // Configuration (done by the microhypervisor).
@@ -54,52 +58,16 @@ class IrqChip {
   // Wires the machine's tracer in; interns the chip's event names once.
   void set_tracer(sim::Tracer* t);
 
-  Status SaveState(sim::SnapWriter& w) const {
-    for (const Route& rt : routes_) {
-      w.Bool(rt.enabled);
-      w.Bool(rt.masked);
-      w.U32(rt.cpu);
-      w.U8(rt.vector);
-    }
-    for (const bool l : latched_) {
-      w.Bool(l);
-    }
-    for (const auto& cpu_bits : pending_) {
-      for (const std::uint64_t word : cpu_bits) {
-        w.U64(word);
-      }
-    }
-    for (const std::uint64_t c : assert_counts_) {
-      w.U64(c);
-    }
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    for (Route& rt : routes_) {
-      rt.enabled = r.Bool();
-      rt.masked = r.Bool();
-      rt.cpu = r.U32();
-      rt.vector = r.U8();
-    }
-    for (auto& l : latched_) {
-      l = r.Bool();
-    }
-    for (auto& cpu_bits : pending_) {
-      for (auto& word : cpu_bits) {
-        word = r.U64();
-      }
-    }
-    for (auto& c : assert_counts_) {
-      c = r.U64();
-    }
-    return r.status();
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(routes_, latched_, pending_, assert_counts_);
   }
 
  private:
   void Deliver(std::uint32_t gsi);
 
-  // snapshot-x-list(IrqChip): tracer_, trace_assert_, trace_deliver_,
-  // routes_, latched_, pending_, assert_counts_
   sim::Tracer* tracer_ = &sim::Tracer::Disabled();
   std::uint16_t trace_assert_ = 0;
   std::uint16_t trace_deliver_ = 0;

@@ -36,84 +36,28 @@ sim::PicoSeconds Machine::MinNowPs() const {
   return min;
 }
 
-Status Machine::SaveState(sim::Snapshot& snap) const {
-  Status st = mem_.SaveState(snap.Section("hw.mem", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  st = events_.SaveState(snap.Section("sim.events", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  st = irq_.SaveState(snap.Section("hw.irq", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  st = iommu_.SaveState(snap.Section("hw.iommu", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  st = stats_.SaveState(snap.Section("sim.stats", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  st = tracer_.SaveState(snap.Section("sim.trace", 1));
-  if (!Ok(st)) {
-    return st;
-  }
-  sim::SnapWriter& cw = snap.Section("hw.cpus", 1);
-  cw.U32(static_cast<std::uint32_t>(cpus_.size()));
-  for (const auto& c : cpus_) {
-    st = c->SaveState(cw);
-    if (!Ok(st)) {
-      return st;
+template <class Ar>
+void Machine::Io(Ar& ar) {
+  ar.Section("hw.mem", 1, mem_);
+  ar.Section("sim.events", 1, events_);
+  ar.Section("hw.irq", 1, irq_);
+  ar.Section("hw.iommu", 1, iommu_);
+  ar.Section("sim.stats", 1, stats_);
+  ar.Section("sim.trace", 1, tracer_);
+  ar.Section("hw.cpus", 1, [this](auto& cw) {
+    // The twin must match the CPU topology.
+    cw.Verify(static_cast<std::uint32_t>(cpus_.size()));
+    for (auto& c : cpus_) {
+      cw.Io(*c);
     }
-  }
-  return Status::kSuccess;
+  });
 }
 
+Status Machine::SaveState(sim::Snapshot& snap) const {
+  return snap.Save(*this);
+}
 Status Machine::LoadState(const sim::Snapshot& snap) {
-  sim::SnapReader mr = snap.Open("hw.mem", 1);
-  Status st = mem_.LoadState(mr);
-  if (!Ok(st) || !Ok(st = mr.Finish())) {
-    return st;
-  }
-  sim::SnapReader er = snap.Open("sim.events", 1);
-  st = events_.LoadState(er);
-  if (!Ok(st) || !Ok(st = er.Finish())) {
-    return st;
-  }
-  sim::SnapReader ir = snap.Open("hw.irq", 1);
-  st = irq_.LoadState(ir);
-  if (!Ok(st) || !Ok(st = ir.Finish())) {
-    return st;
-  }
-  sim::SnapReader ur = snap.Open("hw.iommu", 1);
-  st = iommu_.LoadState(ur);
-  if (!Ok(st) || !Ok(st = ur.Finish())) {
-    return st;
-  }
-  sim::SnapReader sr = snap.Open("sim.stats", 1);
-  st = stats_.LoadState(sr);
-  if (!Ok(st) || !Ok(st = sr.Finish())) {
-    return st;
-  }
-  sim::SnapReader tr = snap.Open("sim.trace", 1);
-  st = tracer_.LoadState(tr);
-  if (!Ok(st) || !Ok(st = tr.Finish())) {
-    return st;
-  }
-  sim::SnapReader cr = snap.Open("hw.cpus", 1);
-  if (cr.U32() != cpus_.size()) {
-    return Status::kBadParameter;  // Twin must match the CPU topology.
-  }
-  for (auto& c : cpus_) {
-    st = c->LoadState(cr);
-    if (!Ok(st)) {
-      return st;
-    }
-  }
-  return cr.Finish();
+  return snap.Restore(*this);
 }
 
 bool Machine::SkipToNextEvent() {

@@ -80,10 +80,10 @@ class Machine {
   // MachineConfig.
   Status SaveState(sim::Snapshot& snap) const;
   Status LoadState(const sim::Snapshot& snap);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
-  // snapshot-x-list(Machine): mem_, events_, irq_, iommu_, bus_, stats_,
-  // tracer_, cpus_, devices_
   PhysMem mem_;
   sim::EventQueue events_;
   IrqChip irq_;

@@ -139,61 +139,15 @@ void Nic::CoalesceExpired() {
   }
 }
 
-Status Nic::SaveState(sim::SnapWriter& w) const {
-  w.U32(ctrl_);
-  w.U32(icr_);
-  w.U32(itr_);
-  w.U32(ims_);
-  w.U32(rctl_);
-  w.U32(rdbal_);
-  w.U32(rdbah_);
-  w.U32(rdlen_);
-  w.U32(rdh_);
-  w.U32(rdt_);
-  w.Bool(irq_scheduled_);
-  w.U64(static_cast<std::uint64_t>(last_irq_));
-  Status st = rx_packets_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = rx_dropped_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = rx_corrupted_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  return irqs_.SaveState(w);
+template <class Ar>
+void Nic::Io(Ar& ar) {
+  ar.Io(ctrl_, icr_, itr_, ims_, rctl_, rdbal_, rdbah_, rdlen_, rdh_, rdt_,
+        irq_scheduled_, last_irq_, rx_packets_, rx_dropped_, rx_corrupted_,
+        irqs_);
 }
 
-Status Nic::LoadState(sim::SnapReader& r) {
-  ctrl_ = r.U32();
-  icr_ = r.U32();
-  itr_ = r.U32();
-  ims_ = r.U32();
-  rctl_ = r.U32();
-  rdbal_ = r.U32();
-  rdbah_ = r.U32();
-  rdlen_ = r.U32();
-  rdh_ = r.U32();
-  rdt_ = r.U32();
-  irq_scheduled_ = r.Bool();
-  last_irq_ = static_cast<sim::PicoSeconds>(r.U64());
-  Status st = rx_packets_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = rx_dropped_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = rx_corrupted_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  return irqs_.LoadState(r);
-}
+Status Nic::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status Nic::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 void Nic::FireIrq() {
   last_irq_ = events_->now();
@@ -258,28 +212,12 @@ void NetLink::SendOne() {
       [this] { SendOne(); });
 }
 
-Status NetLink::SaveState(sim::SnapWriter& w) const {
-  w.Bool(running_);
-  w.U32(packet_bytes_);
-  w.U64(static_cast<std::uint64_t>(interval_));
-  w.U64(seq_);
-  Status st = sent_.SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  return lost_.SaveState(w);
+template <class Ar>
+void NetLink::Io(Ar& ar) {
+  ar.Io(running_, packet_bytes_, interval_, seq_, sent_, lost_);
 }
 
-Status NetLink::LoadState(sim::SnapReader& r) {
-  running_ = r.Bool();
-  packet_bytes_ = r.U32();
-  interval_ = static_cast<sim::PicoSeconds>(r.U64());
-  seq_ = r.U64();
-  Status st = sent_.LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  return lost_.LoadState(r);
-}
+Status NetLink::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status NetLink::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::hw

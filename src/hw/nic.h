@@ -80,6 +80,8 @@ class Nic : public Device {
 
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   std::uint32_t RingEntries() const { return rdlen_ / 16; }
@@ -87,10 +89,6 @@ class Nic : public Device {
   void CoalesceExpired();
   void FireIrq();
 
-  // snapshot-x-list(Nic): iommu_, irq_, gsi_, events_, ctrl_, icr_, itr_,
-  // ims_, rctl_, rdbal_, rdbah_, rdlen_, rdh_, rdt_, irq_scheduled_,
-  // last_irq_, rx_packets_, rx_dropped_, rx_corrupted_, irqs_,
-  // fault_plan_, tracer_, trace_rx_
   Iommu* iommu_;
   IrqChip* irq_;
   std::uint32_t gsi_;
@@ -142,12 +140,12 @@ class NetLink {
 
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   void SendOne();
 
-  // snapshot-x-list(NetLink): events_, nic_, running_, packet_bytes_,
-  // interval_, sent_, lost_, seq_, fault_plan_
   sim::EventQueue* events_;
   Nic* nic_;
   bool running_ = false;

@@ -80,37 +80,21 @@ Status PhysMem::Zero(PhysAddr addr, std::uint64_t len) {
   return Status::kSuccess;
 }
 
-Status PhysMem::SaveState(sim::SnapWriter& w) const {
-  w.U64(size_);
-  std::vector<std::uint64_t> order;
-  order.reserve(frames_.size());
-  // nova-lint: allow(determinism) -- collected then sorted before encoding
-  for (const auto& [frame_no, frame] : frames_) {
-    order.push_back(frame_no);
+template <class Ar>
+void PhysMem::Io(Ar& ar) {
+  ar.Verify(size_);  // The twin must be constructed with identical RAM.
+  if constexpr (Ar::kLoading) {
+    frames_.clear();
   }
-  std::sort(order.begin(), order.end());
-  w.U64(order.size());
-  for (const std::uint64_t frame_no : order) {
-    w.U64(frame_no);
-    w.Bytes(frames_.at(frame_no)->data(), kPageSize);
-  }
-  return Status::kSuccess;
+  ar.Keyed(sim::kCount64, frames_, [&ar](std::unique_ptr<Frame>& frame) {
+    if constexpr (Ar::kLoading) {
+      frame = std::make_unique<Frame>();
+    }
+    ar.Io(*frame);
+  });
 }
 
-Status PhysMem::LoadState(sim::SnapReader& r) {
-  if (r.U64() != size_) {
-    r.Fail();  // The twin must be constructed with identical RAM.
-    return Status::kBadParameter;
-  }
-  frames_.clear();
-  const std::uint64_t count = r.U64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t frame_no = r.U64();
-    auto frame = std::make_unique<Frame>();
-    r.Bytes(frame->data(), kPageSize);
-    frames_[frame_no] = std::move(frame);
-  }
-  return r.status();
-}
+Status PhysMem::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status PhysMem::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::hw

@@ -84,6 +84,8 @@ class PhysMem {
   // differs.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   using Frame = std::array<std::uint8_t, kPageSize>;
@@ -91,7 +93,6 @@ class PhysMem {
   Frame* FrameFor(std::uint64_t frame_no) const;       // nullptr if absent.
   Frame& FrameForAlloc(std::uint64_t frame_no);        // Allocates.
 
-  // snapshot-x-list(PhysMem): size_, frames_, observer_
   std::uint64_t size_;
   mutable std::unordered_map<std::uint64_t, std::unique_ptr<Frame>> frames_;
   WriteObserver observer_;

@@ -47,27 +47,17 @@ class PlatformTimer : public Device {
   std::uint32_t gsi() const { return gsi_; }
   std::uint64_t ticks() const { return ticks_; }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(static_cast<std::uint64_t>(period_));
-    w.U64(generation_);
-    w.U64(ticks_);
-    w.U16(period_lo_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    period_ = static_cast<sim::PicoSeconds>(r.U64());
-    generation_ = r.U64();
-    ticks_ = r.U64();
-    period_lo_ = r.U16();
-    return r.status();
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(period_, generation_, ticks_, period_lo_);
   }
 
  private:
   void Tick();
   void ScheduleTick();
 
-  // snapshot-x-list(PlatformTimer): irq_, gsi_, events_, period_,
-  // generation_, ticks_, period_lo_
   IrqChip* irq_;
   std::uint32_t gsi_;
   sim::EventQueue* events_;

@@ -12,6 +12,7 @@
 #ifndef SRC_HW_TLB_H_
 #define SRC_HW_TLB_H_
 
+#include <compare>
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
@@ -50,25 +51,15 @@ class TlbTagAllocator {
     }
   }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U16(next_);
-    w.U32(static_cast<std::uint32_t>(free_.size()));
-    for (const TlbTag t : free_) {
-      w.U16(t);
-    }
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    next_ = r.U16();
-    free_.assign(r.U32(), 0);
-    for (auto& t : free_) {
-      t = r.U16();
-    }
-    return r.status();
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(next_);
+    ar.Seq(sim::kCount32, free_);
   }
 
  private:
-  // snapshot-x-list(TlbTagAllocator): next_, free_
   TlbTag next_;
   std::vector<TlbTag> free_;
 };
@@ -80,6 +71,11 @@ struct TlbEntry {
   bool user = false;
   bool dirty = false;            // Translation was installed for write.
   bool global = false;           // Survives non-tag full flushes.
+
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(phys_page, page_size, writable, user, dirty, global);
+  }
 };
 
 class Tlb {
@@ -114,13 +110,20 @@ class Tlb {
   // post-restore replacement decisions are bit-identical.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   struct Key {
     TlbTag tag;
     std::uint64_t vpage;  // va >> 12; superpages insert their base page.
     bool large;
-    bool operator==(const Key&) const = default;
+    // Member order is the snapshot's entry order: (tag, vpage, large).
+    auto operator<=>(const Key&) const = default;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(tag, vpage, large);
+    }
   };
   struct KeyHash {
     std::size_t operator()(const Key& k) const {
@@ -132,6 +135,10 @@ class Tlb {
   struct Slot {
     TlbEntry entry;
     std::uint64_t lru;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(entry, lru);
+    }
   };
 
   Key MakeKey(TlbTag tag, VirtAddr va, std::uint64_t page_size) const {
@@ -142,8 +149,6 @@ class Tlb {
 
   void EvictIfNeeded(bool large);
 
-  // snapshot-x-list(Tlb): capacity_4k_, capacity_large_, count_4k_,
-  // count_large_, clock_, map_, hits_, misses_, flushes_
   std::uint32_t capacity_4k_;
   std::uint32_t capacity_large_;
   std::uint32_t count_4k_ = 0;

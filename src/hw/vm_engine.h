@@ -102,27 +102,11 @@ class VmEngine {
 
   Cpu& cpu() { return *cpu_; }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    Status st = nested_tlb_.SaveState(w);
-    if (!Ok(st)) {
-      return st;
-    }
-    st = insns_.SaveState(w);
-    if (!Ok(st)) {
-      return st;
-    }
-    return injections_.SaveState(w);
-  }
-  Status LoadState(sim::SnapReader& r) {
-    Status st = nested_tlb_.LoadState(r);
-    if (!Ok(st)) {
-      return st;
-    }
-    st = insns_.LoadState(r);
-    if (!Ok(st)) {
-      return st;
-    }
-    return injections_.LoadState(r);
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(nested_tlb_, insns_, injections_);
   }
 
  private:
@@ -149,8 +133,6 @@ class VmEngine {
   bool HandleXlatFault(GuestState& gs, const XlatResult& x, VirtAddr gva,
                        Access access, VmExit* exit);
 
-  // snapshot-x-list(VmEngine): cpu_, mem_, bus_, irq_, guest_logic_,
-  // costs_, nested_tlb_, insns_, injections_
   Cpu* cpu_;
   PhysMem* mem_;
   Bus* bus_;

@@ -85,23 +85,16 @@ class RootPartitionManager {
 
   // The allocation cursor is the only mutable policy state; the RAM grant
   // bounds and device registry are construction-time and only verified.
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(alloc_next_page_);
-    w.U64(alloc_end_page_);
-    w.U32(static_cast<std::uint32_t>(devices_.size()));
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    alloc_next_page_ = r.U64();
-    if (r.U64() != alloc_end_page_ || r.U32() != devices_.size()) {
-      r.Fail();
-    }
-    return r.ok() ? Status::kSuccess : Status::kBadParameter;
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(alloc_next_page_);
+    ar.Verify(alloc_end_page_);
+    ar.Verify(static_cast<std::uint32_t>(devices_.size()));
   }
 
  private:
-  // snapshot-x-list(RootPartitionManager): hv_, pd_, alloc_next_page_,
-  //   alloc_end_page_, devices_
   hv::Hypervisor* hv_;
   hv::Pd* pd_;
   std::uint64_t alloc_next_page_;

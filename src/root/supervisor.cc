@@ -1,7 +1,5 @@
 #include "src/root/supervisor.h"
 
-#include "src/hv/snapshot.h"
-
 namespace nova::root {
 
 namespace {
@@ -140,71 +138,27 @@ void VmmSupervisor::Recover(Watched& w) {
   }
 }
 
-Status VmmSupervisor::SaveState(sim::SnapWriter& w) const {
-  w.U64(hb_page_);
-  w.U32(static_cast<std::uint32_t>(watched_.size()));
-  for (const Watched& e : watched_) {
-    w.U64(e.hb_addr);  // Verified: derived from hb_page_ + watch order.
-    w.U64(e.vm_sel);
-    w.U64(e.vmm_sel);
-    w.U64(e.last_seen);
-    w.U32(e.stale);
-    w.Bool(e.recovered);
-    w.Bool(e.has_checkpoint);
+template <class Ar>
+void VmmSupervisor::Io(Ar& ar) {
+  ar.Verify(hb_page_);
+  ar.Verify(static_cast<std::uint32_t>(watched_.size()));
+  for (Watched& e : watched_) {
+    // Wiring: hb_addr derives from hb_page_ and watch order.
+    ar.Verify(e.hb_addr);
+    ar.Verify(std::uint64_t{e.vm_sel});
+    ar.Verify(std::uint64_t{e.vmm_sel});
+    ar.Io(e.last_seen, e.stale, e.recovered, e.has_checkpoint);
     if (e.has_checkpoint) {
-      const vmm::VAhci::Regs& cr = e.ckpt_regs;
-      w.U32(cr.ghc);
-      w.U32(cr.px_clb);
-      w.U32(cr.px_ie);
-      w.U32(cr.px_cmd);
-      hv::SaveGuestState(w, e.ckpt_gstate);
-      w.I64(e.ckpt_at_ps);
+      ar.Io(e.ckpt_regs, e.ckpt_gstate, e.ckpt_at_ps);
     }
   }
-  w.U64(recoveries_);
-  w.U64(checkpoints_);
-  w.U64(ticks_);
-  w.I64(last_detect_latency_ps_);
-  w.Bool(check_running_);
-  w.U64(check_event_);
-  return Status::kSuccess;
+  ar.Io(recoveries_, checkpoints_, ticks_, last_detect_latency_ps_,
+        check_running_, check_event_);
 }
 
-Status VmmSupervisor::LoadState(sim::SnapReader& r) {
-  if (r.U64() != hb_page_) {
-    r.Fail();
-  }
-  if (r.U32() != watched_.size()) {
-    r.Fail();
-  }
-  if (!r.ok()) {
-    return Status::kBadParameter;
-  }
-  for (Watched& e : watched_) {
-    if (r.U64() != e.hb_addr || r.U64() != e.vm_sel || r.U64() != e.vmm_sel) {
-      r.Fail();
-      return Status::kBadParameter;
-    }
-    e.last_seen = r.U64();
-    e.stale = r.U32();
-    e.recovered = r.Bool();
-    e.has_checkpoint = r.Bool();
-    if (e.has_checkpoint) {
-      e.ckpt_regs.ghc = r.U32();
-      e.ckpt_regs.px_clb = r.U32();
-      e.ckpt_regs.px_ie = r.U32();
-      e.ckpt_regs.px_cmd = r.U32();
-      hv::LoadGuestState(r, &e.ckpt_gstate);
-      e.ckpt_at_ps = r.I64();
-    }
-  }
-  recoveries_ = r.U64();
-  checkpoints_ = r.U64();
-  ticks_ = r.U64();
-  last_detect_latency_ps_ = r.I64();
-  check_running_ = r.Bool();
-  check_event_ = r.U64();
-  return r.ok() ? Status::kSuccess : Status::kBadParameter;
+Status VmmSupervisor::SaveState(sim::SnapWriter& w) const {
+  return w.Save(*this);
 }
+Status VmmSupervisor::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::root

@@ -82,6 +82,8 @@ class VmmSupervisor {
   // calls; saved checkpointed register state is restored verbatim.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   struct Watched {
@@ -105,9 +107,6 @@ class VmmSupervisor {
   void CheckpointAll();
   void Recover(Watched& w);
 
-  // snapshot-x-list(VmmSupervisor): hv_, root_, config_, hb_page_,
-  //   watched_, recoveries_, checkpoints_, ticks_,
-  //   last_detect_latency_ps_, check_running_, check_event_
   hv::Hypervisor* hv_;
   RootPartitionManager* root_;
   Config config_;

@@ -45,93 +45,24 @@ class NovaSystem {
   // Restore targets a twin NovaSystem built from the identical SystemConfig
   // whose scenario construction ran the same sequence (same StartDiskServer
   // and channel-open calls); presence and wiring are verified, not rebuilt.
-  Status SaveState(sim::Snapshot& snap) const {
-    if (Status s = machine.SaveState(snap); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = hv.SaveState(snap); s != Status::kSuccess) {
-      return s;
-    }
-    struct Dev {
-      const char* section;
-      Status status;
-    };
-    const Dev devs[] = {
-        {"hw.ahci", platform.ahci->SaveState(snap.Section("hw.ahci", 1))},
-        {"hw.disk", platform.disk->SaveState(snap.Section("hw.disk", 1))},
-        {"hw.nic", platform.nic->SaveState(snap.Section("hw.nic", 1))},
-        {"hw.netlink", platform.link->SaveState(snap.Section("hw.netlink", 1))},
-        {"hw.timer", platform.timer->SaveState(snap.Section("hw.timer", 1))},
-        {"hw.uart", platform.uart->SaveState(snap.Section("hw.uart", 1))},
-        {"root.pm", root->SaveState(snap.Section("root.pm", 1))},
-    };
-    for (const Dev& d : devs) {
-      if (d.status != Status::kSuccess) {
-        return d.status;
-      }
-    }
-    sim::SnapWriter& sys = snap.Section("root.sys", 1);
-    sys.Bool(disk_server != nullptr);
+  Status SaveState(sim::Snapshot& snap) const { return snap.Save(*this); }
+  Status LoadState(const sim::Snapshot& snap) { return snap.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(machine);
+    ar.Section("hv.kernel", 1, hv);
+    ar.Section("hw.ahci", 1, *platform.ahci);
+    ar.Section("hw.disk", 1, *platform.disk);
+    ar.Section("hw.nic", 1, *platform.nic);
+    ar.Section("hw.netlink", 1, *platform.link);
+    ar.Section("hw.timer", 1, *platform.timer);
+    ar.Section("hw.uart", 1, *platform.uart);
+    ar.Section("root.pm", 1, *root);
+    ar.Section("root.sys", 1,
+               [this](auto& sys) { sys.Verify(disk_server != nullptr); });
     if (disk_server != nullptr) {
-      if (Status s = disk_server->SaveState(snap.Section("svc.disk", 1));
-          s != Status::kSuccess) {
-        return s;
-      }
+      ar.Section("svc.disk", 1, *disk_server);
     }
-    return Status::kSuccess;
-  }
-
-  Status LoadState(sim::Snapshot& snap) {
-    if (Status s = machine.LoadState(snap); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = hv.LoadState(snap); s != Status::kSuccess) {
-      return s;
-    }
-    const auto load = [&snap](const char* name, auto* obj) -> Status {
-      sim::SnapReader r = snap.Open(name, 1);
-      if (Status s = obj->LoadState(r); s != Status::kSuccess) {
-        return s;
-      }
-      return r.Finish();
-    };
-    if (Status s = load("hw.ahci", platform.ahci); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("hw.disk", platform.disk); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("hw.nic", platform.nic); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("hw.netlink", platform.link.get());
-        s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("hw.timer", platform.timer); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("hw.uart", platform.uart); s != Status::kSuccess) {
-      return s;
-    }
-    if (Status s = load("root.pm", root.get()); s != Status::kSuccess) {
-      return s;
-    }
-    sim::SnapReader sys = snap.Open("root.sys", 1);
-    const bool had_server = sys.Bool();
-    if (Status s = sys.Finish(); s != Status::kSuccess) {
-      return s;
-    }
-    if (had_server != (disk_server != nullptr)) {
-      return Status::kBadParameter;  // Twin construction mismatch.
-    }
-    if (disk_server != nullptr) {
-      if (Status s = load("svc.disk", disk_server.get());
-          s != Status::kSuccess) {
-        return s;
-      }
-    }
-    return Status::kSuccess;
   }
 
   hw::Machine machine;

@@ -413,86 +413,24 @@ void DiskServer::ReissueSlot(int slot, std::uint64_t generation) {
   }
 }
 
-Status DiskServer::SaveState(sim::SnapWriter& w) const {
-  w.U32(static_cast<std::uint32_t>(channels_.size()));
-  for (const ChannelState& ch : channels_) {
-    // Wiring selectors and the ring frame are construction products; saved
-    // so the loader can verify the twin opened the same channels.
-    w.U32(ch.completion_pt);
-    w.U32(ch.request_pt);
-    w.U64(ch.shared_page);
-    w.U32(ch.outstanding);
-    w.U32(ch.max_outstanding);
-    w.U32(ch.ring_head);
-    w.Bool(ch.open);
+template <class Ar>
+void DiskServer::Io(Ar& ar) {
+  ar.Verify(static_cast<std::uint32_t>(channels_.size()));
+  for (ChannelState& ch : channels_) {
+    // Wiring selectors and the ring frame are construction products,
+    // verified so the twin must have opened the same channels.
+    ar.Verify(ch.completion_pt);
+    ar.Verify(ch.request_pt);
+    ar.Verify(ch.shared_page);
+    ar.Io(ch.outstanding, ch.max_outstanding, ch.ring_head, ch.open);
   }
-  w.U32(static_cast<std::uint32_t>(free_channels_.size()));
-  for (const std::uint32_t id : free_channels_) {
-    w.U32(id);
-  }
-  for (const Slot& s : slots_) {
-    w.Bool(s.active);
-    w.U32(s.channel);
-    w.U64(s.cookie);
-    w.U64(s.buffer_page);
-    w.U32(s.attempts);
-    w.U64(s.generation);
-    w.U64(s.deadline_event);
-  }
-  w.U32(next_comp_sel_);
-  w.U64(issued_);
-  w.U64(completed_);
-  w.U64(throttled_);
-  w.U64(retried_);
-  w.U64(failed_);
-  w.U64(deadline_ps_);
-  w.U32(max_retries_);
-  w.U64(backoff_ps_);
-  w.U64(next_generation_);
-  w.U32(quarantine_mask_);
-  return Status::kSuccess;
+  ar.Seq(sim::kCount32, free_channels_);
+  ar.Io(slots_, next_comp_sel_, issued_, completed_, throttled_, retried_,
+        failed_, deadline_ps_, max_retries_, backoff_ps_, next_generation_,
+        quarantine_mask_);
 }
 
-Status DiskServer::LoadState(sim::SnapReader& r) {
-  if (r.U32() != static_cast<std::uint32_t>(channels_.size())) {
-    r.Fail();  // Twin opened a different channel set.
-  }
-  for (ChannelState& ch : channels_) {
-    if (r.U32() != ch.completion_pt || r.U32() != ch.request_pt ||
-        r.U64() != ch.shared_page) {
-      r.Fail();
-    }
-    ch.outstanding = r.U32();
-    ch.max_outstanding = r.U32();
-    ch.ring_head = r.U32();
-    ch.open = r.Bool();
-  }
-  free_channels_.clear();
-  const std::uint32_t n_free = r.U32();
-  for (std::uint32_t i = 0; i < n_free && r.ok(); ++i) {
-    free_channels_.push_back(r.U32());
-  }
-  for (Slot& s : slots_) {
-    s.active = r.Bool();
-    s.channel = r.U32();
-    s.cookie = r.U64();
-    s.buffer_page = r.U64();
-    s.attempts = r.U32();
-    s.generation = r.U64();
-    s.deadline_event = r.U64();
-  }
-  next_comp_sel_ = r.U32();
-  issued_ = r.U64();
-  completed_ = r.U64();
-  throttled_ = r.U64();
-  retried_ = r.U64();
-  failed_ = r.U64();
-  deadline_ps_ = r.U64();
-  max_retries_ = r.U32();
-  backoff_ps_ = r.U64();
-  next_generation_ = r.U64();
-  quarantine_mask_ = r.U32();
-  return r.status();
-}
+Status DiskServer::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status DiskServer::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::services

@@ -95,6 +95,8 @@ class DiskServer {
   // is rebuilt by the twin's OpenChannel calls and verified on load.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   struct ChannelState {
@@ -114,6 +116,11 @@ class DiskServer {
     std::uint32_t attempts = 0;
     std::uint64_t generation = 0;   // Guards stale deadline/retry events.
     std::uint64_t deadline_event = 0;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(active, channel, cookie, buffer_page, attempts, generation,
+            deadline_event);
+    }
   };
 
   void HandleRequest(std::uint32_t channel_id);
@@ -131,11 +138,6 @@ class DiskServer {
   std::uint64_t MmioRead(std::uint64_t offset);
   void MmioWrite(std::uint64_t offset, std::uint64_t value);
 
-  // snapshot-x-list(DiskServer): hv_, root_, cpu_, pd_, pd_sel_, irq_ec_,
-  //   req_ec_, req_ec_cap_sel_, clb_page_, ctba_page_, channels_,
-  //   free_channels_, slots_, next_comp_sel_, issued_, completed_,
-  //   throttled_, retried_, failed_, deadline_ps_, max_retries_,
-  //   backoff_ps_, next_generation_, quarantine_mask_
   hv::Hypervisor* hv_;
   root::RootPartitionManager* root_;
   std::uint32_t cpu_;

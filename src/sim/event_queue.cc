@@ -71,71 +71,48 @@ PicoSeconds EventQueue::NextDeadline() const {
   return heap_.top().when;
 }
 
-Status EventQueue::SaveState(SnapWriter& w) const {
-  // Enumerate by draining a copy of the heap (std::function is copyable),
-  // skipping lazily-cancelled entries so the restored queue starts clean.
-  auto copy = heap_;
-  w.U64(static_cast<std::uint64_t>(now_));
-  w.U64(next_seq_);
-  w.U64(next_id_);
+template <class Ar>
+void EventQueue::Io(Ar& ar) {
+  // Live events in fire order: saved from a drained copy of the heap
+  // (std::function is copyable), skipping lazily-cancelled entries so the
+  // restored queue starts clean.
   std::vector<Event> pending;
-  while (!copy.empty()) {
-    Event ev = copy.top();
-    copy.pop();
-    if (std::find(cancelled_.begin(), cancelled_.end(), ev.id) !=
-        cancelled_.end()) {
-      continue;
+  if constexpr (Ar::kLoading) {
+    heap_ = {};
+    cancelled_.clear();
+    live_ = 0;
+  } else {
+    for (auto copy = heap_; !copy.empty(); copy.pop()) {
+      const Event& ev = copy.top();
+      if (std::find(cancelled_.begin(), cancelled_.end(), ev.id) !=
+          cancelled_.end()) {
+        continue;
+      }
+      if (ev.tag.owner == 0) {
+        ar.Fail();  // Untagged closure: not restorable.
+      }
+      pending.push_back(ev);
     }
-    if (ev.tag.owner == 0) {
-      return Status::kBadParameter;  // Untagged closure: not restorable.
+  }
+  ar.Io(now_, next_seq_, next_id_);
+  ar.Seq(kCount64, pending);
+  if constexpr (Ar::kLoading) {
+    for (Event& ev : pending) {
+      auto it = rebinders_.find(ev.tag.owner);
+      if (it != rebinders_.end()) {
+        ev.cb = it->second(ev.tag);
+      }
+      if (!ev.cb) {
+        ar.Fail(Status::kBadCapability);
+        return;
+      }
+      heap_.push(std::move(ev));
+      ++live_;
     }
-    pending.push_back(std::move(ev));
   }
-  w.U64(pending.size());
-  for (const Event& ev : pending) {
-    w.U64(static_cast<std::uint64_t>(ev.when));
-    w.U64(ev.seq);
-    w.U64(ev.id);
-    w.U64(ev.tag.owner);
-    w.U32(ev.tag.op);
-    w.U64(ev.tag.a);
-    w.U64(ev.tag.b);
-  }
-  return Status::kSuccess;
 }
 
-Status EventQueue::LoadState(SnapReader& r) {
-  heap_ = {};
-  cancelled_.clear();
-  live_ = 0;
-  now_ = static_cast<PicoSeconds>(r.U64());
-  next_seq_ = r.U64();
-  next_id_ = r.U64();
-  const std::uint64_t count = r.U64();
-  for (std::uint64_t i = 0; i < count; ++i) {
-    Event ev;
-    ev.when = static_cast<PicoSeconds>(r.U64());
-    ev.seq = r.U64();
-    ev.id = r.U64();
-    ev.tag.owner = r.U64();
-    ev.tag.op = r.U32();
-    ev.tag.a = r.U64();
-    ev.tag.b = r.U64();
-    if (!r.ok()) {
-      return Status::kBadParameter;
-    }
-    auto it = rebinders_.find(ev.tag.owner);
-    if (it == rebinders_.end()) {
-      return Status::kBadCapability;  // No rebinder for this owner.
-    }
-    ev.cb = it->second(ev.tag);
-    if (!ev.cb) {
-      return Status::kBadCapability;
-    }
-    heap_.push(std::move(ev));
-    ++live_;
-  }
-  return r.status();
-}
+Status EventQueue::SaveState(SnapWriter& w) const { return w.Save(*this); }
+Status EventQueue::LoadState(SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::sim

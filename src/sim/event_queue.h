@@ -59,17 +59,10 @@ class EventQueue {
     return h == 0 ? 1 : h;
   }
 
-  // Schedule `cb` to fire at absolute time `when`. Times in the past fire
-  // on the next Advance(). Returns an id usable with Cancel().
-  EventId ScheduleAt(PicoSeconds when, Callback cb) {
-    return ScheduleAtTagged(when, EventTag{}, std::move(cb));
-  }
-  EventId ScheduleAfter(PicoSeconds delay, Callback cb) {
-    return ScheduleAt(now_ + delay, std::move(cb));
-  }
-
-  // Tagged variants: identical scheduling semantics, but the event can be
-  // serialized and re-bound across a snapshot/restore cycle.
+  // Schedule `cb` to fire at absolute time `when`; times in the past fire
+  // on the next Advance(). The tag describes the closure so the event can
+  // be serialized and re-bound across a snapshot/restore cycle. Returns an
+  // id usable with Cancel().
   EventId ScheduleAtTagged(PicoSeconds when, EventTag tag, Callback cb);
   EventId ScheduleAfterTagged(PicoSeconds delay, EventTag tag, Callback cb) {
     return ScheduleAtTagged(now_ + delay, std::move(tag), std::move(cb));
@@ -99,14 +92,17 @@ class EventQueue {
   std::size_t size() const { return live_; }
   PicoSeconds NextDeadline() const;  // Only valid when !empty().
 
-  // Serialize every live pending event. Fails with kBadState-style error
-  // (kBadParameter) if any pending event is untagged — closures that
-  // cannot be described cannot be restored.
+  // Saving serializes every live pending event and fails with
+  // kBadParameter if one is untagged (owner 0) — closures that cannot be
+  // described cannot be restored. Loading drops all pending events
+  // (including the twin's construction-time ones) and rebuilds the saved
+  // set through the rebinder registry (kBadCapability for an owner with
+  // none). now_/next_seq_/next_id_ are restored so post-restore scheduling
+  // is bit-identical.
   Status SaveState(SnapWriter& w) const;
-  // Drop all pending events (including the twin's construction-time ones)
-  // and rebuild the saved set through the rebinder registry. Restores
-  // now_/next_seq_/next_id_ so post-restore scheduling is bit-identical.
   Status LoadState(SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   struct Event {
@@ -118,12 +114,14 @@ class EventQueue {
     bool operator>(const Event& o) const {
       return when != o.when ? when > o.when : seq > o.seq;
     }
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(when, seq, id, tag.owner, tag.op, tag.a, tag.b);
+    }
   };
 
   void PopCancelled() const;
 
-  // snapshot-x-list(EventQueue): heap_, cancelled_, now_, next_seq_,
-  // next_id_, live_, rebinders_
   mutable std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
   mutable std::vector<EventId> cancelled_;
   PicoSeconds now_ = 0;

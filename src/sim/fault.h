@@ -102,8 +102,17 @@ class FaultPlan {
   // Snapshot the injection cursor: RNG stream position, per-entry
   // budgets/activation, injection counts. Entries themselves must match
   // between save and load (the twin schedules the identical plan).
-  Status SaveState(SnapWriter& w) const;
-  Status LoadState(SnapReader& r);
+  Status SaveState(SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(rng_, armed_, injected_);
+    ar.Verify(static_cast<std::uint32_t>(entries_.size()));
+    for (Entry& e : entries_) {
+      ar.Io(e.ev.at, e.ev.kind, e.ev.target, e.ev.count, e.ev.rate,
+            e.ev.window_ps, e.active);
+    }
+  }
 
  private:
   struct Entry {
@@ -111,8 +120,6 @@ class FaultPlan {
     bool active = false;
   };
 
-  // snapshot-x-list(FaultPlan): rng_, entries_, armed_, injected_,
-  // tracer_, trace_fire_
   Rng rng_;
   std::vector<Entry> entries_;
   bool armed_ = false;

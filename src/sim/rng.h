@@ -55,17 +55,11 @@ class Rng {
 
   // The generator is its state: saving the four words mid-stream and
   // loading them into any Rng resumes the exact sequence.
-  Status SaveState(SnapWriter& w) const {
-    for (const std::uint64_t word : state_) {
-      w.U64(word);
-    }
-    return Status::kSuccess;
-  }
-  Status LoadState(SnapReader& r) {
-    for (auto& word : state_) {
-      word = r.U64();
-    }
-    return r.status();
+  Status SaveState(SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(state_);
   }
 
  private:
@@ -73,7 +67,6 @@ class Rng {
     return (x << k) | (x >> (64 - k));
   }
 
-  // snapshot-x-list(Rng): state_
   std::uint64_t state_[4];
 };
 

@@ -2,11 +2,25 @@
 // recovery story extended to full-VM snapshots).
 //
 // A `Snapshot` is an ordered set of named sections, each an opaque byte
-// string with a small section version and an FNV-1a checksum. Components
-// serialize themselves with `SaveState(SnapWriter&)` and restore with
-// `LoadState(SnapReader&)`; the writer/reader pair implements a tiny
-// little-endian TLV encoding with no host-dependent layout, so an encoded
-// snapshot is bit-identical across runs and platforms.
+// string with a small section version and an FNV-1a checksum. The
+// writer/reader pair implements a tiny little-endian encoding with no
+// host-dependent layout, so an encoded snapshot is bit-identical across
+// runs and platforms.
+//
+// One field list per class: a stateful class lists its snapshot fields
+// once, in wire order, in `template <class Ar> void Io(Ar& ar)`. The same
+// list saves (Ar = SnapWriter) and loads (Ar = SnapReader); its public
+// `SaveState(SnapWriter&)` / `LoadState(SnapReader&)` are one-line entry
+// points (`w.Save(*this)`, `r.Restore(*this)`). The vocabulary:
+//   ar.Io(a, b, ...)        scalars, enums, strings, arrays, nested classes
+//   ar.Verify(x)            a construction invariant the twin must match
+//   ar.Seq / ar.Keyed       count-prefixed containers, bounded on load
+//   ar.Bytes(p, n)          raw bytes
+//   ar.Fail(st)             latch an error (both directions)
+//   Ar::kLoading            the few one-way steps (clear, re-enqueue, ...)
+// A class that owns whole sections lists them the same way against the
+// section-level pair SnapshotWriter/SnapshotReader (`ar.Section(...)`),
+// entered through `Snapshot::Save` / `Snapshot::Restore`.
 //
 // Restore convention (the "twin" model): a snapshot carries *state only*,
 // never code. Restoring rebuilds the scenario by re-running the identical
@@ -14,18 +28,21 @@
 // piece of mutable state from the snapshot. Pending event-queue callbacks
 // are re-bound through the tag/rebinder registry in `EventQueue`.
 //
-// Error handling: readers latch the first error (truncation, bad magic,
-// checksum mismatch, version skew) and every subsequent Get returns a
-// zero value, so load paths can be written straight-line and check
-// `reader.ok()` (or the returned Status) once at the end.
+// Error handling: every archive latches its first error; a failed reader
+// returns zeros from then on, so Io bodies are straight-line and the
+// entry point reports the latched Status once at the end.
 #ifndef SRC_SIM_SNAPSHOT_H_
 #define SRC_SIM_SNAPSHOT_H_
 
+#include <algorithm>
+#include <array>
+#include <concepts>
 #include <cstdint>
 #include <cstring>
 #include <map>
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/sim/status.h"
@@ -38,24 +55,196 @@ constexpr std::uint64_t kSnapFnvPrime = 0x100000001b3ull;
 std::uint64_t SnapFnv1a(const std::uint8_t* data, std::size_t len,
                         std::uint64_t seed = kSnapFnvOffset);
 
-// Append-only little-endian encoder for one snapshot section.
-class SnapWriter {
+// Wire width of the element count that prefixes a container.
+enum CountWidth : int { kCount16 = 2, kCount32 = 4, kCount64 = 8 };
+
+// First-error latch shared by every archive.
+class SnapStatus {
  public:
+  void Fail(Status st = Status::kBadParameter) {
+    if (Ok(status_)) {
+      status_ = st;
+    }
+  }
+  bool ok() const { return Ok(status_); }
+  Status status() const { return status_; }
+
+ private:
+  Status status_ = Status::kSuccess;
+};
+
+// Classes with their own SaveState/LoadState entry points for archive Ar.
+template <class T, class Ar>
+concept HasLoadState = requires(T& t, Ar& a) {
+  { t.LoadState(a) } -> std::same_as<Status>;
+};
+template <class T, class Ar>
+concept HasSaveState = requires(const T& t, Ar& a) {
+  { t.SaveState(a) } -> std::same_as<Status>;
+};
+
+// The field vocabulary SnapWriter and SnapReader share (see the file
+// comment). `Ar` is the concrete archive.
+template <class Ar>
+class SnapArchive : public SnapStatus {
+ public:
+  // Fields in wire order: integers and enums take their own width, bool
+  // one byte, double its 8-byte pattern, a string a count32 prefix, an
+  // array its elements, a pair both halves, and a class either its
+  // SaveState/LoadState or its own Io.
+  template <class... T>
+  void Io(T&... fields) {
+    (Field(fields), ...);
+  }
+
+  // A construction invariant: saved as-is, and on load compared with the
+  // twin's value; a mismatch fails with kBadParameter.
+  template <class T>
+  void Verify(const T& expect) {
+    T v = expect;
+    Field(v);
+    if (!(v == expect)) {
+      Fail(Status::kBadParameter);
+    }
+  }
+
+  // Count-prefixed sequence (string, vector, deque); `each` visits one
+  // element (default: Io). Loading replaces the contents.
+  template <class C>
+  void Seq(CountWidth width, C& c) {
+    using V = typename C::value_type;
+    if constexpr (std::is_same_v<V, std::uint8_t> ||
+                  std::is_same_v<V, char>) {
+      const std::uint64_t n = self().Count(c.size(), width);
+      if constexpr (Ar::kLoading) {
+        c.assign(static_cast<std::size_t>(n), 0);
+      }
+      self().Bytes(c.data(), c.size());
+    } else {
+      Seq(width, c, [this](auto& e) { Field(e); });
+    }
+  }
+  template <class C, class Each>
+  void Seq(CountWidth width, C& c, Each each) {
+    const std::uint64_t n = self().Count(c.size(), width);
+    if constexpr (Ar::kLoading) {
+      c.clear();
+      for (std::uint64_t i = 0; i < n && ok(); ++i) {
+        each(c.emplace_back());
+      }
+    } else {
+      for (auto& e : c) {
+        each(e);
+      }
+    }
+  }
+
+  // Count-prefixed map, saved in ascending key order whatever the
+  // container's own iteration order; each entry is its key, then `each`
+  // on the value (default: Io). Loading overlays entries onto the map
+  // (clear it first under Ar::kLoading to replace them).
+  template <class M>
+  void Keyed(CountWidth width, M& m) {
+    Keyed(width, m, [this](auto& v) { Field(v); });
+  }
+  template <class M, class Each>
+  void Keyed(CountWidth width, M& m, Each each) {
+    const std::uint64_t n = self().Count(m.size(), width);
+    if constexpr (Ar::kLoading) {
+      for (std::uint64_t i = 0; i < n && ok(); ++i) {
+        typename M::key_type key{};
+        Field(key);
+        each(m[key]);
+      }
+    } else {
+      std::vector<typename M::value_type*> order;
+      order.reserve(m.size());
+      for (auto& kv : m) {
+        order.push_back(&kv);
+      }
+      std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
+        return a->first < b->first;
+      });
+      for (auto* kv : order) {
+        Field(kv->first);
+        each(kv->second);
+      }
+    }
+  }
+
+ private:
+  Ar& self() { return static_cast<Ar&>(*this); }
+
+  template <class T>
+  void Field(T& v) {
+    using U = std::remove_const_t<T>;
+    if constexpr (std::is_same_v<U, bool>) {
+      if constexpr (Ar::kLoading) {
+        v = self().GetLe(1) != 0;
+      } else {
+        self().PutLe(v ? 1 : 0, 1);
+      }
+    } else if constexpr (std::is_integral_v<U> || std::is_enum_v<U>) {
+      if constexpr (Ar::kLoading) {
+        v = static_cast<U>(self().GetLe(sizeof(U)));
+      } else {
+        self().PutLe(static_cast<std::uint64_t>(v), sizeof(U));
+      }
+    } else if constexpr (std::is_same_v<U, double>) {
+      std::uint64_t bits = 0;
+      std::memcpy(&bits, &v, sizeof bits);
+      Field(bits);
+      if constexpr (Ar::kLoading) {
+        std::memcpy(&v, &bits, sizeof bits);
+      }
+    } else if constexpr (std::is_same_v<U, std::string>) {
+      Seq(kCount32, v);
+    } else if constexpr (std::is_array_v<U> ||
+                         requires { std::tuple_size<U>::value; v.data(); }) {
+      if constexpr (std::is_same_v<std::remove_cvref_t<decltype(v[0])>,
+                                   std::uint8_t>) {
+        self().Bytes(std::data(v), std::size(v));
+      } else {
+        for (auto& e : v) {
+          Field(e);
+        }
+      }
+    } else if constexpr (requires { v.first; v.second; }) {
+      Field(v.first);
+      Field(v.second);
+    } else if constexpr (HasLoadState<U, Ar>) {
+      Fail(v.LoadState(self()));
+    } else if constexpr (HasSaveState<U, Ar>) {
+      Fail(v.SaveState(self()));
+    } else {
+      // Plain structs list their fields in a member Io. Saving only reads
+      // through it, so a const field is safe to visit.
+      const_cast<U&>(v).Io(self());
+    }
+  }
+};
+
+// Append-only little-endian encoder for one snapshot section.
+class SnapWriter : public SnapArchive<SnapWriter> {
+ public:
+  static constexpr bool kLoading = false;
+
+  // Entry point for a class's SaveState: runs its Io, returns the latched
+  // status. Io is shared with loading and so not const; saving only reads.
+  template <class T>
+  Status Save(const T& obj) {
+    const_cast<T&>(obj).Io(*this);
+    return status();
+  }
+
   void U8(std::uint8_t v) { buf_.push_back(v); }
   void U16(std::uint16_t v) { PutLe(v, 2); }
   void U32(std::uint32_t v) { PutLe(v, 4); }
   void U64(std::uint64_t v) { PutLe(v, 8); }
   void I64(std::int64_t v) { PutLe(static_cast<std::uint64_t>(v), 8); }
   void Bool(bool v) { U8(v ? 1 : 0); }
-  void F64(double v) {
-    std::uint64_t bits = 0;
-    std::memcpy(&bits, &v, 8);
-    U64(bits);
-  }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
-    buf_.insert(buf_.end(), s.begin(), s.end());
-  }
+  void F64(double v) { Io(v); }
+  void Str(const std::string& s) { Io(s); }
   void Bytes(const void* data, std::size_t len) {
     if (len == 0) return;  // data may be null (empty vector).
     const auto* p = static_cast<const std::uint8_t*>(data);
@@ -66,6 +255,12 @@ class SnapWriter {
   const std::vector<std::uint8_t>& data() const { return buf_; }
 
  private:
+  friend class SnapArchive<SnapWriter>;
+
+  std::uint64_t Count(std::uint64_t n, CountWidth width) {
+    PutLe(n, width);
+    return n;
+  }
   void PutLe(std::uint64_t v, int bytes) {
     for (int i = 0; i < bytes; ++i) {
       buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
@@ -75,11 +270,21 @@ class SnapWriter {
 };
 
 // Error-latching decoder over one snapshot section.
-class SnapReader {
+class SnapReader : public SnapArchive<SnapReader> {
  public:
-  SnapReader() : failed_(true) {}
+  static constexpr bool kLoading = true;
+
+  SnapReader() { Fail(); }
   SnapReader(const std::uint8_t* data, std::size_t len)
       : data_(data), len_(len) {}
+
+  // Entry point for a class's LoadState: runs its Io, returns the latched
+  // status.
+  template <class T>
+  Status Restore(T& obj) {
+    obj.Io(*this);
+    return status();
+  }
 
   std::uint8_t U8() { return static_cast<std::uint8_t>(GetLe(1)); }
   std::uint16_t U16() { return static_cast<std::uint16_t>(GetLe(2)); }
@@ -88,25 +293,19 @@ class SnapReader {
   std::int64_t I64() { return static_cast<std::int64_t>(GetLe(8)); }
   bool Bool() { return U8() != 0; }
   double F64() {
-    const std::uint64_t bits = U64();
     double v = 0.0;
-    std::memcpy(&v, &bits, 8);
+    Io(v);
     return v;
   }
   std::string Str() {
-    const std::uint32_t n = U32();
-    if (failed_ || len_ - pos_ < n) {
-      failed_ = true;
-      return {};
-    }
-    std::string s(reinterpret_cast<const char*>(data_ + pos_), n);
-    pos_ += n;
+    std::string s;
+    Io(s);
     return s;
   }
   void Bytes(void* out, std::size_t len) {
     if (len == 0) return;  // out may be null (empty vector).
-    if (failed_ || len_ - pos_ < len) {
-      failed_ = true;
+    if (remaining() < len) {
+      Fail();
       std::memset(out, 0, len);
       return;
     }
@@ -114,23 +313,34 @@ class SnapReader {
     pos_ += len;
   }
 
-  bool ok() const { return !failed_; }
-  bool AtEnd() const { return failed_ || pos_ == len_; }
-  void Fail() { failed_ = true; }
+  std::size_t remaining() const { return ok() ? len_ - pos_ : 0; }
+  bool AtEnd() const { return remaining() == 0; }
   // kSuccess when every read so far succeeded AND the section was fully
   // consumed — a partial read usually means a field-list mismatch.
   Status Finish() const {
-    return (!failed_ && pos_ == len_) ? Status::kSuccess
-                                      : Status::kBadParameter;
-  }
-  Status status() const {
-    return failed_ ? Status::kBadParameter : Status::kSuccess;
+    if (!ok()) {
+      return status();
+    }
+    return pos_ == len_ ? Status::kSuccess : Status::kBadParameter;
   }
 
  private:
+  friend class SnapArchive<SnapReader>;
+
+  // A count larger than the bytes left cannot be honest: every element
+  // takes at least one byte. Rejecting it keeps a forged count from
+  // driving a huge allocation or loop.
+  std::uint64_t Count(std::uint64_t /*n*/, CountWidth width) {
+    const std::uint64_t n = GetLe(width);
+    if (n > remaining()) {
+      Fail();
+      return 0;
+    }
+    return n;
+  }
   std::uint64_t GetLe(int bytes) {
-    if (failed_ || len_ - pos_ < static_cast<std::size_t>(bytes)) {
-      failed_ = true;
+    if (remaining() < static_cast<std::size_t>(bytes)) {
+      Fail();
       return 0;
     }
     std::uint64_t v = 0;
@@ -144,8 +354,10 @@ class SnapReader {
   const std::uint8_t* data_ = nullptr;
   std::size_t len_ = 0;
   std::size_t pos_ = 0;
-  bool failed_ = false;
 };
+
+class SnapshotWriter;
+class SnapshotReader;
 
 // The snapshot container: named, versioned, checksummed sections in
 // deterministic (name-sorted) order.
@@ -163,6 +375,13 @@ class Snapshot {
   SnapReader Open(const std::string& name, std::uint16_t expect_version) const;
   std::uint16_t SectionVersion(const std::string& name) const;
   std::vector<std::string> SectionNames() const;
+
+  // Entry points for a class that owns whole sections: run its
+  // `template <class Ar> void Io(Ar&)` against SnapshotWriter/Reader.
+  template <class T>
+  Status Save(const T& obj);
+  template <class T>
+  Status Restore(T& obj) const;
 
   // Wire encoding: magic, file version, section count, then per section
   // (name, version, length, FNV-1a checksum, payload).
@@ -187,6 +406,83 @@ class Snapshot {
   };
   std::map<std::string, Stored> sections_;
 };
+
+// Section-level archives. `ar.Section(name, version, body)` is one section
+// holding `body` — anything SnapWriter/SnapReader::Io accepts, or a
+// callable taking the section archive; `ar.Io(owner)` lets a component
+// that owns sections of its own contribute them. After the first failure
+// every later section is skipped.
+class SnapshotWriter : public SnapStatus {
+ public:
+  static constexpr bool kLoading = false;
+  explicit SnapshotWriter(Snapshot& snap) : snap_(snap) {}
+
+  template <class T>
+  void Section(const std::string& name, std::uint16_t version, T&& body) {
+    if (!ok()) {
+      return;
+    }
+    SnapWriter& w = snap_.Section(name, version);
+    if constexpr (std::is_invocable_v<T&, SnapWriter&>) {
+      body(w);
+    } else {
+      w.Io(body);
+    }
+    Fail(w.status());
+  }
+  template <class T>
+  void Io(const T& owner) {
+    if (ok()) {
+      Fail(owner.SaveState(snap_));
+    }
+  }
+
+ private:
+  Snapshot& snap_;
+};
+
+class SnapshotReader : public SnapStatus {
+ public:
+  static constexpr bool kLoading = true;
+  explicit SnapshotReader(const Snapshot& snap) : snap_(snap) {}
+
+  template <class T>
+  void Section(const std::string& name, std::uint16_t version, T&& body) {
+    if (!ok()) {
+      return;
+    }
+    SnapReader r = snap_.Open(name, version);
+    if constexpr (std::is_invocable_v<T&, SnapReader&>) {
+      body(r);
+    } else {
+      r.Io(body);
+    }
+    Fail(r.Finish());
+  }
+  template <class T>
+  void Io(T& owner) {
+    if (ok()) {
+      Fail(owner.LoadState(snap_));
+    }
+  }
+
+ private:
+  const Snapshot& snap_;
+};
+
+template <class T>
+Status Snapshot::Save(const T& obj) {
+  SnapshotWriter ar(*this);
+  const_cast<T&>(obj).Io(ar);
+  return ar.status();
+}
+
+template <class T>
+Status Snapshot::Restore(T& obj) const {
+  SnapshotReader ar(*this);
+  obj.Io(ar);
+  return ar.status();
+}
 
 }  // namespace nova::sim
 

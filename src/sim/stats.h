@@ -24,17 +24,14 @@ class Counter {
   void Reset() { value_ = 0; }
   std::uint64_t value() const { return value_; }
 
-  Status SaveState(SnapWriter& w) const {
-    w.U64(value_);
-    return Status::kSuccess;
-  }
-  Status LoadState(SnapReader& r) {
-    value_ = r.U64();
-    return r.status();
+  Status SaveState(SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(value_);
   }
 
  private:
-  // snapshot-x-list(Counter): value_
   std::uint64_t value_ = 0;
 };
 
@@ -82,43 +79,18 @@ class Distribution {
   // Exact percentile over the stored sample reservoir (q in [0,100]).
   std::uint64_t Percentile(double q) const;
 
-  Status SaveState(SnapWriter& w) const {
-    w.U64(count_);
-    w.U64(sum_);
-    w.U64(min_);
-    w.U64(max_);
-    Status st = rng_.SaveState(w);
-    if (!Ok(st)) {
-      return st;
-    }
-    w.U64(samples_.size());
-    for (const std::uint64_t v : samples_) {
-      w.U64(v);
-    }
-    return Status::kSuccess;
-  }
-  Status LoadState(SnapReader& r) {
-    count_ = r.U64();
-    sum_ = r.U64();
-    min_ = r.U64();
-    max_ = r.U64();
-    Status st = rng_.LoadState(r);
-    if (!Ok(st)) {
-      return st;
-    }
-    samples_.assign(static_cast<std::size_t>(r.U64()), 0);
-    for (auto& v : samples_) {
-      v = r.U64();
-    }
-    return r.status();
+  Status SaveState(SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(count_, sum_, min_, max_, rng_);
+    ar.Seq(kCount64, samples_);
   }
 
  private:
   // Fixed seed: runs stay bit-for-bit reproducible.
   static constexpr std::uint64_t kReservoirSeed = 0x5eed5eed5eed5eedull;
 
-  // snapshot-x-list(Distribution): max_samples_, count_, sum_, min_,
-  // max_, rng_, samples_
   std::size_t max_samples_;
   std::uint64_t count_ = 0;
   std::uint64_t sum_ = 0;
@@ -140,24 +112,14 @@ class UtilizationTracker {
 
   PicoSeconds busy_time(PicoSeconds now) const;
 
-  Status SaveState(SnapWriter& w) const {
-    w.U64(static_cast<std::uint64_t>(start_));
-    w.U64(static_cast<std::uint64_t>(busy_accum_));
-    w.U64(static_cast<std::uint64_t>(last_change_));
-    w.Bool(busy_);
-    return Status::kSuccess;
-  }
-  Status LoadState(SnapReader& r) {
-    start_ = static_cast<PicoSeconds>(r.U64());
-    busy_accum_ = static_cast<PicoSeconds>(r.U64());
-    last_change_ = static_cast<PicoSeconds>(r.U64());
-    busy_ = r.Bool();
-    return r.status();
+  Status SaveState(SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(start_, busy_accum_, last_change_, busy_);
   }
 
  private:
-  // snapshot-x-list(UtilizationTracker): start_, busy_accum_,
-  // last_change_, busy_
   PicoSeconds start_ = 0;
   PicoSeconds busy_accum_ = 0;
   PicoSeconds last_change_ = 0;
@@ -178,33 +140,17 @@ class StatRegistry {
   }
   const std::map<std::string, Counter>& counters() const { return counters_; }
 
-  Status SaveState(SnapWriter& w) const {
-    w.U32(static_cast<std::uint32_t>(counters_.size()));
-    for (const auto& [name, c] : counters_) {
-      w.Str(name);
-      Status st = c.SaveState(w);
-      if (!Ok(st)) {
-        return st;
-      }
-    }
-    return Status::kSuccess;
-  }
-  // Inserts counters the twin has not referenced yet; registered Counter
-  // addresses stay stable (std::map nodes), so cached references survive.
-  Status LoadState(SnapReader& r) {
-    const std::uint32_t n = r.U32();
-    for (std::uint32_t i = 0; i < n; ++i) {
-      const std::string name = r.Str();
-      Status st = counters_[name].LoadState(r);
-      if (!Ok(st)) {
-        return st;
-      }
-    }
-    return r.status();
+  Status SaveState(SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(SnapReader& r) { return r.Restore(*this); }
+  // Loading inserts counters the twin has not referenced yet and never
+  // erases: registered Counter addresses stay stable (std::map nodes), so
+  // cached references survive.
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Keyed(kCount32, counters_);
   }
 
  private:
-  // snapshot-x-list(StatRegistry): counters_
   std::map<std::string, Counter> counters_;
 };
 

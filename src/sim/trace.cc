@@ -147,84 +147,39 @@ void Tracer::Reset() {
   digest_ = kFnvOffset;
 }
 
-namespace {
-
-void PutRecord(SnapWriter& w, const TraceRecord& r) {
-  w.U64(static_cast<std::uint64_t>(r.ts));
-  w.U64(r.arg0);
-  w.U64(r.arg1);
-  w.U16(r.name);
-  w.U8(r.cat);
-  w.U8(r.type);
-  w.U8(r.tid);
-}
-
-TraceRecord GetRecord(SnapReader& r) {
-  TraceRecord rec;
-  rec.ts = static_cast<PicoSeconds>(r.U64());
-  rec.arg0 = r.U64();
-  rec.arg1 = r.U64();
-  rec.name = r.U16();
-  rec.cat = r.U8();
-  rec.type = r.U8();
-  rec.tid = r.U8();
-  return rec;
-}
-
-}  // namespace
-
-Status Tracer::SaveState(SnapWriter& w) const {
-  w.Bool(enabled_);
-  w.U64(digest_);
-  w.U64(total_);
-  w.U64(ring_.size());
-  w.U64(head_);
-  const std::size_t valid =
-      total_ < ring_.size() ? static_cast<std::size_t>(total_) : ring_.size();
-  w.U64(valid);
-  for (std::size_t i = 0; i < valid; ++i) {
-    PutRecord(w, ring_[i]);
+template <class Ar>
+void Tracer::Io(Ar& ar) {
+  ar.Io(enabled_, digest_, total_);
+  ar.Verify(std::uint64_t{ring_.size()});  // Twin built with this capacity.
+  ar.Io(head_);
+  // Only the filled prefix of the ring travels; its length follows from
+  // total_, which bounds the loop on load.
+  const std::uint64_t valid = std::min<std::uint64_t>(total_, ring_.size());
+  ar.Verify(valid);
+  for (std::uint64_t i = 0; i < valid && ar.ok(); ++i) {
+    ar.Io(ring_[static_cast<std::size_t>(i)]);
   }
-  w.U32(static_cast<std::uint32_t>(names_.size()));
-  for (const std::string& n : names_) {
-    w.Str(n);
-  }
-  return Status::kSuccess;
-}
-
-Status Tracer::LoadState(SnapReader& r) {
-  enabled_ = r.Bool();
-  digest_ = r.U64();
-  total_ = r.U64();
-  const std::uint64_t capacity = r.U64();
-  if (capacity != ring_.size()) {
-    return Status::kBadParameter;  // Twin built with a different capacity.
-  }
-  head_ = static_cast<std::size_t>(r.U64());
-  const std::uint64_t valid = r.U64();
-  for (std::uint64_t i = 0; i < valid; ++i) {
-    ring_[static_cast<std::size_t>(i)] = GetRecord(r);
-  }
-  const std::uint32_t saved_names = r.U32();
   // The twin interned a (possibly shorter) prefix of the saved name table
-  // during construction; verify the overlap and append the rest. Names the
-  // twin interns later re-resolve to these ids via the idempotent Intern.
-  for (std::uint32_t i = 0; i < saved_names; ++i) {
-    const std::string name = r.Str();
-    if (i < names_.size()) {
-      if (names_[i] != name) {
-        return Status::kBadParameter;  // Wiring order diverged.
-      }
-    } else {
-      names_.push_back(name);
-      ids_.emplace(name, static_cast<std::uint16_t>(i));
+  // during construction; loading verifies the overlap and appends the
+  // rest. Names the twin interns later re-resolve to these ids via the
+  // idempotent Intern.
+  std::vector<std::string> names = names_;
+  ar.Seq(kCount32, names);
+  if constexpr (Ar::kLoading) {
+    if (names.size() < names_.size() ||
+        !std::equal(names_.begin(), names_.end(), names.begin())) {
+      ar.Fail();  // Wiring order diverged.
+      return;
     }
+    for (std::size_t i = names_.size(); i < names.size(); ++i) {
+      ids_.emplace(names[i], static_cast<std::uint16_t>(i));
+    }
+    names_ = std::move(names);
   }
-  if (names_.size() > saved_names) {
-    return Status::kBadParameter;  // Twin interned names the original lacked.
-  }
-  return r.status();
 }
+
+Status Tracer::SaveState(SnapWriter& w) const { return w.Save(*this); }
+Status Tracer::LoadState(SnapReader& r) { return r.Restore(*this); }
 
 void Tracer::WriteChromeJson(std::FILE* f) const {
   std::fputs("{\"displayTimeUnit\":\"ns\",\"traceEvents\":[", f);
@@ -324,54 +279,17 @@ void TraceReport::Reset() {
   open_.clear();
 }
 
-Status TraceReport::SaveState(SnapWriter& w) const {
-  // nova-lint: allow(determinism) -- copied into a sorted map for encoding
-  std::map<std::uint16_t, Entry> sorted_entries(entries_.begin(),
-                                                entries_.end());
-  w.U32(static_cast<std::uint32_t>(sorted_entries.size()));
-  for (const auto& [name, e] : sorted_entries) {
-    w.U16(name);
-    w.U64(e.count);
-    w.U64(static_cast<std::uint64_t>(e.total_ps));
+template <class Ar>
+void TraceReport::Io(Ar& ar) {
+  if constexpr (Ar::kLoading) {
+    entries_.clear();
+    open_.clear();
   }
-  // nova-lint: allow(determinism) -- copied into a sorted map for encoding
-  std::map<std::uint8_t, std::vector<OpenSpan>> sorted_open(open_.begin(),
-                                                            open_.end());
-  w.U32(static_cast<std::uint32_t>(sorted_open.size()));
-  for (const auto& [tid, stack] : sorted_open) {
-    w.U8(tid);
-    w.U32(static_cast<std::uint32_t>(stack.size()));
-    for (const OpenSpan& s : stack) {
-      w.U16(s.name);
-      w.U64(static_cast<std::uint64_t>(s.begin_ts));
-    }
-  }
-  return Status::kSuccess;
+  ar.Keyed(kCount32, entries_);
+  ar.Keyed(kCount32, open_, [&ar](auto& stack) { ar.Seq(kCount32, stack); });
 }
 
-Status TraceReport::LoadState(SnapReader& r) {
-  entries_.clear();
-  open_.clear();
-  const std::uint32_t n_entries = r.U32();
-  for (std::uint32_t i = 0; i < n_entries; ++i) {
-    const std::uint16_t name = r.U16();
-    Entry& e = entries_[name];
-    e.count = r.U64();
-    e.total_ps = static_cast<PicoSeconds>(r.U64());
-  }
-  const std::uint32_t n_open = r.U32();
-  for (std::uint32_t i = 0; i < n_open; ++i) {
-    const std::uint8_t tid = r.U8();
-    const std::uint32_t depth = r.U32();
-    auto& stack = open_[tid];
-    for (std::uint32_t j = 0; j < depth; ++j) {
-      OpenSpan s{};
-      s.name = r.U16();
-      s.begin_ts = static_cast<PicoSeconds>(r.U64());
-      stack.push_back(s);
-    }
-  }
-  return r.status();
-}
+Status TraceReport::SaveState(SnapWriter& w) const { return w.Save(*this); }
+Status TraceReport::LoadState(SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::sim

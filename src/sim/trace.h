@@ -68,6 +68,11 @@ struct TraceRecord {
   std::uint8_t cat = 0;     // TraceCat
   std::uint8_t type = 0;    // TraceType
   std::uint8_t tid = 0;     // emitting CPU, or kDeviceTid for devices
+
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(ts, arg0, arg1, name, cat, type, tid);
+  }
 };
 
 // Thread id used for records emitted by device models and other
@@ -151,6 +156,8 @@ class Tracer {
   // re-Intern idempotently and land on the same ids.
   Status SaveState(SnapWriter& w) const;
   Status LoadState(SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
   // --- exporters ------------------------------------------------------
   // Chrome trace_event JSON over the retained window.
@@ -162,8 +169,6 @@ class Tracer {
             std::uint8_t tid, std::uint64_t a0, std::uint64_t a1);
   void Fold(const TraceRecord& r);
 
-  // snapshot-x-list(Tracer): enabled_, clock_, ring_, head_, total_,
-  // digest_, sink_, names_, ids_
   bool enabled_ = false;
   const EventQueue* clock_;
   std::vector<TraceRecord> ring_;
@@ -186,6 +191,10 @@ class TraceReport {
     std::uint64_t count = 0;      // instants + completed spans
     PicoSeconds total_ps = 0;     // inclusive span time (0 for instants)
     bool operator==(const Entry&) const = default;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(count, total_ps);
+    }
   };
 
   // Folds one record in stream order. Begin pushes; End pops its matching
@@ -204,13 +213,18 @@ class TraceReport {
 
   Status SaveState(SnapWriter& w) const;
   Status LoadState(SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   struct OpenSpan {
     std::uint16_t name;
     PicoSeconds begin_ts;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(name, begin_ts);
+    }
   };
-  // snapshot-x-list(TraceReport): entries_, open_
   std::unordered_map<std::uint16_t, Entry> entries_;
   std::unordered_map<std::uint8_t, std::vector<OpenSpan>> open_;
 };

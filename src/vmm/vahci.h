@@ -65,6 +65,10 @@ class VAhci : public DeviceModel {
     std::uint32_t px_clb = 0;
     std::uint32_t px_ie = 0;
     std::uint32_t px_cmd = 0;
+    template <class Ar>
+    void Io(Ar& ar) {
+      ar.Io(ghc, px_clb, px_ie, px_cmd);
+    }
   };
   Regs SaveRegs() const { return Regs{ghc_, px_clb_, px_ie_, px_cmd_}; }
   void RestoreRegs(const Regs& r) {
@@ -79,33 +83,12 @@ class VAhci : public DeviceModel {
   std::uint64_t commands_errored() const { return errored_; }
   std::uint32_t error_slots() const { return error_slots_; }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U32(ghc_);
-    w.U32(is_);
-    w.U32(px_clb_);
-    w.U32(px_is_);
-    w.U32(px_ie_);
-    w.U32(px_cmd_);
-    w.U32(px_ci_);
-    w.U32(error_slots_);
-    w.U64(issued_);
-    w.U64(completed_);
-    w.U64(errored_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    ghc_ = r.U32();
-    is_ = r.U32();
-    px_clb_ = r.U32();
-    px_is_ = r.U32();
-    px_ie_ = r.U32();
-    px_cmd_ = r.U32();
-    px_ci_ = r.U32();
-    error_slots_ = r.U32();
-    issued_ = r.U64();
-    completed_ = r.U64();
-    errored_ = r.U64();
-    return r.status();
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(ghc_, is_, px_clb_, px_is_, px_ie_, px_cmd_, px_ci_, error_slots_,
+          issued_, completed_, errored_);
   }
 
  private:
@@ -113,8 +96,6 @@ class VAhci : public DeviceModel {
   void FailSlot(int slot);
   void UpdateIrq();
 
-  // snapshot-x-list(VAhci): backend_, ghc_, is_, px_clb_, px_is_, px_ie_,
-  //   px_cmd_, px_ci_, error_slots_, issued_, completed_, errored_
   Backend backend_;
   std::uint32_t ghc_ = 0;
   std::uint32_t is_ = 0;

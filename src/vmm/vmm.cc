@@ -647,89 +647,30 @@ void Vmm::KickVcpus() {
   }
 }
 
-Status Vmm::SaveState(sim::SnapWriter& w) const {
+template <class Ar>
+void Vmm::Io(Ar& ar) {
   // Construction-determined identity, verified on load.
-  w.U64(guest_base_page_);
-  w.U32(static_cast<std::uint32_t>(vcpus_.size()));
-
-  w.U64(exits_handled_);
-  w.U64(injected_);
-  w.U32(cur_vcpu_);
-  for (const bool b : in_exit_) {
-    w.Bool(b);
+  ar.Verify(guest_base_page_);
+  ar.Verify(static_cast<std::uint32_t>(vcpus_.size()));
+  ar.Io(exits_handled_, injected_, cur_vcpu_);
+  for (bool& b : in_exit_) {
+    ar.Io(b);
   }
-  w.U32(disk_ring_tail_);
+  ar.Io(disk_ring_tail_);
   // nova-lint: allow(determinism) -- drained into a vector and sorted
   std::vector<std::uint64_t> delegated(delegated_buffer_pages_.begin(),
                                        delegated_buffer_pages_.end());
   std::sort(delegated.begin(), delegated.end());
-  w.U32(static_cast<std::uint32_t>(delegated.size()));
-  for (const std::uint64_t p : delegated) {
-    w.U64(p);
+  ar.Seq(sim::kCount32, delegated);
+  if constexpr (Ar::kLoading) {
+    delegated_buffer_pages_.clear();
+    delegated_buffer_pages_.insert(delegated.begin(), delegated.end());
   }
-  w.Bool(crashed_);
-  w.U64(hb_count_);
-  w.Bool(hb_running_);
-  w.U64(hb_period_ps_);
-  w.U64(hb_addr_);
-  w.U64(hb_event_);
-
-  Status st = vpic_->SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = vpit_->SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = vuart_->SaveState(w);
-  if (!Ok(st)) {
-    return st;
-  }
-  return vahci_->SaveState(w);
+  ar.Io(crashed_, hb_count_, hb_running_, hb_period_ps_, hb_addr_, hb_event_,
+        *vpic_, *vpit_, *vuart_, *vahci_);
 }
 
-Status Vmm::LoadState(sim::SnapReader& r) {
-  if (r.U64() != guest_base_page_ ||
-      r.U32() != static_cast<std::uint32_t>(vcpus_.size())) {
-    r.Fail();  // Twin was built from a different scenario.
-  }
-  exits_handled_ = r.U64();
-  injected_ = r.U64();
-  cur_vcpu_ = r.U32();
-  for (std::size_t v = 0; v < in_exit_.size(); ++v) {
-    in_exit_[v] = r.Bool();
-  }
-  disk_ring_tail_ = r.U32();
-  delegated_buffer_pages_.clear();
-  const std::uint32_t n_delegated = r.U32();
-  for (std::uint32_t i = 0; i < n_delegated && r.ok(); ++i) {
-    delegated_buffer_pages_.insert(r.U64());
-  }
-  crashed_ = r.Bool();
-  hb_count_ = r.U64();
-  hb_running_ = r.Bool();
-  hb_period_ps_ = r.U64();
-  hb_addr_ = r.U64();
-  hb_event_ = r.U64();
-
-  Status st = vpic_->LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = vpit_->LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = vuart_->LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  st = vahci_->LoadState(r);
-  if (!Ok(st)) {
-    return st;
-  }
-  return r.status();
-}
+Status Vmm::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status Vmm::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::vmm

@@ -11,6 +11,7 @@
 #define SRC_VMM_VMM_H_
 
 #include <cstdint>
+#include <deque>
 #include <memory>
 #include <string>
 #include <unordered_set>
@@ -144,6 +145,8 @@ class Vmm {
   // is rebuilt by the twin and verified, not restored.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
   // --- Device models ----------------------------------------------------
   VPic& vpic() { return *vpic_; }
@@ -193,14 +196,6 @@ class Vmm {
   DeviceModel* RoutePort(std::uint16_t port);
   hw::Cpu& cpu() { return hv_->machine().cpu(config_.first_cpu); }
 
-  // snapshot-x-list(Vmm): hv_, root_, config_, vmm_pd_, vmm_pd_sel_,
-  //   root_handle_sel_, vm_sel_in_root_, vm_pd_, vm_pd_sel_,
-  //   guest_base_page_, vcpus_, vcpu_sels_, handler_ecs_, in_exit_, vpic_,
-  //   vpit_, vuart_, vahci_, emulator_, models_, disk_server_, disk_portal_,
-  //   disk_shared_page_, disk_channel_id_, disk_ring_tail_,
-  //   delegated_buffer_pages_, comp_ec_, irq_ecs_storage_, cur_vcpu_,
-  //   boot_disk_, exits_handled_, injected_, create_status_, fault_plan_,
-  //   crashed_, hb_count_, hb_running_, hb_period_ps_, hb_addr_, hb_event_
   hv::Hypervisor* hv_;
   root::RootPartitionManager* root_;
   VmmConfig config_;
@@ -216,7 +211,7 @@ class Vmm {
   std::vector<hv::Ec*> vcpus_;
   std::vector<hv::CapSel> vcpu_sels_;        // In the VMM's space.
   std::vector<hv::Ec*> handler_ecs_;
-  std::vector<bool> in_exit_;
+  std::deque<bool> in_exit_;
 
   std::unique_ptr<VPic> vpic_;
   std::unique_ptr<VPit> vpit_;

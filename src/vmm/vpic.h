@@ -50,26 +50,14 @@ class VPic : public DeviceModel {
   std::uint64_t raised() const { return raised_; }
   std::uint64_t injected() const { return injected_; }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.U64(pending_);
-    w.U64(in_service_);
-    w.U64(masked_);
-    w.U64(raised_);
-    w.U64(injected_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    pending_ = r.U64();
-    in_service_ = r.U64();
-    masked_ = r.U64();
-    raised_ = r.U64();
-    injected_ = r.U64();
-    return r.status();
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(pending_, in_service_, masked_, raised_, injected_);
   }
 
  private:
-  // snapshot-x-list(VPic): pending_, in_service_, masked_, kick_,
-  //   raised_, injected_
   std::uint64_t pending_ = 0;
   std::uint64_t in_service_ = 0;
   std::uint64_t masked_ = 0;

@@ -72,20 +72,12 @@ void VPit::Tick() {
   Arm();
 }
 
-Status VPit::SaveState(sim::SnapWriter& w) const {
-  w.U64(period_);
-  w.U16(period_lo_);
-  w.U64(generation_);
-  w.U64(ticks_);
-  return Status::kSuccess;
+template <class Ar>
+void VPit::Io(Ar& ar) {
+  ar.Io(period_, period_lo_, generation_, ticks_);
 }
 
-Status VPit::LoadState(sim::SnapReader& r) {
-  period_ = r.U64();
-  period_lo_ = r.U16();
-  generation_ = r.U64();
-  ticks_ = r.U64();
-  return r.status();
-}
+Status VPit::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+Status VPit::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::vmm

@@ -43,13 +43,13 @@ class VPit : public DeviceModel {
 
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
+  template <class Ar>
+  void Io(Ar& ar);
 
  private:
   void Arm();
   void Tick();
 
-  // snapshot-x-list(VPit): events_, vpic_, owner_, period_, period_lo_,
-  //   generation_, ticks_
   sim::EventQueue* events_;
   VPic* vpic_;
   std::uint64_t owner_;

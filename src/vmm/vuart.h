@@ -38,17 +38,14 @@ class VUart : public DeviceModel {
   const std::string& output() const { return output_; }
   void ClearOutput() { output_.clear(); }
 
-  Status SaveState(sim::SnapWriter& w) const {
-    w.Str(output_);
-    return Status::kSuccess;
-  }
-  Status LoadState(sim::SnapReader& r) {
-    output_ = r.Str();
-    return r.status();
+  Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
+  Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
+  template <class Ar>
+  void Io(Ar& ar) {
+    ar.Io(output_);
   }
 
  private:
-  // snapshot-x-list(VUart): output_
   std::string output_;
 };
 

@@ -244,7 +244,10 @@ TEST_F(SchedTest, QuantumDepletionRotatesEqualPriority) {
 
 TEST_F(SchedTest, IdleSkipsToDeviceEvent) {
   bool fired = false;
-  machine_.events().ScheduleAt(sim::Milliseconds(5), [&] { fired = true; });
+  constexpr auto kTestOwner = sim::EventQueue::OwnerToken("test.events");
+  machine_.events().ScheduleAtTagged(sim::Milliseconds(5),
+                                  sim::EventTag{kTestOwner, 1},
+                                  [&] { fired = true; });
   EXPECT_TRUE(hv_.StepOnce());  // Nothing runnable: skips to the event.
   EXPECT_TRUE(fired);
   EXPECT_GE(machine_.cpu(0).NowPs(), sim::Milliseconds(5));

@@ -104,7 +104,10 @@ TEST(Machine, SkipToNextEventAdvancesAllCpus) {
   Machine machine(MachineConfig{.cpus = {&CoreI7_920(), &PhenomX3_8450()},
                                 .ram_size = 64ull << 20});
   bool fired = false;
-  machine.events().ScheduleAt(sim::Milliseconds(5), [&] { fired = true; });
+  constexpr auto kTestOwner = sim::EventQueue::OwnerToken("test.events");
+  machine.events().ScheduleAtTagged(sim::Milliseconds(5),
+                                  sim::EventTag{kTestOwner, 1},
+                                  [&] { fired = true; });
   EXPECT_TRUE(machine.SkipToNextEvent());
   EXPECT_TRUE(fired);
   EXPECT_GE(machine.cpu(0).NowPs(), sim::Milliseconds(5));

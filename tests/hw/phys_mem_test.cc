@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace nova::hw {
 namespace {
 
@@ -52,6 +54,25 @@ TEST(PhysMem, ContainsChecks) {
   EXPECT_FALSE(mem.Contains(0, 0x10001));
   EXPECT_FALSE(mem.Contains(0x10000, 1));
   EXPECT_TRUE(mem.Contains(0xffff, 1));
+}
+
+// A checksum-valid section whose frame count is forged must fail the
+// load with kBadParameter promptly instead of looping over the count.
+TEST(PhysMem, ForgedFrameCountFailsLoadCleanly) {
+  constexpr std::uint64_t kRam = 1 << 20;
+  sim::Snapshot snap;
+  sim::SnapWriter& w = snap.Section("mem", 1);
+  w.U64(kRam);        // Installed RAM, matching the twin.
+  w.U64(1ull << 40);  // Forged frame count.
+  w.U64(0);           // The one frame actually present.
+  const std::vector<std::uint8_t> page(kPageSize, 0xab);
+  w.Bytes(page.data(), page.size());
+  sim::Snapshot shipped;
+  ASSERT_EQ(shipped.Decode(snap.Encode()), Status::kSuccess);
+
+  sim::SnapReader r = shipped.Open("mem", 1);
+  PhysMem mem(kRam);
+  EXPECT_EQ(mem.LoadState(r), Status::kBadParameter);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bench/common.h"
+#include "bench/scenario.h"
 #include "src/guest/driver_nic.h"
 #include "src/guest/workload_udp.h"
 
@@ -76,6 +77,35 @@ TEST(CompileWorkload, DeterministicAcrossRuns) {
   EXPECT_EQ(a.seconds, b.seconds);
   EXPECT_EQ(a.exits, b.exits);
   EXPECT_EQ(a.guest_insns, b.guest_insns);
+}
+
+// Destroying a node frees its whole kernel object graph. Domains, their
+// capability spaces and their ECs reference each other in cycles, which
+// the hypervisor breaks at teardown; a leak here grows every process that
+// builds nodes repeatedly (benchmark episodes, migration twins).
+TEST(CompileWorkload, DestroyedNodeFreesEveryKernelObject) {
+  for (const hw::TranslationMode mode :
+       {hw::TranslationMode::kNested, hw::TranslationMode::kShadow}) {
+    RunConfig c;
+    c.mode = mode;
+    c.vtlb.cache_contexts = true;
+    c.workload = ShortCompile();
+    std::vector<std::weak_ptr<hv::KObject>> objects;
+    {
+      CompileScenario scn(c);
+      scn.RunFor(sim::Milliseconds(20));
+      const hv::Hypervisor& hv = scn.system().hv;
+      for (std::uint64_t oid = 0; oid < hv.ObjectCount(); ++oid) {
+        objects.push_back(hv.ObjectByOid(oid));
+      }
+    }
+    ASSERT_GT(objects.size(), 10u);
+    for (std::size_t oid = 0; oid < objects.size(); ++oid) {
+      EXPECT_TRUE(objects[oid].expired())
+          << "object " << oid << " outlived its node (mode "
+          << static_cast<int>(mode) << ")";
+    }
+  }
 }
 
 TEST(UdpWorkload, ReceivesStreamBareMetal) {

@@ -2,17 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
 #include <vector>
 
 namespace nova::sim {
 namespace {
 
+// Every event carries a tag describing its closure, so any pending event
+// can be snapshotted and re-bound on restore.
+constexpr std::uint64_t kTestOwner = EventQueue::OwnerToken("test.events");
+
+EventQueue::EventId At(EventQueue& q, PicoSeconds when,
+                       EventQueue::Callback cb) {
+  return q.ScheduleAtTagged(when, EventTag{kTestOwner, 1}, std::move(cb));
+}
+
 TEST(EventQueue, FiresInTimeOrder) {
   EventQueue q;
   std::vector<int> order;
-  q.ScheduleAt(Nanoseconds(30), [&] { order.push_back(3); });
-  q.ScheduleAt(Nanoseconds(10), [&] { order.push_back(1); });
-  q.ScheduleAt(Nanoseconds(20), [&] { order.push_back(2); });
+  At(q, Nanoseconds(30), [&] { order.push_back(3); });
+  At(q, Nanoseconds(10), [&] { order.push_back(1); });
+  At(q, Nanoseconds(20), [&] { order.push_back(2); });
   q.AdvanceTo(Nanoseconds(25));
   EXPECT_EQ(order, (std::vector<int>{1, 2}));
   q.AdvanceTo(Nanoseconds(100));
@@ -23,7 +33,7 @@ TEST(EventQueue, SameDeadlineIsFifo) {
   EventQueue q;
   std::vector<int> order;
   for (int i = 0; i < 5; ++i) {
-    q.ScheduleAt(Nanoseconds(10), [&order, i] { order.push_back(i); });
+    At(q, Nanoseconds(10), [&order, i] { order.push_back(i); });
   }
   q.AdvanceTo(Nanoseconds(10));
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
@@ -32,9 +42,10 @@ TEST(EventQueue, SameDeadlineIsFifo) {
 TEST(EventQueue, CallbackMaySchedule) {
   EventQueue q;
   int fired = 0;
-  q.ScheduleAt(Nanoseconds(10), [&] {
+  At(q, Nanoseconds(10), [&] {
     ++fired;
-    q.ScheduleAfter(Nanoseconds(5), [&] { ++fired; });
+    q.ScheduleAfterTagged(Nanoseconds(5), EventTag{kTestOwner, 1},
+                          [&] { ++fired; });
   });
   q.AdvanceTo(Nanoseconds(20));
   EXPECT_EQ(fired, 2);
@@ -44,7 +55,7 @@ TEST(EventQueue, CallbackMaySchedule) {
 TEST(EventQueue, CancelPreventsFiring) {
   EventQueue q;
   int fired = 0;
-  const auto id = q.ScheduleAt(Nanoseconds(10), [&] { ++fired; });
+  const auto id = At(q, Nanoseconds(10), [&] { ++fired; });
   EXPECT_TRUE(q.Cancel(id));
   EXPECT_FALSE(q.Cancel(id));  // Second cancel is a no-op.
   q.AdvanceTo(Nanoseconds(20));
@@ -61,7 +72,7 @@ TEST(EventQueue, CancelUnknownIdFails) {
 TEST(EventQueue, RunOneJumpsToDeadline) {
   EventQueue q;
   int fired = 0;
-  q.ScheduleAt(Microseconds(7), [&] { ++fired; });
+  At(q, Microseconds(7), [&] { ++fired; });
   EXPECT_TRUE(q.RunOne());
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(q.now(), Microseconds(7));
@@ -70,8 +81,8 @@ TEST(EventQueue, RunOneJumpsToDeadline) {
 
 TEST(EventQueue, NextDeadlineSkipsCancelled) {
   EventQueue q;
-  const auto id = q.ScheduleAt(Nanoseconds(5), [] {});
-  q.ScheduleAt(Nanoseconds(9), [] {});
+  const auto id = At(q, Nanoseconds(5), [] {});
+  At(q, Nanoseconds(9), [] {});
   q.Cancel(id);
   EXPECT_EQ(q.NextDeadline(), Nanoseconds(9));
   EXPECT_EQ(q.size(), 1u);
@@ -81,10 +92,36 @@ TEST(EventQueue, PastEventsFireOnAdvance) {
   EventQueue q;
   q.AdvanceTo(Nanoseconds(100));
   int fired = 0;
-  q.ScheduleAt(Nanoseconds(10), [&] { ++fired; });  // Already in the past.
+  // Already in the past.
+  At(q, Nanoseconds(10), [&] { ++fired; });
   q.AdvanceTo(Nanoseconds(100));
   EXPECT_EQ(fired, 1);
   EXPECT_EQ(q.now(), Nanoseconds(100));  // Time never moves backwards.
+}
+
+TEST(EventQueue, SnapshotRebindsPendingEvents) {
+  EventQueue q;
+  q.ScheduleAtTagged(Nanoseconds(10), EventTag{kTestOwner, 1, 7, 0}, [] {});
+  SnapWriter w;
+  ASSERT_EQ(q.SaveState(w), Status::kSuccess);
+
+  EventQueue twin;
+  std::vector<std::uint64_t> fired;
+  twin.RegisterRebinder(kTestOwner, [&fired](const EventTag& tag) {
+    return EventQueue::Callback([&fired, a = tag.a] { fired.push_back(a); });
+  });
+  SnapReader r(w.data().data(), w.size());
+  ASSERT_EQ(twin.LoadState(r), Status::kSuccess);
+  ASSERT_EQ(r.Finish(), Status::kSuccess);
+  twin.AdvanceTo(Nanoseconds(10));
+  EXPECT_EQ(fired, (std::vector<std::uint64_t>{7}));
+}
+
+TEST(EventQueue, SnapshotRefusesUntaggedEvent) {
+  EventQueue q;
+  q.ScheduleAtTagged(Nanoseconds(10), EventTag{}, [] {});
+  SnapWriter w;
+  EXPECT_EQ(q.SaveState(w), Status::kBadParameter);
 }
 
 }  // namespace

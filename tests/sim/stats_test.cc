@@ -115,5 +115,23 @@ TEST(StatRegistry, NamedCounters) {
   EXPECT_EQ(reg.Value("Port I/O"), 0u);
 }
 
+// A checksum-valid section whose sample count is forged must fail the
+// load with kBadParameter instead of allocating the count.
+TEST(Distribution, ForgedSampleCountFailsLoadCleanly) {
+  Snapshot snap;
+  SnapWriter& w = snap.Section("dist", 1);
+  for (int i = 0; i < 8; ++i) {
+    w.U64(1);  // count, sum, min, max, then the four RNG words.
+  }
+  w.U64(1ull << 40);  // Forged sample count.
+  w.U64(7);           // The one sample actually present.
+  Snapshot shipped;
+  ASSERT_EQ(shipped.Decode(snap.Encode()), Status::kSuccess);
+
+  SnapReader r = shipped.Open("dist", 1);
+  Distribution d;
+  EXPECT_EQ(d.LoadState(r), Status::kBadParameter);
+}
+
 }  // namespace
 }  // namespace nova::sim

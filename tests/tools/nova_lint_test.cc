@@ -419,110 +419,6 @@ void Tick() {
   EXPECT_EQ(CountRule(r, "per-cpu-state"), 0);
 }
 
-// --- snapshot-fields ------------------------------------------------------
-
-TEST(SnapshotFieldsRule, FlagsSaveStateClassWithoutCensus) {
-  const auto r = RunOn({{"src/hw/s.h", R"cc(
-class Widget {
- public:
-  Status SaveState(SnapWriter& w) const;
- private:
-  int count_ = 0;
-};
-)cc"}});
-  EXPECT_EQ(CountRule(r, "snapshot-fields"), 1);
-}
-
-TEST(SnapshotFieldsRule, FlagsMemberMissingFromCensus) {
-  const auto r = RunOn({{"src/hw/s.h", R"cc(
-class Widget {
- public:
-  Status SaveState(SnapWriter& w) const;
- private:
-  // snapshot-x-list(Widget): count_
-  int count_ = 0;
-  int forgotten_ = 0;
-};
-)cc"}});
-  EXPECT_EQ(CountRule(r, "snapshot-fields"), 1);
-}
-
-TEST(SnapshotFieldsRule, FlagsStaleCensusEntry) {
-  const auto r = RunOn({{"src/hw/s.h", R"cc(
-class Widget {
- public:
-  Status SaveState(SnapWriter& w) const;
- private:
-  // snapshot-x-list(Widget): count_, renamed_away_
-  int count_ = 0;
-};
-)cc"}});
-  EXPECT_EQ(CountRule(r, "snapshot-fields"), 1);
-}
-
-TEST(SnapshotFieldsRule, SilentWhenCensusComplete) {
-  const auto r = RunOn({{"src/hw/s.h", R"cc(
-class Widget {
- public:
-  Widget() : tick_(0) { helper_(); }
-  Status SaveState(SnapWriter& w) const { w.U64(local_); }
-  void Poke() { int scratch_local_ = 0; scratch_local_ = 1; }
- private:
-  struct Nested { int depth; };
-  // snapshot-x-list(Widget): tick_, local_, buf_, ptr_
-  long tick_;
-  int local_ = 0;
-  int buf_[4] = {};
-  long* ptr_ = nullptr;
-};
-)cc"}});
-  EXPECT_EQ(CountRule(r, "snapshot-fields"), 0);
-}
-
-TEST(SnapshotFieldsRule, FollowsCommaContinuedCensusLines) {
-  const auto r = RunOn({{"src/hw/s.h", R"cc(
-class Widget {
- public:
-  Status SaveState(SnapWriter& w) const;
- private:
-  // snapshot-x-list(Widget): first_, second_,
-  //   third_
-  //   (trailing prose after the list is ignored)
-  int first_ = 0;
-  int second_ = 0;
-  int third_ = 0;
-};
-)cc"}});
-  EXPECT_EQ(CountRule(r, "snapshot-fields"), 0);
-}
-
-TEST(SnapshotFieldsRule, SilentWithoutSaveStateOrUnderscoreMembers) {
-  const auto r = RunOn({{"src/hw/s.h", R"cc(
-class Passive {
-  int count_ = 0;
-};
-struct Aggregate {
-  int count;
-  Status SaveState(SnapWriter& w) const;
-};
-)cc"}});
-  EXPECT_EQ(CountRule(r, "snapshot-fields"), 0);
-}
-
-TEST(SnapshotFieldsRule, SuppressibleOnTheClassLine) {
-  const auto r = RunOn({{"src/hw/s.h", R"cc(
-// nova-lint: allow(snapshot-fields)
-class Widget {
- public:
-  Status SaveState(SnapWriter& w) const;
- private:
-  int count_ = 0;
-};
-)cc"}});
-  EXPECT_EQ(CountRule(r, "snapshot-fields"), 0);
-  EXPECT_GE(r.suppressed, 1);
-}
-
 // --- source views / suppressions -----------------------------------------
 
 TEST(SourceFile, BlanksCommentsStringsAndPreprocessor) {
@@ -879,15 +775,6 @@ void Attach(sim::EventQueue& q) {
 }
 )cc"},
   });
-  EXPECT_EQ(CountRule(r, "event-rebind"), 0);
-}
-
-TEST(EventRebindRule, IgnoresUntaggedScheduling) {
-  const auto r = RunOn({{"src/hw/t.cc", R"cc(
-void Arm(sim::EventQueue& q) {
-  q.ScheduleAt(5, Fire);
-}
-)cc"}});
   EXPECT_EQ(CountRule(r, "event-rebind"), 0);
 }
 

@@ -47,7 +47,6 @@ std::unique_ptr<Rule> MakeLayeringRule();
 std::unique_ptr<Rule> MakeEnumSwitchRule();
 std::unique_ptr<Rule> MakeUncheckedDowncastRule();
 std::unique_ptr<Rule> MakePerCpuStateRule();
-std::unique_ptr<Rule> MakeSnapshotFieldsRule();
 std::unique_ptr<Rule> MakeDeterminismRule();
 std::unique_ptr<Rule> MakeLockDisciplineRule();
 std::unique_ptr<Rule> MakeEventRebindRule();

@@ -46,11 +46,13 @@ bool IsRandomnessSource(const std::string& s) {
          s == "mt19937" || s == "mt19937_64" || s == "minstd_rand";
 }
 
-// Snapshot/digest/trace payload sinks: SnapWriter's fixed-width writers
-// plus anything with Digest in the name.
+// Snapshot/digest/trace payload sinks: SnapWriter's fixed-width writers,
+// the snapshot archive visitor (sim/snapshot.h) and anything with Digest
+// in the name.
 bool IsPayloadSink(const std::string& s) {
   return s == "U64" || s == "U32" || s == "U16" || s == "U8" ||
-         s == "Bytes" || s.find("Digest") != std::string::npos;
+         s == "Bytes" || s == "Io" || s == "Verify" || s == "Seq" ||
+         s == "Keyed" || s.find("Digest") != std::string::npos;
 }
 
 class DeterminismRule final : public Rule {

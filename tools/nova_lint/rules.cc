@@ -12,7 +12,6 @@ std::vector<std::unique_ptr<Rule>> AllRules() {
   rules.push_back(MakeEnumSwitchRule());
   rules.push_back(MakeUncheckedDowncastRule());
   rules.push_back(MakePerCpuStateRule());
-  rules.push_back(MakeSnapshotFieldsRule());
   rules.push_back(MakeDeterminismRule());
   rules.push_back(MakeLockDisciplineRule());
   rules.push_back(MakeEventRebindRule());

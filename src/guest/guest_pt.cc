@@ -5,68 +5,21 @@ namespace nova::guest {
 Status GuestPageTableBuilder::Map(std::uint64_t root_gpa, std::uint64_t gva,
                                   std::uint64_t gpa, std::uint64_t page_size,
                                   std::uint64_t flags) {
-  const std::uint64_t k4M = 4ull << 20;
-  if (page_size != hw::kPageSize && page_size != k4M) {
-    return Status::kBadParameter;
-  }
-  if ((gva & (page_size - 1)) != 0 || (gpa & (page_size - 1)) != 0) {
-    return Status::kBadParameter;
-  }
-
-  const std::uint64_t dir_index = (gva >> 22) & 0x3ff;
-  if (page_size == k4M) {
-    WriteEntry(root_gpa, dir_index,
-               static_cast<std::uint32_t>(gpa | flags | hw::pte::kPresent |
-                                          hw::pte::kLarge));
-    return Status::kSuccess;
-  }
-
-  std::uint32_t pde = ReadEntry(root_gpa, dir_index);
-  std::uint64_t table_gpa;
-  if (!(pde & hw::pte::kPresent)) {
-    table_gpa = pool_next_;
+  // Table frames come from the builder's bump pool, in guest RAM.
+  const auto alloc = [this] {
+    const std::uint64_t table_gpa = pool_next_;
     pool_next_ += hw::kPageSize;
-    (void)mem_->Zero(gpa_to_hpa_(table_gpa), hw::kPageSize);
-    WriteEntry(root_gpa, dir_index,
-               static_cast<std::uint32_t>(table_gpa | hw::pte::kPresent |
-                                          hw::pte::kWritable | hw::pte::kUser));
-  } else if (pde & hw::pte::kLarge) {
-    return Status::kBusy;
-  } else {
-    table_gpa = pde & hw::pte::kAddrMask;
-  }
-
-  const std::uint64_t pt_index = (gva >> 12) & 0x3ff;
-  WriteEntry(table_gpa, pt_index,
-             static_cast<std::uint32_t>(gpa | flags | hw::pte::kPresent));
-  return Status::kSuccess;
-}
-
-Status GuestPageTableBuilder::Unmap(std::uint64_t root_gpa, std::uint64_t gva) {
-  const std::uint64_t dir_index = (gva >> 22) & 0x3ff;
-  const std::uint32_t pde = ReadEntry(root_gpa, dir_index);
-  if (!(pde & hw::pte::kPresent)) {
-    return Status::kSuccess;
-  }
-  if (pde & hw::pte::kLarge) {
-    WriteEntry(root_gpa, dir_index, 0);
-    return Status::kSuccess;
-  }
-  WriteEntry(pde & hw::pte::kAddrMask, (gva >> 12) & 0x3ff, 0);
-  return Status::kSuccess;
+    return table_gpa;
+  };
+  return hw::PageTable(mem_, hw::PagingMode::kTwoLevel, root_gpa)
+      .Map(gva, gpa, page_size, flags, alloc, gpa_to_hpa_);
 }
 
 std::uint64_t GuestPageTableBuilder::LeafEntryGpa(std::uint64_t root_gpa,
                                                   std::uint64_t gva) const {
-  const std::uint64_t dir_index = (gva >> 22) & 0x3ff;
-  const std::uint32_t pde = ReadEntry(root_gpa, dir_index);
-  if (!(pde & hw::pte::kPresent)) {
-    return 0;
-  }
-  if (pde & hw::pte::kLarge) {
-    return root_gpa + dir_index * 4;
-  }
-  return (pde & hw::pte::kAddrMask) + ((gva >> 12) & 0x3ff) * 4;
+  const hw::WalkResult w = hw::PageTable(mem_, hw::PagingMode::kTwoLevel, root_gpa)
+                               .Walk(gva, hw::Access{}, /*set_ad=*/false, gpa_to_hpa_);
+  return Ok(w.status) ? w.pte_addr : 0;
 }
 
 }  // namespace nova::guest

@@ -28,12 +28,11 @@ class GuestPageTableBuilder {
                         std::uint64_t frame_pool_gpa)
       : mem_(mem), gpa_to_hpa_(std::move(gpa_to_hpa)), pool_next_(frame_pool_gpa) {}
 
-  // Map gva -> gpa in the table rooted at guest-physical `root_gpa`.
-  // `page_size` is 4 KiB or 4 MiB. Flags are PTE bits (kWritable etc.).
+  // Map gva -> gpa in the table rooted at guest-physical `root_gpa`
+  // (hw::PageTable::Map over `gpa_to_hpa`). `page_size` is 4 KiB or 4 MiB.
+  // Flags are PTE bits (kWritable etc.).
   Status Map(std::uint64_t root_gpa, std::uint64_t gva, std::uint64_t gpa,
              std::uint64_t page_size, std::uint64_t flags);
-
-  Status Unmap(std::uint64_t root_gpa, std::uint64_t gva);
 
   // Guest-physical address of the leaf entry covering `gva` (for guests
   // that edit their own tables), or 0 when unmapped.
@@ -48,15 +47,6 @@ class GuestPageTableBuilder {
   }
 
  private:
-  std::uint32_t ReadEntry(std::uint64_t table_gpa, std::uint64_t index) const {
-    return mem_->Read32(gpa_to_hpa_(table_gpa) + index * 4);
-  }
-  void WriteEntry(std::uint64_t table_gpa, std::uint64_t index, std::uint32_t v) {
-    // Table frames come from the builder's own pool, in installed RAM by
-    // construction; a fault here would mean a corrupted pool cursor.
-    (void)mem_->Write32(gpa_to_hpa_(table_gpa) + index * 4, v);
-  }
-
   hw::PhysMem* mem_;
   std::function<std::uint64_t(std::uint64_t)> gpa_to_hpa_;
   std::uint64_t pool_next_;

@@ -34,8 +34,6 @@
 
 namespace nova::hv {
 
-class DirtyLog;
-
 // Well-known selectors in a fresh protection domain.
 constexpr CapSel kSelOwnPd = 0;
 constexpr CapSel kSelFirstFree = 32;
@@ -214,11 +212,6 @@ class Hypervisor : public KmemPool {
     return oid < objects_.size() ? objects_[oid].ref.lock() : nullptr;
   }
   std::uint64_t ObjectCount() const { return objects_.size(); }
-
-  // Dirty-page tracking hook (see hv/dirty_log.h). Null by default; when
-  // set, write-protect mode routes EPT write faults through the log.
-  void SetDirtyLog(DirtyLog* log) { dirty_log_ = log; }
-  DirtyLog* dirty_log() const { return dirty_log_; }
 
  private:
   friend class VcpuDriver;
@@ -450,7 +443,6 @@ class Hypervisor : public KmemPool {
     ObjType type = ObjType::kPd;
   };
   std::vector<ObjSlot> objects_;
-  DirtyLog* dirty_log_ = nullptr;
 
   // Shared kernel structures with a contention price under SMP.
   KernelLock sched_lock_;  // Cross-core wakeups touch remote run queues.

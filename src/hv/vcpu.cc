@@ -5,8 +5,6 @@
 
 #include <algorithm>
 
-#include "src/hv/dirty_log.h"
-
 namespace nova::hv {
 namespace {
 
@@ -315,13 +313,6 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
       }
 
       case hw::ExitReason::kEptViolation:
-        // Dirty-log write-protect trap: restore the page and retry the
-        // instruction in-kernel, without a VMM round-trip.
-        if (exit.is_write && dirty_log_ != nullptr &&
-            dirty_log_->HandleWriteFault(vcpu, exit.gpa)) {
-          Charge(cpu_id, costs_.map_page);
-          break;
-        }
         CountEvent(ctr_.mmio, trc_.mmio, cpu_id, exit.gpa);
         if (!DispatchVmEvent(vcpu, Event::kMmio, exit)) {
           vcpu->set_block_state(Ec::BlockState::kBlockedHalt);

@@ -5,8 +5,9 @@
 // page table. Guest page tables contain guest-physical addresses; the
 // paper's trick of running the hypervisor on the VM's host page table
 // makes the GPA->HPA step free for the software walk (the MMU reinterprets
-// GPAs as HVAs) — modelled here as a single memory access per guest level
-// plus a recovery path for guest PTEs pointing outside mapped
+// GPAs as HVAs) — modelled here as hw::PageTable's guest walk, charged one
+// memory access per entry read or A/D write, whose resolver is the
+// uncharged host walk: it only catches guest tables outside mapped
 // guest-physical memory. The final translation is installed in the shadow
 // table of the *active context* — the shadow tree for the guest address
 // space currently loaded in CR3 — which is what the hardware walker uses.
@@ -18,38 +19,9 @@
 // own hardware tag, so the switch leaves the hardware TLB intact too.
 #include "src/hv/vtlb.h"
 
-#include <algorithm>
 #include <utility>
-#include <vector>
 
 namespace nova::hv {
-
-namespace {
-
-// Free every page-table frame strictly below `table`. `level` is the level
-// of the entries *referenced by* `table` (Levels(mode) - 1 for the root):
-// entries at level >= 1 point to child tables, which are freed; level-0
-// entries and superpage leaves map data pages the vTLB does not own.
-void FreeShadowLevel(hw::PhysMem& mem, hw::PagingMode mode, hw::PhysAddr table,
-                     int level, const std::function<void(hw::PhysAddr)>& free) {
-  const int entries = mode == hw::PagingMode::kTwoLevel ? 1024 : 512;
-  const int esize = mode == hw::PagingMode::kTwoLevel ? 4 : 8;
-  for (int i = 0; i < entries; ++i) {
-    std::uint64_t entry = 0;
-    (void)mem.Read(table + static_cast<std::uint64_t>(i) * esize, &entry, esize);
-    if (!(entry & hw::pte::kPresent) || (entry & hw::pte::kLarge)) {
-      continue;
-    }
-    if (level > 1) {
-      FreeShadowLevel(mem, mode, entry & hw::pte::kAddrMask, level - 1, free);
-    }
-    if (level >= 1) {
-      free(entry & hw::pte::kAddrMask);
-    }
-  }
-}
-
-}  // namespace
 
 Vtlb::Vtlb(Env env, VtlbPolicy policy)
     : env_(std::move(env)),
@@ -86,10 +58,7 @@ hw::PhysAddr Vtlb::AllocWithPressure(Context& ctx) {
 }
 
 bool Vtlb::EvictOneForPressure(const Context* keep) {
-  // last_use stamps come from ++use_clock_ and are unique, so the
-  // strict-min victim is walk-order independent.
   auto victim = contexts_.end();
-  // nova-lint: allow(determinism) -- strict min over unique last_use stamps
   for (auto it = contexts_.begin(); it != contexts_.end(); ++it) {
     if (&it->second == keep || it->second.root == 0) {
       continue;
@@ -117,18 +86,28 @@ bool Vtlb::EvictOneForPressure(const Context* keep) {
   return true;
 }
 
+void Vtlb::FreeBelow(hw::PhysAddr root,
+                     const std::function<void(hw::PhysAddr)>& free) {
+  // FreeTables releases children before their parent. The order matters:
+  // the LIFO pool hands the frames out again in reverse.
+  hw::PageTable(env_.mem, env_.ctl->nested_format, root)
+      .FreeTables([&](hw::PhysAddr f) {
+        if (f != root) {
+          free(f);
+        }
+      });
+  (void)env_.mem->Zero(root, hw::kPageSize);
+}
+
 void Vtlb::FreeBelowRoot(Context& ctx) {
   if (ctx.root == 0) {
     return;
   }
-  FreeShadowLevel(*env_.mem, env_.ctl->nested_format, ctx.root,
-                  hw::Levels(env_.ctl->nested_format) - 1,
-                  [this, &ctx](hw::PhysAddr f) {
-                    env_.free(f);
-                    --ctx.frames;
-                    --frames_held_;
-                  });
-  (void)env_.mem->Zero(ctx.root, hw::kPageSize);
+  FreeBelow(ctx.root, [this, &ctx](hw::PhysAddr f) {
+    env_.free(f);
+    --ctx.frames;
+    --frames_held_;
+  });
 }
 
 void Vtlb::FreeTree(Context& ctx) {
@@ -202,53 +181,28 @@ Vtlb::Outcome Vtlb::Resolve(const hw::VmExit& exit, std::uint64_t* gpa_out) {
   const hw::Access access{.write = exit.is_write, .user = false};
 
   std::uint64_t gpa = gva;
-  std::uint64_t guest_page = hw::kPageSize;
   std::uint64_t guest_leaf = hw::pte::kWritable | hw::pte::kUser;
   if (gs.paging) {
-    // Parse the real guest page table (two-level 32-bit format).
-    std::uint64_t table_gpa = gs.cr3;
-    for (int level = 1; level >= 0; --level) {
-      const int shift = 12 + 10 * level;
-      const std::uint64_t index = (gva >> shift) & 0x3ff;
-      const std::uint64_t entry_gpa = table_gpa + index * 4;
-
-      // GPA->HPA for the entry: with the host-page-table trick this is a
-      // direct dereference; the walk below models the recovery check for
-      // entries pointing outside the mapped guest-physical space.
+    // Parse the real guest page table. Each entry's GPA->HPA step is the
+    // free host walk (the host-page-table trick, see above); a guest table
+    // outside mapped guest-physical memory ends the walk as a host fault.
+    const auto resolve = [&host](hw::PhysAddr entry_gpa) {
       const hw::WalkResult hx =
           host.Walk(entry_gpa, hw::Access{.write = false}, /*set_ad=*/false);
-      if (!Ok(hx.status)) {
-        *gpa_out = entry_gpa;
-        return Outcome::kHostFault;
-      }
-      std::uint64_t entry = 0;
-      (void)mem.Read(hx.pa, &entry, 4);
-      c.Charge(model.mem_access);  // One dereference per guest level.
-
-      if (!(entry & hw::pte::kPresent) ||
-          (access.write && !(entry & hw::pte::kWritable))) {
-        return Outcome::kGuestFault;
-      }
-
-      const bool leaf = level == 0 || (entry & hw::pte::kLarge) != 0;
-      std::uint64_t updated = entry | hw::pte::kAccessed;
-      if (leaf && access.write) {
-        updated |= hw::pte::kDirty;
-      }
-      if (updated != entry) {
-        (void)mem.Write(hx.pa, &updated, 4);
-        c.Charge(model.mem_access);
-        entry = updated;
-      }
-      if (leaf) {
-        guest_page = level == 0 ? hw::kPageSize : (4ull << 20);
-        gpa = (entry & hw::pte::kAddrMask & ~(guest_page - 1)) |
-              (gva & (guest_page - 1));
-        guest_leaf = entry;
-        break;
-      }
-      table_gpa = entry & hw::pte::kAddrMask;
+      return Ok(hx.status) ? hx.pa : hw::kNoHpa;
+    };
+    const hw::WalkResult w = hw::PageTable(&mem, hw::PagingMode::kTwoLevel, gs.cr3)
+                                 .Walk(gva, access, /*set_ad=*/true, resolve);
+    c.Charge(static_cast<sim::Cycles>(w.accesses) * model.mem_access);
+    if (w.table_fault) {
+      *gpa_out = w.pte_addr;
+      return Outcome::kHostFault;
     }
+    if (!Ok(w.status)) {
+      return Outcome::kGuestFault;
+    }
+    gpa = w.pa;
+    guest_leaf = w.pte;
   }
 
   // Final GPA->HPA through the VM's host page table.
@@ -371,9 +325,7 @@ void Vtlb::HandleInvlpg(std::uint64_t gva) {
   }
   // Invalidation invariant: the translation dies in *every* cached
   // context and under every context tag, so it cannot resurface when a
-  // dormant address space is switched back in. Each context's shadow tree
-  // is disjoint, Unmap frees nothing, and Charge sums — order cannot show.
-  // nova-lint: allow(determinism) -- independent per-context ops, no frees
+  // dormant address space is switched back in.
   for (auto& [key, ctx] : contexts_) {
     if (ctx.root == 0) {
       continue;
@@ -397,27 +349,16 @@ void Vtlb::Flush() {
     if (env_.ctl->nested_root == env_.pd_root) {
       return;
     }
-    FreeShadowLevel(*env_.mem, env_.ctl->nested_format, env_.ctl->nested_root,
-                    hw::Levels(env_.ctl->nested_format) - 1,
-                    [this](hw::PhysAddr f) { env_.free(f); });
-    (void)env_.mem->Zero(env_.ctl->nested_root, hw::kPageSize);
+    FreeBelow(env_.ctl->nested_root, env_.free);
   } else {
     // Drop every dormant context outright; the active tree survives with
-    // a zeroed root because the VMCS still points at it. Walk in sorted
-    // key order: tags and frames are released into LIFO free lists, so a
-    // hash-order walk would tie recycling order to the hash seed.
-    std::vector<std::uint64_t> keys;
-    keys.reserve(contexts_.size());
-    // nova-lint: allow(determinism) -- key collection, sorted before use
-    for (const auto& [key, ctx] : contexts_) {
-      keys.push_back(key);
-    }
-    std::sort(keys.begin(), keys.end());
-    for (const std::uint64_t key : keys) {
-      const auto it = contexts_.find(key);
+    // a zeroed root because the VMCS still points at it. The map walks in
+    // key order, so the LIFO tag and frame pools recycle deterministically.
+    for (auto it = contexts_.begin(); it != contexts_.end();) {
       Context& ctx = it->second;
-      if (has_active_ && key == active_key_) {
+      if (has_active_ && it->first == active_key_) {
         FreeBelowRoot(ctx);
+        ++it;
         continue;
       }
       if (ctx.tag != env_.ctl->base_tag) {
@@ -425,7 +366,7 @@ void Vtlb::Flush() {
         env_.tags->Release(ctx.tag);
       }
       FreeTree(ctx);
-      contexts_.erase(it);
+      it = contexts_.erase(it);
     }
   }
   env_.cpu->tlb().FlushTag(env_.ctl->tag);
@@ -435,17 +376,9 @@ void Vtlb::Flush() {
 }
 
 void Vtlb::DropAllContexts() {
-  // Sorted key order: tag and frame recycling below feeds LIFO free
-  // lists, so the walk order decides what later allocations hand out.
-  std::vector<std::uint64_t> keys;
-  keys.reserve(contexts_.size());
-  // nova-lint: allow(determinism) -- key collection, sorted before use
-  for (const auto& [key, ctx] : contexts_) {
-    keys.push_back(key);
-  }
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t key : keys) {
-    Context& ctx = contexts_.at(key);
+  // The map walks in key order: tag and frame recycling below feeds LIFO
+  // free lists, so the walk order decides what later allocations hand out.
+  for (auto& [key, ctx] : contexts_) {
     if (ctx.tag != env_.ctl->base_tag) {
       // Released tags are recycled, so their hardware-TLB entries must not
       // outlive the context. The VM's identity tag is the revoke path's
@@ -467,10 +400,8 @@ void Vtlb::EnforceFrameBudget() {
   }
   while (frames_held_ > policy_.max_cached_frames) {
     // Evict the least recently used *dormant* context; the active tree is
-    // pinned (the hardware is walking it). last_use stamps are unique
-    // (++use_clock_), so the strict-min victim is walk-order independent.
+    // pinned (the hardware is walking it).
     auto victim = contexts_.end();
-    // nova-lint: allow(determinism) -- strict min over unique last_use stamps
     for (auto it = contexts_.begin(); it != contexts_.end(); ++it) {
       if (has_active_ && it->first == active_key_) {
         continue;

@@ -26,7 +26,7 @@
 
 #include <cstdint>
 #include <functional>
-#include <unordered_map>
+#include <map>
 
 #include "src/hv/types.h"
 #include "src/hw/cpu.h"
@@ -164,13 +164,16 @@ class Vtlb {
   // Evict one LRU dormant context (never `keep`, never the active one) to
   // relieve allocation pressure. False when nothing is evictable.
   bool EvictOneForPressure(const Context* keep);
+  // Free every table below `root` through `free`, then zero the root.
+  void FreeBelow(hw::PhysAddr root,
+                 const std::function<void(hw::PhysAddr)>& free);
   void FreeBelowRoot(Context& ctx);   // Tree minus root; root zeroed.
   void FreeTree(Context& ctx);        // Whole tree, including the root.
   void EnforceFrameBudget();
 
   Env env_;
   VtlbPolicy policy_;
-  std::unordered_map<std::uint64_t, Context> contexts_;
+  std::map<std::uint64_t, Context> contexts_;  // Keyed by ActiveKey().
   std::uint64_t active_key_ = 0;
   bool has_active_ = false;
   std::uint64_t use_clock_ = 0;

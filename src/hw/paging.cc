@@ -2,142 +2,26 @@
 
 namespace nova::hw {
 
-PageTable::LevelInfo PageTable::Level(int level) const {
-  if (mode_ == PagingMode::kTwoLevel) {
-    // 32-bit VA: [31:22] directory, [21:12] table, [11:0] offset.
-    return LevelInfo{.shift = 12 + 10 * level, .bits = 10, .esize = 4};
-  }
-  // 48-bit VA: four 9-bit index fields.
-  return LevelInfo{.shift = 12 + 9 * level, .bits = 9, .esize = 8};
-}
-
-std::uint64_t PageTable::ReadEntry(PhysAddr table, std::uint64_t index) const {
-  const LevelInfo li = Level(0);  // Entry size is uniform across levels.
-  if (li.esize == 4) {
-    return mem_->Read32(table + index * 4);
-  }
-  return mem_->Read64(table + index * 8);
-}
-
-void PageTable::WriteEntry(PhysAddr table, std::uint64_t index,
-                           std::uint64_t entry) const {
-  const LevelInfo li = Level(0);
-  if (li.esize == 4) {
-    (void)mem_->Write32(table + index * 4, static_cast<std::uint32_t>(entry));
-  } else {
-    (void)mem_->Write64(table + index * 8, entry);
-  }
-}
-
 WalkResult PageTable::Walk(VirtAddr va, Access access, bool set_ad) const {
-  WalkResult r;
-  PhysAddr table = root_;
-  for (int level = Levels(mode_) - 1; level >= 0; --level) {
-    const LevelInfo li = Level(level);
-    const std::uint64_t index = (va >> li.shift) & ((1ull << li.bits) - 1);
-    const PhysAddr entry_addr = table + index * li.esize;
-    std::uint64_t entry = ReadEntry(table, index);
-    ++r.accesses;
-
-    if (!(entry & pte::kPresent)) {
-      r.status = Status::kMemoryFault;
-      r.fault = {.present = false, .write = access.write, .user = access.user};
-      r.pte_addr = entry_addr;
-      return r;
-    }
-    if (access.user && !(entry & pte::kUser)) {
-      r.status = Status::kMemoryFault;
-      r.fault = {.present = true, .write = access.write, .user = true};
-      r.pte_addr = entry_addr;
-      return r;
-    }
-    if (access.write && !(entry & pte::kWritable)) {
-      r.status = Status::kMemoryFault;
-      r.fault = {.present = true, .write = true, .user = access.user};
-      r.pte_addr = entry_addr;
-      return r;
-    }
-
-    const bool leaf = level == 0 || (level == 1 && (entry & pte::kLarge));
-    if (set_ad) {
-      std::uint64_t updated = entry | pte::kAccessed;
-      if (leaf && access.write) {
-        updated |= pte::kDirty;
-      }
-      if (updated != entry) {
-        WriteEntry(table, index, updated);
-        entry = updated;
-        ++r.accesses;
-      }
-    }
-
-    if (leaf) {
-      const std::uint64_t page_size = level == 0 ? kPageSize : LargePageSize(mode_);
-      const std::uint64_t offset = va & (page_size - 1);
-      r.pa = (entry & pte::kAddrMask & ~(page_size - 1)) | offset;
-      r.page_size = page_size;
-      r.pte = entry;
-      r.pte_addr = entry_addr;
-      return r;
-    }
-    table = entry & pte::kAddrMask;
-  }
-  r.status = Status::kMemoryFault;  // Unreachable: loop always hits a leaf.
-  return r;
+  return Walk(va, access, set_ad, Identity{});
 }
 
 Status PageTable::Map(VirtAddr va, PhysAddr pa, std::uint64_t page_size,
                       std::uint64_t flags, const FrameAllocator& alloc) {
-  const bool large = page_size == LargePageSize(mode_);
-  if (!large && page_size != kPageSize) {
-    return Status::kBadParameter;
-  }
-  if ((va & (page_size - 1)) != 0 || (pa & (page_size - 1)) != 0) {
-    return Status::kBadParameter;
-  }
-
-  const int leaf_level = large ? 1 : 0;
-  PhysAddr table = root_;
-  for (int level = Levels(mode_) - 1; level > leaf_level; --level) {
-    const LevelInfo li = Level(level);
-    const std::uint64_t index = (va >> li.shift) & ((1ull << li.bits) - 1);
-    std::uint64_t entry = ReadEntry(table, index);
-    if (!(entry & pte::kPresent)) {
-      const PhysAddr fresh = alloc ? alloc() : 0;
-      if (fresh == 0) {
-        return Status::kOverflow;
-      }
-      (void)mem_->Zero(fresh, kPageSize);
-      entry = (fresh & pte::kAddrMask) | pte::kPresent | pte::kWritable | pte::kUser;
-      WriteEntry(table, index, entry);
-    } else if (level == 1 && (entry & pte::kLarge)) {
-      return Status::kBusy;  // A superpage already covers this range.
-    }
-    table = entry & pte::kAddrMask;
-  }
-
-  const LevelInfo li = Level(leaf_level);
-  const std::uint64_t index = (va >> li.shift) & ((1ull << li.bits) - 1);
-  std::uint64_t entry = (pa & pte::kAddrMask) | (flags & ~pte::kAddrMask) | pte::kPresent;
-  if (large) {
-    entry |= pte::kLarge;
-  }
-  WriteEntry(table, index, entry);
-  return Status::kSuccess;
+  return Map(va, pa, page_size, flags, [&alloc] { return alloc ? alloc() : 0; },
+             Identity{});
 }
 
 Status PageTable::Unmap(VirtAddr va) {
   PhysAddr table = root_;
   for (int level = Levels(mode_) - 1; level >= 0; --level) {
-    const LevelInfo li = Level(level);
-    const std::uint64_t index = (va >> li.shift) & ((1ull << li.bits) - 1);
-    const std::uint64_t entry = ReadEntry(table, index);
+    const PhysAddr entry_addr = EntryAddr(table, va, level);
+    const std::uint64_t entry = ReadEntry(entry_addr);
     if (!(entry & pte::kPresent)) {
       return Status::kSuccess;
     }
-    const bool leaf = level == 0 || (level == 1 && (entry & pte::kLarge));
-    if (leaf) {
-      WriteEntry(table, index, 0);
+    if (IsLeaf(level, entry)) {
+      WriteEntry(entry_addr, 0);
       return Status::kSuccess;
     }
     table = entry & pte::kAddrMask;
@@ -145,37 +29,14 @@ Status PageTable::Unmap(VirtAddr va) {
   return Status::kSuccess;
 }
 
-WalkResult PageTable::Probe(VirtAddr va) const {
-  return Walk(va, Access{}, /*set_ad=*/false);
-}
-
-Status PageTable::SetLeafFlags(VirtAddr va, std::uint64_t set,
-                               std::uint64_t clear) {
-  const WalkResult r = Probe(va);
-  if (!Ok(r.status)) {
-    return r.status;
-  }
-  const std::uint64_t updated = (r.pte | set) & ~clear;
-  if (updated == r.pte) {
-    return Status::kSuccess;
-  }
-  if (Level(0).esize == 4) {
-    return mem_->Write32(r.pte_addr, static_cast<std::uint32_t>(updated));
-  }
-  return mem_->Write64(r.pte_addr, updated);
-}
-
 void PageTable::FreeLevel(PhysAddr table, int level,
                           const FrameReleaser& free_frame) {
   if (level > 0) {
-    const LevelInfo li = Level(level);
-    for (std::uint64_t index = 0; index < (1ull << li.bits); ++index) {
-      const std::uint64_t entry = ReadEntry(table, index);
-      if (!(entry & pte::kPresent)) {
-        continue;
-      }
-      if (level == 1 && (entry & pte::kLarge)) {
-        continue;  // Superpage leaf: no table below.
+    const std::uint64_t entries = 1ull << IndexBits();
+    for (std::uint64_t index = 0; index < entries; ++index) {
+      const std::uint64_t entry = ReadEntry(table + index * EntrySize());
+      if (!(entry & pte::kPresent) || IsLeaf(level, entry)) {
+        continue;  // Nothing below, or a superpage leaf: no table below.
       }
       FreeLevel(entry & pte::kAddrMask, level - 1, free_frame);
     }

@@ -53,14 +53,22 @@ struct PageFaultInfo {
   bool user = false;
 };
 
+// What a table-address resolver returns for an address nothing backs
+// (Vmm::GpaToHpa and the VMM's emulator use the same value for "not guest
+// RAM").
+constexpr PhysAddr kNoHpa = ~0ull;
+
 struct WalkResult {
   Status status = Status::kSuccess;  // kMemoryFault on a miss/violation.
   PhysAddr pa = 0;                   // Final physical address.
   std::uint64_t page_size = 0;       // 4K / 2M / 4M mapping granularity.
   std::uint64_t pte = 0;             // Leaf entry as stored.
-  PhysAddr pte_addr = 0;             // Where the leaf entry lives.
+  PhysAddr pte_addr = 0;             // Where the last entry read lives, in
+                                     // the table's address space; on a
+                                     // table fault, the unresolved address.
   int accesses = 0;                  // Memory accesses the walk performed.
-  PageFaultInfo fault;               // Valid when status != kSuccess.
+  bool table_fault = false;          // A table entry did not resolve.
+  PageFaultInfo fault;               // Valid on a failed, non-table-fault walk.
 };
 
 // Page size helpers per mode.
@@ -71,12 +79,27 @@ constexpr int Levels(PagingMode mode) {
   return mode == PagingMode::kTwoLevel ? 2 : 4;
 }
 
-// A page table rooted at a physical frame inside a PhysMem.
+// A page table rooted at `root`, and the simulator's only reader of
+// page-table entry bits: the engine's walks, the vTLB, the VMM's emulator
+// and the guest loader all walk and build tables through it.
+//
+// The root and the table addresses entries hold live in the table's own
+// address space. A resolver maps each entry's address to the host-physical
+// address that stores it, or to kNoHpa when nothing backs it (the walk
+// then ends with table_fault set). Host, shadow and IOMMU tables use the
+// identity; guest tables resolve guest-physical addresses, and a resolver
+// may charge cycles for doing so.
 class PageTable {
  public:
   // Allocate a zeroed physical frame for an intermediate table; returns the
   // frame's physical address, or 0 on exhaustion.
   using FrameAllocator = std::function<PhysAddr()>;
+  using FrameReleaser = std::function<void(PhysAddr)>;
+
+  // Resolver for tables addressed host-physically.
+  struct Identity {
+    PhysAddr operator()(PhysAddr addr) const { return addr; }
+  };
 
   PageTable(PhysMem* mem, PagingMode mode, PhysAddr root)
       : mem_(mem), mode_(mode), root_(root) {}
@@ -86,49 +109,153 @@ class PageTable {
 
   // Translate `va` for `access`. When `set_ad` is true, accessed/dirty bits
   // are written back to the in-memory entries like a hardware walker would.
+  // Without `resolve`, table addresses are host-physical (Identity).
   WalkResult Walk(VirtAddr va, Access access, bool set_ad) const;
+  template <class Resolve>
+  WalkResult Walk(VirtAddr va, Access access, bool set_ad, Resolve&& resolve) const;
 
   // Install a mapping. `page_size` must be kPageSize or LargePageSize(mode),
   // and va/pa must be aligned to it. Intermediate tables are allocated via
-  // `alloc`. Replaces any existing mapping at that slot.
+  // `alloc` (0 = exhausted: kOverflow). Replaces any existing mapping at
+  // that slot. kMemoryFault when a table address does not resolve.
   Status Map(VirtAddr va, PhysAddr pa, std::uint64_t page_size,
              std::uint64_t flags, const FrameAllocator& alloc);
+  template <class Alloc, class Resolve>
+  Status Map(VirtAddr va, PhysAddr pa, std::uint64_t page_size,
+             std::uint64_t flags, Alloc&& alloc, Resolve&& resolve);
 
   // Remove the mapping covering `va` (any size). Returns kSuccess even when
   // nothing was mapped.
   Status Unmap(VirtAddr va);
 
-  // Read the leaf entry covering `va` without permission checks.
-  WalkResult Probe(VirtAddr va) const;
-
-  // Rewrite the leaf entry covering `va`: set then clear the given flag
-  // masks (dirty-log write-protection toggles pte::kWritable this way).
-  // kMemoryFault when nothing is mapped. Does not flush any TLB.
-  Status SetLeafFlags(VirtAddr va, std::uint64_t set, std::uint64_t clear);
-
   // Tear down the radix tree: release every intermediate table frame (and
-  // the root itself) through `free_frame`. Leaf pages are the owner's
-  // problem — only paging-structure frames are returned. The table must
-  // not be used afterwards.
-  using FrameReleaser = std::function<void(PhysAddr)>;
+  // the root itself, last) through `free_frame`, children before their
+  // parent. Leaf pages are the owner's problem — only paging-structure
+  // frames are returned. The table must not be used afterwards.
   void FreeTables(const FrameReleaser& free_frame);
 
  private:
   void FreeLevel(PhysAddr table, int level, const FrameReleaser& free_frame);
-  struct LevelInfo {
-    int shift;            // Bit position of this level's index field.
-    int bits;             // Index width.
-    std::uint64_t esize;  // Entry size in bytes.
-  };
-  LevelInfo Level(int level) const;  // level counts down to 0 (leaf).
 
-  std::uint64_t ReadEntry(PhysAddr table, std::uint64_t index) const;
-  void WriteEntry(PhysAddr table, std::uint64_t index, std::uint64_t entry) const;
+  int IndexBits() const { return mode_ == PagingMode::kTwoLevel ? 10 : 9; }
+  std::uint64_t EntrySize() const { return mode_ == PagingMode::kTwoLevel ? 4 : 8; }
+  // Address of the entry for `va` in `table`; level counts down to 0 (leaf).
+  PhysAddr EntryAddr(PhysAddr table, VirtAddr va, int level) const {
+    const int shift = 12 + IndexBits() * level;
+    return table + ((va >> shift) & ((1ull << IndexBits()) - 1)) * EntrySize();
+  }
+  static bool IsLeaf(int level, std::uint64_t entry) {
+    return level == 0 || (level == 1 && (entry & pte::kLarge) != 0);
+  }
+  std::uint64_t ReadEntry(PhysAddr hpa) const {
+    return EntrySize() == 4 ? mem_->Read32(hpa) : mem_->Read64(hpa);
+  }
+  void WriteEntry(PhysAddr hpa, std::uint64_t entry) const {
+    if (EntrySize() == 4) {
+      (void)mem_->Write32(hpa, static_cast<std::uint32_t>(entry));
+    } else {
+      (void)mem_->Write64(hpa, entry);
+    }
+  }
 
   PhysMem* mem_;
   PagingMode mode_;
   PhysAddr root_;
 };
+
+template <class Resolve>
+WalkResult PageTable::Walk(VirtAddr va, Access access, bool set_ad,
+                           Resolve&& resolve) const {
+  WalkResult r;
+  PhysAddr table = root_;
+  for (int level = Levels(mode_) - 1; level >= 0; --level) {
+    r.pte_addr = EntryAddr(table, va, level);
+    const PhysAddr entry_hpa = resolve(r.pte_addr);
+    if (entry_hpa == kNoHpa) {
+      r.status = Status::kMemoryFault;
+      r.table_fault = true;
+      return r;
+    }
+    std::uint64_t entry = ReadEntry(entry_hpa);
+    ++r.accesses;
+
+    if (!(entry & pte::kPresent) || (access.user && !(entry & pte::kUser)) ||
+        (access.write && !(entry & pte::kWritable))) {
+      r.status = Status::kMemoryFault;
+      r.fault = {.present = (entry & pte::kPresent) != 0,
+                 .write = access.write,
+                 .user = access.user};
+      return r;
+    }
+
+    const bool leaf = IsLeaf(level, entry);
+    if (set_ad) {
+      std::uint64_t updated = entry | pte::kAccessed;
+      if (leaf && access.write) {
+        updated |= pte::kDirty;
+      }
+      if (updated != entry) {
+        WriteEntry(entry_hpa, updated);
+        entry = updated;
+        ++r.accesses;
+      }
+    }
+
+    if (leaf) {
+      const std::uint64_t page_size = level == 0 ? kPageSize : LargePageSize(mode_);
+      r.pa = (entry & pte::kAddrMask & ~(page_size - 1)) | (va & (page_size - 1));
+      r.page_size = page_size;
+      r.pte = entry;
+      return r;
+    }
+    table = entry & pte::kAddrMask;
+  }
+  r.status = Status::kMemoryFault;  // Unreachable: loop always hits a leaf.
+  return r;
+}
+
+template <class Alloc, class Resolve>
+Status PageTable::Map(VirtAddr va, PhysAddr pa, std::uint64_t page_size,
+                      std::uint64_t flags, Alloc&& alloc, Resolve&& resolve) {
+  const bool large = page_size == LargePageSize(mode_);
+  if (!large && page_size != kPageSize) {
+    return Status::kBadParameter;
+  }
+  if ((va & (page_size - 1)) != 0 || (pa & (page_size - 1)) != 0) {
+    return Status::kBadParameter;
+  }
+
+  const int leaf_level = large ? 1 : 0;
+  PhysAddr table = root_;
+  for (int level = Levels(mode_) - 1;; --level) {
+    const PhysAddr entry_hpa = resolve(EntryAddr(table, va, level));
+    if (entry_hpa == kNoHpa) {
+      return Status::kMemoryFault;
+    }
+    if (level == leaf_level) {
+      WriteEntry(entry_hpa, (pa & pte::kAddrMask) | (flags & ~pte::kAddrMask) |
+                                pte::kPresent | (large ? pte::kLarge : 0));
+      return Status::kSuccess;
+    }
+    std::uint64_t entry = ReadEntry(entry_hpa);
+    if (!(entry & pte::kPresent)) {
+      const PhysAddr fresh = alloc();
+      if (fresh == 0) {
+        return Status::kOverflow;
+      }
+      const PhysAddr fresh_hpa = resolve(fresh);
+      if (fresh_hpa == kNoHpa) {
+        return Status::kMemoryFault;
+      }
+      (void)mem_->Zero(fresh_hpa, kPageSize);
+      entry = (fresh & pte::kAddrMask) | pte::kPresent | pte::kWritable | pte::kUser;
+      WriteEntry(entry_hpa, entry);
+    } else if (level == 1 && (entry & pte::kLarge)) {
+      return Status::kBusy;  // A superpage already covers this range.
+    }
+    table = entry & pte::kAddrMask;
+  }
+}
 
 }  // namespace nova::hw
 

@@ -114,49 +114,25 @@ VmEngine::XlatResult VmEngine::Translate(GuestState& gs, const VmControls& ctl,
       if (gs.paging) {
         // Two-dimensional walk: every guest-table access itself goes
         // through the nested tables.
-        std::uint64_t table_gpa = gs.cr3;
-        for (int level = 1; level >= 0; --level) {
-          const int shift = 12 + 10 * level;
-          const std::uint64_t index = (gva >> shift) & 0x3ff;
-          const std::uint64_t entry_gpa = table_gpa + index * 4;
-          const XlatResult tx =
-              TranslateGpa(ctl, entry_gpa, Access{.write = false});
-          if (tx.kind != XlatResult::Kind::kOk) {
-            return tx;  // EPT violation while walking the guest table.
-          }
-          std::uint64_t entry = 0;
-          (void)mem_->Read(tx.hpa, &entry, 4);
-          cpu_->Charge(model.mem_access);
-
-          if (!(entry & pte::kPresent) ||
-              (access.write && !(entry & pte::kWritable)) ||
-              (access.user && !(entry & pte::kUser))) {
-            r.kind = XlatResult::Kind::kGuestFault;
-            r.pf = {.present = (entry & pte::kPresent) != 0,
-                    .write = access.write,
-                    .user = access.user};
-            return r;
-          }
-
-          const bool is_leaf = level == 0 || (entry & pte::kLarge) != 0;
-          std::uint64_t updated = entry | pte::kAccessed;
-          if (is_leaf && access.write) {
-            updated |= pte::kDirty;
-          }
-          if (updated != entry) {
-            (void)mem_->Write(tx.hpa, &updated, 4);
-            cpu_->Charge(model.mem_access);
-            entry = updated;
-          }
-          if (is_leaf) {
-            guest_page = level == 0 ? kPageSize : (4ull << 20);
-            gpa = (entry & pte::kAddrMask & ~(guest_page - 1)) |
-                  (gva & (guest_page - 1));
-            leaf = entry;
-            break;
-          }
-          table_gpa = entry & pte::kAddrMask;
+        XlatResult table_xlat;
+        const auto resolve = [&](PhysAddr entry_gpa) {
+          table_xlat = TranslateGpa(ctl, entry_gpa, Access{.write = false});
+          return table_xlat.kind == XlatResult::Kind::kOk ? table_xlat.hpa : kNoHpa;
+        };
+        const WalkResult w = PageTable(mem_, PagingMode::kTwoLevel, gs.cr3)
+                                 .Walk(gva, access, /*set_ad=*/true, resolve);
+        cpu_->Charge(static_cast<sim::Cycles>(w.accesses) * model.mem_access);
+        if (w.table_fault) {
+          return table_xlat;  // EPT violation while walking the guest table.
         }
+        if (!Ok(w.status)) {
+          r.kind = XlatResult::Kind::kGuestFault;
+          r.pf = w.fault;
+          return r;
+        }
+        guest_page = w.page_size;
+        gpa = w.pa;
+        leaf = w.pte;
       }
       const XlatResult fx = TranslateGpa(ctl, gpa, access);
       if (fx.kind != XlatResult::Kind::kOk) {

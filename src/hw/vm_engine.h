@@ -72,9 +72,10 @@ class VmEngine {
     PageFaultInfo pf{};
   };
 
-  // Translate a guest-virtual address, charging walk costs. Public so the
-  // hypervisor's vTLB and the VMM's instruction emulator can reuse the
-  // hardware walker semantics.
+  // Translate a guest-virtual address, charging walk costs. Public for
+  // tests. The guest-table walk itself is hw::PageTable's, which the
+  // hypervisor's vTLB and the VMM's instruction emulator also call, each
+  // with its own entry resolver and cycle charges.
   XlatResult Translate(GuestState& gs, const VmControls& ctl, VirtAddr gva,
                        Access access);
 

@@ -1,5 +1,6 @@
 #include "src/services/migration.h"
 
+#include "src/hv/dirty_log.h"
 #include "src/hv/kernel.h"
 
 namespace nova::services {
@@ -28,7 +29,7 @@ bool MigrationDriver::LinkDown(MigrationResult* result) {
 
 MigrationResult MigrationDriver::Run() {
   MigrationResult result;
-  hv::DirtyLog log(ep_.source_hv, ep_.source_vm_pd, config_.track_mode);
+  hv::DirtyLog log(ep_.source_hv, ep_.source_vm_pd);
   log.Arm();
 
   // --- Iterative pre-copy: the guest runs throughout. -------------------

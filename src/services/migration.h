@@ -31,7 +31,6 @@
 #include <functional>
 #include <vector>
 
-#include "src/hv/dirty_log.h"
 #include "src/hw/nic.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/time.h"
@@ -51,7 +50,6 @@ struct MigrationConfig {
   std::uint64_t stop_copy_threshold_pages = 64;
   std::uint32_t retry_max = 3;           // Partition retries before giving up.
   sim::PicoSeconds retry_backoff_ps = sim::Milliseconds(2);
-  hv::DirtyTrackMode track_mode = hv::DirtyTrackMode::kAssist;
 };
 
 struct MigrationResult {

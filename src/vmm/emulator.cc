@@ -1,5 +1,7 @@
 #include "src/vmm/emulator.h"
 
+#include "src/hw/paging.h"
+
 namespace nova::vmm {
 
 bool InsnEmulator::WalkGuest(const hv::ArchState& arch, std::uint64_t gva,
@@ -8,31 +10,20 @@ bool InsnEmulator::WalkGuest(const hv::ArchState& arch, std::uint64_t gva,
     *gpa = gva;
     return true;
   }
-  std::uint64_t table_gpa = arch.cr3;
-  for (int level = 1; level >= 0; --level) {
+  // Like the hardware walker, an emulated access sets A on every entry it
+  // uses and D on the leaf of a write.
+  const auto resolve = [this](hw::PhysAddr entry_gpa) {
     cpu_->Charge(costs_.walk_level);
-    const int shift = 12 + 10 * level;
-    const std::uint64_t index = (gva >> shift) & 0x3ff;
-    const std::uint64_t entry_hpa = gpa_to_hpa_(table_gpa + index * 4);
-    if (entry_hpa == ~0ull) {
-      return false;  // Guest table outside guest RAM.
-    }
-    const std::uint32_t entry = mem_->Read32(entry_hpa);
-    if (!(entry & hw::pte::kPresent)) {
-      return false;
-    }
-    if (is_write && !(entry & hw::pte::kWritable)) {
-      return false;
-    }
-    const bool leaf = level == 0 || (entry & hw::pte::kLarge) != 0;
-    if (leaf) {
-      const std::uint64_t page = level == 0 ? hw::kPageSize : (4ull << 20);
-      *gpa = (entry & hw::pte::kAddrMask & ~(page - 1)) | (gva & (page - 1));
-      return true;
-    }
-    table_gpa = entry & hw::pte::kAddrMask;
+    return gpa_to_hpa_(entry_gpa);
+  };
+  const hw::WalkResult w = hw::PageTable(mem_, hw::PagingMode::kTwoLevel, arch.cr3)
+                               .Walk(gva, hw::Access{.write = is_write},
+                                     /*set_ad=*/true, resolve);
+  if (!Ok(w.status)) {
+    return false;  // Guest page fault, or a guest table outside guest RAM.
   }
-  return false;
+  *gpa = w.pa;
+  return true;
 }
 
 bool InsnEmulator::ReadGuestVirt(const hv::ArchState& arch, std::uint64_t gva,
@@ -44,7 +35,7 @@ bool InsnEmulator::ReadGuestVirt(const hv::ArchState& arch, std::uint64_t gva,
       return false;
     }
     const std::uint64_t hpa = gpa_to_hpa_(gpa);
-    if (hpa == ~0ull) {
+    if (hpa == hw::kNoHpa) {
       return false;
     }
     const std::uint64_t chunk =

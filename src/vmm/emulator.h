@@ -33,7 +33,7 @@ class InsnEmulator {
   };
 
   // `gpa_to_hpa` returns the host-physical address backing a guest-physical
-  // address, or ~0 when the address is not guest RAM.
+  // address, or hw::kNoHpa when the address is not guest RAM.
   InsnEmulator(hw::PhysMem* mem, hw::Cpu* cpu,
                std::function<std::uint64_t(std::uint64_t)> gpa_to_hpa)
       : mem_(mem), cpu_(cpu), gpa_to_hpa_(std::move(gpa_to_hpa)) {}
@@ -55,8 +55,9 @@ class InsnEmulator {
   Result EmulateMmio(hv::ArchState& arch, const MmioRead& read,
                      const MmioWrite& write);
 
-  // Software walk of the guest's two-level page table: gva -> gpa.
-  // Returns false on a guest page fault.
+  // Software walk of the guest's two-level page table (hw::PageTable),
+  // charging walk_level per entry: gva -> gpa. Sets accessed/dirty bits.
+  // Returns false on a guest page fault or a table outside guest RAM.
   bool WalkGuest(const hv::ArchState& arch, std::uint64_t gva, bool is_write,
                  std::uint64_t* gpa);
 

@@ -133,14 +133,14 @@ void Vmm::HeartbeatTick() {
 
 std::uint64_t Vmm::GpaToHpa(std::uint64_t gpa) const {
   if (gpa >= config_.guest_mem_bytes) {
-    return ~0ull;
+    return hw::kNoHpa;
   }
   return (guest_base_page_ << hw::kPageShift) + gpa;
 }
 
 bool Vmm::ReadGuest(std::uint64_t gpa, void* out, std::uint64_t len) const {
   const std::uint64_t hpa = GpaToHpa(gpa);
-  if (hpa == ~0ull || gpa + len > config_.guest_mem_bytes) {
+  if (hpa == hw::kNoHpa || gpa + len > config_.guest_mem_bytes) {
     return false;
   }
   return Ok(hv_->machine().mem().Read(hpa, out, len));
@@ -148,7 +148,7 @@ bool Vmm::ReadGuest(std::uint64_t gpa, void* out, std::uint64_t len) const {
 
 bool Vmm::WriteGuest(std::uint64_t gpa, const void* data, std::uint64_t len) {
   const std::uint64_t hpa = GpaToHpa(gpa);
-  if (hpa == ~0ull || gpa + len > config_.guest_mem_bytes) {
+  if (hpa == hw::kNoHpa || gpa + len > config_.guest_mem_bytes) {
     return false;
   }
   return Ok(hv_->machine().mem().Write(hpa, data, len));
@@ -352,7 +352,7 @@ Status Vmm::IssueDisk(bool write, std::uint64_t lba, std::uint64_t sectors,
     return Status::kBadDevice;
   }
   const std::uint64_t bytes = sectors * hw::kSectorSize;
-  if (GpaToHpa(buffer_gpa) == ~0ull ||
+  if (GpaToHpa(buffer_gpa) == hw::kNoHpa ||
       buffer_gpa + bytes > config_.guest_mem_bytes) {
     return Status::kBadParameter;
   }

@@ -77,7 +77,8 @@ class Vmm {
 
   // --- Guest memory -----------------------------------------------------
   std::uint64_t guest_mem_bytes() const { return config_.guest_mem_bytes; }
-  // Host frame backing a guest-physical address; ~0 outside guest RAM.
+  // Host frame backing a guest-physical address; hw::kNoHpa outside guest
+  // RAM.
   std::uint64_t GpaToHpa(std::uint64_t gpa) const;
   bool ReadGuest(std::uint64_t gpa, void* out, std::uint64_t len) const;
   bool WriteGuest(std::uint64_t gpa, const void* data, std::uint64_t len);

@@ -92,16 +92,6 @@ TEST_F(GuestPtTest, SmallUnderLargeRejected) {
   EXPECT_EQ(gpt_.Map(0x100000, 0x1000, 0x1000, hw::kPageSize, 0), Status::kBusy);
 }
 
-TEST_F(GuestPtTest, UnmapSmallAndLarge) {
-  (void)gpt_.Map(0x100000, 0x400000, 0x200000, hw::kPageSize, hw::pte::kWritable);
-  (void)gpt_.Map(0x100000, 8ull << 22, 4ull << 22, 4ull << 20, hw::pte::kWritable);
-  EXPECT_EQ(gpt_.Unmap(0x100000, 0x400000), Status::kSuccess);
-  EXPECT_EQ(Walk(0x400000).status, Status::kMemoryFault);
-  EXPECT_EQ(gpt_.Unmap(0x100000, 8ull << 22), Status::kSuccess);
-  EXPECT_EQ(Walk(8ull << 22).status, Status::kMemoryFault);
-  EXPECT_EQ(gpt_.Unmap(0x100000, 0x999000), Status::kSuccess);  // Idempotent.
-}
-
 TEST_F(GuestPtTest, LeafEntryGpaLocatesPte) {
   (void)gpt_.Map(0x100000, 0x400000, 0x200000, hw::kPageSize, hw::pte::kWritable);
   const std::uint64_t pte_gpa = gpt_.LeafEntryGpa(0x100000, 0x400000);

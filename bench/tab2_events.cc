@@ -89,18 +89,14 @@ double MeasureExitCost(hw::isa::Opcode opcode, std::uint64_t iters) {
   hw::isa::Assembler& as = gk.text();
   const std::uint64_t main = as.Here();
   as.MovImm(5, iters);  // r5: CPUID/emulation clobber r0-r3.
-  std::uint64_t top = 0;
   // Only the exit-triggering opcodes of Table 2 are meaningful here.
-  switch (opcode) {  // nova-lint: allow(enum-switch)
-    case hw::isa::Opcode::kOut:
-      top = as.Out(0x80, 1);  // Unclaimed debug port: full exit path.
-      break;
-    case hw::isa::Opcode::kCpuid:
-      top = as.Cpuid();
-      break;
-    default:
-      top = as.Load(1, hw::isa::kNoReg, vmm::vahci::kMmioBase + hw::ahci::kPxSsts);
-      break;
+  std::uint64_t top = 0;
+  if (opcode == hw::isa::Opcode::kOut) {
+    top = as.Out(0x80, 1);  // Unclaimed debug port: full exit path.
+  } else if (opcode == hw::isa::Opcode::kCpuid) {
+    top = as.Cpuid();
+  } else {
+    top = as.Load(1, hw::isa::kNoReg, vmm::vahci::kMmioBase + hw::ahci::kPxSsts);
   }
   as.Loop(5, top);
   as.Hlt();

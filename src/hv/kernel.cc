@@ -71,10 +71,11 @@ Hypervisor::Hypervisor(hw::Machine* machine, HvCosts costs)
   }
   // nova-lint: allow(per-cpu-state) — boot-time sizing, no core yet.
   cpu_states_.resize(machine_->num_cpus());
-  // Restore support: rebuild SmDown deadline callbacks from (ec oid,
-  // sm oid). Registered here so the rebinder exists before any LoadState;
-  // the oids resolve against the twin's creation-order registry.
-  machine_->events().RegisterRebinder(
+  // SmDown deadline events are tagged (ec oid, sm oid); the factory
+  // resolves both against the creation-order registry, which on restore
+  // is the twin's. The closure holds shared refs, so both objects outlive
+  // a pending deadline.
+  machine_->events().RegisterOwner(
       sim::EventQueue::OwnerToken("hv.kernel"),
       [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
         auto ec = RefAs<Ec>(ObjectByOid(tag.a), ObjType::kEc);
@@ -802,17 +803,12 @@ Hypervisor::DownResult Hypervisor::SmDown(Ec* caller_ec, CapSel sm_sel,
   auto ec_ref = caller_ec->sc()->ec_ref();
   sm->waiters().push_back(ec_ref);
   if (deadline_ps != 0) {
-    // The deadline event holds shared refs, so both objects outlive it; the
-    // guard re-checks the wait is still the same one before expiring it.
-    auto sm_ref = RefAs<Sm>(caller_ec->pd().caps().LookupRef(sm_sel), ObjType::kSm);
-    if (sm_ref != nullptr) {  // Same selector as above: always resolves.
-      const sim::EventTag tag{sim::EventQueue::OwnerToken("hv.kernel"), 1,
-                              ec_ref->oid(), sm_ref->oid()};
-      const auto id = machine_->events().ScheduleAtTagged(
-          deadline_ps, tag,
-          [this, ec_ref, sm_ref] { SmDeadlineExpired(ec_ref, sm_ref); });
-      caller_ec->set_timeout_event(id);
-    }
+    // SmDeadlineExpired re-checks the wait is still the same one before
+    // expiring it.
+    const auto id = machine_->events().ScheduleAt(
+        deadline_ps, sim::EventTag{sim::EventQueue::OwnerToken("hv.kernel"), 1,
+                                   ec_ref->oid(), sm->oid()});
+    caller_ec->set_timeout_event(id);
   }
   return DownResult::kBlocked;
 }

@@ -302,8 +302,8 @@ class Hypervisor : public KmemPool {
   void WakeSmWaiter(Ec* ec, Status status);
 
   // An SmDown deadline fired: remove the waiter and wake it with kTimeout.
-  // Factored out of the lambda so the event-queue rebinder ("hv.kernel"
-  // owner, op 1) can rebuild the callback from (ec oid, sm oid) at restore.
+  // The "hv.kernel" event factory (op 1) builds the call from the tag's
+  // (ec oid, sm oid), live and at restore.
   void SmDeadlineExpired(std::shared_ptr<Ec> ec_ref, std::shared_ptr<Sm> sm_ref);
 
   // Assign the next creation-order oid to a freshly created object. The

@@ -13,7 +13,7 @@ constexpr std::uint32_t kOpComplete = 1;
 DiskModel::DiskModel(sim::EventQueue* events, DiskGeometry geometry,
                      std::string name)
     : events_(events), geometry_(geometry), name_(std::move(name)) {
-  events_->RegisterRebinder(
+  events_->RegisterOwner(
       sim::EventQueue::OwnerToken(name_), [this](const sim::EventTag& tag) {
         return [this, id = tag.a] { Fire(id); };
       });
@@ -85,10 +85,9 @@ DiskModel::RequestId DiskModel::Enqueue(Pending p) {
   const sim::PicoSeconds start = std::max(busy_until_, events_->now());
   busy_until_ = start + ServiceTime(p.bytes);
   pending_.emplace(id, std::move(p));
-  events_->ScheduleAtTagged(
+  events_->ScheduleAt(
       busy_until_,
-      sim::EventTag{sim::EventQueue::OwnerToken(name_), kOpComplete, id, 0},
-      [this, id] { Fire(id); });
+      sim::EventTag{sim::EventQueue::OwnerToken(name_), kOpComplete, id, 0});
   return id;
 }
 

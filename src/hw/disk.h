@@ -51,8 +51,8 @@ class DiskModel {
       std::function<void(RequestId id, std::uint64_t cookie, Status status,
                          const std::uint8_t* data, std::uint64_t len)>;
 
-  // `name` keys the completion events' rebinder registration; give each
-  // disk on a queue a unique name.
+  // `name` is the owner of the completion events' factory registration;
+  // give each disk on a queue a unique name.
   DiskModel(sim::EventQueue* events, DiskGeometry geometry,
             std::string name = "hw.disk");
 
@@ -85,7 +85,7 @@ class DiskModel {
 
   // Serialize service-clock, written content, counters and the pending
   // request table. The completion events themselves live in the event
-  // queue's snapshot; this model's rebinder rebuilds their closures.
+  // queue's snapshot; this model's factory rebuilds their closures.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
   template <class Ar>

@@ -5,16 +5,18 @@
 namespace nova::hw {
 
 namespace {
-constexpr std::uint32_t kOpCoalesce = 1;
-constexpr std::uint32_t kOpSend = 1;
+constexpr sim::EventTag kCoalesceTag{sim::EventQueue::OwnerToken("hw.nic"),
+                                     /*op=*/1};
+constexpr sim::EventTag kSendTag{sim::EventQueue::OwnerToken("hw.netlink"),
+                                 /*op=*/1};
 }  // namespace
 
 Nic::Nic(DeviceId id, Iommu* iommu, IrqChip* irq, std::uint32_t gsi,
          sim::EventQueue* events)
     : Device(id, "nic"), iommu_(iommu), irq_(irq), gsi_(gsi), events_(events) {
-  events_->RegisterRebinder(
-      sim::EventQueue::OwnerToken("hw.nic"),
-      [this](const sim::EventTag&) { return [this] { CoalesceExpired(); }; });
+  events_->RegisterOwner(kCoalesceTag.owner, [this](const sim::EventTag&) {
+    return [this] { CoalesceExpired(); };
+  });
 }
 
 void Nic::set_tracer(sim::Tracer* t) {
@@ -125,10 +127,7 @@ void Nic::RaiseOrCoalesce() {
   }
   if (!irq_scheduled_) {
     irq_scheduled_ = true;
-    events_->ScheduleAtTagged(
-        last_irq_ + interval,
-        sim::EventTag{sim::EventQueue::OwnerToken("hw.nic"), kOpCoalesce},
-        [this] { CoalesceExpired(); });
+    events_->ScheduleAt(last_irq_ + interval, kCoalesceTag);
   }
 }
 
@@ -159,9 +158,9 @@ void Nic::FireIrq() {
 
 NetLink::NetLink(sim::EventQueue* events, Nic* nic)
     : events_(events), nic_(nic) {
-  events_->RegisterRebinder(
-      sim::EventQueue::OwnerToken("hw.netlink"),
-      [this](const sim::EventTag&) { return [this] { SendOne(); }; });
+  events_->RegisterOwner(kSendTag.owner, [this](const sim::EventTag&) {
+    return [this] { SendOne(); };
+  });
 }
 
 void NetLink::StartStream(double mbit_per_s, std::uint32_t packet_bytes) {
@@ -170,9 +169,7 @@ void NetLink::StartStream(double mbit_per_s, std::uint32_t packet_bytes) {
   const double bits_per_packet = packet_bytes * 8.0;
   const double packets_per_second = mbit_per_s * 1e6 / bits_per_packet;
   interval_ = static_cast<sim::PicoSeconds>(1e12 / packets_per_second);
-  events_->ScheduleAfterTagged(
-      interval_, sim::EventTag{sim::EventQueue::OwnerToken("hw.netlink"), kOpSend},
-      [this] { SendOne(); });
+  events_->ScheduleAfter(interval_, kSendTag);
 }
 
 void NetLink::Stop() { running_ = false; }
@@ -207,9 +204,7 @@ void NetLink::SendOne() {
     nic_->Receive(frame.data(), packet_bytes_);
     sent_.Add();
   }
-  events_->ScheduleAfterTagged(
-      interval_, sim::EventTag{sim::EventQueue::OwnerToken("hw.netlink"), kOpSend},
-      [this] { SendOne(); });
+  events_->ScheduleAfter(interval_, kSendTag);
 }
 
 template <class Ar>

@@ -36,15 +36,9 @@ void PlatformTimer::PioWrite(std::uint16_t port, unsigned /*size*/, std::uint32_
 }
 
 void PlatformTimer::ScheduleTick() {
-  const std::uint64_t gen = generation_;
-  events_->ScheduleAfterTagged(
-      period_,
-      sim::EventTag{sim::EventQueue::OwnerToken("hw.timer"), /*op=*/1, gen},
-      [this, gen] {
-        if (gen == generation_) {
-          Tick();
-        }
-      });
+  events_->ScheduleAfter(
+      period_, sim::EventTag{sim::EventQueue::OwnerToken("hw.timer"),
+                             /*op=*/1, generation_});
 }
 
 void PlatformTimer::Start(sim::PicoSeconds period) {

@@ -23,7 +23,7 @@ class PlatformTimer : public Device {
   PlatformTimer(DeviceId id, IrqChip* irq, std::uint32_t gsi,
                 sim::EventQueue* events)
       : Device(id, "timer"), irq_(irq), gsi_(gsi), events_(events) {
-    events_->RegisterRebinder(
+    events_->RegisterOwner(
         sim::EventQueue::OwnerToken("hw.timer"),
         [this](const sim::EventTag& tag) {
           return [this, gen = tag.a] {

@@ -3,16 +3,17 @@
 namespace nova::root {
 
 namespace {
-constexpr std::uint32_t kOpCheckTick = 1;
+constexpr sim::EventTag kCheckTag{
+    sim::EventQueue::OwnerToken("root.supervisor"), /*op=*/1};
 }  // namespace
 
 VmmSupervisor::VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root,
                              Config config)
     : hv_(hv), root_(root), config_(config) {
-  hv_->machine().events().RegisterRebinder(
-      sim::EventQueue::OwnerToken("root.supervisor"),
+  hv_->machine().events().RegisterOwner(
+      kCheckTag.owner,
       [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
-        if (tag.op != kOpCheckTick) {
+        if (tag.op != kCheckTag.op) {
           return nullptr;
         }
         return [this] { CheckTick(); };
@@ -20,9 +21,7 @@ VmmSupervisor::VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root,
 }
 
 VmmSupervisor::~VmmSupervisor() {
-  if (check_event_ != 0) {
-    (void)hv_->machine().events().Cancel(check_event_);
-  }
+  hv_->machine().events().Unregister(kCheckTag.owner);
 }
 
 void VmmSupervisor::Watch(vmm::Vmm* vmm, RestartFn on_restart) {
@@ -43,11 +42,8 @@ void VmmSupervisor::Watch(vmm::Vmm* vmm, RestartFn on_restart) {
 
   if (!check_running_) {
     check_running_ = true;
-    check_event_ = hv_->machine().events().ScheduleAfterTagged(
-        config_.check_period_ps,
-        sim::EventTag{sim::EventQueue::OwnerToken("root.supervisor"),
-                      kOpCheckTick},
-        [this] { CheckTick(); });
+    check_event_ =
+        hv_->machine().events().ScheduleAfter(config_.check_period_ps, kCheckTag);
   }
 }
 
@@ -58,11 +54,8 @@ void VmmSupervisor::CheckTick() {
     CheckpointAll();
   }
   CheckAll();
-  check_event_ = hv_->machine().events().ScheduleAfterTagged(
-      config_.check_period_ps,
-      sim::EventTag{sim::EventQueue::OwnerToken("root.supervisor"),
-                    kOpCheckTick},
-      [this] { CheckTick(); });
+  check_event_ =
+      hv_->machine().events().ScheduleAfter(config_.check_period_ps, kCheckTag);
 }
 
 void VmmSupervisor::CheckAll() {

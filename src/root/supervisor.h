@@ -66,6 +66,8 @@ class VmmSupervisor {
   VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root)
       : VmmSupervisor(hv, root, Config()) {}
   ~VmmSupervisor();
+  VmmSupervisor(const VmmSupervisor&) = delete;
+  VmmSupervisor& operator=(const VmmSupervisor&) = delete;
 
   // Start watching `vmm`: allocates its heartbeat word, starts the VMM's
   // heartbeat, and records the selectors needed for teardown. On detected
@@ -117,7 +119,7 @@ class VmmSupervisor {
   std::uint64_t ticks_ = 0;
   sim::PicoSeconds last_detect_latency_ps_ = 0;
   bool check_running_ = false;
-  sim::EventQueue::EventId check_event_ = 0;  // Cancelled on destruction.
+  sim::EventQueue::EventId check_event_ = 0;  // Last scheduled check.
 };
 
 }  // namespace nova::root

@@ -18,7 +18,7 @@ constexpr std::uint32_t kOpReissue = 2;
 DiskServer::DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
                        std::uint32_t cpu, std::uint8_t irq_prio)
     : hv_(hv), root_(root), cpu_(cpu) {
-  hv_->machine().events().RegisterRebinder(
+  hv_->machine().events().RegisterOwner(
       kDiskServerOwner,
       [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
         const int slot = static_cast<int>(tag.a);
@@ -271,12 +271,10 @@ void DiskServer::HandleRequest(std::uint32_t channel_id) {
   ++ch.outstanding;
   ++issued_;
   if (deadline_ps_ != 0) {
-    const std::uint64_t gen = slots_[slot].generation;
-    slots_[slot].deadline_event = hv_->machine().events().ScheduleAfterTagged(
+    slots_[slot].deadline_event = hv_->machine().events().ScheduleAfter(
         deadline_ps_,
         sim::EventTag{kDiskServerOwner, kOpDeadline,
-                      static_cast<std::uint64_t>(slot), gen},
-        [this, slot, gen] { DeadlineExpired(slot, gen); });
+                      static_cast<std::uint64_t>(slot), slots_[slot].generation});
   }
   (void)MmioWrite(hw::ahci::kPxCi, 1u << slot);
   reply(Status::kSuccess, static_cast<std::uint64_t>(slot));
@@ -322,12 +320,9 @@ void DiskServer::HandleErrorSlots(std::uint32_t err_mask) {
       // Exponential backoff, then re-issue: the command structures are
       // still in place, so re-writing the issue bit replays the command.
       const sim::PicoSeconds delay = backoff_ps_ << (slot.attempts - 1);
-      const std::uint64_t gen = slot.generation;
-      hv_->machine().events().ScheduleAfterTagged(
-          delay,
-          sim::EventTag{kDiskServerOwner, kOpReissue,
-                        static_cast<std::uint64_t>(s), gen},
-          [this, s, gen] { ReissueSlot(s, gen); });
+      hv_->machine().events().ScheduleAfter(
+          delay, sim::EventTag{kDiskServerOwner, kOpReissue,
+                               static_cast<std::uint64_t>(s), slot.generation});
     } else {
       FailRequest(s, Status::kBadDevice);
     }

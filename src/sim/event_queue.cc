@@ -1,23 +1,46 @@
 #include "src/sim/event_queue.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 
 namespace nova::sim {
 
-EventQueue::EventId EventQueue::ScheduleAtTagged(PicoSeconds when,
-                                                 EventTag tag, Callback cb) {
+EventQueue::Callback EventQueue::Bind(const EventTag& tag) const {
+  const auto it = factories_.find(tag.owner);
+  return it == factories_.end() ? nullptr : it->second(tag);
+}
+
+EventQueue::EventId EventQueue::ScheduleAt(PicoSeconds when,
+                                           const EventTag& tag) {
+  Callback cb = Bind(tag);
+  if (!cb) {
+    std::fprintf(stderr,
+                 "sim::EventQueue: cannot schedule op %u of owner 0x%016llx: "
+                 "%s\n",
+                 tag.op, static_cast<unsigned long long>(tag.owner),
+                 factories_.count(tag.owner) == 0 ? "no factory registered"
+                                                  : "its factory built no closure");
+    std::abort();
+  }
   const EventId id = next_id_++;
-  heap_.push(Event{when, next_seq_++, id, tag, std::move(cb)});
+  Push(Event{when, next_seq_++, id, tag, std::move(cb)});
   ++live_;
   return id;
 }
 
+void EventQueue::Unregister(std::uint64_t owner) {
+  factories_.erase(owner);
+  for (const Event& ev : heap_) {
+    if (ev.tag.owner == owner) {
+      (void)Cancel(ev.id);
+    }
+  }
+}
+
 bool EventQueue::Cancel(EventId id) {
   // Lazy deletion: remember the id and skip it when it reaches the top.
-  if (id == 0 || id >= next_id_) {
-    return false;
-  }
-  if (std::find(cancelled_.begin(), cancelled_.end(), id) != cancelled_.end()) {
+  if (id == 0 || id >= next_id_ || IsCancelled(id)) {
     return false;
   }
   cancelled_.push_back(id);
@@ -27,25 +50,42 @@ bool EventQueue::Cancel(EventId id) {
   return true;
 }
 
+void EventQueue::Push(Event ev) {
+  heap_.push_back(std::move(ev));
+  std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+}
+
+EventQueue::Event EventQueue::Pop() {
+  std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+  Event ev = std::move(heap_.back());
+  heap_.pop_back();
+  return ev;
+}
+
+bool EventQueue::IsCancelled(EventId id) const {
+  return std::find(cancelled_.begin(), cancelled_.end(), id) !=
+         cancelled_.end();
+}
+
 void EventQueue::PopCancelled() const {
   while (!heap_.empty()) {
-    auto it = std::find(cancelled_.begin(), cancelled_.end(), heap_.top().id);
+    auto it = std::find(cancelled_.begin(), cancelled_.end(), heap_.front().id);
     if (it == cancelled_.end()) {
       return;
     }
     cancelled_.erase(it);
-    heap_.pop();
+    std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+    heap_.pop_back();
   }
 }
 
 void EventQueue::AdvanceTo(PicoSeconds t) {
   for (;;) {
     PopCancelled();
-    if (heap_.empty() || heap_.top().when > t) {
+    if (heap_.empty() || heap_.front().when > t) {
       break;
     }
-    Event ev = heap_.top();
-    heap_.pop();
+    Event ev = Pop();
     --live_;
     now_ = std::max(now_, ev.when);
     ev.cb();
@@ -58,8 +98,7 @@ bool EventQueue::RunOne() {
   if (heap_.empty()) {
     return false;
   }
-  Event ev = heap_.top();
-  heap_.pop();
+  Event ev = Pop();
   --live_;
   now_ = std::max(now_, ev.when);
   ev.cb();
@@ -68,45 +107,37 @@ bool EventQueue::RunOne() {
 
 PicoSeconds EventQueue::NextDeadline() const {
   PopCancelled();
-  return heap_.top().when;
+  return heap_.front().when;
 }
 
 template <class Ar>
 void EventQueue::Io(Ar& ar) {
-  // Live events in fire order: saved from a drained copy of the heap
-  // (std::function is copyable), skipping lazily-cancelled entries so the
+  // Live events in fire order, skipping lazily-cancelled entries so the
   // restored queue starts clean.
   std::vector<Event> pending;
   if constexpr (Ar::kLoading) {
-    heap_ = {};
+    heap_.clear();
     cancelled_.clear();
     live_ = 0;
   } else {
-    for (auto copy = heap_; !copy.empty(); copy.pop()) {
-      const Event& ev = copy.top();
-      if (std::find(cancelled_.begin(), cancelled_.end(), ev.id) !=
-          cancelled_.end()) {
-        continue;
+    for (const Event& ev : heap_) {
+      if (!IsCancelled(ev.id)) {
+        pending.push_back(ev);
       }
-      if (ev.tag.owner == 0) {
-        ar.Fail();  // Untagged closure: not restorable.
-      }
-      pending.push_back(ev);
     }
+    std::sort(pending.begin(), pending.end(),
+              [](const Event& x, const Event& y) { return y > x; });
   }
   ar.Io(now_, next_seq_, next_id_);
   ar.Seq(kCount64, pending);
   if constexpr (Ar::kLoading) {
     for (Event& ev : pending) {
-      auto it = rebinders_.find(ev.tag.owner);
-      if (it != rebinders_.end()) {
-        ev.cb = it->second(ev.tag);
-      }
+      ev.cb = Bind(ev.tag);
       if (!ev.cb) {
         ar.Fail(Status::kBadCapability);
         return;
       }
-      heap_.push(std::move(ev));
+      Push(std::move(ev));
       ++live_;
     }
   }

@@ -1,24 +1,22 @@
 // Discrete-event queue driving device-level simulation.
 //
-// Devices (disk, NIC, timers) schedule callbacks at absolute picosecond
+// Devices (disk, NIC, timers) schedule events at absolute picosecond
 // timestamps; the machine's run loop drains events that are due as CPU
 // time advances. Events fire in strictly non-decreasing time order with
 // FIFO ordering among events scheduled for the same instant.
 //
-// Snapshot support: callbacks are closures and cannot be serialized, so
-// every event that may be pending at a snapshot point carries an
-// `EventTag` — a stable (owner, op, a, b) description of what the closure
-// does. Saving writes the exact (when, seq, id, tag) of each pending
-// event; restoring looks the owner token up in the rebinder registry
-// (populated during twin construction) and asks it to rebuild an
-// equivalent closure from the tag. Seq and id are restored verbatim so
-// FIFO ties and future Cancel() ids behave identically post-restore.
+// Snapshot support by construction: an event is an `EventTag`, a stable
+// (owner, op, a, b) description, and the owner's registered factory
+// builds its closure from the tag both when the event is scheduled and
+// when a snapshot restores it, so a restored event runs the closure the
+// live one ran. Saving writes the exact (when, seq, id, tag) of each
+// pending event; seq and id are restored verbatim so FIFO ties and future
+// Cancel() ids behave identically post-restore.
 #ifndef SRC_SIM_EVENT_QUEUE_H_
 #define SRC_SIM_EVENT_QUEUE_H_
 
 #include <cstdint>
 #include <functional>
-#include <queue>
 #include <string_view>
 #include <unordered_map>
 #include <vector>
@@ -29,12 +27,12 @@
 
 namespace nova::sim {
 
-// Serializable description of a pending event's closure. `owner` is an
-// OwnerToken() of the component name ("hw.disk", "vmm.vm0.hb", ...); `op`
-// distinguishes the owner's event flavours; `a`/`b` carry the closure's
-// captured parameters (request ids, generation counters, entry indices).
-// owner == 0 means untagged: such an event pending at snapshot time is a
-// save error, which is how snapshot-hostile closures are flushed out.
+// Serializable description of a pending event. `owner` is an OwnerToken()
+// of the component name ("hw.disk", "vmm.vm0.hb", ...); `op` distinguishes
+// the owner's event flavours; `a`/`b` carry the closure's parameters
+// (request ids, generation counters, entry indices). OwnerToken() never
+// returns 0, so the empty `EventTag{}` names no owner and cannot be
+// scheduled.
 struct EventTag {
   std::uint64_t owner = 0;
   std::uint32_t op = 0;
@@ -46,8 +44,8 @@ class EventQueue {
  public:
   using Callback = std::function<void()>;
   using EventId = std::uint64_t;
-  // Rebuilds the closure of a restored event from its tag.
-  using Rebinder = std::function<Callback(const EventTag&)>;
+  // Builds the closure an owner's event runs from its tag.
+  using Factory = std::function<Callback(const EventTag&)>;
 
   // Stable 64-bit token for a component name (FNV-1a; never returns 0).
   static constexpr std::uint64_t OwnerToken(std::string_view name) {
@@ -59,21 +57,29 @@ class EventQueue {
     return h == 0 ? 1 : h;
   }
 
-  // Schedule `cb` to fire at absolute time `when`; times in the past fire
-  // on the next Advance(). The tag describes the closure so the event can
-  // be serialized and re-bound across a snapshot/restore cycle. Returns an
-  // id usable with Cancel().
-  EventId ScheduleAtTagged(PicoSeconds when, EventTag tag, Callback cb);
-  EventId ScheduleAfterTagged(PicoSeconds delay, EventTag tag, Callback cb) {
-    return ScheduleAtTagged(now_ + delay, std::move(tag), std::move(cb));
+  // Schedule the event `tag` at absolute time `when`; times in the past
+  // fire on the next Advance(). The closure is built now by the owner's
+  // factory. Aborts, printing the owner token to stderr, when the owner
+  // has no factory or its factory returns an empty closure. Returns an id
+  // usable with Cancel().
+  EventId ScheduleAt(PicoSeconds when, const EventTag& tag);
+  EventId ScheduleAfter(PicoSeconds delay, const EventTag& tag) {
+    return ScheduleAt(now_ + delay, tag);
   }
 
-  // Register the closure factory for an owner token. Called during
-  // construction by every component that schedules tagged events; a later
-  // registration for the same owner replaces the earlier one.
-  void RegisterRebinder(std::uint64_t owner, Rebinder fn) {
-    rebinders_[owner] = std::move(fn);
+  // Register the closure factory for an owner token. Every component that
+  // schedules events calls this before its first ScheduleAt, normally in
+  // its constructor; LoadState rebuilds restored events through the same
+  // factories. A later registration for the same owner replaces the
+  // earlier one.
+  void RegisterOwner(std::uint64_t owner, Factory fn) {
+    factories_[owner] = std::move(fn);
   }
+
+  // Drop the owner's factory and cancel its pending events. Owners that
+  // die before the queue call this from their destructor, so no closure
+  // holding a dangling `this` is left to fire.
+  void Unregister(std::uint64_t owner);
 
   // Cancel a pending event; returns false if it already fired or is unknown.
   bool Cancel(EventId id);
@@ -92,13 +98,11 @@ class EventQueue {
   std::size_t size() const { return live_; }
   PicoSeconds NextDeadline() const;  // Only valid when !empty().
 
-  // Saving serializes every live pending event and fails with
-  // kBadParameter if one is untagged (owner 0) — closures that cannot be
-  // described cannot be restored. Loading drops all pending events
-  // (including the twin's construction-time ones) and rebuilds the saved
-  // set through the rebinder registry (kBadCapability for an owner with
-  // none). now_/next_seq_/next_id_ are restored so post-restore scheduling
-  // is bit-identical.
+  // Saving serializes every live pending event. Loading drops all pending
+  // events (including the twin's construction-time ones) and rebuilds the
+  // saved set through the registered factories (kBadCapability for an
+  // owner with none: snapshot bytes are outside input). now_/next_seq_/
+  // next_id_ are restored so post-restore scheduling is bit-identical.
   Status SaveState(SnapWriter& w) const;
   Status LoadState(SnapReader& r);
   template <class Ar>
@@ -120,15 +124,22 @@ class EventQueue {
     }
   };
 
+  // The owner's closure for `tag`, or an empty one when it has no factory.
+  Callback Bind(const EventTag& tag) const;
+  void Push(Event ev);
+  Event Pop();
+  bool IsCancelled(EventId id) const;
   void PopCancelled() const;
 
-  mutable std::priority_queue<Event, std::vector<Event>, std::greater<>> heap_;
+  // Min-heap on (when, seq) kept with std::push_heap/pop_heap, so the
+  // pending events stay scannable for Unregister and Io.
+  mutable std::vector<Event> heap_;
   mutable std::vector<EventId> cancelled_;
   PicoSeconds now_ = 0;
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::size_t live_ = 0;
-  std::unordered_map<std::uint64_t, Rebinder> rebinders_;
+  std::unordered_map<std::uint64_t, Factory> factories_;
 };
 
 }  // namespace nova::sim

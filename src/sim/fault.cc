@@ -17,7 +17,7 @@ void FaultPlan::set_tracer(Tracer* t) {
 
 void FaultPlan::Arm(EventQueue* events) {
   armed_ = true;
-  events->RegisterRebinder(
+  events->RegisterOwner(
       EventQueue::OwnerToken("sim.faultplan"), [this](const EventTag& tag) {
         const std::size_t i = static_cast<std::size_t>(tag.a);
         return [this, i] { entries_[i].active = true; };
@@ -27,11 +27,10 @@ void FaultPlan::Arm(EventQueue* events) {
     if (entry.ev.at <= events->now()) {
       entry.active = true;
     } else {
-      events->ScheduleAtTagged(
+      events->ScheduleAt(
           entry.ev.at,
           EventTag{EventQueue::OwnerToken("sim.faultplan"), kOpActivate,
-                   static_cast<std::uint64_t>(i), 0},
-          [this, i] { entries_[i].active = true; });
+                   static_cast<std::uint64_t>(i), 0});
     }
   }
 }

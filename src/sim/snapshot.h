@@ -25,8 +25,8 @@
 // Restore convention (the "twin" model): a snapshot carries *state only*,
 // never code. Restoring rebuilds the scenario by re-running the identical
 // construction path (same seeds, same creation order), then overlays every
-// piece of mutable state from the snapshot. Pending event-queue callbacks
-// are re-bound through the tag/rebinder registry in `EventQueue`.
+// piece of mutable state from the snapshot. Pending events are rebuilt
+// from their tags by the owners' factories registered on `EventQueue`.
 //
 // Error handling: every archive latches its first error; a failed reader
 // returns zeros from then on, so Io bodies are straight-line and the

@@ -11,8 +11,10 @@ namespace nova {
 
 // Result of a hypercall or internal kernel operation. The enum itself is
 // [[nodiscard]]: every function returning a Status inherits the
-// must-check contract, so a silently dropped error fails compilation
-// under NOVA_WERROR and is flagged by nova-lint's unchecked-status rule.
+// must-check contract, and every target builds with
+// -Werror=unused-result, so a silently dropped error fails compilation
+// (tests/compile_fail/discarded_result.cc). Discard on purpose with a
+// (void) cast and a reason.
 enum class [[nodiscard]] Status : std::uint8_t {
   kSuccess = 0,     // Operation completed.
   kTimeout,         // Operation timed out (blocking IPC / semaphore).

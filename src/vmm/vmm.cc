@@ -93,13 +93,7 @@ Vmm::Vmm(hv::Hypervisor* hv, root::RootPartitionManager* root, VmmConfig config)
   CreateVm();
 }
 
-Vmm::~Vmm() {
-  if (hb_event_ != 0) {
-    // Orphan any in-flight heartbeat event; Cancel on an already-fired id
-    // is a harmless no-op.
-    (void)hv_->machine().events().Cancel(hb_event_);
-  }
-}
+Vmm::~Vmm() { hv_->machine().events().Unregister(HbOwner()); }
 
 std::uint64_t Vmm::HbOwner() const {
   return sim::EventQueue::OwnerToken("vmm." + config_.name + ".hb");
@@ -109,7 +103,7 @@ void Vmm::StartHeartbeat(sim::PicoSeconds period_ps, hw::PhysAddr hb_addr) {
   hb_period_ps_ = period_ps;
   hb_addr_ = hb_addr;
   hb_running_ = true;
-  hv_->machine().events().RegisterRebinder(
+  hv_->machine().events().RegisterOwner(
       HbOwner(), [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
         if (tag.op != 1) {
           return nullptr;
@@ -126,9 +120,8 @@ void Vmm::HeartbeatTick() {
   }
   ++hb_count_;
   (void)hv_->machine().mem().Write(hb_addr_, &hb_count_, sizeof(hb_count_));
-  hb_event_ = hv_->machine().events().ScheduleAfterTagged(
-      hb_period_ps_, sim::EventTag{HbOwner(), /*op=*/1},
-      [this] { HeartbeatTick(); });
+  hb_event_ = hv_->machine().events().ScheduleAfter(
+      hb_period_ps_, sim::EventTag{HbOwner(), /*op=*/1});
 }
 
 std::uint64_t Vmm::GpaToHpa(std::uint64_t gpa) const {

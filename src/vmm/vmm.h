@@ -244,7 +244,7 @@ class Vmm {
   bool hb_running_ = false;
   sim::PicoSeconds hb_period_ps_ = 0;
   hw::PhysAddr hb_addr_ = 0;
-  sim::EventQueue::EventId hb_event_ = 0;  // Cancelled on destruction.
+  sim::EventQueue::EventId hb_event_ = 0;  // Pending beat; 0 once stopped.
 };
 
 }  // namespace nova::vmm

@@ -4,7 +4,7 @@ namespace nova::vmm {
 
 VPit::VPit(sim::EventQueue* events, VPic* vpic, std::uint64_t owner)
     : DeviceModel("vpit"), events_(events), vpic_(vpic), owner_(owner) {
-  events_->RegisterRebinder(
+  events_->RegisterOwner(
       owner_, [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
         if (tag.op != 1) {
           return nullptr;
@@ -17,6 +17,8 @@ VPit::VPit(sim::EventQueue* events, VPic* vpic, std::uint64_t owner)
         };
       });
 }
+
+VPit::~VPit() { events_->Unregister(owner_); }
 
 std::uint32_t VPit::PioRead(std::uint16_t port) {
   switch (port) {
@@ -57,13 +59,7 @@ void VPit::PioWrite(std::uint16_t port, std::uint32_t value) {
 }
 
 void VPit::Arm() {
-  const std::uint64_t gen = generation_;
-  events_->ScheduleAfterTagged(period_, sim::EventTag{owner_, /*op=*/1, gen},
-                               [this, gen] {
-                                 if (gen == generation_) {
-                                   Tick();
-                                 }
-                               });
+  events_->ScheduleAfter(period_, sim::EventTag{owner_, /*op=*/1, generation_});
 }
 
 void VPit::Tick() {

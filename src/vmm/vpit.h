@@ -26,11 +26,11 @@ constexpr std::uint8_t kVector = 32;           // Timer interrupt vector.
 class VPit : public DeviceModel {
  public:
   // `owner` is the event-queue owner token ("vmm.<name>.vpit") under which
-  // tick events are tagged; the rebinder registered here restores pending
-  // ticks across a snapshot (stale generations are dropped on fire, exactly
-  // like the live path).
+  // tick events are tagged; the factory registered here builds every tick
+  // closure, live and restored (stale generations are dropped on fire).
+  // Destruction unregisters the owner, cancelling a pending tick.
   VPit(sim::EventQueue* events, VPic* vpic, std::uint64_t owner);
-  ~VPit() override { ++generation_; }
+  ~VPit() override;
 
   bool OwnsPort(std::uint16_t port) const override {
     return port >= vpit::kPortPeriodLo && port <= vpit::kPortControl;

@@ -245,9 +245,11 @@ TEST_F(SchedTest, QuantumDepletionRotatesEqualPriority) {
 TEST_F(SchedTest, IdleSkipsToDeviceEvent) {
   bool fired = false;
   constexpr auto kTestOwner = sim::EventQueue::OwnerToken("test.events");
-  machine_.events().ScheduleAtTagged(sim::Milliseconds(5),
-                                  sim::EventTag{kTestOwner, 1},
-                                  [&] { fired = true; });
+  machine_.events().RegisterOwner(kTestOwner, [&](const sim::EventTag&) {
+    return [&] { fired = true; };
+  });
+  machine_.events().ScheduleAt(sim::Milliseconds(5),
+                               sim::EventTag{kTestOwner, 1});
   EXPECT_TRUE(hv_.StepOnce());  // Nothing runnable: skips to the event.
   EXPECT_TRUE(fired);
   EXPECT_GE(machine_.cpu(0).NowPs(), sim::Milliseconds(5));

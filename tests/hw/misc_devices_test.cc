@@ -105,9 +105,11 @@ TEST(Machine, SkipToNextEventAdvancesAllCpus) {
                                 .ram_size = 64ull << 20});
   bool fired = false;
   constexpr auto kTestOwner = sim::EventQueue::OwnerToken("test.events");
-  machine.events().ScheduleAtTagged(sim::Milliseconds(5),
-                                  sim::EventTag{kTestOwner, 1},
-                                  [&] { fired = true; });
+  machine.events().RegisterOwner(kTestOwner, [&](const sim::EventTag&) {
+    return [&] { fired = true; };
+  });
+  machine.events().ScheduleAt(sim::Milliseconds(5),
+                              sim::EventTag{kTestOwner, 1});
   EXPECT_TRUE(machine.SkipToNextEvent());
   EXPECT_TRUE(fired);
   EXPECT_GE(machine.cpu(0).NowPs(), sim::Milliseconds(5));

@@ -1,7 +1,6 @@
 // Symbol-index tests for the nova-lint project model: the scope walker's
 // function/member extraction, cross-TU call resolution, guarded-by
-// annotation parsing, ChargeLock site indexing, and the tagged-enqueue /
-// rebinder pairing tables that rule 12 consumes.
+// annotation parsing and ChargeLock site indexing.
 #include "tools/nova_lint/model.h"
 
 #include <gtest/gtest.h>
@@ -161,62 +160,6 @@ class Hv {
   const MemberDecl* list = FindMember(m, "Hv", "list_");
   ASSERT_NE(list, nullptr);
   EXPECT_EQ(list->type.find("unordered_"), std::string::npos);
-}
-
-// --- enqueue / rebinder pairing ------------------------------------------
-
-TEST(ProjectModelIndex, PairsEnqueuesAndRebindersByNormalizedKey) {
-  const ProjectModel m = Build({
-      {"src/hw/timer.cc", R"cc(
-void Timer::Arm(sim::EventQueue& q) {
-  q.ScheduleAtTagged(5, sim::EventTag{"hw.timer", 0}, Fire);
-}
-)cc"},
-      {"src/hw/timer_restore.cc", R"cc(
-void Timer::Attach(sim::EventQueue& q) {
-  q.RegisterRebinder("hw.timer", Rebind);
-}
-)cc"},
-  });
-  ASSERT_EQ(m.enqueues.size(), 1u);
-  EXPECT_EQ(m.enqueues[0].key, "\"hw.timer\"");
-  ASSERT_EQ(m.rebinders.size(), 1u);
-  EXPECT_EQ(m.rebinders[0].key, m.enqueues[0].key);
-}
-
-TEST(ProjectModelIndex, NormalizesQualifiedSymbolicOwnerKeys) {
-  // sim:: / EventQueue:: qualifiers are stripped so the two sides of a
-  // pairing compare equal however the call site spells the owner.
-  const ProjectModel m = Build({
-      {"src/services/disk.cc", R"cc(
-void Disk::Arm(sim::EventQueue& q) {
-  q.ScheduleAfterTagged(5, sim::EventTag{kDiskOwner, 1}, Fire);
-}
-)cc"},
-      {"src/services/disk_restore.cc", R"cc(
-void Disk::Attach(sim::EventQueue& q) {
-  q.RegisterRebinder(kDiskOwner, Rebind);
-}
-)cc"},
-  });
-  ASSERT_EQ(m.enqueues.size(), 1u);
-  ASSERT_EQ(m.rebinders.size(), 1u);
-  EXPECT_EQ(m.enqueues[0].key, "kDiskOwner");
-  EXPECT_EQ(m.rebinders[0].key, "kDiskOwner");
-}
-
-TEST(ProjectModelIndex, DeclarationsAreNotOwnerSites) {
-  // The EventQueue API surface itself (no . or -> before the name) must
-  // not register as an enqueue or rebinder site.
-  const ProjectModel m = Build({{"src/sim/eq.h", R"cc(
-class EventQueue {
- public:
-  void ScheduleAtTagged(int at, EventTag tag, Fn fn);
-  void RegisterRebinder(std::string owner, Rebinder r);
-};
-)cc"}});
-  EXPECT_EQ(m.enqueues.size(), 0u);
-  EXPECT_EQ(m.rebinders.size(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace nova::vmm {
 namespace {
 
@@ -61,6 +63,21 @@ TEST_F(VPitTest, HighFrequencyMatchesWallClock) {
   Program(100);  // 10 kHz.
   events_.AdvanceTo(sim::Milliseconds(50));
   EXPECT_EQ(pit_.ticks(), 500u);
+}
+
+// A VMM restart destroys the vPIT of the crashed monitor while its next
+// tick is pending; that tick must not fire into the freed object.
+TEST(VPit, DestroyedPitLeavesNoPendingEvent) {
+  sim::EventQueue events;
+  VPic pic([] {});
+  auto pit = std::make_unique<VPit>(&events, &pic,
+                                    sim::EventQueue::OwnerToken("test.vpit"));
+  pit->PioWrite(vpit::kPortPeriodLo, 1000);
+  pit->PioWrite(vpit::kPortPeriodHi, 0);
+  ASSERT_FALSE(events.empty());
+  pit.reset();
+  EXPECT_TRUE(events.empty());
+  events.AdvanceTo(sim::Milliseconds(10));
 }
 
 }  // namespace

@@ -1,117 +1,10 @@
 #include "tools/nova_lint/model.h"
 
-#include <algorithm>
 #include <cctype>
+#include <utility>
 
 namespace nova::lint {
 namespace {
-
-// Return types whose values encode fallible results; any function
-// declared with one of these becomes must-check by construction.
-bool IsResultType(const std::string& ident) {
-  return ident == "Status" || ident == "Outcome" || ident == "DownResult";
-}
-
-bool IsDeclQualifier(const std::string& ident) {
-  return ident == "virtual" || ident == "static" || ident == "constexpr" ||
-         ident == "inline" || ident == "explicit" || ident == "friend";
-}
-
-// Parses one `enum [class] [[attr]] Name [: base] { ... }` starting at
-// the `enum` token; records the enumerators. Returns the index to resume
-// scanning from.
-int ParseEnum(const Tokens& toks, int i, ProjectModel* model) {
-  int j = i + 1;
-  const int n = static_cast<int>(toks.size());
-  if (j < n && (IsIdent(toks, j, "class") || IsIdent(toks, j, "struct"))) ++j;
-  // Skip attributes: [[ ... ]].
-  while (IsPunct(toks, j, "[")) {
-    const int close = MatchForward(toks, j);
-    if (close < 0) return j;
-    j = close + 1;
-  }
-  if (j >= n || toks[static_cast<std::size_t>(j)].kind != TokKind::kIdent) {
-    return j;  // anonymous enum; nothing to record
-  }
-  const std::string name = toks[static_cast<std::size_t>(j)].text;
-  ++j;
-  // Skip the underlying-type clause up to '{' (or bail at ';' = fwd decl).
-  while (j < n && !IsPunct(toks, j, "{")) {
-    if (IsPunct(toks, j, ";")) return j;
-    ++j;
-  }
-  if (j >= n) return j;
-  const int body_end = MatchForward(toks, j);
-  if (body_end < 0) return j;
-
-  std::vector<std::string> values;
-  bool expect_name = true;
-  int depth = 0;  // parens inside initializer expressions
-  for (int k = j + 1; k < body_end; ++k) {
-    const Token& t = toks[static_cast<std::size_t>(k)];
-    if (t.kind == TokKind::kPunct) {
-      if (t.text == "(" || t.text == "{" || t.text == "<") ++depth;
-      if (t.text == ")" || t.text == "}" || t.text == ">") --depth;
-      if (t.text == "," && depth == 0) expect_name = true;
-      continue;
-    }
-    if (expect_name && t.kind == TokKind::kIdent && depth == 0) {
-      values.push_back(t.text);
-      expect_name = false;
-    }
-  }
-  if (!values.empty()) {
-    auto& defs = model->enums[name];
-    bool known = false;
-    for (const auto& d : defs) known = known || d == values;
-    if (!known) defs.push_back(values);
-  }
-  return body_end;
-}
-
-// After a [[nodiscard]] attribute: skip declaration qualifiers, then a
-// (possibly qualified) return type, and record the function name directly
-// before the parameter list.
-void ParseNodiscardDecl(const Tokens& toks, int i, ProjectModel* model) {
-  int j = i;
-  const int n = static_cast<int>(toks.size());
-  // i points at the `nodiscard` identifier; skip the closing `]]`.
-  while (j < n && IsPunct(toks, j, "]")) ++j;  // defensive; ']' follows below
-  while (j < n && !IsPunct(toks, j, "]")) ++j;
-  while (j < n && IsPunct(toks, j, "]")) ++j;
-  while (j < n && toks[static_cast<std::size_t>(j)].kind == TokKind::kIdent &&
-         IsDeclQualifier(toks[static_cast<std::size_t>(j)].text)) {
-    ++j;
-  }
-  // Collect `ident (:: ident)* ident (` — the last identifier before the
-  // '(' is the function name; everything before it is the return type.
-  std::string last_ident;
-  bool saw_type = false;
-  while (j < n) {
-    const Token& t = toks[static_cast<std::size_t>(j)];
-    if (t.kind == TokKind::kIdent) {
-      if (!last_ident.empty()) saw_type = true;
-      last_ident = t.text;
-      ++j;
-      continue;
-    }
-    if (IsPunct(toks, j, "::") || IsPunct(toks, j, "*") ||
-        IsPunct(toks, j, "&")) {
-      ++j;
-      continue;
-    }
-    if (IsPunct(toks, j, "<")) {  // templated return type
-      const int close = MatchForward(toks, j);
-      if (close < 0) return;
-      j = close + 1;
-      continue;
-    }
-    break;
-  }
-  if (saw_type && !last_ident.empty() && IsPunct(toks, j, "(")) {
-    model->must_check.insert(last_ident);
-  }
-}
 
 const Token& At(const Tokens& toks, int i) {
   return toks[static_cast<std::size_t>(i)];
@@ -133,106 +26,6 @@ bool IsCallKeyword(const std::string& s) {
          s == "return" || s == "sizeof" || s == "catch" ||
          s == "static_assert" || s == "alignof" || s == "decltype" ||
          s == "noexcept" || s == "new" || s == "delete";
-}
-
-// Joins the token texts of [first, last) with no separators, dropping
-// namespace qualifiers that differ across call sites of the same owner
-// (`sim::`, `nova::`, `EventQueue::`, `std::`). The result is the
-// normalized owner key used to pair enqueues with rebinders by name.
-std::string JoinNormalized(const Tokens& toks, int first, int last) {
-  std::string out;
-  for (int i = first; i < last; ++i) {
-    const Token& t = toks[static_cast<std::size_t>(i)];
-    if (t.kind == TokKind::kPunct && t.text == "::") continue;
-    if (t.kind == TokKind::kIdent && IsPunct(toks, i + 1, "::") &&
-        (t.text == "sim" || t.text == "nova" || t.text == "EventQueue" ||
-         t.text == "std")) {
-      continue;
-    }
-    out += t.text;
-  }
-  return out;
-}
-
-// Recovers the string literal of an `OwnerToken("…")` call from the raw
-// line (literals are blanked in the code view). Returns "" when no
-// quoted literal is on the call's line or the one after it (wrapped).
-std::string RecoverStringLiteral(const SourceFile& f, int line) {
-  for (int l = line; l <= line + 1; ++l) {
-    const std::string& raw = f.RawLine(l);
-    const std::size_t a = raw.find('"');
-    if (a == std::string::npos) continue;
-    const std::size_t b = raw.find('"', a + 1);
-    if (b == std::string::npos) continue;
-    return raw.substr(a, b - a + 1);  // includes both quotes
-  }
-  return "";
-}
-
-// Normalized key of an owner expression spanning tokens [first, last).
-// `line_hint` is the raw line of the surrounding construct: a bare
-// string-literal owner leaves no tokens at all (the code view blanks
-// literals), so an empty range falls back to recovering the literal
-// from that line.
-std::string OwnerKeyFromRange(const SourceFile& f, const Tokens& toks,
-                              int first, int last, int line_hint) {
-  if (first >= last) {
-    const std::string lit = RecoverStringLiteral(f, line_hint);
-    return lit.empty() ? "OwnerToken(?)" : lit;
-  }
-  for (int i = first; i < last; ++i) {
-    if (!IsIdent(toks, i, "OwnerToken") || !IsPunct(toks, i + 1, "(")) {
-      continue;
-    }
-    const int close = MatchForward(toks, i + 1);
-    if (close < 0 || close > last) break;
-    if (close == i + 2) {
-      // Empty token range: the argument was a (blanked) string literal.
-      const std::string lit = RecoverStringLiteral(f, At(toks, i).line);
-      if (!lit.empty()) return lit;
-      return "OwnerToken(?)";
-    }
-    return "OwnerToken(" + JoinNormalized(toks, i + 2, close) + ")";
-  }
-  return JoinNormalized(toks, first, last);
-}
-
-// Extracts the owner key of the tag argument [first, last) of a
-// Schedule{At,After}Tagged call at token `call_idx`. Handles inline
-// `EventTag{owner, …}` construction, a single identifier naming a local
-// `EventTag var{owner, …}` defined earlier in the same function body
-// (traced backward), and bare expressions. Returns "" for untagged
-// `EventTag{}` (owner 0 is the event queue's own runtime concern).
-std::string TagOwnerKey(const SourceFile& f, const Tokens& toks,
-                        const FileScopes& scopes, int call_idx, int first,
-                        int last) {
-  // Inline construction: EventTag { owner, ... }.
-  for (int i = first; i < last; ++i) {
-    if (!IsIdent(toks, i, "EventTag") || !IsPunct(toks, i + 1, "{")) continue;
-    const auto args = SplitTopLevelArgs(toks, i + 1);
-    if (args.empty()) return "";  // EventTag{}: untagged by design
-    return OwnerKeyFromRange(f, toks, args[0].first, args[0].second,
-                             At(toks, i).line);
-  }
-  // Single identifier: trace a local `EventTag var{...}` backward.
-  if (last == first + 1 && TokIsIdent(toks, first)) {
-    const std::string& var = At(toks, first).text;
-    const int fn = InnermostFunction(scopes, call_idx);
-    const int lo = fn >= 0
-                       ? scopes.functions[static_cast<std::size_t>(fn)].body_open
-                       : 0;
-    for (int k = first - 1; k > lo; --k) {
-      if (IsIdent(toks, k, "EventTag") && IsIdent(toks, k + 1, var.c_str()) &&
-          IsPunct(toks, k + 2, "{")) {
-        const auto args = SplitTopLevelArgs(toks, k + 2);
-        if (args.empty()) return "";
-        return OwnerKeyFromRange(f, toks, args[0].first, args[0].second,
-                                 At(toks, k).line);
-      }
-    }
-    return var;  // member or parameter: pair by name (owner_, ...)
-  }
-  return OwnerKeyFromRange(f, toks, first, last, At(toks, call_idx).line);
 }
 
 // Parses `// guarded-by(<lock>)` from the raw declaration line, or from
@@ -398,35 +191,6 @@ void IndexFunctions(const SourceFile& f, const Tokens& toks,
   }
 }
 
-// Records tagged enqueues and rebinder registrations. Only genuine call
-// sites count: both are always invoked through `.` or `->` on an event
-// queue, which cleanly excludes the declarations and the definitions in
-// src/sim/event_queue.* (the mechanism itself).
-void IndexOwnerSites(const SourceFile& f, const Tokens& toks,
-                     const FileScopes& scopes, ProjectModel* model) {
-  for (int i = 0; i < static_cast<int>(toks.size()); ++i) {
-    if (!TokIsIdent(toks, i) || !IsPunct(toks, i + 1, "(")) continue;
-    if (!IsPunct(toks, i - 1, ".") && !IsPunct(toks, i - 1, "->")) continue;
-    const std::string& name = At(toks, i).text;
-    if (name == "RegisterRebinder") {
-      const auto args = SplitTopLevelArgs(toks, i + 1);
-      if (args.empty()) continue;
-      model->rebinders.push_back(
-          OwnerSite{OwnerKeyFromRange(f, toks, args[0].first, args[0].second,
-                                      At(toks, i).line),
-                    f.path(), At(toks, i).line});
-      continue;
-    }
-    if (name != "ScheduleAtTagged" && name != "ScheduleAfterTagged") continue;
-    const auto args = SplitTopLevelArgs(toks, i + 1);
-    if (args.size() < 2) continue;
-    const std::string key =
-        TagOwnerKey(f, toks, scopes, i, args[1].first, args[1].second);
-    if (key.empty()) continue;  // untagged EventTag{}
-    model->enqueues.push_back(OwnerSite{key, f.path(), At(toks, i).line});
-  }
-}
-
 }  // namespace
 
 int ProjectModel::LayerRank(const std::string& layer) {
@@ -481,43 +245,10 @@ ProjectModel BuildModel(const std::vector<SourceFile>& files,
                         const std::vector<FileScopes>& scopes) {
   ProjectModel model;
   for (std::size_t fi = 0; fi < files.size(); ++fi) {
-    const SourceFile& f = files[fi];
-    const Tokens& t = toks[fi];
-    for (int i = 0; i < static_cast<int>(t.size()); ++i) {
-      const Token& tok = t[static_cast<std::size_t>(i)];
-      if (tok.kind != TokKind::kIdent) continue;
-      if (tok.text == "enum") {
-        i = ParseEnum(t, i, &model);
-        continue;
-      }
-      if (tok.text == "nodiscard") {
-        ParseNodiscardDecl(t, i, &model);
-        continue;
-      }
-      // `Status Foo(` / `Status Cls::Foo(` / `Vtlb::Outcome Resolve(` …
-      if (IsResultType(tok.text)) {
-        const int j = i + 1;
-        if (j < static_cast<int>(t.size()) &&
-            t[static_cast<std::size_t>(j)].kind == TokKind::kIdent) {
-          // Step over `Cls::` qualifiers in out-of-line definition names.
-          int name = j;
-          while (name + 1 < static_cast<int>(t.size()) &&
-                 IsPunct(t, name + 1, "::") &&
-                 t[static_cast<std::size_t>(name + 2)].kind ==
-                     TokKind::kIdent) {
-            name += 2;
-          }
-          if (IsPunct(t, name + 1, "(")) {
-            model.must_check.insert(t[static_cast<std::size_t>(name)].text);
-          }
-        }
-      }
-    }
     for (const ClassScope& cls : scopes[fi].classes) {
-      IndexClassMembers(f, t, cls, &model);
+      IndexClassMembers(files[fi], toks[fi], cls, &model);
     }
-    IndexFunctions(f, t, scopes[fi], &model);
-    IndexOwnerSites(f, t, scopes[fi], &model);
+    IndexFunctions(files[fi], toks[fi], scopes[fi], &model);
   }
   return model;
 }

@@ -1,14 +1,14 @@
 // ProjectModel: facts nova-lint mines from the source tree before any
-// rule runs. Besides the original per-file facts (enum definitions,
-// must-check return types, layer ranks) it now carries a whole-project
-// symbol index built by the scope walker: function/method definitions
-// with their call and lock-charge sites, class members with declaration
-// types and `// guarded-by(<lock>)` annotations, and the cross-TU
-// pairing tables for tagged event enqueues vs. rebinder registrations.
+// rule runs: layer ranks and a whole-project symbol index built by the
+// scope walker, holding function/method definitions with their call and
+// lock-charge sites and class members with declaration types and
+// `// guarded-by(<lock>)` annotations. Facts the compiler already checks
+// (discarded [[nodiscard]] results, exhaustive enum switches) and the
+// event queue guarantees (every scheduled event has a closure factory)
+// are not modelled.
 #ifndef TOOLS_NOVA_LINT_MODEL_H_
 #define TOOLS_NOVA_LINT_MODEL_H_
 
-#include <map>
 #include <set>
 #include <string>
 #include <vector>
@@ -47,36 +47,11 @@ struct LockSite {
   int line = 0;
 };
 
-// One side of the event-rebind pairing: a tagged enqueue
-// (Schedule{At,After}Tagged) or a RegisterRebinder registration. `key`
-// is the normalized owner expression — a recovered string literal like
-// `"hw.timer"`, or the expression text (`kDiskServerOwner`, `owner_`,
-// `HbOwner()`, `OwnerToken(name_)`) with sim::/EventQueue:: qualifiers
-// stripped — so the two sides compare by name across translation units.
-struct OwnerSite {
-  std::string key;
-  std::string file;
-  int line = 0;
-};
-
 struct ProjectModel {
-  // Enum name (unqualified) -> one enumerator list per distinct
-  // definition. Short names collide across classes (Ec::Kind vs
-  // Vtlb::Kind), so rules must pick the definition consistent with the
-  // enumerators they actually observe at the use site.
-  std::map<std::string, std::vector<std::vector<std::string>>> enums;
-
-  // Function names whose return value must be consumed: anything
-  // declared to return Status / Outcome / DownResult, plus functions
-  // carrying an explicit [[nodiscard]].
-  std::set<std::string> must_check;
-
   // --- Whole-project symbol index (scope-walker derived) ---
   std::vector<MemberDecl> members;
   std::vector<FuncDef> functions;
   std::vector<LockSite> lock_sites;
-  std::vector<OwnerSite> enqueues;   // tagged enqueue sites
-  std::vector<OwnerSite> rebinders;  // RegisterRebinder sites
 
   // The definition recorded at (file, line of the function name), or
   // nullptr. Lines come from the same scope walk rules see via FileCtx,

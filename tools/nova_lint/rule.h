@@ -39,17 +39,14 @@ class Rule {
 };
 
 // Factories for every shipped rule (one translation unit each).
-std::unique_ptr<Rule> MakeUncheckedStatusRule();
 std::unique_ptr<Rule> MakeQuotaSymmetryRule();
 std::unique_ptr<Rule> MakeRawCounterRule();
 std::unique_ptr<Rule> MakeRawSpanRule();
 std::unique_ptr<Rule> MakeLayeringRule();
-std::unique_ptr<Rule> MakeEnumSwitchRule();
 std::unique_ptr<Rule> MakeUncheckedDowncastRule();
 std::unique_ptr<Rule> MakePerCpuStateRule();
 std::unique_ptr<Rule> MakeDeterminismRule();
 std::unique_ptr<Rule> MakeLockDisciplineRule();
-std::unique_ptr<Rule> MakeEventRebindRule();
 
 // All rules, in diagnostic order.
 std::vector<std::unique_ptr<Rule>> AllRules();

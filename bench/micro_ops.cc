@@ -51,6 +51,35 @@ void BM_TlbLookup(benchmark::State& state) {
 }
 BENCHMARK(BM_TlbLookup);
 
+// A 4 KiB class full under one tag: every insert of a new page evicts the
+// least recently used entry.
+void BM_TlbInsertAtCapacity(benchmark::State& state) {
+  hw::Tlb tlb(512, 32);
+  std::uint64_t page = 0;
+  for (; page < 512; ++page) {
+    tlb.Insert(1, page << 12, page << 12, hw::kPageSize, true, true, true);
+  }
+  for (auto _ : state) {
+    tlb.Insert(1, page << 12, page << 12, hw::kPageSize, true, true, true);
+    ++page;
+  }
+}
+BENCHMARK(BM_TlbInsertAtCapacity);
+
+// Disk I/O's IPC shape: every call into a host PD flushes the host tag of
+// a nearly empty TLB (four live entries), which then refills.
+void BM_TlbFlushTagSparse(benchmark::State& state) {
+  hw::Tlb tlb(512, 32);
+  for (auto _ : state) {
+    for (std::uint64_t i = 0; i < 4; ++i) {
+      tlb.Insert(hw::kHostTag, i << 12, (i + 1000) << 12, hw::kPageSize, true,
+                 true, true);
+    }
+    tlb.FlushTag(hw::kHostTag);
+  }
+}
+BENCHMARK(BM_TlbFlushTagSparse);
+
 void BM_IpcCallReply(benchmark::State& state) {
   hw::Machine machine(hw::MachineConfig{.cpus = {&hw::CoreI7_920()},
                                         .ram_size = 256ull << 20});

@@ -4,6 +4,9 @@
 // 4 KiB and superpage translations (matching the split structure of the
 // parts in Table 1). Entries carry a 16-bit tag: 0 is the host address
 // space; guests get VPID/ASID tags when the CPU model supports them.
+// Replacement is exact LRU at O(1) per operation: each class keeps its
+// entries in fixed slots on a recency list, found through a small
+// open-addressing index, and a flush costs only the live entries.
 //
 // The dirty bit is modelled faithfully: a write that hits an entry whose
 // translation was installed without the dirty flag reports a miss, forcing
@@ -15,7 +18,6 @@
 #include <compare>
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <vector>
 
 #include "src/hw/paging.h"
@@ -80,8 +82,8 @@ struct TlbEntry {
 
 class Tlb {
  public:
-  Tlb(std::uint32_t capacity_4k, std::uint32_t capacity_large)
-      : capacity_4k_(capacity_4k), capacity_large_(capacity_large) {}
+  // Both capacities must be nonzero.
+  Tlb(std::uint32_t capacity_4k, std::uint32_t capacity_large);
 
   // Look up `va` under `tag`. Returns the translated physical address on a
   // usable hit. Misses (including permission-insufficient and clean-entry
@@ -100,20 +102,24 @@ class Tlb {
   void FlushVa(TlbTag tag, VirtAddr va);  // INVLPG.
 
   std::size_t EntryCount(TlbTag tag) const;
-  std::size_t size() const { return map_.size(); }
+  std::size_t size() const { return classes_[0].count + classes_[1].count; }
 
   const sim::Counter& hits() const { return hits_; }
   const sim::Counter& misses() const { return misses_; }
   const sim::Counter& flushes() const { return flushes_; }
 
-  // Serialize entries sorted by (tag, vpage, large) plus the LRU clock, so
-  // post-restore replacement decisions are bit-identical.
+  // Serialize entries sorted by (tag, vpage, large), each with its LRU
+  // stamp, plus the LRU clock, so post-restore replacement decisions are
+  // bit-identical. Loading fails with kBadParameter on entries this TLB's
+  // capacities cannot hold or whose size class is inconsistent.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
   template <class Ar>
   void Io(Ar& ar);
 
  private:
+  static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+
   struct Key {
     TlbTag tag;
     std::uint64_t vpage;  // va >> 12; superpages insert their base page.
@@ -125,20 +131,29 @@ class Tlb {
       ar.Io(tag, vpage, large);
     }
   };
-  struct KeyHash {
-    std::size_t operator()(const Key& k) const {
-      std::uint64_t h = k.vpage * 0x9e3779b97f4a7c15ull;
-      h ^= (static_cast<std::uint64_t>(k.tag) << 1) ^ (k.large ? 0x5851ull : 0);
-      return static_cast<std::size_t>(h ^ (h >> 29));
-    }
-  };
+  // One translation. The snapshot stores its entry and stamp after the key;
+  // the links and index position are rebuilt on load.
   struct Slot {
+    Key key{};
     TlbEntry entry;
-    std::uint64_t lru;
+    std::uint64_t lru = 0;      // Clock value of the last insert or hit.
+    std::uint32_t prev = kNil;  // LRU list neighbours; `next` also links
+    std::uint32_t next = kNil;  // the class's free slots.
+    std::uint32_t pos = kNil;   // Where index_ holds this slot.
     template <class Ar>
     void Io(Ar& ar) {
       ar.Io(entry, lru);
     }
+  };
+  // A size class owns a fixed range of slots_. Its live slots form a list
+  // in stamp order, least recently used at the head, so the victim of an
+  // insert at capacity is the head and a hit moves its slot to the tail.
+  struct SizeClass {
+    std::uint32_t capacity = 0;
+    std::uint32_t count = 0;
+    std::uint32_t head = kNil;
+    std::uint32_t tail = kNil;
+    std::uint32_t free = kNil;
   };
 
   Key MakeKey(TlbTag tag, VirtAddr va, std::uint64_t page_size) const {
@@ -147,14 +162,27 @@ class Tlb {
     return Key{tag, base >> kPageShift, large};
   }
 
-  void EvictIfNeeded(bool large);
+  // index_: open addressing with linear probing, at most half full.
+  std::uint32_t Home(const Key& key) const;
+  std::uint32_t Find(const Key& key) const;  // Slot, or kNil.
+  void Index(std::uint32_t s);
+  void Unindex(std::uint32_t pos);
 
-  std::uint32_t capacity_4k_;
-  std::uint32_t capacity_large_;
-  std::uint32_t count_4k_ = 0;
-  std::uint32_t count_large_ = 0;
+  std::uint32_t Allocate(const Key& key);  // Class must have a free slot.
+  void Erase(std::uint32_t s);
+  void Touch(std::uint32_t s);  // Stamp and move to the tail.
+  void Unlink(SizeClass& c, std::uint32_t s);
+  void Append(SizeClass& c, std::uint32_t s);
+  template <class Pred>
+  void EraseIf(Pred pred);
+  void Clear();
+
+  SizeClass classes_[2];  // [0] 4 KiB, [1] 2 MiB and 4 MiB: index by large.
+  std::vector<Slot> slots_;
+  std::vector<std::uint32_t> index_;  // Slot numbers; kNil is empty.
+  std::uint32_t index_mask_ = 0;
+  int index_shift_ = 0;  // 64 - log2(index_.size()).
   std::uint64_t clock_ = 0;
-  std::unordered_map<Key, Slot, KeyHash> map_;
   sim::Counter hits_;
   sim::Counter misses_;
   sim::Counter flushes_;

@@ -1,11 +1,15 @@
 // Property-style sweeps over the hardware substrate: randomized
 // map/walk/unmap consistency for both page-table formats, TLB-vs-walk
-// agreement, physical-memory read-back, and IOMMU translation integrity.
+// agreement, TLB replacement against a reference LRU, physical-memory
+// read-back, and IOMMU translation integrity.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <map>
 #include <memory>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/guest/driver_ahci.h"
@@ -130,6 +134,304 @@ TEST_P(TlbProperty, NeverReturnsStaleOrWrongTranslation) {
 
 INSTANTIATE_TEST_SUITE_P(Capacities, TlbProperty,
                          ::testing::Values(4u, 16u, 64u, 256u));
+
+// The TLB's replacement policy written the plain way: entries in a map, a
+// stamp per entry from one clock, and the victim is the entry with the
+// strictly smallest stamp in the new entry's size class.
+class ReferenceTlb {
+ public:
+  ReferenceTlb(std::uint32_t capacity_4k, std::uint32_t capacity_large)
+      : capacity_{capacity_4k, capacity_large} {}
+
+  std::optional<PhysAddr> Lookup(TlbTag tag, VirtAddr va, Access access) {
+    for (const std::uint64_t size : kSizes) {
+      auto it = map_.find(KeyOf(tag, va, size));
+      if (it == map_.end() || it->second.entry.page_size != size) {
+        continue;
+      }
+      const TlbEntry& e = it->second.entry;
+      if ((access.write && (!e.writable || !e.dirty)) ||
+          (access.user && !e.user)) {
+        continue;
+      }
+      it->second.lru = ++clock_;
+      ++hits_;
+      return (e.phys_page & ~(size - 1)) | (va & (size - 1));
+    }
+    ++misses_;
+    return std::nullopt;
+  }
+
+  void Insert(TlbTag tag, VirtAddr va, PhysAddr pa, std::uint64_t size,
+              bool writable, bool user, bool dirty, bool global) {
+    const Key key = KeyOf(tag, va, size);
+    if (!map_.contains(key) && Count(key.large) >= capacity_[key.large]) {
+      auto victim = map_.end();
+      for (auto it = map_.begin(); it != map_.end(); ++it) {
+        if (it->first.large == key.large &&
+            (victim == map_.end() || it->second.lru < victim->second.lru)) {
+          victim = it;
+        }
+      }
+      map_.erase(victim);
+      ++evictions_[key.large];
+    }
+    map_[key] = Stamped{TlbEntry{.phys_page = pa & ~(size - 1),
+                                 .page_size = size,
+                                 .writable = writable,
+                                 .user = user,
+                                 .dirty = dirty,
+                                 .global = global},
+                        ++clock_};
+  }
+
+  void FlushAll() {
+    map_.clear();
+    ++flushes_;
+  }
+  void FlushTag(TlbTag tag) {
+    std::erase_if(map_, [tag](const auto& kv) { return kv.first.tag == tag; });
+    ++flushes_;
+  }
+  void FlushNonGlobal(TlbTag tag) {
+    std::erase_if(map_, [tag](const auto& kv) {
+      return kv.first.tag == tag && !kv.second.entry.global;
+    });
+    ++flushes_;
+  }
+  void FlushVa(TlbTag tag, VirtAddr va) {
+    for (const std::uint64_t size : kSizes) {
+      auto it = map_.find(KeyOf(tag, va, size));
+      if (it != map_.end() && it->second.entry.page_size == size) {
+        map_.erase(it);
+      }
+    }
+  }
+
+  std::size_t EntryCount(TlbTag tag) const {
+    return static_cast<std::size_t>(std::count_if(
+        map_.begin(), map_.end(),
+        [tag](const auto& kv) { return kv.first.tag == tag; }));
+  }
+  std::size_t size() const { return map_.size(); }
+  std::uint64_t hits() const { return hits_; }
+  std::uint64_t misses() const { return misses_; }
+  std::uint64_t flushes() const { return flushes_; }
+  std::uint64_t evictions(bool large) const { return evictions_[large]; }
+
+  // The snapshot Tlb::SaveState writes for this content: both class
+  // counts, the clock and the counters, then the entries sorted by
+  // (tag, vpage, large), each with its entry and stamp.
+  std::vector<std::uint8_t> Bytes() const {
+    sim::SnapWriter w;
+    w.U32(Count(false));
+    w.U32(Count(true));
+    w.U64(clock_);
+    w.U64(hits_);
+    w.U64(misses_);
+    w.U64(flushes_);
+    w.U32(static_cast<std::uint32_t>(map_.size()));
+    for (const auto& [key, stamped] : map_) {
+      w.U16(key.tag);
+      w.U64(key.vpage);
+      w.Bool(key.large);
+      w.U64(stamped.entry.phys_page);
+      w.U64(stamped.entry.page_size);
+      w.Bool(stamped.entry.writable);
+      w.Bool(stamped.entry.user);
+      w.Bool(stamped.entry.dirty);
+      w.Bool(stamped.entry.global);
+      w.U64(stamped.lru);
+    }
+    return w.data();
+  }
+
+ private:
+  static constexpr std::uint64_t kSizes[] = {kPageSize, 2ull << 20, 4ull << 20};
+  struct Key {
+    TlbTag tag;
+    std::uint64_t vpage;
+    bool large;
+    auto operator<=>(const Key&) const = default;
+  };
+  struct Stamped {
+    TlbEntry entry;
+    std::uint64_t lru;
+  };
+
+  static Key KeyOf(TlbTag tag, VirtAddr va, std::uint64_t size) {
+    return Key{tag, (va & ~(size - 1)) >> kPageShift, size > kPageSize};
+  }
+  std::uint32_t Count(bool large) const {
+    return static_cast<std::uint32_t>(std::count_if(
+        map_.begin(), map_.end(),
+        [large](const auto& kv) { return kv.first.large == large; }));
+  }
+
+  std::uint32_t capacity_[2];
+  std::map<Key, Stamped> map_;
+  std::uint64_t clock_ = 0;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
+  std::uint64_t flushes_ = 0;
+  std::uint64_t evictions_[2] = {0, 0};
+};
+
+constexpr TlbTag kOpTags[] = {kHostTag, 1, 9};
+
+// One random TLB operation, drawn once and applied to every model.
+struct TlbOp {
+  enum Kind { kInsert, kLookup, kFlushVa, kFlushTag, kFlushNonGlobal, kFlushAll };
+  Kind kind = kLookup;
+  TlbTag tag = kHostTag;
+  VirtAddr va = 0;
+  PhysAddr pa = 0;
+  std::uint64_t size = kPageSize;
+  bool writable = false;
+  bool user = false;
+  bool dirty = false;
+  bool global = false;
+  Access access;
+};
+
+// Pages come from a space about twice each class's capacity under each of
+// three tags, so both classes run full and evict; 4 KiB pages overlap the
+// first superpages, and 2 MiB and 4 MiB bases share keys. Whole-tag and
+// full flushes are rare enough that the large TLBs fill between them.
+TlbOp DrawTlbOp(sim::Rng& rng, std::uint32_t capacity_4k,
+                std::uint32_t capacity_large) {
+  TlbOp op;
+  op.tag = kOpTags[rng.Below(3)];
+  const std::uint64_t page_kind = rng.Below(20);
+  op.size = page_kind < 15 ? kPageSize : page_kind < 18 ? 2ull << 20 : 4ull << 20;
+  const std::uint64_t pages =
+      op.size == kPageSize ? 2 * capacity_4k + 8
+                           : (2 * capacity_large + 4) * (2ull << 20) / op.size;
+  op.va = rng.Below(pages) * op.size + rng.Below(op.size);
+  const double flush = 1.0 / (8.0 * (capacity_4k + capacity_large) + 64);
+  const double roll = rng.NextDouble();
+  if (roll < flush) {
+    op.kind = TlbOp::kFlushAll;
+  } else if (roll < 3 * flush) {
+    op.kind = TlbOp::kFlushTag;
+  } else if (roll < 6 * flush) {
+    op.kind = TlbOp::kFlushNonGlobal;
+  } else if (roll < 0.05) {
+    op.kind = TlbOp::kFlushVa;
+  } else if (roll < 0.5) {
+    op.kind = TlbOp::kInsert;
+    op.pa = (rng.Below(1 << 20) + 1) * kPageSize + rng.Below(kPageSize);
+    op.writable = rng.Chance(0.7);
+    op.user = rng.Chance(0.5);
+    op.dirty = rng.Chance(0.6);
+    op.global = rng.Chance(0.3);
+  } else {
+    op.access = Access{.write = rng.Chance(0.3), .user = rng.Chance(0.5)};
+  }
+  return op;
+}
+
+// Applies `op`; returns the translation a lookup produced (nullopt for
+// every other operation).
+template <class T>
+std::optional<PhysAddr> ApplyTlbOp(T& tlb, const TlbOp& op) {
+  switch (op.kind) {
+    case TlbOp::kInsert:
+      tlb.Insert(op.tag, op.va, op.pa, op.size, op.writable, op.user, op.dirty,
+                 op.global);
+      return std::nullopt;
+    case TlbOp::kLookup:
+      return tlb.Lookup(op.tag, op.va, op.access);
+    case TlbOp::kFlushVa:
+      tlb.FlushVa(op.tag, op.va);
+      return std::nullopt;
+    case TlbOp::kFlushTag:
+      tlb.FlushTag(op.tag);
+      return std::nullopt;
+    case TlbOp::kFlushNonGlobal:
+      tlb.FlushNonGlobal(op.tag);
+      return std::nullopt;
+    case TlbOp::kFlushAll:
+      tlb.FlushAll();
+      return std::nullopt;
+  }
+  return std::nullopt;
+}
+
+std::vector<std::uint8_t> TlbSnapshot(const Tlb& tlb) {
+  sim::SnapWriter w;
+  EXPECT_EQ(tlb.SaveState(w), Status::kSuccess);
+  return w.data();
+}
+
+void CheckSameObservables(const Tlb& tlb, const ReferenceTlb& ref) {
+  ASSERT_EQ(tlb.hits().value(), ref.hits());
+  ASSERT_EQ(tlb.misses().value(), ref.misses());
+  ASSERT_EQ(tlb.flushes().value(), ref.flushes());
+  ASSERT_EQ(tlb.size(), ref.size());
+  for (const TlbTag tag : kOpTags) {
+    ASSERT_EQ(tlb.EntryCount(tag), ref.EntryCount(tag)) << "tag " << tag;
+  }
+}
+
+// Runs one seeded sequence against the reference. At a random step the TLB
+// is saved and loaded into a fresh twin, and from then on the twin takes
+// every operation too and must stay indistinguishable.
+void RunAgainstReferenceLru(std::uint32_t capacity_4k,
+                            std::uint32_t capacity_large, std::uint64_t seed) {
+  Tlb tlb(capacity_4k, capacity_large);
+  ReferenceTlb ref(capacity_4k, capacity_large);
+  std::optional<Tlb> twin;
+  sim::Rng rng(seed);
+  const std::uint64_t steps = 3000 + 12 * (capacity_4k + capacity_large);
+  const std::uint64_t restore_step = rng.Below(steps);
+  for (std::uint64_t step = 0; step < steps; ++step) {
+    SCOPED_TRACE(::testing::Message() << "step " << step);
+    if (step == restore_step) {
+      const std::vector<std::uint8_t> bytes = TlbSnapshot(tlb);
+      twin.emplace(capacity_4k, capacity_large);
+      sim::SnapReader r(bytes.data(), bytes.size());
+      ASSERT_EQ(twin->LoadState(r), Status::kSuccess);
+      ASSERT_EQ(r.Finish(), Status::kSuccess);
+      ASSERT_EQ(TlbSnapshot(*twin), bytes);
+    }
+    const TlbOp op = DrawTlbOp(rng, capacity_4k, capacity_large);
+    const std::optional<PhysAddr> want = ApplyTlbOp(ref, op);
+    ASSERT_EQ(ApplyTlbOp(tlb, op), want) << "op " << op.kind;
+    ASSERT_NO_FATAL_FAILURE(CheckSameObservables(tlb, ref));
+    if (twin) {
+      ASSERT_EQ(ApplyTlbOp(*twin, op), want) << "op " << op.kind << " (twin)";
+      ASSERT_NO_FATAL_FAILURE(CheckSameObservables(*twin, ref));
+    }
+    if (step % 97 == 0 || step + 1 == steps) {
+      const std::vector<std::uint8_t> bytes = TlbSnapshot(tlb);
+      ASSERT_EQ(bytes, ref.Bytes());
+      if (twin) {
+        ASSERT_EQ(TlbSnapshot(*twin), bytes);
+      }
+    }
+  }
+  EXPECT_GT(ref.evictions(false), 0u);
+  EXPECT_GT(ref.evictions(true), 0u);
+}
+
+TEST(TlbProperty, MatchesReferenceLru) {
+  // Exact LRU: every hit, victim and counter matches the reference, the
+  // snapshot bytes are the reference's, and a save/load twin replaces the
+  // same victims afterwards.
+  const std::pair<std::uint32_t, std::uint32_t> kCapacities[] = {
+      {1, 1}, {2, 2}, {16, 4}, {48, 16}, {512, 32}};
+  for (const auto& [capacity_4k, capacity_large] : kCapacities) {
+    for (const std::uint64_t seed : {3u, 11u, 42u}) {
+      SCOPED_TRACE(::testing::Message() << "capacity " << capacity_4k << "/"
+                                        << capacity_large << " seed " << seed);
+      RunAgainstReferenceLru(capacity_4k, capacity_large, seed);
+      if (HasFatalFailure()) {
+        return;
+      }
+    }
+  }
+}
 
 TEST(PhysMemProperty, RandomReadWriteRoundTrip) {
   PhysMem mem(64ull << 20);

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <vector>
+
 namespace nova::hw {
 namespace {
 
@@ -112,6 +115,86 @@ TEST(Tlb, FlushAllEmpties) {
   tlb.FlushAll();
   EXPECT_EQ(tlb.size(), 0u);
   EXPECT_EQ(tlb.flushes().value(), 1u);
+}
+
+struct HandEntry {
+  TlbTag tag;
+  std::uint64_t vpage;
+  bool large;
+  std::uint64_t page_size;
+};
+
+// A TLB snapshot written field by field in Tlb::Io's wire order.
+std::vector<std::uint8_t> HandBuiltSnapshot(
+    std::uint32_t count_4k, std::uint32_t count_large,
+    const std::vector<HandEntry>& entries) {
+  sim::SnapWriter w;
+  w.U32(count_4k);
+  w.U32(count_large);
+  w.U64(entries.size());  // LRU clock.
+  w.U64(0);               // Hits.
+  w.U64(0);               // Misses.
+  w.U64(0);               // Flushes.
+  w.U32(static_cast<std::uint32_t>(entries.size()));
+  std::uint64_t stamp = 0;
+  for (const HandEntry& e : entries) {
+    w.U16(e.tag);
+    w.U64(e.vpage);
+    w.Bool(e.large);
+    w.U64(0x40000000);  // Physical page.
+    w.U64(e.page_size);
+    for (int b = 0; b < 4; ++b) {
+      w.Bool(true);  // Writable, user, dirty, global.
+    }
+    w.U64(++stamp);
+  }
+  return w.data();
+}
+
+Status LoadSnapshot(Tlb& tlb, const std::vector<std::uint8_t>& bytes) {
+  sim::SnapReader r(bytes.data(), bytes.size());
+  return tlb.LoadState(r);
+}
+
+TEST(Tlb, SnapshotItCannotHoldFailsLoad) {
+  // More entries of a class than the twin has slots for it.
+  Tlb full(16, 4);
+  for (std::uint64_t i = 0; i < 16; ++i) {
+    full.Insert(1, i << 12, (i + 100) << 12, kPageSize, true, true, true);
+  }
+  sim::SnapWriter w;
+  ASSERT_EQ(full.SaveState(w), Status::kSuccess);
+  Tlb smaller(8, 4);
+  EXPECT_EQ(LoadSnapshot(smaller, w.data()), Status::kBadParameter);
+  for (std::uint64_t i = 0; i < 4; ++i) {
+    full.Insert(1, i * k2M, 0, k2M, true, true, true);
+  }
+  sim::SnapWriter large_w;
+  ASSERT_EQ(full.SaveState(large_w), Status::kSuccess);
+  Tlb fewer_large(16, 2);
+  EXPECT_EQ(LoadSnapshot(fewer_large, large_w.data()), Status::kBadParameter);
+
+  // The hand-built layout loads while it is consistent...
+  const HandEntry page{1, 0x10, false, kPageSize};
+  const HandEntry superpage{1, k2M >> kPageShift, true, k2M};
+  Tlb twin(16, 4);
+  ASSERT_EQ(LoadSnapshot(twin, HandBuiltSnapshot(1, 1, {page, superpage})),
+            Status::kSuccess);
+  EXPECT_EQ(twin.size(), 2u);
+  EXPECT_TRUE(twin.Lookup(1, 0x10000, Access{}).has_value());
+  EXPECT_TRUE(twin.Lookup(1, k2M + 0x1000, Access{}).has_value());
+
+  // ...but not with a forged 4 KiB count,
+  Tlb forged_count(16, 4);
+  EXPECT_EQ(
+      LoadSnapshot(forged_count, HandBuiltSnapshot(2, 1, {page, superpage})),
+      Status::kBadParameter);
+  // nor with a large entry of 4 KiB.
+  Tlb forged_size(16, 4);
+  const HandEntry large_4k{1, 0x400, true, kPageSize};
+  EXPECT_EQ(
+      LoadSnapshot(forged_size, HandBuiltSnapshot(1, 1, {page, large_4k})),
+      Status::kBadParameter);
 }
 
 TEST(Tlb, EntryCountPerTag) {

@@ -20,7 +20,7 @@ BUILD_DIR="${BUILD_DIR:-build-lint}"
 
 cmake -B "${BUILD_DIR}" -S .
 cmake --build "${BUILD_DIR}" -j "$(nproc)" \
-  --target nova_lint nova_lint_test nova_lint_model_test
+  --target nova_lint nova_lint_test
 
 LINT_ROOTS='src;tests=-determinism;bench=-determinism;examples=-determinism;tools=-determinism'
 

@@ -1,21 +1,24 @@
 #include "src/hv/dirty_log.h"
 
+#include <algorithm>
+
 #include "src/hv/kernel.h"
 
 namespace nova::hv {
 
 void DirtyLog::Arm() {
-  dirty_frames_.clear();
-  // Record the host frames every successful write touches. A single
-  // observer slot exists per machine; arming claims it.
-  hv_->machine().mem().set_write_observer(
-      [this](hw::PhysAddr addr, std::uint64_t len) {
-        const std::uint64_t first = hw::FrameOf(addr);
-        const std::uint64_t last = hw::FrameOf(addr + len - 1);
-        for (std::uint64_t f = first; f <= last; ++f) {
-          dirty_frames_.insert(f);
-        }
-      });
+  hw::PhysMem& mem = hv_->machine().mem();
+  dirty_frames_.assign((hw::FrameOf(hw::PageAlignUp(mem.size())) + 63) / 64, 0);
+  // Record the host frames every successful write touches; the write path
+  // has already checked the range against installed RAM. A single observer
+  // slot exists per machine; arming claims it.
+  mem.set_write_observer([this](hw::PhysAddr addr, std::uint64_t len) {
+    const std::uint64_t first = hw::FrameOf(addr);
+    const std::uint64_t last = hw::FrameOf(addr + len - 1);
+    for (std::uint64_t f = first; f <= last; ++f) {
+      dirty_frames_[f / 64] |= 1ull << (f % 64);
+    }
+  });
   armed_ = true;
 }
 
@@ -35,11 +38,13 @@ void DirtyLog::CollectAndReset(std::vector<std::uint64_t>* out) {
                   bool large) {
         (void)perms;
         (void)large;
-        if (dirty_frames_.count(hpa_page) != 0) {
+        // Device windows map frames beyond installed RAM: never dirty here.
+        if (hpa_page / 64 < dirty_frames_.size() &&
+            (dirty_frames_[hpa_page / 64] >> (hpa_page % 64) & 1) != 0) {
           out->push_back(page);
         }
       });
-  dirty_frames_.clear();
+  std::fill(dirty_frames_.begin(), dirty_frames_.end(), 0);
 }
 
 }  // namespace nova::hv

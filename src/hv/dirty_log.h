@@ -18,7 +18,6 @@
 #define SRC_HV_DIRTY_LOG_H_
 
 #include <cstdint>
-#include <unordered_set>
 #include <vector>
 
 namespace nova::hv {
@@ -34,8 +33,8 @@ class DirtyLog {
   DirtyLog(const DirtyLog&) = delete;
   DirtyLog& operator=(const DirtyLog&) = delete;
 
-  // Start tracking: clears the dirty set and installs the PhysMem write
-  // observer.
+  // Start tracking: clears the dirty set, sized at one bit per installed
+  // frame, and installs the PhysMem write observer.
   void Arm();
 
   // Stop tracking and remove the observer. The dirty set survives until
@@ -53,7 +52,7 @@ class DirtyLog {
   Hypervisor* hv_;
   Pd* vm_;
   bool armed_ = false;
-  std::unordered_set<std::uint64_t> dirty_frames_;  // Host frame numbers.
+  std::vector<std::uint64_t> dirty_frames_;  // Bit f: host frame f.
 };
 
 }  // namespace nova::hv

@@ -75,7 +75,7 @@ Hypervisor::Hypervisor(hw::Machine* machine, HvCosts costs)
   // resolves both against the creation-order registry, which on restore
   // is the twin's. The closure holds shared refs, so both objects outlive
   // a pending deadline.
-  machine_->events().RegisterOwner(
+  event_owner_ = machine_->events().RegisterOwner(
       sim::EventQueue::OwnerToken("hv.kernel"),
       [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
         auto ec = RefAs<Ec>(ObjectByOid(tag.a), ObjType::kEc);
@@ -261,11 +261,10 @@ Pd* Hypervisor::Boot(std::uint64_t kernel_reserve) {
   // memory regions, I/O ports and interrupts (§6).
   const std::uint64_t first_page = kernel_reserve_ >> hw::kPageShift;
   const std::uint64_t last_page = machine_->mem().size() >> hw::kPageShift;
-  // nova-lint: allow(lock-discipline) -- single-core boot, APs not started
-  mdb_.CreateRoot(root_pd_.get(), CrdKind::kMem, first_page,
-                  last_page - first_page, perm::kRwx);
-  // nova-lint: allow(lock-discipline) -- single-core boot, APs not started
-  mdb_.CreateRoot(root_pd_.get(), CrdKind::kIo, 0, 65536, perm::kAll);
+  Mdb& mdb = mdb_.Get(SerialPhase::kBoot);
+  mdb.CreateRoot(root_pd_.get(), CrdKind::kMem, first_page,
+                 last_page - first_page, perm::kRwx);
+  mdb.CreateRoot(root_pd_.get(), CrdKind::kIo, 0, 65536, perm::kAll);
   root_pd_->io_space().Grant(0, 65536);
   return root_pd_.get();
 }
@@ -277,8 +276,8 @@ Status Hypervisor::InstallCap(Pd* target, CapSel sel, ObjRef obj, std::uint8_t p
     // hand copies (with equal or reduced permissions) to other domains.
     // Creation hypercalls run serially on the calling core; charging
     // mdb_lock_ here would change the contention model and the digests.
-    // nova-lint: allow(lock-discipline) -- serial create path, cost-model debt
-    mdb_.CreateRoot(target, CrdKind::kObj, sel, 1, perms);
+    mdb_.Get(SerialPhase::kUncharged)
+        .CreateRoot(target, CrdKind::kObj, sel, 1, perms);
   }
   return s;
 }
@@ -307,8 +306,8 @@ Status Hypervisor::CreatePd(Pd* caller, CapSel dst_sel, const std::string& name,
     if (pd != nullptr) {
       pd->MarkDead();
       // Create-failure unwind: the domain was never visible to other cores.
-      // nova-lint: allow(lock-discipline) -- unwind of an unpublished domain
-      mdb_.DropDomain(pd.get(), [](const MdbNode&) {});
+      mdb_.Get(SerialPhase::kUnpublishedUnwind)
+          .DropDomain(pd.get(), [](const MdbNode&) {});
       pd->mem_space().table().FreeTables(
           [this, &pd](hw::PhysAddr f) { FreeFrameFor(pd.get(), f); });
       if (pd->is_vm() && pd->vm_tag() != hw::kHostTag) {
@@ -364,8 +363,8 @@ Status Hypervisor::DestroyPd(Pd* caller, CapSel pd_sel) {
   // domain already unmapped itself is not an error during teardown.
   // Teardown of a dead domain runs serially on the calling core; charging
   // mdb_lock_ here would change the contention model and shift digests.
-  // nova-lint: allow(lock-discipline) -- serial teardown, cost-model debt
-  mdb_.DropDomain(pd, [this](const MdbNode& node) {
+  Mdb& mdb = mdb_.Get(SerialPhase::kUncharged);
+  mdb.DropDomain(pd, [this](const MdbNode& node) {
     if (node.pd->dead()) {
       return;  // A domain destroyed earlier: its spaces are already gone.
     }
@@ -406,9 +405,9 @@ void Hypervisor::ReclaimPd(Pd* pd) {
       }
       // ReclaimPd unbinds after the domain is dead and its ECs are off
       // the run queues; no remote delivery can race this.
-      // nova-lint: allow(lock-discipline) -- serial teardown unbinding
-      if (sm->bound_gsi_valid() && gsi_sms_[sm->bound_gsi()] == sm) {
-        gsi_sms_[sm->bound_gsi()] = nullptr;  // nova-lint: allow(lock-discipline)
+      auto& gsi_sms = gsi_sms_.Get(SerialPhase::kTeardown);
+      if (sm->bound_gsi_valid() && gsi_sms[sm->bound_gsi()] == sm) {
+        gsi_sms[sm->bound_gsi()] = nullptr;
       }
       sm->MarkDead();
       sm->set_owner(nullptr);
@@ -447,10 +446,9 @@ void Hypervisor::ReclaimPd(Pd* pd) {
 
   // Direct-interrupt routes into the domain's vCPUs go quiet. Serial
   // teardown: the dead domain's vCPUs can no longer take delivery.
-  for (std::uint32_t gsi = 0; gsi < hw::kNumGsis; ++gsi) {
-    // nova-lint: allow(lock-discipline) -- serial teardown unbinding
-    if (gsi_direct_[gsi] != nullptr && &gsi_direct_[gsi]->pd() == pd) {
-      gsi_direct_[gsi] = nullptr;  // nova-lint: allow(lock-discipline)
+  for (auto& route : gsi_direct_.Get(SerialPhase::kTeardown)) {
+    if (route != nullptr && &route->pd() == pd) {
+      route = nullptr;
     }
   }
 
@@ -820,7 +818,7 @@ Status Hypervisor::Delegate(Pd* caller, CapSel dst_pd_sel, const Crd& src,
                             bool large) {
   const std::uint32_t cpu_id = boot_cpu_for_step_;
   Charge(cpu_id, costs_.hypercall_dispatch);
-  ChargeLock(mdb_lock_, cpu_id);
+  Mdb& mdb = mdb_.Get(ChargeLock(mdb_lock_, cpu_id));
   Pd* dst = LookupCharged<Pd>(caller, dst_pd_sel, ObjType::kPd, 0, cpu_id);
   if (dst == nullptr) {
     return Status::kBadCapability;
@@ -828,7 +826,7 @@ Status Hypervisor::Delegate(Pd* caller, CapSel dst_pd_sel, const Crd& src,
   if (src.kind == CrdKind::kNull) {
     return Status::kBadParameter;
   }
-  MdbNode* node = mdb_.Find(caller, src.kind, src.base, src.count());
+  MdbNode* node = mdb.Find(caller, src.kind, src.base, src.count());
   if (node == nullptr) {
     return Status::kDenied;  // Caller does not hold the resource.
   }
@@ -878,18 +876,18 @@ Status Hypervisor::Delegate(Pd* caller, CapSel dst_pd_sel, const Crd& src,
     case CrdKind::kNull:
       break;
   }
-  (void)mdb_.Delegate(node, dst, hotspot, src.count(), eff, src.base);
+  (void)mdb.Delegate(node, dst, hotspot, src.count(), eff, src.base);
   return Status::kSuccess;
 }
 
 Status Hypervisor::Revoke(Pd* caller, const Crd& crd, bool include_self) {
   const std::uint32_t cpu_id = boot_cpu_for_step_;
   Charge(cpu_id, costs_.hypercall_dispatch);
-  ChargeLock(mdb_lock_, cpu_id);
+  Mdb& mdb = mdb_.Get(ChargeLock(mdb_lock_, cpu_id));
   bool touched_mem = false;
   // As with DestroyPd: per-node withdrawals during a revoke walk are
   // best-effort, since children may have dropped ranges on their own.
-  (void)mdb_.Revoke(caller, crd, include_self, [&](const MdbNode& node) {
+  (void)mdb.Revoke(caller, crd, include_self, [&](const MdbNode& node) {
     Charge(cpu_id, costs_.mdb_node);
     switch (node.kind) {
       case CrdKind::kMem:
@@ -942,8 +940,8 @@ Status Hypervisor::GrantDeviceWindow(hw::PhysAddr base, std::uint64_t size) {
   }
   // Device windows are granted during single-core platform bring-up,
   // before any guest runs.
-  // nova-lint: allow(lock-discipline) -- single-core bring-up grant
-  mdb_.CreateRoot(root_pd_.get(), CrdKind::kMem, base >> hw::kPageShift,
+  mdb_.Get(SerialPhase::kBoot)
+      .CreateRoot(root_pd_.get(), CrdKind::kMem, base >> hw::kPageShift,
                   hw::PageAlignUp(size) >> hw::kPageShift, perm::kRw);
   return Status::kSuccess;
 }
@@ -962,9 +960,8 @@ Status Hypervisor::AssignGsi(Pd* caller, CapSel sm_sel, std::uint32_t gsi,
   // Rebind hypercalls are serialized with delivery by the event loop; on
   // real hardware this is where sched_lock_ would be taken. Charging it
   // here would change the contention model and the golden digests.
-  // nova-lint: allow(lock-discipline) -- serialized rebind, cost-model debt
-  gsi_sms_[gsi] = sm;
-  gsi_direct_[gsi] = nullptr;  // nova-lint: allow(lock-discipline)
+  gsi_sms_.Get(SerialPhase::kUncharged)[gsi] = sm;
+  gsi_direct_.Get(SerialPhase::kUncharged)[gsi] = nullptr;
   machine_->irq().Configure(gsi, cpu_id, static_cast<std::uint8_t>(32 + gsi));
   return Status::kSuccess;
 }
@@ -978,9 +975,9 @@ Status Hypervisor::AssignGsiDirect(Pd* caller, CapSel vcpu_sel, std::uint32_t gs
   if (ec == nullptr || ec->kind() != Ec::Kind::kVcpu) {
     return Status::kBadCapability;
   }
-  // nova-lint: allow(lock-discipline) -- serialized rebind, cost-model debt
-  gsi_direct_[gsi] = ec;
-  gsi_sms_[gsi] = nullptr;  // nova-lint: allow(lock-discipline)
+  // Serialized with delivery and uncharged, as in AssignGsi.
+  gsi_direct_.Get(SerialPhase::kUncharged)[gsi] = ec;
+  gsi_sms_.Get(SerialPhase::kUncharged)[gsi] = nullptr;
   machine_->irq().Configure(gsi, ec->cpu(), static_cast<std::uint8_t>(32 + gsi));
   machine_->irq().Unmask(gsi);
   return Status::kSuccess;
@@ -1040,11 +1037,9 @@ void Hypervisor::ProcessPendingIrqs(std::uint32_t cpu_id) {
     const std::uint32_t gsi = vector - 32u;
     // Delivery runs on the CPU the GSI is routed to, and rebinds are
     // serialized with delivery by the event loop.
-    // nova-lint: allow(lock-discipline) -- delivery on the routed CPU
-    if (gsi_direct_[gsi] != nullptr) {
+    if (Ec* vcpu = gsi_direct_.Get(SerialPhase::kRoutedDelivery)[gsi].get();
+        vcpu != nullptr) {
       // Left pending: consumed by the guest engine on its next run.
-      // nova-lint: allow(lock-discipline) -- delivery on the routed CPU
-      Ec* vcpu = gsi_direct_[gsi].get();
       if (vcpu->block_state() == Ec::BlockState::kBlockedHalt) {
         WakeEc(vcpu);
       }
@@ -1055,8 +1050,8 @@ void Hypervisor::ProcessPendingIrqs(std::uint32_t cpu_id) {
     Charge(cpu_id, costs_.irq_ack);
     CountEvent(ctr_.gsi_delivered, trc_.gsi_delivered, cpu_id, gsi,
                sim::TraceCat::kIrq);
-    // nova-lint: allow(lock-discipline) -- delivery on the routed CPU
-    if (auto& sm = gsi_sms_[gsi]; sm != nullptr) {
+    if (auto& sm = gsi_sms_.Get(SerialPhase::kRoutedDelivery)[gsi];
+        sm != nullptr) {
       sm->set_counter(sm->counter() + 1);
       if (!sm->waiters().empty()) {
         auto ec = sm->waiters().front();
@@ -1069,7 +1064,7 @@ void Hypervisor::ProcessPendingIrqs(std::uint32_t cpu_id) {
 
 // --- SMP primitives -----------------------------------------------------------
 
-void Hypervisor::ChargeLock(KernelLock& lock, std::uint32_t cpu_id) {
+void Hypervisor::ChargeContention(LockState& lock, std::uint32_t cpu_id) {
   if (machine_->num_cpus() == 1) {
     return;  // Uncontended by construction; stays cost-free.
   }

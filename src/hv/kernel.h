@@ -17,11 +17,11 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/hw/machine.h"
 #include "src/hw/vm_engine.h"
+#include "src/hv/guarded.h"
 #include "src/hv/kmem.h"
 #include "src/hv/mdb.h"
 #include "src/hv/objects.h"
@@ -153,9 +153,8 @@ class Hypervisor : public KmemPool {
   hw::VmEngine& engine(std::uint32_t cpu) { return *engines_[cpu]; }
   sim::StatRegistry& stats() { return stats_; }
   const HvCosts& costs() const { return costs_; }
-  // Test/snapshot accessor; hot-path callers charge mdb_lock_ themselves.
-  // nova-lint: allow(lock-discipline) -- read-only accessor escape
-  Mdb& mdb() { return mdb_; }
+  // Test accessor: callers inspect a stopped machine.
+  Mdb& mdb() { return mdb_.Get(SerialPhase::kQuiescedSnapshot); }
 
   // Kernel frame allocator (exposed for the root PM to build tables for
   // guests during image installation). Charged to the root PD's account.
@@ -233,7 +232,7 @@ class Hypervisor : public KmemPool {
   // A simple contention model for kernel structures shared across cores:
   // an acquire from a different core within the previous holder's hold
   // window pays the contended-spinlock price. Free on 1-CPU machines.
-  struct KernelLock {
+  struct LockState {
     std::uint32_t last_cpu = ~0u;
     sim::PicoSeconds hold_until_ps = 0;
     template <class Ar>
@@ -241,7 +240,16 @@ class Hypervisor : public KmemPool {
       ar.Io(last_cpu, hold_until_ps);
     }
   };
-  void ChargeLock(KernelLock& lock, std::uint32_t cpu_id);
+  // Lock `L`. ChargeLock returns the token that opens the state `L`
+  // guards (guarded.h).
+  template <LockId L>
+  struct KernelLock : LockState {};
+  template <LockId L>
+  LockToken<L> ChargeLock(KernelLock<L>& lock, std::uint32_t cpu_id) {
+    ChargeContention(lock, cpu_id);
+    return LockToken<L>();
+  }
+  void ChargeContention(LockState& lock, std::uint32_t cpu_id);
 
   // Advance device/event-queue time to the machine-wide floor: the minimum
   // local clock over cores that still have runnable work (idle cores are
@@ -409,7 +417,7 @@ class Hypervisor : public KmemPool {
   HotCounters ctr_{stats_};
   sim::Tracer* tracer_{&machine_->tracer()};
   HotTraceIds trc_{*tracer_};
-  Mdb mdb_;  // guarded-by(mdb_lock_)
+  Guarded<Mdb, LockId::kMdb> mdb_;
 
   // Kernel memory pool.
   std::uint64_t kernel_reserve_ = 0;
@@ -423,10 +431,10 @@ class Hypervisor : public KmemPool {
 
   // GSI bindings. Rebinding a route races interrupt delivery on another
   // core, so writers outside single-core phases take the scheduler lock.
-  // guarded-by(sched_lock_)
-  std::array<std::shared_ptr<Sm>, hw::kNumGsis> gsi_sms_{};
-  // guarded-by(sched_lock_)
-  std::array<std::shared_ptr<Ec>, hw::kNumGsis> gsi_direct_{};
+  Guarded<std::array<std::shared_ptr<Sm>, hw::kNumGsis>, LockId::kSched>
+      gsi_sms_;
+  Guarded<std::array<std::shared_ptr<Ec>, hw::kNumGsis>, LockId::kSched>
+      gsi_direct_;
 
   hw::TlbTagAllocator tlb_tags_;  // VM identity tags + vTLB context tags.
   VtlbPolicy vtlb_policy_{};
@@ -445,9 +453,11 @@ class Hypervisor : public KmemPool {
   std::vector<ObjSlot> objects_;
 
   // Shared kernel structures with a contention price under SMP.
-  KernelLock sched_lock_;  // Cross-core wakeups touch remote run queues.
-  KernelLock mdb_lock_;    // Mapping-database delegate/revoke walks.
-  KernelLock xcall_lock_;  // Cross-core IPC request slots.
+  KernelLock<LockId::kSched> sched_lock_;
+  KernelLock<LockId::kMdb> mdb_lock_;
+  KernelLock<LockId::kXcall> xcall_lock_;
+
+  sim::EventOwner event_owner_;  // Last member: unregisters first.
 };
 
 }  // namespace nova::hv

@@ -10,10 +10,10 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/hv/types.h"
+#include "src/sim/hash_index.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/status.h"
 
@@ -86,8 +86,7 @@ class Mdb {
   template <class Ar, class Refs>
   void Io(Ar& ar, Refs& refs) {
     constexpr std::uint64_t kNone = ~0ull;
-    // nova-lint: allow(determinism) -- lookup-only table, never iterated
-    std::unordered_map<const MdbNode*, std::uint64_t> index;
+    sim::HashIndex<const MdbNode*, std::uint64_t> index;  // Lookup only.
     if constexpr (!Ar::kLoading) {
       for (std::size_t i = 0; i < nodes_.size(); ++i) {
         index[nodes_[i].get()] = i;
@@ -104,9 +103,9 @@ class Mdb {
       std::uint64_t parent = kNone;
       std::vector<std::uint64_t> kids;
       if constexpr (!Ar::kLoading) {
-        parent = node->parent != nullptr ? index.at(node->parent) : kNone;
+        parent = node->parent != nullptr ? index.At(node->parent) : kNone;
         for (const MdbNode* child : node->children) {
-          kids.push_back(index.at(child));
+          kids.push_back(index.At(child));
         }
       }
       ar.Io(parent);

@@ -136,12 +136,10 @@ void Hypervisor::Io(Ar& ar) {
 
   // GSI bindings. Snapshots run with the machine quiesced; no delivery or
   // rebind can race them.
-  // nova-lint: allow(lock-discipline) -- quiesced-machine snapshot
-  for (auto& sm : gsi_sms_) {
+  for (auto& sm : gsi_sms_.Get(SerialPhase::kQuiescedSnapshot)) {
     refs.Io(ar, sm);
   }
-  // nova-lint: allow(lock-discipline) -- quiesced-machine snapshot
-  for (auto& ec : gsi_direct_) {
+  for (auto& ec : gsi_direct_.Get(SerialPhase::kQuiescedSnapshot)) {
     refs.Io(ar, ec);
   }
 
@@ -175,8 +173,7 @@ void Hypervisor::Io(Ar& ar) {
   }
 
   // Mapping database and root sanity anchor.
-  // nova-lint: allow(lock-discipline) -- quiesced-machine snapshot
-  mdb_.Io(ar, refs);
+  mdb_.Get(SerialPhase::kQuiescedSnapshot).Io(ar, refs);
   ar.Verify(root_pd_ == nullptr ? KObject::kNoOid : root_pd_->oid());
 }
 

@@ -1,8 +1,5 @@
 #include "src/hv/spaces.h"
 
-#include <algorithm>
-#include <vector>
-
 namespace nova::hv {
 namespace {
 
@@ -62,47 +59,39 @@ Status MemSpace::Unmap(std::uint64_t page, std::uint64_t count) {
   const std::uint64_t large_pages =
       hw::LargePageSize(table_.mode()) / hw::kPageSize;
   for (std::uint64_t off = 0; off < count; ++off) {
-    auto it = pages_.find(page + off);
-    if (it == pages_.end()) {
+    const Holding* h = pages_.Find(page + off);
+    if (h == nullptr) {
       continue;
     }
-    if (it->second.large) {
+    if (h->large) {
       // Revoking any part of a superpage drops the whole superpage.
       const std::uint64_t base = (page + off) & ~(large_pages - 1);
       (void)table_.Unmap(base << hw::kPageShift);
       for (std::uint64_t i = 0; i < large_pages; ++i) {
-        pages_.erase(base + i);
+        pages_.Erase(base + i);
       }
     } else {
       (void)table_.Unmap((page + off) << hw::kPageShift);
-      pages_.erase(it);
+      pages_.Erase(page + off);
     }
   }
   return Status::kSuccess;
 }
 
 std::uint8_t MemSpace::PermsFor(std::uint64_t page) const {
-  auto it = pages_.find(page);
-  return it == pages_.end() ? 0 : it->second.perms;
+  const Holding* h = pages_.Find(page);
+  return h == nullptr ? 0 : h->perms;
 }
 
 std::uint64_t MemSpace::HpaPageFor(std::uint64_t page) const {
-  auto it = pages_.find(page);
-  return it == pages_.end() ? ~0ull : it->second.hpa_page;
+  const Holding* h = pages_.Find(page);
+  return h == nullptr ? ~0ull : h->hpa_page;
 }
 
 void MemSpace::ForEachMapping(const MappingVisitor& visit) const {
-  std::vector<std::uint64_t> keys;
-  keys.reserve(pages_.size());
-  // nova-lint: allow(determinism) -- collected then sorted before visiting
-  for (const auto& [page, holding] : pages_) {
-    keys.push_back(page);
-  }
-  std::sort(keys.begin(), keys.end());
-  for (const std::uint64_t page : keys) {
-    const Holding& h = pages_.at(page);
+  pages_.ForEachInKeyOrder([&](std::uint64_t page, const Holding& h) {
     visit(page, h.hpa_page, h.perms, h.large);
-  }
+  });
 }
 
 template <class Ar>

@@ -10,12 +10,11 @@
 #include <bitset>
 #include <cstdint>
 #include <functional>
-#include <map>
-#include <unordered_map>
 
 #include "src/hw/paging.h"
 #include "src/hw/phys_mem.h"
 #include "src/hv/types.h"
+#include "src/sim/hash_index.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/status.h"
 
@@ -73,7 +72,7 @@ class MemSpace {
 
   hw::PageTable table_;
   hw::PageTable::FrameAllocator alloc_;
-  std::unordered_map<std::uint64_t, Holding> pages_;
+  sim::HashIndex<std::uint64_t, Holding> pages_;
 };
 
 class IoSpace {

@@ -13,7 +13,7 @@ constexpr std::uint32_t kOpComplete = 1;
 DiskModel::DiskModel(sim::EventQueue* events, DiskGeometry geometry,
                      std::string name)
     : events_(events), geometry_(geometry), name_(std::move(name)) {
-  events_->RegisterOwner(
+  event_owner_ = events_->RegisterOwner(
       sim::EventQueue::OwnerToken(name_), [this](const sim::EventTag& tag) {
         return [this, id = tag.a] { Fire(id); };
       });
@@ -36,9 +36,8 @@ void DiskModel::ReadContent(std::uint64_t offset, void* out, std::uint64_t bytes
     const std::uint64_t sector = offset / kSectorSize;
     const std::uint64_t in_sector = offset % kSectorSize;
     const std::uint64_t chunk = std::min(bytes, kSectorSize - in_sector);
-    auto it = sectors_.find(sector);
-    if (it != sectors_.end()) {
-      std::memcpy(dst, it->second.data() + in_sector, chunk);
+    if (const std::vector<std::uint8_t>* stored = sectors_.Find(sector)) {
+      std::memcpy(dst, stored->data() + in_sector, chunk);
     } else {
       for (std::uint64_t i = 0; i < chunk; ++i) {
         dst[i] = PatternByte(offset + i);

@@ -18,11 +18,11 @@
 #include <functional>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/sim/event_queue.h"
 #include "src/sim/fault.h"
+#include "src/sim/hash_index.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/stats.h"
 #include "src/sim/status.h"
@@ -115,13 +115,14 @@ class DiskModel {
   DiskGeometry geometry_;
   std::string name_;
   sim::PicoSeconds busy_until_ = 0;
-  std::unordered_map<std::uint64_t, std::vector<std::uint8_t>> sectors_;
+  sim::HashIndex<std::uint64_t, std::vector<std::uint8_t>> sectors_;
   sim::Counter completed_;
   sim::Counter media_errors_;
   sim::FaultPlan* fault_plan_ = nullptr;
   std::map<RequestId, Pending> pending_;
   RequestId next_request_ = 1;
   CompletionHandler handler_;
+  sim::EventOwner event_owner_;  // Last member: unregisters first.
 };
 
 }  // namespace nova::hw

@@ -12,18 +12,18 @@ void Iommu::AttachDevice(DeviceId dev, PhysAddr root, PagingMode mode) {
   contexts_[dev] = Context{.table = std::make_unique<PageTable>(mem_, mode, root)};
 }
 
-void Iommu::DetachDevice(DeviceId dev) { contexts_.erase(dev); }
+void Iommu::DetachDevice(DeviceId dev) { contexts_.Erase(dev); }
 
 Status Iommu::Map(DeviceId dev, std::uint64_t iova, PhysAddr pa,
                   std::uint64_t size, bool writable,
                   const PageTable::FrameAllocator& alloc) {
-  auto it = contexts_.find(dev);
-  if (it == contexts_.end()) {
+  Context* ctx = contexts_.Find(dev);
+  if (ctx == nullptr) {
     return Status::kBadDevice;
   }
   for (std::uint64_t off = 0; off < size; off += kPageSize) {
     const std::uint64_t flags = pte::kUser | (writable ? pte::kWritable : 0);
-    const Status s = it->second.table->Map(iova + off, pa + off, kPageSize, flags, alloc);
+    const Status s = ctx->table->Map(iova + off, pa + off, kPageSize, flags, alloc);
     if (!Ok(s)) {
       return s;
     }
@@ -32,12 +32,12 @@ Status Iommu::Map(DeviceId dev, std::uint64_t iova, PhysAddr pa,
 }
 
 Status Iommu::Unmap(DeviceId dev, std::uint64_t iova, std::uint64_t size) {
-  auto it = contexts_.find(dev);
-  if (it == contexts_.end()) {
+  Context* ctx = contexts_.Find(dev);
+  if (ctx == nullptr) {
     return Status::kBadDevice;
   }
   for (std::uint64_t off = 0; off < size; off += kPageSize) {
-    (void)it->second.table->Unmap(iova + off);
+    (void)ctx->table->Unmap(iova + off);
   }
   return Status::kSuccess;
 }
@@ -50,8 +50,8 @@ bool Iommu::GsiAllowed(DeviceId dev, std::uint32_t gsi) const {
   if (!present_) {
     return true;  // No interrupt remapping without an IOMMU.
   }
-  auto it = allowed_gsis_.find(dev);
-  return it != allowed_gsis_.end() && (it->second & (1ull << gsi)) != 0;
+  const std::uint64_t* mask = allowed_gsis_.Find(dev);
+  return mask != nullptr && (*mask & (1ull << gsi)) != 0;
 }
 
 void Iommu::RecordFault(DeviceId dev, std::uint64_t iova, bool write) {
@@ -75,14 +75,14 @@ Status Iommu::Translate(DeviceId dev, std::uint64_t iova, bool write, PhysAddr* 
     *out = iova;  // Identity, unchecked: legacy platform.
     return Status::kSuccess;
   }
-  auto it = contexts_.find(dev);
-  if (it == contexts_.end()) {
+  const Context* ctx = contexts_.Find(dev);
+  if (ctx == nullptr) {
     // Device has no remapping context: identity, but the hypervisor region
     // is still shielded by the unit.
     *out = iova;
     return Status::kSuccess;
   }
-  const WalkResult r = it->second.table->Walk(
+  const WalkResult r = ctx->table->Walk(
       iova, Access{.write = write, .user = true}, /*set_ad=*/false);
   if (!Ok(r.status)) {
     RecordFault(dev, iova, write);

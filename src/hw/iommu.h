@@ -11,11 +11,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "src/hw/paging.h"
 #include "src/hw/phys_mem.h"
+#include "src/sim/hash_index.h"
 #include "src/sim/stats.h"
 
 namespace nova::hw {
@@ -39,7 +39,7 @@ class Iommu {
   void AttachDevice(DeviceId dev, PhysAddr root,
                     PagingMode mode = PagingMode::kFourLevel);
   void DetachDevice(DeviceId dev);
-  bool IsAttached(DeviceId dev) const { return contexts_.contains(dev); }
+  bool IsAttached(DeviceId dev) const { return contexts_.Find(dev) != nullptr; }
 
   // Map iova -> pa in the device's remapping table.
   Status Map(DeviceId dev, std::uint64_t iova, PhysAddr pa, std::uint64_t size,
@@ -94,8 +94,11 @@ class Iommu {
 
   PhysMem* mem_;
   bool present_;
-  std::unordered_map<DeviceId, Context> contexts_;
-  std::unordered_map<DeviceId, std::uint64_t> allowed_gsis_;  // Bitmask.
+  // HashIndex rather than std::map: the Iommu lives inside hw::Machine,
+  // and the smaller std::map shifted the Machine members after it, which
+  // measured ~4 % slower on perfbench's disk_4k.
+  sim::HashIndex<DeviceId, Context> contexts_;
+  sim::HashIndex<DeviceId, std::uint64_t> allowed_gsis_;  // Bitmask.
   std::vector<std::pair<PhysAddr, std::uint64_t>> protected_;
   sim::Counter faults_;
   std::vector<FaultRecord> fault_log_;

@@ -85,6 +85,10 @@ class Machine {
 
  private:
   PhysMem mem_;
+  // Every sim::EventOwner handle must die before this queue. Members are
+  // destroyed in reverse order, so the devices below go first; owners
+  // built on top of the machine (Hypervisor, platform devices, services,
+  // VMMs, fault plans) must be destroyed before the Machine itself.
   sim::EventQueue events_;
   IrqChip irq_;
   Iommu iommu_;

@@ -14,7 +14,7 @@ constexpr sim::EventTag kSendTag{sim::EventQueue::OwnerToken("hw.netlink"),
 Nic::Nic(DeviceId id, Iommu* iommu, IrqChip* irq, std::uint32_t gsi,
          sim::EventQueue* events)
     : Device(id, "nic"), iommu_(iommu), irq_(irq), gsi_(gsi), events_(events) {
-  events_->RegisterOwner(kCoalesceTag.owner, [this](const sim::EventTag&) {
+  event_owner_ = events_->RegisterOwner(kCoalesceTag.owner, [this](const sim::EventTag&) {
     return [this] { CoalesceExpired(); };
   });
 }
@@ -158,7 +158,7 @@ void Nic::FireIrq() {
 
 NetLink::NetLink(sim::EventQueue* events, Nic* nic)
     : events_(events), nic_(nic) {
-  events_->RegisterOwner(kSendTag.owner, [this](const sim::EventTag&) {
+  event_owner_ = events_->RegisterOwner(kSendTag.owner, [this](const sim::EventTag&) {
     return [this] { SendOne(); };
   });
 }

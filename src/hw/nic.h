@@ -114,6 +114,7 @@ class Nic : public Device {
   sim::FaultPlan* fault_plan_ = nullptr;
   sim::Tracer* tracer_ = &sim::Tracer::Disabled();
   std::uint16_t trace_rx_ = 0;
+  sim::EventOwner event_owner_;  // Last member: unregisters first.
 };
 
 // Generates a constant-bandwidth stream of fixed-size frames into a NIC,
@@ -155,6 +156,7 @@ class NetLink {
   sim::Counter lost_;
   std::uint64_t seq_ = 0;
   sim::FaultPlan* fault_plan_ = nullptr;
+  sim::EventOwner event_owner_;  // Last member: unregisters first.
 };
 
 }  // namespace nova::hw

@@ -5,8 +5,8 @@
 namespace nova::hw {
 
 PhysMem::Frame* PhysMem::FrameFor(std::uint64_t frame_no) const {
-  auto it = frames_.find(frame_no);
-  return it == frames_.end() ? nullptr : it->second.get();
+  const std::unique_ptr<Frame>* slot = frames_.Find(frame_no);
+  return slot == nullptr ? nullptr : slot->get();
 }
 
 PhysMem::Frame& PhysMem::FrameForAlloc(std::uint64_t frame_no) {
@@ -86,12 +86,17 @@ void PhysMem::Io(Ar& ar) {
   if constexpr (Ar::kLoading) {
     frames_.clear();
   }
-  ar.Keyed(sim::kCount64, frames_, [&ar](std::unique_ptr<Frame>& frame) {
-    if constexpr (Ar::kLoading) {
-      frame = std::make_unique<Frame>();
-    }
-    ar.Io(*frame);
-  });
+  const std::uint64_t frames = FrameOf(PageAlignUp(size_));
+  ar.Keyed(sim::kCount64, frames_,
+           [&](std::uint64_t frame_no, std::unique_ptr<Frame>& frame) {
+             if constexpr (Ar::kLoading) {
+               if (frame_no >= frames) {
+                 ar.Fail(Status::kBadParameter);
+               }
+               frame = std::make_unique<Frame>();
+             }
+             ar.Io(*frame);
+           });
 }
 
 Status PhysMem::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }

@@ -11,8 +11,8 @@
 #include <cstring>
 #include <functional>
 #include <memory>
-#include <unordered_map>
 
+#include "src/sim/hash_index.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/status.h"
 
@@ -79,9 +79,9 @@ class PhysMem {
   using WriteObserver = std::function<void(PhysAddr addr, std::uint64_t len)>;
   void set_write_observer(WriteObserver obs) { observer_ = std::move(obs); }
 
-  // Serialize installed-RAM size and every resident frame (sorted by frame
-  // number for a deterministic encoding). Load fails if the twin's size
-  // differs.
+  // Serialize installed-RAM size and every resident frame in ascending
+  // frame order. Load fails if the twin's size differs or a frame lies at
+  // or beyond installed RAM.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
   template <class Ar>
@@ -94,7 +94,7 @@ class PhysMem {
   Frame& FrameForAlloc(std::uint64_t frame_no);        // Allocates.
 
   std::uint64_t size_;
-  mutable std::unordered_map<std::uint64_t, std::unique_ptr<Frame>> frames_;
+  sim::HashIndex<std::uint64_t, std::unique_ptr<Frame>> frames_;
   WriteObserver observer_;
 };
 

@@ -23,7 +23,7 @@ class PlatformTimer : public Device {
   PlatformTimer(DeviceId id, IrqChip* irq, std::uint32_t gsi,
                 sim::EventQueue* events)
       : Device(id, "timer"), irq_(irq), gsi_(gsi), events_(events) {
-    events_->RegisterOwner(
+    event_owner_ = events_->RegisterOwner(
         sim::EventQueue::OwnerToken("hw.timer"),
         [this](const sim::EventTag& tag) {
           return [this, gen = tag.a] {
@@ -65,6 +65,7 @@ class PlatformTimer : public Device {
   std::uint64_t generation_ = 0;  // Invalidates stale scheduled ticks.
   std::uint64_t ticks_ = 0;
   std::uint16_t period_lo_ = 0;
+  sim::EventOwner event_owner_;  // Last member: unregisters first.
 };
 
 }  // namespace nova::hw

@@ -10,7 +10,7 @@ constexpr sim::EventTag kCheckTag{
 VmmSupervisor::VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root,
                              Config config)
     : hv_(hv), root_(root), config_(config) {
-  hv_->machine().events().RegisterOwner(
+  event_owner_ = hv_->machine().events().RegisterOwner(
       kCheckTag.owner,
       [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
         if (tag.op != kCheckTag.op) {
@@ -18,10 +18,6 @@ VmmSupervisor::VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root,
         }
         return [this] { CheckTick(); };
       });
-}
-
-VmmSupervisor::~VmmSupervisor() {
-  hv_->machine().events().Unregister(kCheckTag.owner);
 }
 
 void VmmSupervisor::Watch(vmm::Vmm* vmm, RestartFn on_restart) {

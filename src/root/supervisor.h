@@ -65,7 +65,6 @@ class VmmSupervisor {
   VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root, Config config);
   VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root)
       : VmmSupervisor(hv, root, Config()) {}
-  ~VmmSupervisor();
   VmmSupervisor(const VmmSupervisor&) = delete;
   VmmSupervisor& operator=(const VmmSupervisor&) = delete;
 
@@ -120,6 +119,7 @@ class VmmSupervisor {
   sim::PicoSeconds last_detect_latency_ps_ = 0;
   bool check_running_ = false;
   sim::EventQueue::EventId check_event_ = 0;  // Last scheduled check.
+  sim::EventOwner event_owner_;  // Last member: unregisters first.
 };
 
 }  // namespace nova::root

@@ -18,7 +18,7 @@ constexpr std::uint32_t kOpReissue = 2;
 DiskServer::DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
                        std::uint32_t cpu, std::uint8_t irq_prio)
     : hv_(hv), root_(root), cpu_(cpu) {
-  hv_->machine().events().RegisterOwner(
+  event_owner_ = hv_->machine().events().RegisterOwner(
       kDiskServerOwner,
       [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
         const int slot = static_cast<int>(tag.a);

@@ -171,6 +171,7 @@ class DiskServer {
   // Slots retired by deadline while the hardware command was still in
   // flight: unusable until the controller reports the command done.
   std::uint32_t quarantine_mask_ = 0;
+  sim::EventOwner event_owner_;  // Last member: unregisters first.
 };
 
 }  // namespace nova::services

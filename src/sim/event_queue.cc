@@ -8,7 +8,7 @@ namespace nova::sim {
 
 EventQueue::Callback EventQueue::Bind(const EventTag& tag) const {
   const auto it = factories_.find(tag.owner);
-  return it == factories_.end() ? nullptr : it->second(tag);
+  return it == factories_.end() ? nullptr : it->second.factory(tag);
 }
 
 EventQueue::EventId EventQueue::ScheduleAt(PicoSeconds when,
@@ -29,8 +29,12 @@ EventQueue::EventId EventQueue::ScheduleAt(PicoSeconds when,
   return id;
 }
 
-void EventQueue::Unregister(std::uint64_t owner) {
-  factories_.erase(owner);
+void EventQueue::Unregister(std::uint64_t owner, std::uint64_t serial) {
+  const auto it = factories_.find(owner);
+  if (it == factories_.end() || it->second.serial != serial) {
+    return;
+  }
+  factories_.erase(it);
   for (const Event& ev : heap_) {
     if (ev.tag.owner == owner) {
       (void)Cancel(ev.id);

@@ -17,8 +17,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <map>
 #include <string_view>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "src/sim/snapshot.h"
@@ -40,12 +41,52 @@ struct EventTag {
   std::uint64_t b = 0;
 };
 
+class EventQueue;
+
+// An owner's registration with its queue. Destroying the handle unregisters
+// the owner: its factory goes and its pending events are cancelled, so no
+// closure holding a dead owner's `this` is left to fire. A handle must die
+// before its queue. Move-only; a default-constructed handle owns nothing.
+class [[nodiscard]] EventOwner {
+ public:
+  EventOwner() = default;
+  EventOwner(EventOwner&& o) noexcept
+      : queue_(std::exchange(o.queue_, nullptr)),
+        owner_(o.owner_),
+        serial_(o.serial_) {}
+  EventOwner& operator=(EventOwner&& o) noexcept {
+    if (this != &o) {
+      Release();
+      queue_ = std::exchange(o.queue_, nullptr);
+      owner_ = o.owner_;
+      serial_ = o.serial_;
+    }
+    return *this;
+  }
+  ~EventOwner() { Release(); }
+
+ private:
+  friend class EventQueue;
+  EventOwner(EventQueue* queue, std::uint64_t owner, std::uint64_t serial)
+      : queue_(queue), owner_(owner), serial_(serial) {}
+  void Release();
+
+  EventQueue* queue_ = nullptr;
+  std::uint64_t owner_ = 0;
+  std::uint64_t serial_ = 0;  // Which registration of `owner_` this is.
+};
+
 class EventQueue {
  public:
   using Callback = std::function<void()>;
   using EventId = std::uint64_t;
   // Builds the closure an owner's event runs from its tag.
   using Factory = std::function<Callback(const EventTag&)>;
+
+  // Owner handles hold the queue's address, so it stays put.
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
   // Stable 64-bit token for a component name (FNV-1a; never returns 0).
   static constexpr std::uint64_t OwnerToken(std::string_view name) {
@@ -69,17 +110,14 @@ class EventQueue {
 
   // Register the closure factory for an owner token. Every component that
   // schedules events calls this before its first ScheduleAt, normally in
-  // its constructor; LoadState rebuilds restored events through the same
-  // factories. A later registration for the same owner replaces the
-  // earlier one.
-  void RegisterOwner(std::uint64_t owner, Factory fn) {
-    factories_[owner] = std::move(fn);
+  // its constructor, and keeps the returned handle as long as it lives;
+  // LoadState rebuilds restored events through the same factories. A
+  // later registration for the same owner replaces the earlier one, and
+  // the replaced handle then unregisters nothing.
+  EventOwner RegisterOwner(std::uint64_t owner, Factory fn) {
+    factories_[owner] = Registration{std::move(fn), ++registrations_};
+    return EventOwner(this, owner, registrations_);
   }
-
-  // Drop the owner's factory and cancel its pending events. Owners that
-  // die before the queue call this from their destructor, so no closure
-  // holding a dangling `this` is left to fire.
-  void Unregister(std::uint64_t owner);
 
   // Cancel a pending event; returns false if it already fired or is unknown.
   bool Cancel(EventId id);
@@ -124,8 +162,18 @@ class EventQueue {
     }
   };
 
+  friend class EventOwner;
+
+  struct Registration {
+    Factory factory;
+    std::uint64_t serial = 0;
+  };
+
   // The owner's closure for `tag`, or an empty one when it has no factory.
   Callback Bind(const EventTag& tag) const;
+  // Drops registration `serial` of `owner` and cancels the owner's pending
+  // events; a no-op once a later registration replaced it.
+  void Unregister(std::uint64_t owner, std::uint64_t serial);
   void Push(Event ev);
   Event Pop();
   bool IsCancelled(EventId id) const;
@@ -139,8 +187,16 @@ class EventQueue {
   std::uint64_t next_seq_ = 0;
   EventId next_id_ = 1;
   std::size_t live_ = 0;
-  std::unordered_map<std::uint64_t, Factory> factories_;
+  std::map<std::uint64_t, Registration> factories_;
+  std::uint64_t registrations_ = 0;
 };
+
+inline void EventOwner::Release() {
+  if (queue_ != nullptr) {
+    queue_->Unregister(owner_, serial_);
+    queue_ = nullptr;
+  }
+}
 
 }  // namespace nova::sim
 

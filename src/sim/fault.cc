@@ -17,7 +17,7 @@ void FaultPlan::set_tracer(Tracer* t) {
 
 void FaultPlan::Arm(EventQueue* events) {
   armed_ = true;
-  events->RegisterOwner(
+  event_owner_ = events->RegisterOwner(
       EventQueue::OwnerToken("sim.faultplan"), [this](const EventTag& tag) {
         const std::size_t i = static_cast<std::size_t>(tag.a);
         return [this, i] { entries_[i].active = true; };

@@ -126,6 +126,7 @@ class FaultPlan {
   std::uint64_t injected_[kNumFaultKinds] = {};
   Tracer* tracer_ = &Tracer::Disabled();
   std::uint16_t trace_fire_[kNumFaultKinds] = {};
+  EventOwner event_owner_;  // Last member: unregisters first.
 };
 
 }  // namespace nova::sim

@@ -34,7 +34,6 @@
 #ifndef SRC_SIM_SNAPSHOT_H_
 #define SRC_SIM_SNAPSHOT_H_
 
-#include <algorithm>
 #include <array>
 #include <concepts>
 #include <cstdint>
@@ -45,6 +44,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/sim/hash_index.h"
 #include "src/sim/status.h"
 
 namespace nova::sim {
@@ -72,6 +72,11 @@ class SnapStatus {
  private:
   Status status_ = Status::kSuccess;
 };
+
+template <class M>
+inline constexpr bool kIsStdMap = false;
+template <class K, class V, class C, class A>
+inline constexpr bool kIsStdMap<std::map<K, V, C, A>> = true;
 
 // Classes with their own SaveState/LoadState entry points for archive Ar.
 template <class T, class Ar>
@@ -139,35 +144,50 @@ class SnapArchive : public SnapStatus {
     }
   }
 
-  // Count-prefixed map, saved in ascending key order whatever the
-  // container's own iteration order; each entry is its key, then `each`
-  // on the value (default: Io). Loading overlays entries onto the map
-  // (clear it first under Ar::kLoading to replace them).
+  // Count-prefixed map in ascending key order: a std::map as it iterates,
+  // a sim::HashIndex through ForEachInKeyOrder. Each entry is its key, then
+  // `each` on the value (default: Io); an `each` taking (key, value) sees
+  // the key too. Loading overlays entries onto the map (clear it first
+  // under Ar::kLoading to replace them) and fails with kBadParameter unless
+  // the keys strictly ascend, so a map has exactly one encoding.
   template <class M>
   void Keyed(CountWidth width, M& m) {
     Keyed(width, m, [this](auto& v) { Field(v); });
   }
   template <class M, class Each>
   void Keyed(CountWidth width, M& m, Each each) {
+    static_assert(kIsStdMap<M> || kIsHashIndex<M>,
+                  "Keyed writes a std::map or a sim::HashIndex");
+    using K = typename M::key_type;
+    const auto entry = [&](const K& key, auto& value) {
+      if constexpr (std::is_invocable_v<Each&, const K&, decltype(value)>) {
+        each(key, value);
+      } else {
+        each(value);
+      }
+    };
     const std::uint64_t n = self().Count(m.size(), width);
     if constexpr (Ar::kLoading) {
+      K prev{};
       for (std::uint64_t i = 0; i < n && ok(); ++i) {
-        typename M::key_type key{};
+        K key{};
         Field(key);
-        each(m[key]);
+        if (i != 0 && !(prev < key)) {
+          Fail(Status::kBadParameter);
+          return;
+        }
+        entry(key, m[key]);
+        prev = std::move(key);
       }
-    } else {
-      std::vector<typename M::value_type*> order;
-      order.reserve(m.size());
-      for (auto& kv : m) {
-        order.push_back(&kv);
-      }
-      std::sort(order.begin(), order.end(), [](const auto* a, const auto* b) {
-        return a->first < b->first;
+    } else if constexpr (kIsHashIndex<M>) {
+      m.ForEachInKeyOrder([&](const K& key, auto& value) {
+        Field(key);
+        entry(key, value);
       });
-      for (auto* kv : order) {
-        Field(kv->first);
-        each(kv->second);
+    } else {
+      for (auto& [key, value] : m) {
+        Field(key);
+        entry(key, value);
       }
     }
   }

@@ -68,7 +68,7 @@ Tracer::Tracer(const EventQueue* clock, std::size_t capacity)
     : clock_(clock), ring_(capacity == 0 ? 1 : capacity), digest_(kFnvOffset) {
   // Id 0 is reserved so an uninitialized name id is visibly "<none>".
   names_.push_back("<none>");
-  ids_.emplace(names_.back(), 0);
+  ids_.Insert(names_.back(), 0);
 }
 
 Tracer& Tracer::Disabled() {
@@ -77,11 +77,10 @@ Tracer& Tracer::Disabled() {
 }
 
 std::uint16_t Tracer::Intern(const std::string& name) {
-  auto it = ids_.find(name);
-  if (it != ids_.end()) return it->second;
+  if (const std::uint16_t* id = ids_.Find(name)) return *id;
   const std::uint16_t id = static_cast<std::uint16_t>(names_.size());
   names_.push_back(name);
-  ids_.emplace(name, id);
+  ids_.Insert(name, id);
   return id;
 }
 
@@ -172,7 +171,7 @@ void Tracer::Io(Ar& ar) {
       return;
     }
     for (std::size_t i = names_.size(); i < names.size(); ++i) {
-      ids_.emplace(names[i], static_cast<std::uint16_t>(i));
+      ids_.Insert(names[i], static_cast<std::uint16_t>(i));
     }
     names_ = std::move(names);
   }
@@ -265,7 +264,6 @@ PicoSeconds TraceReport::TotalPs(std::uint16_t name) const {
 std::map<std::string, TraceReport::Entry> TraceReport::Rows(
     const Tracer& t) const {
   std::map<std::string, Entry> rows;
-  // nova-lint: allow(determinism) -- accumulates into a sorted std::map
   for (const auto& [id, e] : entries_) {
     Entry& row = rows[t.Name(id)];
     row.count += e.count;

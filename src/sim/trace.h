@@ -30,10 +30,10 @@
 #include <cstdio>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
+#include "src/sim/hash_index.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/status.h"
 #include "src/sim/time.h"
@@ -178,7 +178,7 @@ class Tracer {
   TraceReport* sink_ = nullptr;
 
   std::vector<std::string> names_;
-  std::unordered_map<std::string, std::uint16_t> ids_;
+  HashIndex<std::string, std::uint16_t> ids_;
 };
 
 // Folds a record stream into per-name attribution: how many times each
@@ -225,8 +225,8 @@ class TraceReport {
       ar.Io(name, begin_ts);
     }
   };
-  std::unordered_map<std::uint16_t, Entry> entries_;
-  std::unordered_map<std::uint8_t, std::vector<OpenSpan>> open_;
+  std::map<std::uint16_t, Entry> entries_;
+  std::map<std::uint8_t, std::vector<OpenSpan>> open_;
 };
 
 // RAII span: emits Begin on construction and End on destruction, stamping

@@ -93,8 +93,6 @@ Vmm::Vmm(hv::Hypervisor* hv, root::RootPartitionManager* root, VmmConfig config)
   CreateVm();
 }
 
-Vmm::~Vmm() { hv_->machine().events().Unregister(HbOwner()); }
-
 std::uint64_t Vmm::HbOwner() const {
   return sim::EventQueue::OwnerToken("vmm." + config_.name + ".hb");
 }
@@ -103,7 +101,7 @@ void Vmm::StartHeartbeat(sim::PicoSeconds period_ps, hw::PhysAddr hb_addr) {
   hb_period_ps_ = period_ps;
   hb_addr_ = hb_addr;
   hb_running_ = true;
-  hv_->machine().events().RegisterOwner(
+  hb_owner_ = hv_->machine().events().RegisterOwner(
       HbOwner(), [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
         if (tag.op != 1) {
           return nullptr;
@@ -650,14 +648,11 @@ void Vmm::Io(Ar& ar) {
     ar.Io(b);
   }
   ar.Io(disk_ring_tail_);
-  // nova-lint: allow(determinism) -- drained into a vector and sorted
   std::vector<std::uint64_t> delegated(delegated_buffer_pages_.begin(),
                                        delegated_buffer_pages_.end());
-  std::sort(delegated.begin(), delegated.end());
   ar.Seq(sim::kCount32, delegated);
   if constexpr (Ar::kLoading) {
-    delegated_buffer_pages_.clear();
-    delegated_buffer_pages_.insert(delegated.begin(), delegated.end());
+    delegated_buffer_pages_ = {delegated.begin(), delegated.end()};
   }
   ar.Io(crashed_, hb_count_, hb_running_, hb_period_ps_, hb_addr_, hb_event_,
         *vpic_, *vpit_, *vuart_, *vahci_);

@@ -13,8 +13,8 @@
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <set>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "src/hv/kernel.h"
@@ -73,7 +73,6 @@ struct VmmConfig {
 class Vmm {
  public:
   Vmm(hv::Hypervisor* hv, root::RootPartitionManager* root, VmmConfig config);
-  ~Vmm();
 
   // --- Guest memory -----------------------------------------------------
   std::uint64_t guest_mem_bytes() const { return config_.guest_mem_bytes; }
@@ -227,7 +226,7 @@ class Vmm {
   std::uint64_t disk_shared_page_ = 0;
   std::uint32_t disk_channel_id_ = 0;
   std::uint32_t disk_ring_tail_ = 0;
-  std::unordered_set<std::uint64_t> delegated_buffer_pages_;
+  std::set<std::uint64_t> delegated_buffer_pages_;
 
   hv::Ec* comp_ec_ = nullptr;       // Disk-completion handler EC.
   std::vector<hv::Ec*> irq_ecs_storage_;  // Interrupt threads (direct devices).
@@ -245,6 +244,7 @@ class Vmm {
   sim::PicoSeconds hb_period_ps_ = 0;
   hw::PhysAddr hb_addr_ = 0;
   sim::EventQueue::EventId hb_event_ = 0;  // Pending beat; 0 once stopped.
+  sim::EventOwner hb_owner_;  // Last member: unregisters first.
 };
 
 }  // namespace nova::vmm

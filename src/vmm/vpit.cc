@@ -4,7 +4,7 @@ namespace nova::vmm {
 
 VPit::VPit(sim::EventQueue* events, VPic* vpic, std::uint64_t owner)
     : DeviceModel("vpit"), events_(events), vpic_(vpic), owner_(owner) {
-  events_->RegisterOwner(
+  event_owner_ = events_->RegisterOwner(
       owner_, [this](const sim::EventTag& tag) -> sim::EventQueue::Callback {
         if (tag.op != 1) {
           return nullptr;
@@ -17,8 +17,6 @@ VPit::VPit(sim::EventQueue* events, VPic* vpic, std::uint64_t owner)
         };
       });
 }
-
-VPit::~VPit() { events_->Unregister(owner_); }
 
 std::uint32_t VPit::PioRead(std::uint16_t port) {
   switch (port) {

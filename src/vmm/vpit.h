@@ -30,7 +30,6 @@ class VPit : public DeviceModel {
   // closure, live and restored (stale generations are dropped on fire).
   // Destruction unregisters the owner, cancelling a pending tick.
   VPit(sim::EventQueue* events, VPic* vpic, std::uint64_t owner);
-  ~VPit() override;
 
   bool OwnsPort(std::uint16_t port) const override {
     return port >= vpit::kPortPeriodLo && port <= vpit::kPortControl;
@@ -57,6 +56,7 @@ class VPit : public DeviceModel {
   std::uint16_t period_lo_ = 0;
   std::uint64_t generation_ = 0;
   std::uint64_t ticks_ = 0;
+  sim::EventOwner event_owner_;  // Last member: unregisters first.
 };
 
 }  // namespace nova::vmm

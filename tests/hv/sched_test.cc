@@ -245,9 +245,10 @@ TEST_F(SchedTest, QuantumDepletionRotatesEqualPriority) {
 TEST_F(SchedTest, IdleSkipsToDeviceEvent) {
   bool fired = false;
   constexpr auto kTestOwner = sim::EventQueue::OwnerToken("test.events");
-  machine_.events().RegisterOwner(kTestOwner, [&](const sim::EventTag&) {
-    return [&] { fired = true; };
-  });
+  const sim::EventOwner owner =
+      machine_.events().RegisterOwner(kTestOwner, [&](const sim::EventTag&) {
+        return [&] { fired = true; };
+      });
   machine_.events().ScheduleAt(sim::Milliseconds(5),
                                sim::EventTag{kTestOwner, 1});
   EXPECT_TRUE(hv_.StepOnce());  // Nothing runnable: skips to the event.

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+
 namespace nova::hw {
 namespace {
 
@@ -55,6 +57,18 @@ TEST(DiskModel, ReadCompletesAfterServiceTime) {
   EXPECT_TRUE(done.cookies.empty());
   events.AdvanceTo(sim::Microseconds(101));
   EXPECT_EQ(done.cookies.size(), 1u);
+}
+
+// A disk that dies with a request in flight takes its completion event
+// with it, so nothing is left to fire into the freed model.
+TEST(DiskModel, DestroyedDiskLeavesNoPendingEvent) {
+  sim::EventQueue events;
+  auto disk = std::make_unique<DiskModel>(&events, DiskGeometry{});
+  disk->SubmitRead(0, 4096, 1);
+  ASSERT_EQ(events.size(), 1u);
+  disk.reset();
+  ASSERT_TRUE(events.empty());
+  EXPECT_FALSE(events.RunOne());
 }
 
 TEST(DiskModel, LargeReadLimitedByBandwidth) {

@@ -105,9 +105,10 @@ TEST(Machine, SkipToNextEventAdvancesAllCpus) {
                                 .ram_size = 64ull << 20});
   bool fired = false;
   constexpr auto kTestOwner = sim::EventQueue::OwnerToken("test.events");
-  machine.events().RegisterOwner(kTestOwner, [&](const sim::EventTag&) {
-    return [&] { fired = true; };
-  });
+  const sim::EventOwner owner =
+      machine.events().RegisterOwner(kTestOwner, [&](const sim::EventTag&) {
+        return [&] { fired = true; };
+      });
   machine.events().ScheduleAt(sim::Milliseconds(5),
                               sim::EventTag{kTestOwner, 1});
   EXPECT_TRUE(machine.SkipToNextEvent());

@@ -75,5 +75,25 @@ TEST(PhysMem, ForgedFrameCountFailsLoadCleanly) {
   EXPECT_EQ(mem.LoadState(r), Status::kBadParameter);
 }
 
+// Every resident frame lies below installed RAM, so a saved frame number
+// at or beyond it can only be forged.
+TEST(PhysMem, SnapshotFrameBeyondRamFailsLoad) {
+  constexpr std::uint64_t kRam = 4 * kPageSize;
+  const auto load = [](std::uint64_t frame_no) {
+    sim::SnapWriter w;
+    w.U64(kRam);  // Installed RAM, matching the twin.
+    w.U64(1);     // One frame...
+    w.U64(frame_no);
+    const std::vector<std::uint8_t> page(kPageSize, 0xab);
+    w.Bytes(page.data(), page.size());
+    sim::SnapReader r(w.data().data(), w.size());
+    PhysMem mem(kRam);
+    return mem.LoadState(r);
+  };
+  EXPECT_EQ(load(3), Status::kSuccess);
+  EXPECT_EQ(load(4), Status::kBadParameter);
+  EXPECT_EQ(load(1ull << 40), Status::kBadParameter);
+}
+
 }  // namespace
 }  // namespace nova::hw

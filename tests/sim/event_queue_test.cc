@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -16,10 +17,11 @@ constexpr std::uint64_t kTestOwner = EventQueue::OwnerToken("test.events");
 
 class TestEvents {
  public:
-  explicit TestEvents(EventQueue& q) : q_(q) {
-    q_.RegisterOwner(kTestOwner,
-                     [this](const EventTag& tag) { return actions_[tag.a]; });
-  }
+  explicit TestEvents(EventQueue& q)
+      : q_(q),
+        owner_(q.RegisterOwner(kTestOwner, [this](const EventTag& tag) {
+          return actions_[tag.a];
+        })) {}
 
   EventQueue::EventId At(PicoSeconds when, EventQueue::Callback cb) {
     actions_.push_back(std::move(cb));
@@ -29,6 +31,7 @@ class TestEvents {
  private:
   EventQueue& q_;
   std::vector<EventQueue::Callback> actions_;
+  EventOwner owner_;
 };
 
 // The stderr pattern of a refused schedule for `owner`.
@@ -79,7 +82,7 @@ TEST(EventQueue, CallbackMaySchedule) {
 TEST(EventQueue, ScheduleAfterIsRelativeToNow) {
   EventQueue q;
   int fired = 0;
-  q.RegisterOwner(kTestOwner, [&](const EventTag&) {
+  const EventOwner owner = q.RegisterOwner(kTestOwner, [&](const EventTag&) {
     return [&] { ++fired; };
   });
   q.AdvanceTo(Nanoseconds(10));
@@ -140,25 +143,43 @@ TEST(EventQueue, PastEventsFireOnAdvance) {
   EXPECT_EQ(q.now(), Nanoseconds(100));  // Time never moves backwards.
 }
 
-TEST(EventQueue, UnregisterCancelsOnlyThatOwnersEvents) {
+TEST(EventQueue, DroppedOwnerCancelsOnlyItsOwnEvents) {
   EventQueue q;
-  TestEvents ev(q);
+  auto ev = std::make_unique<TestEvents>(q);
   constexpr std::uint64_t kOther = EventQueue::OwnerToken("test.other");
   int other_fired = 0;
-  q.RegisterOwner(kOther, [&](const EventTag&) {
+  const EventOwner other = q.RegisterOwner(kOther, [&](const EventTag&) {
     return [&] { ++other_fired; };
   });
   int test_fired = 0;
-  ev.At(Nanoseconds(5), [&] { ++test_fired; });
+  ev->At(Nanoseconds(5), [&] { ++test_fired; });
   q.ScheduleAt(Nanoseconds(7), EventTag{kOther, 1});
-  const auto cancelled = ev.At(Nanoseconds(9), [&] { ++test_fired; });
+  const auto cancelled = ev->At(Nanoseconds(9), [&] { ++test_fired; });
   EXPECT_TRUE(q.Cancel(cancelled));
-  q.Unregister(kTestOwner);
+  ev.reset();  // Its handle unregisters "test.events".
   EXPECT_EQ(q.size(), 1u);
   q.AdvanceTo(Nanoseconds(20));
   EXPECT_EQ(test_fired, 0);
   EXPECT_EQ(other_fired, 1);
   EXPECT_TRUE(q.empty());
+  EXPECT_DEATH(q.ScheduleAt(Nanoseconds(30), EventTag{kTestOwner, 1}),
+               OwnerPattern(kTestOwner) + ": no factory registered");
+}
+
+TEST(EventQueue, ReplacedHandleLeavesTheNewerRegistration) {
+  EventQueue q;
+  int fired = 0;
+  EventOwner first = q.RegisterOwner(kTestOwner, [&](const EventTag&) {
+    return [&] { fired += 1; };
+  });
+  const EventOwner second = q.RegisterOwner(kTestOwner, [&](const EventTag&) {
+    return [&] { fired += 10; };
+  });
+  q.ScheduleAt(Nanoseconds(5), EventTag{kTestOwner, 1});
+  first = EventOwner();  // The replaced registration unregisters nothing.
+  EXPECT_EQ(q.size(), 1u);
+  q.AdvanceTo(Nanoseconds(10));
+  EXPECT_EQ(fired, 10);
 }
 
 TEST(EventQueue, SnapshotRebindsPendingEvents) {
@@ -173,9 +194,10 @@ TEST(EventQueue, SnapshotRebindsPendingEvents) {
   // The twin's own factory rebuilds the saved event from its tag.
   EventQueue twin;
   std::vector<std::uint64_t> fired;
-  twin.RegisterOwner(kTestOwner, [&fired](const EventTag& tag) {
-    return EventQueue::Callback([&fired, a = tag.a] { fired.push_back(a); });
-  });
+  const EventOwner owner =
+      twin.RegisterOwner(kTestOwner, [&fired](const EventTag& tag) {
+        return EventQueue::Callback([&fired, a = tag.a] { fired.push_back(a); });
+      });
   SnapReader r(w.data().data(), w.size());
   ASSERT_EQ(twin.LoadState(r), Status::kSuccess);
   ASSERT_EQ(r.Finish(), Status::kSuccess);
@@ -202,8 +224,8 @@ TEST(EventQueue, ScheduleWithoutFactoryAborts) {
   constexpr std::uint64_t kUnknown = EventQueue::OwnerToken("test.unknown");
   EXPECT_DEATH(q.ScheduleAfter(Nanoseconds(10), EventTag{kUnknown, 1}),
                OwnerPattern(kUnknown) + ": no factory registered");
-  q.RegisterOwner(kTestOwner,
-                  [](const EventTag&) { return EventQueue::Callback(); });
+  const EventOwner owner = q.RegisterOwner(
+      kTestOwner, [](const EventTag&) { return EventQueue::Callback(); });
   EXPECT_DEATH(q.ScheduleAt(Nanoseconds(10), EventTag{kTestOwner, 1}),
                OwnerPattern(kTestOwner) + ": its factory built no closure");
 }

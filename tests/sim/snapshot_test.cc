@@ -2,9 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <initializer_list>
 #include <map>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace nova::sim {
@@ -174,16 +174,25 @@ TEST(SnapArchive, IoRoundTripsAndWritesFixedWidths) {
   EXPECT_EQ(b.table, a.table);
 }
 
-TEST(SnapArchive, KeyedSavesUnorderedMapsInKeyOrder) {
-  std::unordered_map<std::uint64_t, std::uint8_t> m{{30, 3}, {10, 1}, {20, 2}};
-  SnapWriter w;
-  w.Keyed(kCount32, m);
-  SnapReader r(w.data().data(), w.size());
-  EXPECT_EQ(r.U32(), 3u);
-  for (std::uint64_t key : {10u, 20u, 30u}) {
-    EXPECT_EQ(r.U64(), key);
-    EXPECT_EQ(r.U8(), key / 10);
-  }
+// One map has one encoding: a duplicate key would be merged into fewer
+// entries than the count claims, and any other order is not what a save
+// writes, so loading refuses both.
+TEST(SnapArchive, KeyedRejectsKeysThatDoNotStrictlyAscend) {
+  const auto load = [](std::initializer_list<std::uint64_t> keys) {
+    SnapWriter w;
+    w.U32(static_cast<std::uint32_t>(keys.size()));
+    for (const std::uint64_t key : keys) {
+      w.U64(key);
+      w.U8(7);
+    }
+    std::map<std::uint64_t, std::uint8_t> m;
+    SnapReader r(w.data().data(), w.size());
+    r.Keyed(kCount32, m);
+    return r.Finish();
+  };
+  EXPECT_EQ(load({10, 20, 30}), Status::kSuccess);
+  EXPECT_EQ(load({10, 10}), Status::kBadParameter);
+  EXPECT_EQ(load({20, 10}), Status::kBadParameter);
 }
 
 TEST(SnapArchive, VerifyMismatchFailsLoad) {

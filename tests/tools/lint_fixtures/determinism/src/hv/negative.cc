@@ -1,20 +1,21 @@
 // Fixture: deterministic patterns the rule must stay silent on — an
-// ordered container walk and a vector member whose name collides with
-// an unordered member in another class (positive.cc's table_ is fine:
-// different name; the collision here is against ShadowIndex had it
-// shared a name — the vector resolves by this class's declaration).
+// ordered container walk, a sim::HashIndex walked in key order, a
+// pointer-keyed HashIndex that only serves lookups, and a repo type that
+// happens to be called unordered_map.
 class SortedIndex {
  public:
-  void Walk() {
+  int Walk(const Obj* key) {
+    int sum = 0;
     for (const auto& kv : ordered_) {
-      (void)kv;
+      sum += kv.second;
     }
-    for (const int v : table_) {  // vector named like an unordered member
-      (void)v;
-    }
+    hashed_.ForEachInKeyOrder([&sum](int, int v) { sum += v; });
+    return sum + by_address_.At(key);
   }
 
  private:
   std::map<int, int> ordered_;
-  std::vector<int> table_;
+  sim::HashIndex<int, int> hashed_;
+  sim::HashIndex<const Obj*, int> by_address_;
+  unordered_map<int, int> local_type_;
 };

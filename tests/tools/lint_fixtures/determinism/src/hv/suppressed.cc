@@ -1,16 +1,10 @@
-// Fixture: a vetted unordered walk carrying a justified allow() — the
+// Fixture: an unordered container carrying a justified allow() — the
 // rule must count it as suppressed, not report it.
 class CountingIndex {
  public:
-  int Total() {
-    int n = 0;
-    // nova-lint: allow(determinism) -- pure sum, order-independent
-    for (const auto& kv : table_) {
-      n += kv.second;
-    }
-    return n;
-  }
+  bool Seen(int k) const { return seen_.count(k) != 0; }
 
  private:
-  std::unordered_map<int, int> table_;
+  // nova-lint: allow(determinism) -- membership tests only, never walked
+  std::unordered_set<int> seen_;
 };

@@ -8,9 +8,6 @@
 #include <sstream>
 #include <thread>
 
-#include "tools/nova_lint/model.h"
-#include "tools/nova_lint/scope.h"
-
 namespace nova::lint {
 namespace {
 
@@ -126,30 +123,20 @@ LintResult RunLint(const std::vector<SourceFile>& files,
   const auto t0 = std::chrono::steady_clock::now();
   const int count = static_cast<int>(files.size());
 
-  // Phase 1: lex + scope-walk every file once, in parallel.
-  std::vector<Tokens> toks(files.size());
-  std::vector<FileScopes> scopes(files.size());
-  ParallelFor(count, jobs, [&](int i) {
-    const auto fi = static_cast<std::size_t>(i);
-    toks[fi] = Lex(files[fi]);
-    scopes[fi] = BuildFileScopes(toks[fi]);
-  });
-
-  // Phase 2: one shared cross-TU model.
-  const ProjectModel model = BuildModel(files, toks, scopes);
-
-  // Phase 3: rules fan out over per-file slots; merge is order-free.
+  // Each file is lexed once and every rule runs over its tokens; findings
+  // land in per-file slots, so the merge is order-free.
   std::vector<Findings> kept(files.size());
   std::vector<int> dropped(files.size(), 0);
   ParallelFor(count, jobs, [&](int i) {
     const auto fi = static_cast<std::size_t>(i);
     const SourceFile& f = files[fi];
     const std::set<std::string>* exclude = ExcludedRules(roots, f.path());
-    const FileCtx ctx{f, toks[fi], scopes[fi]};
+    const Tokens toks = Lex(f);
+    const FileCtx ctx{f, toks};
     Findings raw;
     for (const auto& rule : rules) {
       if (exclude != nullptr && exclude->count(rule->name()) != 0) continue;
-      rule->Check(ctx, model, &raw);
+      rule->Check(ctx, &raw);
     }
     for (Finding& fnd : raw) {
       if (f.Suppressed(fnd.line, fnd.rule)) {

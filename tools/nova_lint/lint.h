@@ -2,11 +2,10 @@
 // filtering and output formatting. Kept separate from main() so the test
 // suite can run the whole pipeline in-process on fixture snippets.
 //
-// Execution is parallel: files are lexed and scope-walked by a thread
-// pool, the project model is built once from the shared tokens, then the
-// rules fan out over files again. Findings land in per-file slots and
-// are merged with a deterministic (file, line, rule) sort, so the report
-// is byte-identical at any thread count.
+// Execution is parallel: a thread pool lexes each file and runs every rule
+// over it. Findings land in per-file slots and are merged with a
+// deterministic (file, line, rule) sort, so the report is byte-identical at
+// any thread count.
 #ifndef TOOLS_NOVA_LINT_LINT_H_
 #define TOOLS_NOVA_LINT_LINT_H_
 
@@ -45,10 +44,8 @@ struct RootSpec {
 std::vector<std::string> CollectFiles(const std::vector<std::string>& paths);
 
 // Runs `rules` over `files` with `jobs` worker threads (<=0: one per
-// hardware thread). The model is built from the same file set, so
-// invocations should include src/ for full enum / API knowledge. `roots`
-// maps each file to its longest-prefix root; files under no root get
-// every rule.
+// hardware thread). `roots` maps each file to its longest-prefix root;
+// files under no root get every rule.
 LintResult RunLint(const std::vector<SourceFile>& files,
                    const std::vector<std::unique_ptr<Rule>>& rules,
                    int jobs = 0, const std::vector<RootSpec>& roots = {});

@@ -3,9 +3,11 @@
 // snapshot/restore twins, bit-identical SMP reruns). Inside the
 // simulated-machine layers (src/sim, src/hw, src/hv, src/vmm, src/guest,
 // src/root, src/services) it reports:
-//   * iteration over std::unordered_map / std::unordered_set — the walk
-//     order is hash-seed and libstdc++-version dependent;
-//   * containers keyed on pointer values — address-based order changes
+//   * every std::unordered_* container — its walk order depends on the
+//     hash seed and the library version. Ordered containers and
+//     sim::HashIndex, whose only walk sorts its keys, take their place;
+//     src/sim/hash_index.h itself wraps std::unordered_map and is exempt;
+//   * std:: containers keyed on pointer values — address order changes
 //     run to run under ASLR and allocator drift;
 //   * wall-clock and OS randomness (std::chrono, time(), rand(),
 //     std::random_device, std::mt19937) outside sim::Rng — simulated
@@ -13,12 +15,8 @@
 //   * address-of expressions and pointer-to-integer casts flowing into
 //     trace/digest/snapshot sinks — pointer values in payloads make
 //     digests unreproducible.
-// Vetted sites (iterate-then-sort copies, lookup-only tables) are
-// suppressed with a justified `// nova-lint: allow(determinism)`.
-#include <map>
-#include <set>
+// Every check is lexical: one file's tokens decide each finding.
 #include <string>
-#include <utility>
 
 #include "tools/nova_lint/rule.h"
 
@@ -26,7 +24,7 @@ namespace nova::lint {
 namespace {
 
 bool InSimulatedLayer(const std::string& path) {
-  const std::string layer = ProjectModel::LayerOf(path);
+  const std::string layer = LayerOf(path);
   return layer == "sim" || layer == "hw" || layer == "hv" ||
          layer == "vmm" || layer == "guest" || layer == "root" ||
          layer == "services";
@@ -55,134 +53,61 @@ bool IsPayloadSink(const std::string& s) {
          s == "Keyed" || s.find("Digest") != std::string::npos;
 }
 
+// True when the first argument of the template list `open`..`close`
+// mentions a pointer.
+bool FirstArgHasPointer(const Tokens& toks, int open, int close) {
+  int depth = 0;
+  for (int k = open + 1; k < close; ++k) {
+    if (IsPunct(toks, k, "<") || IsPunct(toks, k, "(")) ++depth;
+    if (IsPunct(toks, k, ">") || IsPunct(toks, k, ")")) --depth;
+    if (IsPunct(toks, k, ">>")) depth -= 2;
+    if (depth == 0 && IsPunct(toks, k, ",")) return false;
+    if (IsPunct(toks, k, "*")) return true;
+  }
+  return false;
+}
+
 class DeterminismRule final : public Rule {
  public:
   const char* name() const override { return "determinism"; }
   const char* summary() const override {
-    return "no unordered iteration, pointer keys, wall clocks or address "
+    return "no unordered containers, pointer keys, wall clocks or address "
            "leaks in the simulated-machine layers";
   }
 
-  void Check(const FileCtx& ctx, const ProjectModel& model,
-             Findings* out) const override {
+  void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;
     const Tokens& toks = ctx.toks;
     if (!InSimulatedLayer(file.path())) return;
     if (file.path().find("src/sim/rng") != std::string::npos) {
       return;  // the one sanctioned randomness wrapper
     }
+    const bool hash_index =
+        file.path().find("src/sim/hash_index.h") != std::string::npos;
     const int n = static_cast<int>(toks.size());
-
-    // Names declared with an unordered container type. Members resolve
-    // by declaring class first — `entries_` may be an unordered_map in
-    // one class and a vector in another — falling back to "unordered in
-    // any class" only when the enclosing class is unknown. Locals
-    // declared in this file are tracked separately below.
-    std::map<std::pair<std::string, std::string>, bool> member_unordered;
-    std::set<std::string> any_unordered;
-    for (const MemberDecl& m : model.members) {
-      const bool u = m.type.find("unordered_") != std::string::npos;
-      bool& slot = member_unordered[{m.cls, m.name}];
-      slot = slot || u;
-      if (u) any_unordered.insert(m.name);
-    }
-    std::set<std::string> local_unordered;
-    const auto is_unordered_at = [&](int tok_idx, const std::string& nm) {
-      if (local_unordered.count(nm) != 0) return true;
-      const int fn = InnermostFunction(ctx.scopes, tok_idx);
-      const std::string& cls =
-          fn >= 0 ? ctx.scopes.functions[static_cast<std::size_t>(fn)].qualifier
-                  : std::string();
-      const auto it = member_unordered.find({cls, nm});
-      if (it != member_unordered.end()) return it->second;
-      return any_unordered.count(nm) != 0;
-    };
     for (int i = 0; i < n; ++i) {
       const Token& t = toks[static_cast<std::size_t>(i)];
       if (t.kind != TokKind::kIdent) continue;
 
-      // Container declarations: pointer-keyed check, unordered tracking.
+      // std:: containers: unordered ones are banned, keyed ones must not
+      // key on pointers. Repo types named map/set are not std::'s.
       if ((IsUnorderedContainer(t.text) || IsOrderedKeyed(t.text)) &&
-          IsPunct(toks, i + 1, "<")) {
-        // Only the std:: containers, not repo types named map/set.
-        if (!IsPunct(toks, i - 1, "::") || !IsIdent(toks, i - 2, "std")) {
-          continue;
+          IsPunct(toks, i - 1, "::") && IsIdent(toks, i - 2, "std")) {
+        if (IsUnorderedContainer(t.text) && !hash_index) {
+          out->push_back({name(), file.path(), t.line,
+                          "std::" + t.text +
+                              " in simulated code: its iteration order "
+                              "depends on the hash; use an ordered container "
+                              "or sim::HashIndex"});
         }
-        const int close = MatchForward(toks, i + 1);
-        if (close < 0) continue;
-        const auto args = SplitTopLevelArgs(toks, i + 1);
-        if (!args.empty()) {
-          bool ptr_key = false;
-          for (int k = args[0].first; k < args[0].second; ++k) {
-            if (IsPunct(toks, k, "*")) ptr_key = true;
-          }
-          if (ptr_key) {
-            out->push_back(
-                {name(), file.path(), t.line,
-                 "container keyed on pointer values: address order is not "
-                 "reproducible across runs; key on a stable id instead"});
-          }
+        const int close =
+            IsPunct(toks, i + 1, "<") ? MatchForward(toks, i + 1) : -1;
+        if (close > 0 && FirstArgHasPointer(toks, i + 1, close)) {
+          out->push_back(
+              {name(), file.path(), t.line,
+               "container keyed on pointer values: address order is not "
+               "reproducible across runs; key on a stable id instead"});
         }
-        if (IsUnorderedContainer(t.text)) {
-          // `std::unordered_map<...> name` — record the declared name.
-          int j = close + 1;
-          while (IsPunct(toks, j, "*") || IsPunct(toks, j, "&") ||
-                 IsIdent(toks, j, "const")) {
-            ++j;
-          }
-          if (j < n && toks[static_cast<std::size_t>(j)].kind ==
-                           TokKind::kIdent) {
-            local_unordered.insert(toks[static_cast<std::size_t>(j)].text);
-          }
-        }
-        continue;
-      }
-
-      // Range-for over an unordered container.
-      if (t.text == "for" && IsPunct(toks, i + 1, "(")) {
-        const int close = MatchForward(toks, i + 1);
-        if (close < 0) continue;
-        int colon = -1;
-        int depth = 0;
-        for (int k = i + 2; k < close; ++k) {
-          if (IsPunct(toks, k, "(") || IsPunct(toks, k, "[") ||
-              IsPunct(toks, k, "{")) {
-            ++depth;
-          }
-          if (IsPunct(toks, k, ")") || IsPunct(toks, k, "]") ||
-              IsPunct(toks, k, "}")) {
-            --depth;
-          }
-          if (depth == 0 && IsPunct(toks, k, ":") &&
-              !IsPunct(toks, k - 1, ":") && !IsPunct(toks, k + 1, ":")) {
-            colon = k;
-            break;
-          }
-        }
-        if (colon < 0) continue;
-        for (int k = colon + 1; k < close; ++k) {
-          const Token& rt = toks[static_cast<std::size_t>(k)];
-          if (rt.kind == TokKind::kIdent && is_unordered_at(k, rt.text)) {
-            out->push_back(
-                {name(), file.path(), rt.line,
-                 "iteration over unordered container '" + rt.text +
-                     "': walk order is hash-dependent and breaks digest "
-                     "exactness; iterate a sorted copy"});
-            break;
-          }
-        }
-        continue;
-      }
-
-      // Explicit iterator walks: name.begin() / name.cbegin().
-      if (is_unordered_at(i, t.text) &&
-          (IsPunct(toks, i + 1, ".") || IsPunct(toks, i + 1, "->")) &&
-          (IsIdent(toks, i + 2, "begin") || IsIdent(toks, i + 2, "cbegin")) &&
-          IsPunct(toks, i + 3, "(")) {
-        out->push_back({name(), file.path(), t.line,
-                        "iterator walk over unordered container '" + t.text +
-                            "': order is hash-dependent; iterate a sorted "
-                            "copy"});
         continue;
       }
 

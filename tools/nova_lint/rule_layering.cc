@@ -40,18 +40,16 @@ class LayeringRule : public Rule {
     return "include of a higher architecture layer (upward dependency)";
   }
 
-  void Check(const FileCtx& ctx, const ProjectModel& model,
-             Findings* out) const override {
+  void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;
-    (void)model;
-    const std::string own_layer = ProjectModel::LayerOf(file.path());
-    const int own_rank = ProjectModel::LayerRank(own_layer);
+    const std::string own_layer = LayerOf(file.path());
+    const int own_rank = LayerRank(own_layer);
     if (own_rank < 0) return;  // not in src/: unrestricted consumer
 
     for (int line = 1; line <= file.line_count(); ++line) {
       const std::string layer = IncludedLayer(file.RawLine(line));
       if (layer.empty()) continue;
-      const int rank = ProjectModel::LayerRank(layer);
+      const int rank = LayerRank(layer);
       if (rank < 0 || rank <= own_rank) continue;
       out->push_back({name(), file.path(), line,
                       "src/" + own_layer + " (rank " +

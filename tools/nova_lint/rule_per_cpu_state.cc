@@ -98,10 +98,8 @@ class PerCpuStateRule : public Rule {
     return "per-CPU kernel state accessed without an explicit core";
   }
 
-  void Check(const FileCtx& ctx, const ProjectModel& model,
-             Findings* out) const override {
+  void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;
-    (void)model;
     if (file.path().find("src/hv/") == std::string::npos) return;
 
     const Tokens& toks = ctx.toks;

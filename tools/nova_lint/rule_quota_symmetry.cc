@@ -51,13 +51,11 @@ class QuotaSymmetryRule : public Rule {
     return "kernel-memory charge without a matching credit in the file";
   }
 
-  void Check(const FileCtx& ctx, const ProjectModel& model,
-             Findings* out) const override {
+  void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;
-    (void)model;
     // Only the hypervisor sources are bound by the pairing invariant;
     // tests intentionally exercise single sides of it.
-    if (ProjectModel::LayerOf(file.path()).empty()) return;
+    if (LayerOf(file.path()).empty()) return;
 
     const Tokens& toks = ctx.toks;
     const int n = static_cast<int>(toks.size());

@@ -33,10 +33,8 @@ class RawCounterRule : public Rule {
     return "hypervisor counter bump without trace co-emission";
   }
 
-  void Check(const FileCtx& ctx, const ProjectModel& model,
-             Findings* out) const override {
+  void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;
-    (void)model;
     if (file.path().find("src/hv/") == std::string::npos) return;
 
     const Tokens& toks = ctx.toks;

@@ -22,10 +22,8 @@ class RawSpanRule : public Rule {
     return "manual BeginAt/EndAt span emission outside ScopedSpan";
   }
 
-  void Check(const FileCtx& ctx, const ProjectModel& model,
-             Findings* out) const override {
+  void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;
-    (void)model;
     const Tokens& toks = ctx.toks;
     const int n = static_cast<int>(toks.size());
     for (int i = 0; i < n; ++i) {

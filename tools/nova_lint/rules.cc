@@ -11,7 +11,6 @@ std::vector<std::unique_ptr<Rule>> AllRules() {
   rules.push_back(MakeUncheckedDowncastRule());
   rules.push_back(MakePerCpuStateRule());
   rules.push_back(MakeDeterminismRule());
-  rules.push_back(MakeLockDisciplineRule());
   return rules;
 }
 

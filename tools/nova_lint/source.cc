@@ -286,4 +286,26 @@ bool SourceFile::Suppressed(int line, const std::string& rule) const {
   return it != allow_.end() && it->second.count(rule) != 0;
 }
 
+std::string LayerOf(const std::string& path) {
+  const std::size_t pos = path.find("src/");
+  if (pos == std::string::npos) return "";
+  // Only a real src/ directory component, not e.g. "foo_src/".
+  if (pos != 0 && path[pos - 1] != '/') return "";
+  const std::size_t start = pos + 4;
+  const std::size_t end = path.find('/', start);
+  if (end == std::string::npos) return "";
+  return path.substr(start, end - start);
+}
+
+int LayerRank(const std::string& layer) {
+  if (layer == "sim") return 0;
+  if (layer == "hw") return 1;
+  if (layer == "hv") return 2;
+  if (layer == "services" || layer == "root" || layer == "vmm" ||
+      layer == "guest" || layer == "baseline") {
+    return 3;
+  }
+  return -1;
+}
+
 }  // namespace nova::lint

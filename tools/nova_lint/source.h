@@ -57,6 +57,17 @@ class SourceFile {
   std::set<std::string> allow_file_;
 };
 
+// Layer name ("sim", "hw", ...) of a path under src/, or "" when the path
+// is not in src/.
+std::string LayerOf(const std::string& path);
+
+// Architecture rank of a layer for the layering rule: a file may include
+// headers of its own rank or below, never above. Directories off the
+// ladder (tests/, bench/, examples/, tools/) rank -1, unrestricted
+// consumers.
+//   sim(0) -> hw(1) -> hv(2) -> {services, root, vmm, guest, baseline}(3)
+int LayerRank(const std::string& layer);
+
 }  // namespace nova::lint
 
 #endif  // TOOLS_NOVA_LINT_SOURCE_H_

@@ -39,6 +39,71 @@ void BM_PageTableWalk(benchmark::State& state) {
 }
 BENCHMARK(BM_PageTableWalk);
 
+// Frames spread over several 2 MiB directory chunks, and an 8-byte offset
+// that walks each frame: the accesses the PhysMem benches cycle through.
+constexpr std::uint64_t kBenchFrames = 256;
+hw::PhysAddr BenchAddr(std::uint64_t i) {
+  return (i % kBenchFrames) * 33 * hw::kPageSize + ((i * 8) & hw::kPageMask);
+}
+
+// One 8-byte read, the size of a fetch, a data load or a PTE read: of a
+// resident frame (Arg 1) or of an absent one, which reads as zero (Arg 0).
+void BM_PhysMemRead(benchmark::State& state) {
+  hw::PhysMem mem(512ull << 20);
+  if (state.range(0) != 0) {
+    for (std::uint64_t i = 0; i < kBenchFrames; ++i) {
+      (void)mem.Write64(BenchAddr(i), i);
+    }
+  }
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mem.Read64(BenchAddr(i++)));
+  }
+}
+BENCHMARK(BM_PhysMemRead)->Arg(0)->Arg(1);
+
+// One 8-byte write into a resident frame, with no write observer set.
+void BM_PhysMemWrite(benchmark::State& state) {
+  hw::PhysMem mem(512ull << 20);
+  for (std::uint64_t i = 0; i < kBenchFrames; ++i) {
+    (void)mem.Write64(BenchAddr(i), i);
+  }
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(mem.Write64(BenchAddr(i), i));
+    benchmark::ClobberMemory();
+    ++i;
+  }
+}
+BENCHMARK(BM_PhysMemWrite);
+
+// Tearing down a shadow-table-sized tree: 192 4 KiB pages in 24 clusters,
+// under the two-level format (Arg 0) or the four-level one (Arg 1).
+// FreeTables only reads the tree, so each iteration releases the same one.
+void BM_PageTableFreeTables(benchmark::State& state) {
+  const hw::PagingMode mode = state.range(0) != 0 ? hw::PagingMode::kFourLevel
+                                                  : hw::PagingMode::kTwoLevel;
+  hw::PhysMem mem(256ull << 20);
+  hw::PhysAddr next = 0x100000;
+  hw::PageTable pt(&mem, mode, 0x1000);
+  for (std::uint64_t cluster = 0; cluster < 24; ++cluster) {
+    for (std::uint64_t page = 0; page < 8; ++page) {
+      (void)pt.Map((cluster << 26) + (page << 12), 0x8000000 + (page << 12),
+                   hw::kPageSize, hw::pte::kWritable | hw::pte::kUser,
+                   [&next] {
+                     next += hw::kPageSize;
+                     return next - hw::kPageSize;
+                   });
+    }
+  }
+  std::uint64_t released = 0;
+  for (auto _ : state) {
+    pt.FreeTables([&released](hw::PhysAddr) { ++released; });
+  }
+  benchmark::DoNotOptimize(released);
+}
+BENCHMARK(BM_PageTableFreeTables)->Arg(0)->Arg(1);
+
 void BM_TlbLookup(benchmark::State& state) {
   hw::Tlb tlb(512, 32);
   for (std::uint64_t i = 0; i < 256; ++i) {

@@ -4,21 +4,24 @@
 
 namespace nova::hw {
 
-PhysMem::Frame* PhysMem::FrameFor(std::uint64_t frame_no) const {
-  const std::unique_ptr<Frame>* slot = frames_.Find(frame_no);
-  return slot == nullptr ? nullptr : slot->get();
-}
+PhysMem::PhysMem(std::uint64_t size)
+    : size_(size),
+      dir_((FrameOf(PageAlignUp(size)) + kChunkFrames - 1) >> kChunkShift) {}
 
 PhysMem::Frame& PhysMem::FrameForAlloc(std::uint64_t frame_no) {
-  auto& slot = frames_[frame_no];
-  if (!slot) {
-    slot = std::make_unique<Frame>();
-    slot->fill(0);
+  std::unique_ptr<Chunk>& chunk = dir_[frame_no >> kChunkShift];
+  if (!chunk) {
+    chunk = std::make_unique<Chunk>();
   }
-  return *slot;
+  std::unique_ptr<Frame>& frame = (*chunk)[frame_no & (kChunkFrames - 1)];
+  if (!frame) {
+    frame = std::make_unique<Frame>();  // Value-initialized: zero-filled.
+    ++resident_;
+  }
+  return *frame;
 }
 
-Status PhysMem::Read(PhysAddr addr, void* out, std::uint64_t len) const {
+Status PhysMem::ReadSpan(PhysAddr addr, void* out, std::uint64_t len) const {
   if (!Contains(addr, len)) {
     return Status::kMemoryFault;
   }
@@ -39,7 +42,7 @@ Status PhysMem::Read(PhysAddr addr, void* out, std::uint64_t len) const {
   return Status::kSuccess;
 }
 
-Status PhysMem::Write(PhysAddr addr, const void* data, std::uint64_t len) {
+Status PhysMem::WriteSpan(PhysAddr addr, const void* data, std::uint64_t len) {
   if (!Contains(addr, len)) {
     return Status::kMemoryFault;
   }
@@ -80,23 +83,48 @@ Status PhysMem::Zero(PhysAddr addr, std::uint64_t len) {
   return Status::kSuccess;
 }
 
+// Wire format: count64, then each resident frame's number and its bytes,
+// frame numbers strictly ascending, so a memory image has one encoding.
 template <class Ar>
 void PhysMem::Io(Ar& ar) {
   ar.Verify(size_);  // The twin must be constructed with identical RAM.
+  std::uint64_t count = resident_;
+  ar.Io(count);
   if constexpr (Ar::kLoading) {
-    frames_.clear();
+    for (std::unique_ptr<Chunk>& chunk : dir_) {
+      chunk.reset();
+    }
+    resident_ = 0;
+    // Every frame takes 4 104 bytes, so a forged count runs the reader dry
+    // and fails within the section's length.
+    const std::uint64_t frames = FrameOf(PageAlignUp(size_));
+    std::uint64_t prev = 0;
+    for (std::uint64_t i = 0; i < count && ar.ok(); ++i) {
+      std::uint64_t frame_no = 0;
+      ar.Io(frame_no);
+      if (!ar.ok()) {
+        return;
+      }
+      if (frame_no >= frames || (i != 0 && frame_no <= prev)) {
+        ar.Fail(Status::kBadParameter);
+        return;
+      }
+      ar.Io(FrameForAlloc(frame_no));
+      prev = frame_no;
+    }
+  } else {
+    for (std::uint64_t c = 0; c < dir_.size(); ++c) {
+      if (dir_[c] == nullptr) {
+        continue;
+      }
+      for (std::uint64_t i = 0; i < kChunkFrames; ++i) {
+        if (Frame* f = (*dir_[c])[i].get()) {
+          std::uint64_t frame_no = (c << kChunkShift) | i;
+          ar.Io(frame_no, *f);
+        }
+      }
+    }
   }
-  const std::uint64_t frames = FrameOf(PageAlignUp(size_));
-  ar.Keyed(sim::kCount64, frames_,
-           [&](std::uint64_t frame_no, std::unique_ptr<Frame>& frame) {
-             if constexpr (Ar::kLoading) {
-               if (frame_no >= frames) {
-                 ar.Fail(Status::kBadParameter);
-               }
-               frame = std::make_unique<Frame>();
-             }
-             ar.Io(*frame);
-           });
 }
 
 Status PhysMem::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }

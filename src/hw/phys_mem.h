@@ -3,6 +3,12 @@
 // A sparse store of 4 KiB frames. Page tables, DMA buffers, guest images
 // and the UTCBs all live in here as real bytes — page-table walkers
 // dereference real entries, and the vTLB algorithm parses real guest PTEs.
+//
+// Frames hang off a two-level directory indexed by frame number: the top
+// level holds one pointer per 2 MiB of installed RAM, and each chunk below
+// it, allocated on the first write into its range, holds the pointers of
+// its 512 frames. An access that stays inside one frame inlines to those
+// two loads and a copy; the rest take the out-of-line span path.
 #ifndef SRC_HW_PHYS_MEM_H_
 #define SRC_HW_PHYS_MEM_H_
 
@@ -11,8 +17,8 @@
 #include <cstring>
 #include <functional>
 #include <memory>
+#include <vector>
 
-#include "src/sim/hash_index.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/status.h"
 
@@ -31,7 +37,7 @@ constexpr std::uint64_t FrameOf(PhysAddr a) { return a >> kPageShift; }
 class PhysMem {
  public:
   // `size` is the amount of installed RAM; accesses beyond it fault.
-  explicit PhysMem(std::uint64_t size) : size_(size) {}
+  explicit PhysMem(std::uint64_t size);
 
   PhysMem(const PhysMem&) = delete;
   PhysMem& operator=(const PhysMem&) = delete;
@@ -44,8 +50,29 @@ class PhysMem {
   // Typed accessors. Unaligned access within a page is allowed; access
   // crossing the end of installed RAM returns kMemoryFault. Frames are
   // allocated zero-filled on first touch.
-  Status Read(PhysAddr addr, void* out, std::uint64_t len) const;
-  Status Write(PhysAddr addr, const void* data, std::uint64_t len);
+  Status Read(PhysAddr addr, void* out, std::uint64_t len) const {
+    if (InOneFrame(addr, len)) {
+      if (const Frame* f = FrameFor(FrameOf(addr))) {
+        std::memcpy(out, f->data() + (addr & kPageMask), len);
+      } else {
+        std::memset(out, 0, len);  // Untouched RAM reads as zero.
+      }
+      return Status::kSuccess;
+    }
+    return ReadSpan(addr, out, len);
+  }
+  Status Write(PhysAddr addr, const void* data, std::uint64_t len) {
+    if (InOneFrame(addr, len)) {
+      if (Frame* f = FrameFor(FrameOf(addr))) {
+        if (observer_) {
+          observer_(addr, len);
+        }
+        std::memcpy(f->data() + (addr & kPageMask), data, len);
+        return Status::kSuccess;
+      }
+    }
+    return WriteSpan(addr, data, len);
+  }
 
   template <typename T>
   T ReadAs(PhysAddr addr) const {
@@ -69,7 +96,7 @@ class PhysMem {
   Status Zero(PhysAddr addr, std::uint64_t len);
 
   // Number of frames that have actually been materialized.
-  std::size_t resident_frames() const { return frames_.size(); }
+  std::size_t resident_frames() const { return resident_; }
 
   // Write observer: called with (addr, len) on every successful Write/Zero.
   // This is the dirty-log "hardware assist" hook (PML-style): all mutation
@@ -80,8 +107,8 @@ class PhysMem {
   void set_write_observer(WriteObserver obs) { observer_ = std::move(obs); }
 
   // Serialize installed-RAM size and every resident frame in ascending
-  // frame order. Load fails if the twin's size differs or a frame lies at
-  // or beyond installed RAM.
+  // frame order. Load fails if the twin's size differs, or if a frame lies
+  // at or beyond installed RAM or does not follow the previous one.
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
   template <class Ar>
@@ -89,12 +116,29 @@ class PhysMem {
 
  private:
   using Frame = std::array<std::uint8_t, kPageSize>;
+  static constexpr std::uint64_t kChunkShift = 9;  // 512 frames, 2 MiB.
+  static constexpr std::uint64_t kChunkFrames = 1ull << kChunkShift;
+  using Chunk = std::array<std::unique_ptr<Frame>, kChunkFrames>;
 
-  Frame* FrameFor(std::uint64_t frame_no) const;       // nullptr if absent.
-  Frame& FrameForAlloc(std::uint64_t frame_no);        // Allocates.
+  // True when [addr, addr + len) is non-empty and lies in installed RAM and
+  // in one frame. An empty access wraps `len - 1` and takes the span path.
+  bool InOneFrame(PhysAddr addr, std::uint64_t len) const {
+    return len - 1 < kPageSize - (addr & kPageMask) && Contains(addr, len);
+  }
+  // nullptr if absent; `frame_no` must lie below installed RAM.
+  Frame* FrameFor(std::uint64_t frame_no) const {
+    const Chunk* chunk = dir_[frame_no >> kChunkShift].get();
+    return chunk == nullptr ? nullptr
+                            : (*chunk)[frame_no & (kChunkFrames - 1)].get();
+  }
+  Frame& FrameForAlloc(std::uint64_t frame_no);  // Allocates.
+
+  Status ReadSpan(PhysAddr addr, void* out, std::uint64_t len) const;
+  Status WriteSpan(PhysAddr addr, const void* data, std::uint64_t len);
 
   std::uint64_t size_;
-  sim::HashIndex<std::uint64_t, std::unique_ptr<Frame>> frames_;
+  std::vector<std::unique_ptr<Chunk>> dir_;
+  std::size_t resident_ = 0;
   WriteObserver observer_;
 };
 

@@ -65,7 +65,8 @@ const char* TraceCatName(TraceCat c) {
 }
 
 Tracer::Tracer(const EventQueue* clock, std::size_t capacity)
-    : clock_(clock), ring_(capacity == 0 ? 1 : capacity), digest_(kFnvOffset) {
+    : clock_(clock), capacity_(capacity == 0 ? 1 : capacity),
+      digest_(kFnvOffset) {
   // Id 0 is reserved so an uninitialized name id is visibly "<none>".
   names_.push_back("<none>");
   ids_.Insert(names_.back(), 0);
@@ -103,13 +104,16 @@ void Tracer::Emit(PicoSeconds ts, TraceType type, TraceCat cat,
   r.type = static_cast<std::uint8_t>(type);
   r.tid = tid;
   Fold(r);
-  if (total_ >= ring_.size() && sink_ != nullptr) {
+  if (ring_.empty()) {
+    ring_.resize(capacity_);
+  }
+  if (total_ >= capacity_ && sink_ != nullptr) {
     // The slot being overwritten holds the oldest retained record; fold it
     // into the sink first so sink + window always cover the stream exactly.
     sink_->Fold(ring_[head_]);
   }
   ring_[head_] = r;
-  head_ = (head_ + 1) % ring_.size();
+  head_ = (head_ + 1) % capacity_;
   ++total_;
 }
 
@@ -128,8 +132,8 @@ void Tracer::Fold(const TraceRecord& r) {
 const TraceRecord& Tracer::at(std::size_t i) const {
   // Before the first wrap the window starts at slot 0; after it, at head_
   // (the slot the next emit will overwrite, i.e. the oldest record).
-  const std::size_t oldest = total_ <= ring_.size() ? 0 : head_;
-  return ring_[(oldest + i) % ring_.size()];
+  const std::size_t oldest = total_ <= capacity_ ? 0 : head_;
+  return ring_[(oldest + i) % capacity_];
 }
 
 std::vector<TraceRecord> Tracer::Snapshot() const {
@@ -149,12 +153,17 @@ void Tracer::Reset() {
 template <class Ar>
 void Tracer::Io(Ar& ar) {
   ar.Io(enabled_, digest_, total_);
-  ar.Verify(std::uint64_t{ring_.size()});  // Twin built with this capacity.
+  ar.Verify(std::uint64_t{capacity_});  // Twin built with this capacity.
   ar.Io(head_);
   // Only the filled prefix of the ring travels; its length follows from
   // total_, which bounds the loop on load.
-  const std::uint64_t valid = std::min<std::uint64_t>(total_, ring_.size());
+  const std::uint64_t valid = std::min<std::uint64_t>(total_, capacity_);
   ar.Verify(valid);
+  if constexpr (Ar::kLoading) {
+    if (valid != 0 && ring_.empty()) {
+      ring_.resize(capacity_);
+    }
+  }
   for (std::uint64_t i = 0; i < valid && ar.ok(); ++i) {
     ar.Io(ring_[static_cast<std::size_t>(i)]);
   }

@@ -131,12 +131,11 @@ class Tracer {
   // Total records emitted (including those the ring has evicted).
   std::uint64_t total_records() const { return total_; }
   std::uint64_t dropped() const {
-    return total_ > ring_.size() ? total_ - ring_.size() : 0;
+    return total_ > capacity_ ? total_ - capacity_ : 0;
   }
   // Retained window, oldest first.
   std::size_t size() const {
-    return total_ < ring_.size() ? static_cast<std::size_t>(total_)
-                                 : ring_.size();
+    return total_ < capacity_ ? static_cast<std::size_t>(total_) : capacity_;
   }
   const TraceRecord& at(std::size_t i) const;
   std::vector<TraceRecord> Snapshot() const;
@@ -171,6 +170,10 @@ class Tracer {
 
   bool enabled_ = false;
   const EventQueue* clock_;
+  // The ring holds `capacity_` records once allocated, which the first
+  // Emit does, or a load that brings back a non-empty window: a tracer
+  // that never records holds no ring.
+  std::size_t capacity_;
   std::vector<TraceRecord> ring_;
   std::size_t head_ = 0;       // next slot to write
   std::uint64_t total_ = 0;    // records emitted since Reset

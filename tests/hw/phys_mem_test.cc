@@ -95,5 +95,27 @@ TEST(PhysMem, SnapshotFrameBeyondRamFailsLoad) {
   EXPECT_EQ(load(1ull << 40), Status::kBadParameter);
 }
 
+// A memory image has one encoding: frame numbers strictly ascend, so a
+// section that repeats a frame or goes back can only be forged.
+TEST(PhysMem, SnapshotFramesOutOfOrderFailLoad) {
+  constexpr std::uint64_t kRam = 4 * kPageSize;
+  const auto load = [](std::uint64_t first, std::uint64_t second) {
+    sim::SnapWriter w;
+    w.U64(kRam);  // Installed RAM, matching the twin.
+    w.U64(2);     // Two frames...
+    const std::vector<std::uint8_t> page(kPageSize, 0xab);
+    for (const std::uint64_t frame_no : {first, second}) {
+      w.U64(frame_no);
+      w.Bytes(page.data(), page.size());
+    }
+    sim::SnapReader r(w.data().data(), w.size());
+    PhysMem mem(kRam);
+    return mem.LoadState(r);
+  };
+  EXPECT_EQ(load(1, 2), Status::kSuccess);
+  EXPECT_EQ(load(2, 1), Status::kBadParameter);  // Descending.
+  EXPECT_EQ(load(2, 2), Status::kBadParameter);  // Duplicate.
+}
+
 }  // namespace
 }  // namespace nova::hw

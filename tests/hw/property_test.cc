@@ -1,10 +1,11 @@
 // Property-style sweeps over the hardware substrate: randomized
 // map/walk/unmap consistency for both page-table formats, TLB-vs-walk
-// agreement, TLB replacement against a reference LRU, physical-memory
-// read-back, and IOMMU translation integrity.
+// agreement, TLB replacement against a reference LRU, physical memory
+// against a map of frames, and IOMMU translation integrity.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <functional>
 #include <map>
 #include <memory>
@@ -433,19 +434,172 @@ TEST(TlbProperty, MatchesReferenceLru) {
   }
 }
 
-TEST(PhysMemProperty, RandomReadWriteRoundTrip) {
-  PhysMem mem(64ull << 20);
-  sim::Rng rng(7);
-  std::map<std::uint64_t, std::uint64_t> model;
-  for (int step = 0; step < 5000; ++step) {
-    const std::uint64_t addr = rng.Below((64ull << 20) / 8 - 1) * 8;
-    if (rng.Chance(0.6)) {
-      const std::uint64_t value = rng.Next();
-      ASSERT_EQ(mem.Write64(addr, value), Status::kSuccess);
-      model[addr] = value;
-    } else {
-      auto it = model.find(addr);
-      EXPECT_EQ(mem.Read64(addr), it == model.end() ? 0 : it->second);
+// --- PhysMem against a map of frames -------------------------------------
+// Property: whether an access takes the inline one-frame path or the span
+// path, PhysMem behaves as a map from frame number to 4 KiB of bytes. Both
+// give the same status, bytes, observer calls, resident count and snapshot
+// bytes, with nothing written or observed on a fault.
+
+class ReferenceMem {
+ public:
+  using Frame = std::array<std::uint8_t, kPageSize>;
+
+  explicit ReferenceMem(std::uint64_t size) : size_(size) {}
+
+  Status Read(PhysAddr addr, std::uint8_t* out, std::uint64_t len) const {
+    if (!Contains(addr, len)) {
+      return Status::kMemoryFault;
+    }
+    for (std::uint64_t i = 0; i < len; ++i) {
+      const auto it = frames_.find(FrameOf(addr + i));
+      out[i] = it == frames_.end() ? 0 : it->second[(addr + i) & kPageMask];
+    }
+    return Status::kSuccess;
+  }
+  Status Write(PhysAddr addr, const std::uint8_t* data, std::uint64_t len) {
+    if (!Contains(addr, len)) {
+      return Status::kMemoryFault;
+    }
+    observed_.emplace_back(addr, len);
+    for (std::uint64_t i = 0; i < len; ++i) {
+      frames_.try_emplace(FrameOf(addr + i), Frame{})
+          .first->second[(addr + i) & kPageMask] = data[i];
+    }
+    return Status::kSuccess;
+  }
+  Status Zero(PhysAddr addr, std::uint64_t len) {
+    if (!Contains(addr, len)) {
+      return Status::kMemoryFault;
+    }
+    observed_.emplace_back(addr, len);
+    for (std::uint64_t i = 0; i < len; ++i) {
+      const auto it = frames_.find(FrameOf(addr + i));
+      if (it != frames_.end()) {
+        it->second[(addr + i) & kPageMask] = 0;
+      }
+    }
+    return Status::kSuccess;
+  }
+
+  // The snapshot section PhysMem must write: installed RAM, a count64,
+  // then each resident frame's number and bytes in ascending order.
+  std::vector<std::uint8_t> Encode() const {
+    sim::SnapWriter w;
+    w.U64(size_);
+    w.U64(frames_.size());
+    for (const auto& [frame_no, bytes] : frames_) {
+      w.U64(frame_no);
+      w.Bytes(bytes.data(), bytes.size());
+    }
+    return w.data();
+  }
+
+  std::size_t resident_frames() const { return frames_.size(); }
+  const std::vector<std::pair<PhysAddr, std::uint64_t>>& observed() const {
+    return observed_;
+  }
+
+ private:
+  bool Contains(PhysAddr addr, std::uint64_t len) const {
+    return addr < size_ && len <= size_ - addr;
+  }
+
+  std::uint64_t size_;
+  std::map<std::uint64_t, Frame> frames_;
+  std::vector<std::pair<PhysAddr, std::uint64_t>> observed_;
+};
+
+std::vector<std::uint8_t> SaveBytes(const PhysMem& mem) {
+  sim::SnapWriter w;
+  EXPECT_EQ(mem.SaveState(w), Status::kSuccess);
+  return w.data();
+}
+
+void RunAgainstReferenceMem(std::uint64_t ram, std::uint64_t seed) {
+  PhysMem mem(ram);
+  ReferenceMem ref(ram);
+  std::vector<std::pair<PhysAddr, std::uint64_t>> observed;
+  mem.set_write_observer([&observed](PhysAddr addr, std::uint64_t len) {
+    observed.emplace_back(addr, len);
+  });
+  sim::Rng rng(seed);
+  constexpr std::uint64_t kChunkBytes = 2ull << 20;  // One directory chunk.
+  const auto pick_addr = [&]() -> PhysAddr {
+    // Near a frame boundary, a chunk boundary or the end of RAM, or
+    // anywhere; a signed offset lets accesses straddle each of them.
+    const std::uint64_t near = rng.Below(64) + 1;
+    switch (rng.Below(4)) {
+      case 0:
+        return rng.Below(ram / kPageSize + 1) * kPageSize - near;
+      case 1:
+        return rng.Below(ram / kChunkBytes + 1) * kChunkBytes - near;
+      case 2:
+        return ram - rng.Below(9000) - 1 + rng.Below(4);
+      default:
+        return rng.Below(ram);
+    }
+  };
+  const auto pick_len = [&]() -> std::uint64_t {
+    static constexpr std::uint64_t kFixed[] = {1, 2, 4, 8};
+    return rng.Chance(0.5) ? kFixed[rng.Below(4)] : rng.Range(1, 9000);
+  };
+
+  std::vector<std::uint8_t> got(9000), want(9000), data(9000);
+  for (int step = 0; step < 4000; ++step) {
+    const PhysAddr addr = pick_addr();
+    const std::uint64_t len = pick_len();
+    SCOPED_TRACE(::testing::Message()
+                 << "step " << step << " addr " << addr << " len " << len);
+    switch (rng.Below(3)) {
+      case 0: {
+        std::fill(got.begin(), got.end(), 0xcd);
+        std::fill(want.begin(), want.end(), 0xcd);
+        ASSERT_EQ(mem.Read(addr, got.data(), len),
+                  ref.Read(addr, want.data(), len));
+        ASSERT_EQ(got, want);
+        break;
+      }
+      case 1: {
+        for (std::uint64_t i = 0; i < len; ++i) {
+          data[i] = static_cast<std::uint8_t>(rng.Next() | 1);
+        }
+        ASSERT_EQ(mem.Write(addr, data.data(), len),
+                  ref.Write(addr, data.data(), len));
+        break;
+      }
+      default:
+        ASSERT_EQ(mem.Zero(addr, len), ref.Zero(addr, len));
+        break;
+    }
+    ASSERT_EQ(observed, ref.observed());
+    ASSERT_EQ(mem.resident_frames(), ref.resident_frames());
+    if (step % 500 == 499) {
+      ASSERT_EQ(SaveBytes(mem), ref.Encode());
+    }
+  }
+
+  // Save -> Load -> Save is byte-identical.
+  const std::vector<std::uint8_t> saved = SaveBytes(mem);
+  ASSERT_EQ(saved, ref.Encode());
+  PhysMem twin(ram);
+  sim::SnapReader r(saved.data(), saved.size());
+  ASSERT_EQ(twin.LoadState(r), Status::kSuccess);
+  ASSERT_EQ(r.Finish(), Status::kSuccess);
+  EXPECT_EQ(twin.resident_frames(), ref.resident_frames());
+  EXPECT_EQ(SaveBytes(twin), saved);
+}
+
+TEST(PhysMemProperty, InlineAndSpanPathsMatchAMapOfFrames) {
+  // A RAM size that ends inside a directory chunk, and one that also ends
+  // inside a frame.
+  for (const std::uint64_t ram :
+       {(6ull << 20) + 5 * kPageSize, (6ull << 20) + 5 * kPageSize + 100}) {
+    for (const std::uint64_t seed : {7u, 42u}) {
+      SCOPED_TRACE(::testing::Message() << "ram " << ram << " seed " << seed);
+      RunAgainstReferenceMem(ram, seed);
+      if (HasFatalFailure()) {
+        return;
+      }
     }
   }
 }

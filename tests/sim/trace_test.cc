@@ -10,7 +10,9 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <memory>
 #include <string>
+#include <vector>
 
 namespace nova::sim {
 namespace {
@@ -122,6 +124,66 @@ TEST(TracerTest, SinkPlusRetainedWindowCoverTheFullRunExactlyOnce) {
   EXPECT_EQ(report.Count(n), 6u);
   report.FoldRemaining(t);
   EXPECT_EQ(report.Count(n), 10u);
+}
+
+// A tracer that never records holds no ring, yet reads, saves and loads as
+// an empty window: a twin loaded from it records exactly like a fresh
+// tracer, and a load that brings back records fills an idle twin's ring.
+TEST(TracerTest, IdleTracerSavesAndLoadsLikeAnEmptyWindow) {
+  const auto make = [] {
+    auto t = std::make_unique<Tracer>(nullptr, /*capacity=*/4);
+    t->Intern("tick");
+    return t;
+  };
+  const auto save = [](const Tracer& t) {
+    SnapWriter w;
+    EXPECT_EQ(t.SaveState(w), Status::kSuccess);
+    return w.data();
+  };
+  const auto load = [](Tracer& t, const std::vector<std::uint8_t>& bytes) {
+    SnapReader r(bytes.data(), bytes.size());
+    EXPECT_EQ(t.LoadState(r), Status::kSuccess);
+    EXPECT_EQ(r.Finish(), Status::kSuccess);
+  };
+  const auto record = [](Tracer& t, std::uint64_t from, std::uint64_t to) {
+    t.set_enabled(true);
+    for (std::uint64_t i = from; i < to; ++i) {
+      t.InstantAt(static_cast<PicoSeconds>(i), TraceCat::kSched, 1, 0, i);
+    }
+  };
+  const auto expect_same = [&save](const Tracer& a, const Tracer& b) {
+    EXPECT_EQ(a.digest(), b.digest());
+    EXPECT_EQ(a.total_records(), b.total_records());
+    EXPECT_EQ(a.size(), b.size());
+    EXPECT_EQ(a.dropped(), b.dropped());
+    ASSERT_EQ(a.Snapshot().size(), b.Snapshot().size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+      EXPECT_EQ(a.at(i).ts, b.at(i).ts);
+      EXPECT_EQ(a.at(i).arg0, b.at(i).arg0);
+    }
+    EXPECT_EQ(save(a), save(b));
+  };
+
+  const auto idle = make();
+  EXPECT_EQ(idle->size(), 0u);
+  EXPECT_EQ(idle->dropped(), 0u);
+  const auto twin = make();
+  load(*twin, save(*idle));
+  const auto fresh = make();
+  expect_same(*twin, *fresh);
+  record(*twin, 0, 6);
+  record(*fresh, 0, 6);
+  EXPECT_EQ(twin->size(), 4u);
+  EXPECT_EQ(twin->dropped(), 2u);
+  expect_same(*twin, *fresh);
+
+  // A recorded window travels into a twin that never recorded.
+  const auto late = make();
+  load(*late, save(*fresh));
+  expect_same(*late, *fresh);
+  record(*late, 6, 9);
+  record(*fresh, 6, 9);
+  expect_same(*late, *fresh);
 }
 
 TEST(TraceReportTest, NestedSpansChargeInclusiveTimePerName) {

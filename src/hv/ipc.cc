@@ -7,8 +7,6 @@
 // reply; its UTCB contents travel back to the caller.
 #include "src/hv/kernel.h"
 
-#include <optional>
-
 namespace nova::hv {
 
 void Hypervisor::TransferWords(Utcb& from, Utcb& to, std::uint32_t cpu_id) {
@@ -102,18 +100,11 @@ Status Hypervisor::DoCall(Ec* caller_ec, Pt* portal) {
     return Status::kAbort;  // The service's domain has been torn down.
   }
 
-  const bool cross_as = &handler.pd() != &caller_ec->pd();
-  const hw::CpuModel& model = cpu(run_cpu).model();
-
   // "IPC Call" span: portal traversal through reply, ended on every exit
-  // path (including typed-item transfer errors) by the scope guard. The
-  // counter pairs with the span's Begin record, so it is bumped here.
-  ctr_.ipc_calls.Add();
-  sim::ScopedSpan ipc_span(
-      tracer_, sim::TraceCat::kIpc, trc_.ipc_call,
-      static_cast<std::uint8_t>(cpu_id),
-      [this, cpu_id] { return cpu(cpu_id).NowPs(); }, portal->id(),
-      cross_as ? 1 : 0);
+  // path (including typed-item transfer errors) by the scope guard.
+  const bool cross_as = &handler.pd() != &caller_ec->pd();
+  const auto ipc_span =
+      events_.ipc_call.Span(cpu(cpu_id), portal->id(), cross_as ? 1 : 0);
 
   // The caller blocks until the remote side replies: on every exit path,
   // pull its clock up to the handler core's completion time.
@@ -128,21 +119,24 @@ Status Hypervisor::DoCall(Ec* caller_ec, Pt* portal) {
     }
   } resume{this, cpu_id, run_cpu, xcall};
 
-  // "IPC Xcall" span on the handler's core: IPI receipt through reply.
-  using RemoteClock = std::function<sim::PicoSeconds()>;
-  std::optional<sim::ScopedSpan<RemoteClock>> xcall_span;
-  if (xcall) {
-    ctr_.ipc_xcalls.Add();  // Pairs with the xcall span's Begin record.
-    ChargeLock(xcall_lock_, cpu_id);
-    Charge(cpu_id, costs_.xcall_send);
-    cpu(run_cpu).AdvanceToPs(cpu(cpu_id).NowPs());  // IPI flight.
-    xcall_span.emplace(
-        tracer_, sim::TraceCat::kIpc, trc_.ipc_xcall,
-        static_cast<std::uint8_t>(run_cpu),
-        RemoteClock([this, run_cpu] { return cpu(run_cpu).NowPs(); }),
-        portal->id(), cpu_id);
-    Charge(run_cpu, costs_.xcall_receive);
+  if (!xcall) {
+    return TraversePortal(caller_ec, portal);
   }
+  ChargeLock(xcall_lock_, cpu_id);
+  Charge(cpu_id, costs_.xcall_send);
+  cpu(run_cpu).AdvanceToPs(cpu(cpu_id).NowPs());  // IPI flight.
+  // "IPC Xcall" span on the handler's core: IPI receipt through reply.
+  const auto xcall_span =
+      events_.ipc_xcall.Span(cpu(run_cpu), portal->id(), cpu_id);
+  Charge(run_cpu, costs_.xcall_receive);
+  return TraversePortal(caller_ec, portal);
+}
+
+Status Hypervisor::TraversePortal(Ec* caller_ec, Pt* portal) {
+  Ec& handler = portal->handler();
+  const std::uint32_t run_cpu = handler.cpu();
+  const bool cross_as = &handler.pd() != &caller_ec->pd();
+  const hw::CpuModel& model = cpu(run_cpu).model();
 
   // Portal traversal + switch to the handler, donating the caller's SC.
   Charge(run_cpu, costs_.portal_traversal + costs_.context_switch);

@@ -29,37 +29,17 @@ int FieldCount(Mtd m) {
 
 }  // namespace mtd
 
-Hypervisor::HotTraceIds::HotTraceIds(sim::Tracer& t)
-    : hlt(t.Intern("HLT")),
-      hw_intr(t.Intern("Hardware Interrupts")),
-      recall(t.Intern("Recall")),
-      vtlb_fill(t.Intern("vTLB Fill")),
-      guest_pf(t.Intern("Guest Page Fault")),
-      mmio(t.Intern("Memory-Mapped I/O")),
-      pio(t.Intern("Port I/O")),
-      cpuid(t.Intern("CPUID")),
-      mov_cr(t.Intern("CR Read/Write")),
-      invlpg(t.Intern("INVLPG")),
-      intr_window(t.Intern("Interrupt Window")),
-      vmcall(t.Intern("VMCALL")),
-      vm_error(t.Intern("VM Error")),
-      ipc_call(t.Intern("IPC Call")),
-      vm_event(t.Intern("VM Event IPC")),
-      sched_dispatch(t.Intern("Sched Dispatch")),
-      sched_preempt(t.Intern("Sched Preempt")),
-      gsi_delivered(t.Intern("GSI Delivered")),
-      vtlb_resolve(t.Intern("vTLB Resolve")) {
+// Nothing emits "vTLB Resolve", but its id sits just before the
+// exit-reason names, and golden digests fold every id.
+std::array<std::uint16_t, hw::kNumExitReasons>
+Hypervisor::Events::InternExitNames(sim::Tracer& t) {
+  (void)t.Intern("vTLB Resolve");
+  std::array<std::uint16_t, hw::kNumExitReasons> ids{};
   for (int i = 0; i < hw::kNumExitReasons; ++i) {
-    exit[i] = t.Intern(std::string("exit:") +
-                       hw::ExitReasonName(static_cast<hw::ExitReason>(i)));
+    ids[static_cast<std::size_t>(i)] = t.Intern(
+        std::string("exit:") + hw::ExitReasonName(static_cast<hw::ExitReason>(i)));
   }
-  vm_event_unhandled = t.Intern("vm-event-unhandled");
-  // SMP names intern last: ids are dense and golden digests of old traces
-  // must not shift (single-core runs never emit these).
-  ipc_xcall = t.Intern("IPC Xcall");
-  tlb_shootdown = t.Intern("TLB Shootdown");
-  tlb_shootdown_ack = t.Intern("TLB Shootdown Ack");
-  lock_contention = t.Intern("lock-contention");
+  return ids;
 }
 
 Hypervisor::Hypervisor(hw::Machine* machine, HvCosts costs)
@@ -153,12 +133,31 @@ void Hypervisor::FreeFrameFor(Pd* pd, hw::PhysAddr frame) {
   PoolFree(frame);
 }
 
-bool Hypervisor::ChargeObjectFrames(Pd* pd, std::uint64_t frames) {
-  if (fault_plan_ != nullptr &&
-      fault_plan_->ShouldFault(sim::FaultKind::kAllocFail, pd->name())) {
-    return false;
+KmemCharge::~KmemCharge() {
+  if (pd_ != nullptr) {
+    pd_->CreditKmem(frames_);
   }
-  return pd->ChargeKmem(frames);
+}
+
+KmemCharge Hypervisor::ChargeObjectFrames(const std::shared_ptr<Pd>& pd,
+                                          std::uint64_t frames) {
+  const bool faulted =
+      fault_plan_ != nullptr &&
+      fault_plan_->ShouldFault(sim::FaultKind::kAllocFail, pd->name());
+  if (faulted || !pd->ChargeKmem(frames)) {
+    return {};
+  }
+  return KmemCharge(pd, frames);
+}
+
+Status Hypervisor::Publish(Pd* caller, CapSel dst_sel, const ObjRef& obj,
+                           KmemCharge charge) {
+  const Status s = InstallCap(caller, dst_sel, obj, perm::kAll);
+  if (Ok(s)) {
+    obj->set_kmem_charge(std::move(charge));
+    RegisterObject(obj);
+  }
+  return s;
 }
 
 std::shared_ptr<Pd> Hypervisor::SelfRef(Pd* caller) {
@@ -208,6 +207,12 @@ std::shared_ptr<Pd> Hypervisor::MakePd(const std::string& name, bool is_vm,
   }
   RegisterObject(pd);
   return pd;
+}
+
+void Hypervisor::FreeDomainMemory(Pd* pd) {
+  pd->mem_space().table().FreeTables(
+      [this, pd](hw::PhysAddr frame) { FreeFrameFor(pd, frame); });
+  pd->CreditKmem(pd->caps().committed_chunks());
 }
 
 Vtlb& Hypervisor::VtlbFor(Ec* vcpu) {
@@ -308,8 +313,7 @@ Status Hypervisor::CreatePd(Pd* caller, CapSel dst_sel, const std::string& name,
       // Create-failure unwind: the domain was never visible to other cores.
       mdb_.Get(SerialPhase::kUnpublishedUnwind)
           .DropDomain(pd.get(), [](const MdbNode&) {});
-      pd->mem_space().table().FreeTables(
-          [this, &pd](hw::PhysAddr f) { FreeFrameFor(pd.get(), f); });
+      FreeDomainMemory(pd.get());
       if (pd->is_vm() && pd->vm_tag() != hw::kHostTag) {
         tlb_tags_.Release(pd->vm_tag());
         pd->set_vm_tag(hw::kHostTag);
@@ -479,8 +483,7 @@ void Hypervisor::ReclaimPd(Pd* pd) {
   // entries, but the radix-tree frames (and the root) are kernel pool
   // frames that must balance out — credited to the dying domain's own
   // account chain, not to root.
-  pd->mem_space().table().FreeTables(
-      [this, pd](hw::PhysAddr frame) { FreeFrameFor(pd, frame); });
+  FreeDomainMemory(pd);
 
   // A bounded domain's quota returns to the nearest live bounded ancestor
   // (the supervisor destroys a VMM's VM first, so a VM's quota flows
@@ -500,36 +503,19 @@ void Hypervisor::ReclaimPd(Pd* pd) {
 
 Status Hypervisor::CreateEcLocal(Pd* caller, CapSel dst_sel, CapSel pd_sel,
                                  std::uint32_t cpu_id, Ec::Handler handler, Ec** out) {
-  Charge(boot_cpu_for_step_, costs_.hypercall_dispatch);
-  if (cpu_id >= machine_->num_cpus()) {
-    return Status::kBadCpu;
-  }
-  Charge(boot_cpu_for_step_, costs_.cap_lookup);
-  auto pd = RefAs<Pd>(caller->caps().LookupRef(pd_sel), ObjType::kPd);
-  if (pd == nullptr) {
-    return Status::kBadCapability;
-  }
-  if (!ChargeObjectFrames(pd.get(), 1)) {  // UTCB frame.
-    return Status::kNoMem;
-  }
-  auto ec = std::make_shared<Ec>(Ec::Kind::kLocal, pd, cpu_id);
-  ec->set_handler(std::move(handler));
-  const Status s = InstallCap(caller, dst_sel, ec, perm::kAll);
-  if (!Ok(s)) {
-    pd->CreditKmem(1);
-    return s;
-  }
-  ec->set_release_hook([pd] { pd->CreditKmem(1); });
-  RegisterObject(ec);
-  ecs_.push_back(ec);
-  if (out != nullptr) {
-    *out = ec.get();
-  }
-  return Status::kSuccess;
+  return CreateEc(caller, dst_sel, pd_sel, cpu_id, Ec::Kind::kLocal,
+                  std::move(handler), nullptr, out);
 }
 
 Status Hypervisor::CreateEcGlobal(Pd* caller, CapSel dst_sel, CapSel pd_sel,
                                   std::uint32_t cpu_id, Ec::StepFn step, Ec** out) {
+  return CreateEc(caller, dst_sel, pd_sel, cpu_id, Ec::Kind::kGlobal, nullptr,
+                  std::move(step), out);
+}
+
+Status Hypervisor::CreateEc(Pd* caller, CapSel dst_sel, CapSel pd_sel,
+                            std::uint32_t cpu_id, Ec::Kind kind,
+                            Ec::Handler handler, Ec::StepFn step, Ec** out) {
   Charge(boot_cpu_for_step_, costs_.hypercall_dispatch);
   if (cpu_id >= machine_->num_cpus()) {
     return Status::kBadCpu;
@@ -539,18 +525,17 @@ Status Hypervisor::CreateEcGlobal(Pd* caller, CapSel dst_sel, CapSel pd_sel,
   if (pd == nullptr) {
     return Status::kBadCapability;
   }
-  if (!ChargeObjectFrames(pd.get(), 1)) {  // UTCB frame.
+  KmemCharge utcb = ChargeObjectFrames(pd, 1);
+  if (!utcb) {
     return Status::kNoMem;
   }
-  auto ec = std::make_shared<Ec>(Ec::Kind::kGlobal, pd, cpu_id);
+  auto ec = std::make_shared<Ec>(kind, pd, cpu_id);
+  ec->set_handler(std::move(handler));
   ec->set_step_fn(std::move(step));
-  const Status s = InstallCap(caller, dst_sel, ec, perm::kAll);
+  const Status s = Publish(caller, dst_sel, ec, std::move(utcb));
   if (!Ok(s)) {
-    pd->CreditKmem(1);
     return s;
   }
-  ec->set_release_hook([pd] { pd->CreditKmem(1); });
-  RegisterObject(ec);
   ecs_.push_back(ec);
   if (out != nullptr) {
     *out = ec.get();
@@ -572,7 +557,8 @@ Status Hypervisor::CreateVcpu(Pd* caller, CapSel dst_sel, CapSel vm_pd_sel,
   if (!pd->is_vm()) {
     return Status::kBadParameter;
   }
-  if (!ChargeObjectFrames(pd.get(), 2)) {  // UTCB + VMCS frames.
+  KmemCharge utcb_vmcs = ChargeObjectFrames(pd, 2);
+  if (!utcb_vmcs) {
     return Status::kNoMem;
   }
   auto ec = std::make_shared<Ec>(Ec::Kind::kVcpu, pd, cpu_id);
@@ -589,13 +575,10 @@ Status Hypervisor::CreateVcpu(Pd* caller, CapSel dst_sel, CapSel vm_pd_sel,
   ctl.intercept_hlt = true;
   ctl.intercept_vmcall = true;
   ctl.io_passthrough = &pd->io_space().bitmap();
-  const Status s = InstallCap(caller, dst_sel, ec, perm::kAll);
+  const Status s = Publish(caller, dst_sel, ec, std::move(utcb_vmcs));
   if (!Ok(s)) {
-    pd->CreditKmem(2);
     return s;
   }
-  ec->set_release_hook([pd] { pd->CreditKmem(2); });
-  RegisterObject(ec);
   vcpus_.push_back(ec);
   ecs_.push_back(ec);
   if (out != nullptr) {
@@ -621,20 +604,17 @@ Status Hypervisor::CreateSc(Pd* caller, CapSel dst_sel, CapSel ec_sel,
   if (quantum == 0) {
     return Status::kBadParameter;
   }
-  auto sc_pd = ec->pd_ref();
-  if (!ChargeObjectFrames(sc_pd.get(), 1)) {
+  KmemCharge charge = ChargeObjectFrames(ec->pd_ref(), 1);
+  if (!charge) {
     return Status::kNoMem;
   }
   auto sc = std::make_shared<Sc>(ec, prio, quantum);
   ec->set_sc(sc.get());
-  const Status s = InstallCap(caller, dst_sel, sc, perm::kAll);
+  const Status s = Publish(caller, dst_sel, sc, std::move(charge));
   if (!Ok(s)) {
     ec->set_sc(nullptr);
-    sc_pd->CreditKmem(1);
     return s;
   }
-  sc->set_release_hook([sc_pd] { sc_pd->CreditKmem(1); });
-  RegisterObject(sc);
   EnqueueSc(sc.get());
   return Status::kSuccess;
 }
@@ -650,19 +630,12 @@ Status Hypervisor::CreatePt(Pd* caller, CapSel dst_sel, CapSel handler_ec_sel,
   if (ec->kind() != Ec::Kind::kLocal) {
     return Status::kBadParameter;
   }
-  auto pt_pd = ec->pd_ref();
-  if (!ChargeObjectFrames(pt_pd.get(), 1)) {
+  KmemCharge charge = ChargeObjectFrames(ec->pd_ref(), 1);
+  if (!charge) {
     return Status::kNoMem;
   }
-  auto pt = std::make_shared<Pt>(ec, m, id);
-  const Status s = InstallCap(caller, dst_sel, pt, perm::kAll);
-  if (!Ok(s)) {
-    pt_pd->CreditKmem(1);
-    return s;
-  }
-  pt->set_release_hook([pt_pd] { pt_pd->CreditKmem(1); });
-  RegisterObject(pt);
-  return Status::kSuccess;
+  return Publish(caller, dst_sel, std::make_shared<Pt>(ec, m, id),
+                 std::move(charge));
 }
 
 Status Hypervisor::PtCtrlMtd(Pd* caller, CapSel pt_sel, Mtd m) {
@@ -677,20 +650,16 @@ Status Hypervisor::PtCtrlMtd(Pd* caller, CapSel pt_sel, Mtd m) {
 
 Status Hypervisor::CreateSm(Pd* caller, CapSel dst_sel, std::uint64_t initial) {
   Charge(boot_cpu_for_step_, costs_.hypercall_dispatch);
-  auto sm_pd = SelfRef(caller);
-  if (!ChargeObjectFrames(sm_pd.get(), 1)) {
+  KmemCharge charge = ChargeObjectFrames(SelfRef(caller), 1);
+  if (!charge) {
     return Status::kNoMem;
   }
   auto sm = std::make_shared<Sm>(initial);
   sm->set_owner(caller);
-  const Status s = InstallCap(caller, dst_sel, sm, perm::kAll);
-  if (!Ok(s)) {
-    sm_pd->CreditKmem(1);
-    return s;
+  const Status s = Publish(caller, dst_sel, sm, std::move(charge));
+  if (Ok(s)) {
+    sms_.push_back(sm);
   }
-  sm->set_release_hook([sm_pd] { sm_pd->CreditKmem(1); });
-  RegisterObject(sm);
-  sms_.push_back(sm);
   return s;
 }
 
@@ -1048,8 +1017,7 @@ void Hypervisor::ProcessPendingIrqs(std::uint32_t cpu_id) {
     chip.Acknowledge(cpu_id, vector);
     chip.Mask(gsi);
     Charge(cpu_id, costs_.irq_ack);
-    CountEvent(ctr_.gsi_delivered, trc_.gsi_delivered, cpu_id, gsi,
-               sim::TraceCat::kIrq);
+    events_.gsi_delivered.Count(cpu(cpu_id), gsi);
     if (auto& sm = gsi_sms_.Get(SerialPhase::kRoutedDelivery)[gsi];
         sm != nullptr) {
       sm->set_counter(sm->counter() + 1);
@@ -1072,8 +1040,7 @@ void Hypervisor::ChargeContention(LockState& lock, std::uint32_t cpu_id) {
   if (lock.last_cpu != ~0u && lock.last_cpu != cpu_id &&
       c.NowPs() < lock.hold_until_ps) {
     Charge(cpu_id, costs_.lock_contention);
-    CountEvent(ctr_.lock_contention, trc_.lock_contention, cpu_id,
-               lock.last_cpu, sim::TraceCat::kSched);
+    events_.lock_contention.Count(c, lock.last_cpu);
   }
   lock.last_cpu = cpu_id;
   lock.hold_until_ps =
@@ -1089,8 +1056,7 @@ void Hypervisor::ShootdownRemotes(std::uint32_t origin_cpu,
     }
     // Initiator: post the IPI and spin for the ack.
     Charge(origin_cpu, costs_.shootdown_ipi);
-    CountEvent(ctr_.tlb_shootdown, trc_.tlb_shootdown, origin_cpu, i,
-               sim::TraceCat::kIrq);
+    events_.tlb_shootdown.Count(origin, i);
     // Target: the IPI arrives no earlier than it was sent; the remote core
     // flushes the tagged entries and acks.
     hw::Cpu& remote = cpu(i);
@@ -1099,7 +1065,7 @@ void Hypervisor::ShootdownRemotes(std::uint32_t origin_cpu,
     Charge(i, costs_.shootdown_ack + remote.model().tlb_flush);
     if (tracer_->enabled()) {
       tracer_->InstantAt(remote.NowPs(), sim::TraceCat::kIrq,
-                         trc_.tlb_shootdown_ack, static_cast<std::uint8_t>(i),
+                         events_.tlb_shootdown_ack, static_cast<std::uint8_t>(i),
                          tag);
     }
     // The initiator's spin ends when the ack lands.
@@ -1125,15 +1091,14 @@ void Hypervisor::ShootdownVtlb(Ec* origin_vcpu, std::uint64_t gva) {
     }
     const std::uint32_t origin_cpu = origin_vcpu->cpu();
     Charge(origin_cpu, costs_.shootdown_ipi);
-    CountEvent(ctr_.tlb_shootdown, trc_.tlb_shootdown, origin_cpu,
-               sibling->cpu(), sim::TraceCat::kIrq);
+    events_.tlb_shootdown.Count(cpu(origin_cpu), sibling->cpu());
     hw::Cpu& remote = cpu(sibling->cpu());
     remote.AdvanceToPs(cpu(origin_cpu).NowPs());
     sibling->vtlb()->HandleInvlpg(gva);
     Charge(sibling->cpu(), costs_.shootdown_ack);
     if (tracer_->enabled()) {
       tracer_->InstantAt(remote.NowPs(), sim::TraceCat::kIrq,
-                         trc_.tlb_shootdown_ack,
+                         events_.tlb_shootdown_ack,
                          static_cast<std::uint8_t>(sibling->cpu()), gva);
     }
     cpu(origin_cpu).AdvanceToPs(remote.NowPs());
@@ -1241,7 +1206,7 @@ bool Hypervisor::DispatchOn(std::uint32_t cpu_id) {
   const std::shared_ptr<Ec> ec_ref = sc->ec_ref();
   Ec& ec = *ec_ref;
   if (tracer_->enabled()) {
-    tracer_->InstantAt(c.NowPs(), sim::TraceCat::kSched, trc_.sched_dispatch,
+    tracer_->InstantAt(c.NowPs(), sim::TraceCat::kSched, events_.sched_dispatch,
                        static_cast<std::uint8_t>(cpu_id), sc->prio(),
                        static_cast<std::uint64_t>(ec.kind()));
   }
@@ -1278,7 +1243,7 @@ bool Hypervisor::DispatchOn(std::uint32_t cpu_id) {
       // round-robin sense — the SC refills and goes to the tail.
       if (tracer_->enabled()) {
         tracer_->InstantAt(c.NowPs(), sim::TraceCat::kSched,
-                           trc_.sched_preempt,
+                           events_.sched_preempt,
                            static_cast<std::uint8_t>(cpu_id), sc->prio());
       }
       sc->Refill();

@@ -14,6 +14,7 @@
 #ifndef SRC_HV_KERNEL_H_
 #define SRC_HV_KERNEL_H_
 
+#include <array>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -21,6 +22,7 @@
 
 #include "src/hw/machine.h"
 #include "src/hw/vm_engine.h"
+#include "src/hv/event_counter.h"
 #include "src/hv/guarded.h"
 #include "src/hv/kmem.h"
 #include "src/hv/mdb.h"
@@ -276,14 +278,28 @@ class Hypervisor : public KmemPool {
   [[nodiscard]] hw::PhysAddr PoolAlloc();
   void PoolFree(hw::PhysAddr frame);
   // Charge `frames` to `pd` for a kernel object (UTCB, VMCS, SC, portal,
-  // semaphore); consults the fault plan like a real frame allocation.
-  [[nodiscard]] bool ChargeObjectFrames(Pd* pd, std::uint64_t frames);
+  // semaphore); consults the fault plan like a real frame allocation. The
+  // charge is empty when the quota or the fault plan refuses it.
+  [[nodiscard]] KmemCharge ChargeObjectFrames(const std::shared_ptr<Pd>& pd,
+                                              std::uint64_t frames);
+  // The publish step every object-creating hypercall but CreatePd ends
+  // with: insert `obj`'s capability at `dst_sel` in `caller`'s space. On
+  // success `obj` takes over `charge` and gets the next oid; on failure
+  // the charge credits itself as it goes out of scope.
+  Status Publish(Pd* caller, CapSel dst_sel, const ObjRef& obj,
+                 KmemCharge charge);
+  // The one body of CreateEcLocal and CreateEcGlobal.
+  Status CreateEc(Pd* caller, CapSel dst_sel, CapSel pd_sel, std::uint32_t cpu_id,
+                  Ec::Kind kind, Ec::Handler handler, Ec::StepFn step, Ec** out);
   // The caller's own-PD reference (selector 0), for donor chains and
   // object charges that outlive the raw pointer.
   std::shared_ptr<Pd> SelfRef(Pd* caller);
 
   // IPC internals.
   Status DoCall(Ec* caller_ec, Pt* portal);
+  // DoCall's second half on the handler's core: portal traversal, the
+  // handler's run on the donated SC, and the reply.
+  Status TraversePortal(Ec* caller_ec, Pt* portal);
   void TransferWords(Utcb& from, Utcb& to, std::uint32_t cpu_id);
   Status ApplyTypedItems(Pd* sender, Pd* receiver, Utcb& msg, std::uint32_t cpu_id);
 
@@ -321,6 +337,10 @@ class Hypervisor : public KmemPool {
   // Full teardown of a dying domain: abort waiters, unschedule its ECs,
   // drop shadow state, detach devices, free its paging structures.
   void ReclaimPd(Pd* pd);
+  // A dead domain's kernel memory: page-table frames back to the pool, and
+  // capability-space chunks credited (its capability to itself keeps its
+  // Pd alive, so the Pd's destructor cannot credit them).
+  void FreeDomainMemory(Pd* pd);
 
   // Charged capability lookup.
   template <typename T>
@@ -330,93 +350,50 @@ class Hypervisor : public KmemPool {
     return caller->caps().LookupAs<T>(sel, type, perms);
   }
 
-  // Hot-path event counters resolved once at construction: the VM-exit
-  // dispatch and interrupt paths bump these without a string-keyed map
-  // lookup. The registry stays authoritative for dump/reset.
-  struct HotCounters {
-    explicit HotCounters(sim::StatRegistry& s)
-        : hlt(s.counter("HLT")),
-          hw_intr(s.counter("Hardware Interrupts")),
-          recall(s.counter("Recall")),
-          vtlb_fill(s.counter("vTLB Fill")),
-          guest_pf(s.counter("Guest Page Fault")),
-          mmio(s.counter("Memory-Mapped I/O")),
-          pio(s.counter("Port I/O")),
-          cpuid(s.counter("CPUID")),
-          mov_cr(s.counter("CR Read/Write")),
-          invlpg(s.counter("INVLPG")),
-          intr_window(s.counter("Interrupt Window")),
-          vmcall(s.counter("VMCALL")),
-          vm_error(s.counter("VM Error")),
-          vm_event_ipc(s.counter("vm-event-ipc")),
-          vm_event_unhandled(s.counter("vm-event-unhandled")),
-          gsi_delivered(s.counter("gsi-delivered")),
-          ipc_calls(s.counter("ipc-calls")),
-          ipc_xcalls(s.counter("ipc-xcalls")),
-          tlb_shootdown(s.counter("TLB Shootdown")),
-          lock_contention(s.counter("lock-contention")) {}
-    sim::Counter& hlt;
-    sim::Counter& hw_intr;
-    sim::Counter& recall;
-    sim::Counter& vtlb_fill;
-    sim::Counter& guest_pf;
-    sim::Counter& mmio;
-    sim::Counter& pio;
-    sim::Counter& cpuid;
-    sim::Counter& mov_cr;
-    sim::Counter& invlpg;
-    sim::Counter& intr_window;
-    sim::Counter& vmcall;
-    sim::Counter& vm_error;
-    sim::Counter& vm_event_ipc;
-    sim::Counter& vm_event_unhandled;
-    sim::Counter& gsi_delivered;
-    sim::Counter& ipc_calls;
-    sim::Counter& ipc_xcalls;
-    sim::Counter& tlb_shootdown;
-    sim::Counter& lock_contention;
-  };
+  // The hypervisor's events, and the names it only traces, declared in
+  // trace-id order: ids are dense and every golden digest folds them, so a
+  // new name only ever appends. A Vtlb declares its own events.
+  struct Events {
+    using Cat = sim::TraceCat;
+    static std::array<std::uint16_t, hw::kNumExitReasons> InternExitNames(
+        sim::Tracer& t);
 
-  // Interned trace-name ids resolved once at construction. The Table 2
-  // rows reuse the exact counter-registry row names and are emitted
-  // adjacent to the counter bumps, which is what lets bench/tab2_events
-  // derive the table from a TraceReport and cross-check it against the
-  // counters record for record.
-  struct HotTraceIds {
-    explicit HotTraceIds(sim::Tracer& t);
-    std::uint16_t hlt, hw_intr, recall, vtlb_fill, guest_pf, mmio, pio,
-        cpuid, mov_cr, invlpg, intr_window, vmcall, vm_error;
-    std::uint16_t ipc_call, vm_event, sched_dispatch, sched_preempt,
-        gsi_delivered, vtlb_resolve;
+    sim::StatRegistry& s;
+    sim::Tracer& t;
+    // Table 2 rows: counter and trace share the paper's row name.
+    EventCounter hlt{s, t, Cat::kVmExit, "HLT"};
+    EventCounter hw_intr{s, t, Cat::kVmExit, "Hardware Interrupts"};
+    EventCounter recall{s, t, Cat::kVmExit, "Recall"};
+    EventCounter vtlb_fill{s, t, Cat::kVmExit, "vTLB Fill"};
+    EventCounter guest_pf{s, t, Cat::kVmExit, "Guest Page Fault"};
+    EventCounter mmio{s, t, Cat::kVmExit, "Memory-Mapped I/O"};
+    EventCounter pio{s, t, Cat::kVmExit, "Port I/O"};
+    EventCounter cpuid{s, t, Cat::kVmExit, "CPUID"};
+    EventCounter mov_cr{s, t, Cat::kVmExit, "CR Read/Write"};
+    EventCounter invlpg{s, t, Cat::kVmExit, "INVLPG"};
+    EventCounter intr_window{s, t, Cat::kVmExit, "Interrupt Window"};
+    EventCounter vmcall{s, t, Cat::kVmExit, "VMCALL"};
+    EventCounter vm_error{s, t, Cat::kVmExit, "VM Error"};
+    EventCounter ipc_call{s, t, Cat::kIpc, "ipc-calls", "IPC Call"};  // Spans.
+    EventCounter vm_event_ipc{s, t, Cat::kIpc, "vm-event-ipc", "VM Event IPC"};
+    std::uint16_t sched_dispatch = t.Intern("Sched Dispatch");
+    std::uint16_t sched_preempt = t.Intern("Sched Preempt");
+    EventCounter gsi_delivered{s, t, Cat::kIrq, "gsi-delivered", "GSI Delivered"};
     // Host-side handling span per exit reason ("exit:<reason>").
-    std::uint16_t exit[hw::kNumExitReasons] = {};
-    // Interned AFTER everything above (see the ctor): ids are dense and
-    // golden trace digests depend on them, so new names only ever append.
-    std::uint16_t vm_event_unhandled = 0;
-    // SMP names, appended after vm_event_unhandled (same rule).
-    std::uint16_t ipc_xcall = 0, tlb_shootdown = 0, tlb_shootdown_ack = 0,
-        lock_contention = 0;
+    std::array<std::uint16_t, hw::kNumExitReasons> exit = InternExitNames(t);
+    EventCounter vm_event_unhandled{s, t, Cat::kVmExit, "vm-event-unhandled"};
+    // SMP names; single-core runs never emit them.
+    EventCounter ipc_xcall{s, t, Cat::kIpc, "ipc-xcalls", "IPC Xcall"};  // Spans.
+    EventCounter tlb_shootdown{s, t, Cat::kIrq, "TLB Shootdown"};
+    std::uint16_t tlb_shootdown_ack = t.Intern("TLB Shootdown Ack");
+    EventCounter lock_contention{s, t, Cat::kSched, "lock-contention"};
   };
-
-  // Bump a Table 2 counter and emit the matching trace instant (stamped
-  // with the CPU's local clock; the timestamp is only computed when the
-  // tracer is enabled).
-  void CountEvent(sim::Counter& c, std::uint16_t name, std::uint32_t cpu_id,
-                  std::uint64_t a0 = 0,
-                  sim::TraceCat cat = sim::TraceCat::kVmExit) {
-    c.Add();
-    if (tracer_->enabled()) {
-      tracer_->InstantAt(cpu(cpu_id).NowPs(), cat, name,
-                         static_cast<std::uint8_t>(cpu_id), a0);
-    }
-  }
 
   hw::Machine* machine_;
   HvCosts costs_;
   sim::StatRegistry stats_;
-  HotCounters ctr_{stats_};
   sim::Tracer* tracer_{&machine_->tracer()};
-  HotTraceIds trc_{*tracer_};
+  Events events_{stats_, *tracer_};
   Guarded<Mdb, LockId::kMdb> mdb_;
 
   // Kernel memory pool.

@@ -23,6 +23,8 @@
 #define SRC_HV_KMEM_H_
 
 #include <cstdint>
+#include <memory>
+#include <utility>
 
 #include "src/hw/phys_mem.h"
 #include "src/sim/snapshot.h"
@@ -77,6 +79,33 @@ class KmemQuota {
  private:
   std::uint64_t limit_ = kUnlimited;  // kUnlimited => pass-through.
   std::uint64_t used_ = 0;
+};
+
+// The kernel-memory charge that paid for one kernel object: `frames`
+// frames on `pd`'s account chain. The creating hypercall hands it to the
+// object when it publishes the object, and whoever holds it last credits
+// the chain once, as the charge is destroyed. Move-only; an empty charge
+// (a failed Hypervisor::ChargeObjectFrames) credits nothing.
+class [[nodiscard]] KmemCharge {
+ public:
+  KmemCharge() = default;
+  KmemCharge(std::shared_ptr<Pd> pd, std::uint64_t frames)
+      : pd_(std::move(pd)), frames_(frames) {}
+  KmemCharge(KmemCharge&& other) noexcept = default;
+  // Credits the charge held so far, then takes `other`'s.
+  KmemCharge& operator=(KmemCharge other) noexcept {
+    std::swap(pd_, other.pd_);
+    std::swap(frames_, other.frames_);
+    return *this;
+  }
+  KmemCharge(const KmemCharge&) = delete;
+  ~KmemCharge();
+
+  explicit operator bool() const { return pd_ != nullptr; }
+
+ private:
+  std::shared_ptr<Pd> pd_;
+  std::uint64_t frames_ = 0;
 };
 
 // Frame source that charges the owning PD's quota chain. Implemented by

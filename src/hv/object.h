@@ -5,9 +5,10 @@
 #define SRC_HV_OBJECT_H_
 
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <utility>
+
+#include "src/hv/kmem.h"
 
 namespace nova::hv {
 
@@ -27,9 +28,7 @@ constexpr const char* ObjTypeName(ObjType t) {
 class KObject {
  public:
   explicit KObject(ObjType type) : type_(type) {}
-  virtual ~KObject() {
-    if (release_) release_();
-  }
+  virtual ~KObject() = default;
 
   KObject(const KObject&) = delete;
   KObject& operator=(const KObject&) = delete;
@@ -49,18 +48,17 @@ class KObject {
   bool dead() const { return dead_; }
   void MarkDead() { dead_ = true; }
 
-  // Invoked exactly once when the object is destroyed; the kernel uses it
-  // to credit the owning PD's kernel-memory account once the last
-  // capability drops (a dead object can outlive its domain's reclaim).
-  void set_release_hook(std::function<void()> hook) {
-    release_ = std::move(hook);
-  }
+  // The charge that paid for this object, handed over when the kernel
+  // publishes it. It credits the owning PD's account chain when the last
+  // capability drops and the object is destroyed (a dead object can
+  // outlive its domain's reclaim).
+  void set_kmem_charge(KmemCharge charge) { kmem_charge_ = std::move(charge); }
 
  private:
   ObjType type_;
   std::uint64_t oid_ = kNoOid;
   bool dead_ = false;
-  std::function<void()> release_;
+  KmemCharge kmem_charge_;
 };
 
 using ObjRef = std::shared_ptr<KObject>;

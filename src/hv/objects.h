@@ -39,17 +39,12 @@ class Pd : public KObject {
         // Page-table frames charged here are credited by MemSpace's
         // teardown walk (spaces.cc), not in this file.
         mem_space_(mem, mode, pt_root,
-                   // nova-lint: allow(quota-symmetry)
                    [this] { return pool_->AllocFrameFor(this); }) {
+    // Capability-space chunks are credited when the domain dies
+    // (Hypervisor::FreeDomainMemory).
     caps_.set_charge_fn([this](std::uint64_t frames) {
       return ChargeKmem(frames);
     });
-  }
-
-  ~Pd() override {
-    // Capability-space chunks die with the domain; the release hooks of
-    // the other object types credit their own charges.
-    CreditKmem(caps_.committed_chunks());
   }
 
   const std::string& name() const { return name_; }

@@ -70,7 +70,7 @@ void Hypervisor::Io(Ar& ar) {
   // Every registered object, held for the whole visit. An expired entry
   // means a checkpoint racing domain destruction — refuse rather than
   // guess — or a twin that already destroyed something; holding the rest
-  // keeps release hooks from firing while references are rewritten.
+  // keeps each object and its charge alive while references are rewritten.
   std::vector<ObjRef> objs;
   objs.reserve(objects_.size());
   for (const ObjSlot& slot : objects_) {

@@ -121,7 +121,7 @@ bool Hypervisor::DispatchVmEvent(Ec* vcpu, Event event, const hw::VmExit& exit) 
   // the VM itself cannot perform hypercalls (§4.2).
   Pt* pt = LookupCharged<Pt>(&vm, sel, ObjType::kPt, perm::kCall, cpu_id);
   if (pt == nullptr) {
-    CountEvent(ctr_.vm_event_unhandled, trc_.vm_event_unhandled, cpu_id);
+    events_.vm_event_unhandled.Count(cpu(cpu_id));
     return false;
   }
   Ec& handler = pt->handler();
@@ -136,8 +136,7 @@ bool Hypervisor::DispatchVmEvent(Ec* vcpu, Event event, const hw::VmExit& exit) 
   Charge(cpu_id, costs_.portal_traversal + costs_.context_switch +
                      costs_.addr_space_switch + model.tlb_flush / 2 +
                      costs_.ipc_refill_entries * model.tlb_refill_entry);
-  CountEvent(ctr_.vm_event_ipc, trc_.vm_event, cpu_id,
-             static_cast<std::uint64_t>(event), sim::TraceCat::kIpc);
+  events_.vm_event_ipc.Count(cpu(cpu_id), static_cast<std::uint64_t>(event));
 
   TransferToUtcb(vcpu, exit, pt->mtd(), handler.utcb());
   handler.set_busy(true);
@@ -226,7 +225,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
     // courtesy of the scope guard.
     sim::ScopedSpan exit_span(
         tracer_, sim::TraceCat::kVmExit,
-        trc_.exit[static_cast<int>(exit.reason)],
+        events_.exit[static_cast<std::size_t>(exit.reason)],
         static_cast<std::uint8_t>(cpu_id), [&c] { return c.NowPs(); },
         exit.gva, static_cast<std::uint64_t>(exit.reason));
 
@@ -236,7 +235,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
 
       case hw::ExitReason::kHlt:
         if (ctl.intercept_hlt) {
-          CountEvent(ctr_.hlt, trc_.hlt, cpu_id);
+          events_.hlt.Count(c);
           if (!DispatchVmEvent(vcpu, Event::kHlt, exit)) {
             vcpu->set_block_state(Ec::BlockState::kBlockedHalt);
             return;
@@ -254,7 +253,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
         return;
 
       case hw::ExitReason::kExtInt:
-        CountEvent(ctr_.hw_intr, trc_.hw_intr, cpu_id);
+        events_.hw_intr.Count(c);
         ProcessPendingIrqs(cpu_id);
         // Return to the scheduler: the unblocked driver thread may have
         // a higher-priority scheduling context.
@@ -262,7 +261,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
 
       case hw::ExitReason::kRecall: {
         gs.recall_pending = false;
-        CountEvent(ctr_.recall, trc_.recall, cpu_id);
+        events_.recall.Count(c);
         if (!DispatchVmEvent(vcpu, Event::kRecall, exit)) {
           vcpu->set_block_state(Ec::BlockState::kBlockedHalt);
           return;
@@ -280,10 +279,10 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
         std::uint64_t gpa = 0;
         switch (VtlbFor(vcpu).Resolve(exit, &gpa)) {
           case Vtlb::Outcome::kFilled:
-            CountEvent(ctr_.vtlb_fill, trc_.vtlb_fill, cpu_id, exit.gva);
+            events_.vtlb_fill.Count(c, exit.gva);
             break;
           case Vtlb::Outcome::kGuestFault:
-            CountEvent(ctr_.guest_pf, trc_.guest_pf, cpu_id, exit.gva);
+            events_.guest_pf.Count(c, exit.gva);
             gs.cr2 = exit.gva;
             if (!engine.InjectEvent(gs, hw::kVectorPageFault)) {
               DispatchVmEvent(vcpu, Event::kError, exit);
@@ -293,7 +292,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
           case Vtlb::Outcome::kHostFault: {
             hw::VmExit mmio = exit;
             mmio.gpa = gpa;
-            CountEvent(ctr_.mmio, trc_.mmio, cpu_id, gpa);
+            events_.mmio.Count(c, gpa);
             if (!DispatchVmEvent(vcpu, Event::kMmio, mmio)) {
               vcpu->set_block_state(Ec::BlockState::kBlockedHalt);
               return;
@@ -304,7 +303,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
             // The VM's kernel-memory quota is exhausted and eviction found
             // nothing to reclaim: surface the failure to the VMM and park
             // the vCPU; a Recall retries once the monitor frees resources.
-            CountEvent(ctr_.vm_error, trc_.vm_error, cpu_id);
+            events_.vm_error.Count(c);
             DispatchVmEvent(vcpu, Event::kError, exit);
             vcpu->set_block_state(Ec::BlockState::kBlockedHalt);
             return;
@@ -313,7 +312,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
       }
 
       case hw::ExitReason::kEptViolation:
-        CountEvent(ctr_.mmio, trc_.mmio, cpu_id, exit.gpa);
+        events_.mmio.Count(c, exit.gpa);
         if (!DispatchVmEvent(vcpu, Event::kMmio, exit)) {
           vcpu->set_block_state(Ec::BlockState::kBlockedHalt);
           return;
@@ -321,7 +320,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
         break;
 
       case hw::ExitReason::kPio:
-        CountEvent(ctr_.pio, trc_.pio, cpu_id, exit.port);
+        events_.pio.Count(c, exit.port);
         if (!DispatchVmEvent(vcpu, Event::kPio, exit)) {
           vcpu->set_block_state(Ec::BlockState::kBlockedHalt);
           return;
@@ -329,7 +328,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
         break;
 
       case hw::ExitReason::kCpuid:
-        CountEvent(ctr_.cpuid, trc_.cpuid, cpu_id);
+        events_.cpuid.Count(c);
         if (!DispatchVmEvent(vcpu, Event::kCpuid, exit)) {
           vcpu->set_block_state(Ec::BlockState::kBlockedHalt);
           return;
@@ -337,7 +336,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
         break;
 
       case hw::ExitReason::kMovCr:
-        CountEvent(ctr_.mov_cr, trc_.mov_cr, cpu_id, exit.qual);
+        events_.mov_cr.Count(c, exit.qual);
         if (ctl.mode == hw::TranslationMode::kShadow) {
           VtlbFor(vcpu).HandleMovCr3(exit.qual);
           gs.rip += hw::isa::kInsnSize;  // Emulated: skip the instruction.
@@ -348,7 +347,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
         break;
 
       case hw::ExitReason::kInvlpg:
-        CountEvent(ctr_.invlpg, trc_.invlpg, cpu_id, exit.gva);
+        events_.invlpg.Count(c, exit.gva);
         if (ctl.mode == hw::TranslationMode::kShadow) {
           VtlbFor(vcpu).HandleInvlpg(exit.gva);
           // Sibling vCPUs on other cores cache the same guest mapping in
@@ -362,7 +361,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
         break;
 
       case hw::ExitReason::kIntrWindow:
-        CountEvent(ctr_.intr_window, trc_.intr_window, cpu_id);
+        events_.intr_window.Count(c);
         if (!DispatchVmEvent(vcpu, Event::kIntrWindow, exit)) {
           vcpu->set_block_state(Ec::BlockState::kBlockedHalt);
           return;
@@ -370,7 +369,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
         break;
 
       case hw::ExitReason::kVmcall:
-        CountEvent(ctr_.vmcall, trc_.vmcall, cpu_id, exit.hypercall);
+        events_.vmcall.Count(c, exit.hypercall);
         if (!DispatchVmEvent(vcpu, Event::kVmcall, exit)) {
           vcpu->set_block_state(Ec::BlockState::kBlockedHalt);
           return;
@@ -379,7 +378,7 @@ void Hypervisor::RunVcpu(Sc* sc, sim::Cycles budget) {
 
       case hw::ExitReason::kError:
       case hw::ExitReason::kNone:
-        CountEvent(ctr_.vm_error, trc_.vm_error, cpu_id);
+        events_.vm_error.Count(c);
         DispatchVmEvent(vcpu, Event::kError, exit);
         // Unrecoverable: park the virtual CPU.
         vcpu->set_block_state(Ec::BlockState::kBlockedHalt);

@@ -24,18 +24,7 @@
 namespace nova::hv {
 
 Vtlb::Vtlb(Env env, VtlbPolicy policy)
-    : env_(std::move(env)),
-      policy_(policy),
-      flushes_(env_.stats->counter("vTLB Flush")),
-      switch_hits_(env_.stats->counter("vTLB Context Hit")),
-      switch_misses_(env_.stats->counter("vTLB Context Miss")),
-      evictions_(env_.stats->counter("vTLB Context Evict")),
-      pressure_evictions_(env_.stats->counter("vTLB Pressure Evict")),
-      trace_flush_(env_.tracer->Intern("vTLB Flush")),
-      trace_hit_(env_.tracer->Intern("vTLB Context Hit")),
-      trace_miss_(env_.tracer->Intern("vTLB Context Miss")),
-      trace_evict_(env_.tracer->Intern("vTLB Context Evict")),
-      trace_pevict_(env_.tracer->Intern("vTLB Pressure Evict")) {}
+    : env_(std::move(env)), policy_(policy) {}
 
 Vtlb::~Vtlb() { DropAllContexts(); }
 
@@ -80,8 +69,7 @@ bool Vtlb::EvictOneForPressure(const Context* keep) {
     env_.tags->Release(ctx.tag);
   }
   FreeTree(ctx);
-  pressure_evictions_.Add();
-  Mark(trace_pevict_, victim->first);
+  pressure_evictions_.Count(*env_.cpu, victim->first);
   contexts_.erase(victim);
   return true;
 }
@@ -272,8 +260,7 @@ void Vtlb::HandleMovCr3(std::uint64_t new_cr3) {
     FreeBelowRoot(it->second);
     env_.cpu->tlb().FlushTag(it->second.tag);
     env_.cpu->Charge(env_.cpu->model().tlb_flush);
-    flushes_.Add();
-    Mark(trace_flush_, new_cr3);
+    flushes_.Count(*env_.cpu, new_cr3);
     return;
   }
 
@@ -289,8 +276,7 @@ void Vtlb::HandleMovCr3(std::uint64_t new_cr3) {
     // fault retries through Resolve once frames are credited back.
     ctx.root = AllocWithPressure(ctx);
   }
-  (hit ? switch_hits_ : switch_misses_).Add();
-  Mark(hit ? trace_hit_ : trace_miss_, new_cr3);
+  (hit ? switch_hits_ : switch_misses_).Count(*env_.cpu, new_cr3);
   active_key_ = new_cr3;
   has_active_ = true;
   ctx.last_use = ++use_clock_;
@@ -371,8 +357,7 @@ void Vtlb::Flush() {
   }
   env_.cpu->tlb().FlushTag(env_.ctl->tag);
   env_.cpu->Charge(env_.cpu->model().tlb_flush);
-  flushes_.Add();
-  Mark(trace_flush_, env_.gs->cr3);
+  flushes_.Count(*env_.cpu, env_.gs->cr3);
 }
 
 void Vtlb::DropAllContexts() {
@@ -420,8 +405,7 @@ void Vtlb::EnforceFrameBudget() {
       env_.tags->Release(ctx.tag);
     }
     FreeTree(ctx);
-    evictions_.Add();
-    Mark(trace_evict_, victim->first);
+    evictions_.Count(*env_.cpu, victim->first);
     contexts_.erase(victim);
   }
 }

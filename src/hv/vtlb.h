@@ -28,6 +28,7 @@
 #include <functional>
 #include <map>
 
+#include "src/hv/event_counter.h"
 #include "src/hv/types.h"
 #include "src/hw/cpu.h"
 #include "src/hw/guest_state.h"
@@ -179,28 +180,17 @@ class Vtlb {
   std::uint64_t use_clock_ = 0;
   std::uint64_t frames_held_ = 0;
 
-  // Counters cached at construction: no string-keyed registry lookups on
-  // the hot paths.
-  sim::Counter& flushes_;
-  sim::Counter& switch_hits_;
-  sim::Counter& switch_misses_;
-  sim::Counter& evictions_;
-  sim::Counter& pressure_evictions_;
-
-  // Trace-name ids interned at construction; instants are emitted at the
-  // exact sites the matching counters are bumped, stamped with the owning
-  // CPU's clock.
-  void Mark(std::uint16_t name, std::uint64_t a0 = 0, std::uint64_t a1 = 0) {
-    if (env_.tracer->enabled()) {
-      env_.tracer->InstantAt(env_.cpu->NowPs(), sim::TraceCat::kVtlb, name,
-                             static_cast<std::uint8_t>(env_.cpu->id()), a0, a1);
-    }
-  }
-  std::uint16_t trace_flush_;
-  std::uint16_t trace_hit_;
-  std::uint16_t trace_miss_;
-  std::uint16_t trace_evict_;
-  std::uint16_t trace_pevict_;
+  // Counted in the kernel's registry and traced on the owning CPU.
+  EventCounter flushes_{*env_.stats, *env_.tracer, sim::TraceCat::kVtlb,
+                        "vTLB Flush"};
+  EventCounter switch_hits_{*env_.stats, *env_.tracer, sim::TraceCat::kVtlb,
+                            "vTLB Context Hit"};
+  EventCounter switch_misses_{*env_.stats, *env_.tracer, sim::TraceCat::kVtlb,
+                              "vTLB Context Miss"};
+  EventCounter evictions_{*env_.stats, *env_.tracer, sim::TraceCat::kVtlb,
+                          "vTLB Context Evict"};
+  EventCounter pressure_evictions_{*env_.stats, *env_.tracer,
+                                   sim::TraceCat::kVtlb, "vTLB Pressure Evict"};
 };
 
 }  // namespace nova::hv

@@ -7,14 +7,6 @@ namespace {
 constexpr std::uint32_t kOpActivate = 1;
 }  // namespace
 
-void FaultPlan::set_tracer(Tracer* t) {
-  tracer_ = t;
-  for (int i = 0; i < kNumFaultKinds; ++i) {
-    trace_fire_[i] = t->Intern(
-        std::string("fault:") + FaultKindName(static_cast<FaultKind>(i)));
-  }
-}
-
 void FaultPlan::Arm(EventQueue* events) {
   armed_ = true;
   event_owner_ = events->RegisterOwner(
@@ -50,8 +42,6 @@ bool FaultPlan::ShouldFault(FaultKind kind, std::string_view target) {
       entry.active = false;
     }
     ++injected_[static_cast<int>(kind)];
-    tracer_->Instant(TraceCat::kFault, trace_fire_[static_cast<int>(kind)],
-                     static_cast<std::uint64_t>(kind));
     return true;
   }
   return false;

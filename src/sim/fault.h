@@ -22,7 +22,6 @@
 
 #include "src/sim/event_queue.h"
 #include "src/sim/rng.h"
-#include "src/sim/trace.h"
 
 namespace nova::sim {
 
@@ -85,8 +84,8 @@ class FaultPlan {
 
   // Pure time-window query for window faults (kLinkPartition): true when
   // `now` falls inside a matching entry's [at, at + window_ps) interval.
-  // Never draws RNG, never mutates budgets, never traces — callers that
-  // must stay digest-invisible (the migration driver) use this form.
+  // Never draws RNG and never mutates budgets — callers that must stay
+  // digest-invisible (the migration driver) use this form.
   bool InWindow(FaultKind kind, std::string_view target,
                 PicoSeconds now) const;
 
@@ -94,10 +93,6 @@ class FaultPlan {
     return injected_[static_cast<int>(kind)];
   }
   std::uint64_t total_injected() const;
-
-  // Wires a tracer in: every firing emits a "fault:<kind>" instant
-  // (timestamped from the tracer's event-queue clock).
-  void set_tracer(Tracer* t);
 
   // Snapshot the injection cursor: RNG stream position, per-entry
   // budgets/activation, injection counts. Entries themselves must match
@@ -124,8 +119,6 @@ class FaultPlan {
   std::vector<Entry> entries_;
   bool armed_ = false;
   std::uint64_t injected_[kNumFaultKinds] = {};
-  Tracer* tracer_ = &Tracer::Disabled();
-  std::uint16_t trace_fire_[kNumFaultKinds] = {};
   EventOwner event_owner_;  // Last member: unregisters first.
 };
 

@@ -51,7 +51,7 @@ enum class TraceCat : std::uint8_t {
   kVtlb,        // vTLB fill / flush / context switch / pressure eviction
   kDevice,      // device DMA and completion activity
   kIrq,         // interrupt assertion and delivery
-  kFault,       // fault-plan firings
+  kFault,       // fault-plan firings (nothing emits them yet)
 };
 inline constexpr int kNumTraceCats = 7;
 const char* TraceCatName(TraceCat c);

@@ -1,8 +1,14 @@
 // Per-PD kernel-memory quotas: donation at CreatePd, charge/credit on
 // every object-creation path, exhaustion-safe failure (kNoMem with no
-// partial object), donation return on destroy, and deterministic
-// alloc-fail fault injection.
+// partial object), donation return on destroy, deterministic alloc-fail
+// fault injection, and ledger round trips on every create call.
 #include <gtest/gtest.h>
+
+#include <functional>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "src/sim/fault.h"
 #include "tests/hv/test_util.h"
@@ -193,6 +199,135 @@ TEST_F(KmemQuotaTest, AllocFailFaultPlanFailsCreationTransiently) {
   // Other domains were never at risk: the fault matched by target name.
   const CapSel other = Free(root_);
   EXPECT_EQ(hv_.CreatePd(root_, other, "bystander", false), Status::kSuccess);
+}
+
+// --- Ledger round trips ------------------------------------------------------
+//
+// The ledger is the kernel frame pool plus the account of every live domain.
+// A create whose capability insert fails must leave it unchanged, and a
+// create followed by a destroy must return it to where it started. The
+// object charges of the six object-creating calls credit themselves
+// (KmemCharge); page-table frames, CreatePd's quota donation and
+// capability-space chunks are still paired by hand.
+class LedgerTest : public KmemQuotaTest {
+ protected:
+  // Name#oid -> (used, limit); "pool" -> (frames in use, 0).
+  using Ledger = std::map<std::string, std::pair<std::uint64_t, std::uint64_t>>;
+
+  LedgerTest() {
+    EXPECT_EQ(hv_.CreatePd(root_, kVmSel, "vm", /*is_vm=*/true), Status::kSuccess);
+    EXPECT_EQ(hv_.CreateEcLocal(root_, kHandlerSel, kSelOwnPd, 0,
+                                [](std::uint64_t) {}),
+              Status::kSuccess);
+    EXPECT_EQ(hv_.CreateEcGlobal(root_, kThreadSel, kSelOwnPd, 0, [] {}),
+              Status::kSuccess);
+    EXPECT_EQ(hv_.CreateSm(root_, kOccupiedSel, 0), Status::kSuccess);
+  }
+
+  Ledger Take() {
+    Ledger ledger{{"pool", {hv_.FramesInUse(), 0}}};
+    for (std::uint64_t oid = 0; oid < hv_.ObjectCount(); ++oid) {
+      auto pd = RefAs<Pd>(hv_.ObjectByOid(oid), ObjType::kPd);
+      if (pd != nullptr && !pd->dead()) {
+        ledger[pd->name() + "#" + std::to_string(oid)] = {pd->kmem().used(),
+                                                         pd->kmem().limit()};
+      }
+    }
+    return ledger;
+  }
+
+  // Drops the root's capability at `sel`, the last reference to the object.
+  void Destroy(CapSel sel) {
+    ASSERT_EQ(hv_.Revoke(root_, Crd::Obj(sel, 0, perm::kAll), /*include_self=*/true),
+              Status::kSuccess);
+    EXPECT_EQ(root_->caps().LookupRef(sel), nullptr);
+  }
+
+  static constexpr CapSel kVmSel = 100;
+  static constexpr CapSel kHandlerSel = 101;  // Local EC: a portal handler.
+  static constexpr CapSel kThreadSel = 102;   // Global EC without an SC.
+  static constexpr CapSel kOccupiedSel = 103;
+  static constexpr CapSel kNewSel = 104;
+};
+
+TEST_F(LedgerTest, CreatePdInsertFailureLeavesLedgerUnchanged) {
+  for (const std::uint64_t quota : {KmemQuota::kUnlimited, std::uint64_t{8}}) {
+    const Ledger before = Take();
+    EXPECT_EQ(hv_.CreatePd(root_, kOccupiedSel, "child", false, nullptr, quota),
+              Status::kBusy);
+    EXPECT_EQ(Take(), before) << "quota " << quota;
+  }
+}
+
+TEST_F(LedgerTest, ObjectInsertFailureLeavesLedgerUnchanged) {
+  const Ledger before = Take();
+  EXPECT_EQ(hv_.CreateEcLocal(root_, kOccupiedSel, kSelOwnPd, 0,
+                              [](std::uint64_t) {}),
+            Status::kBusy);
+  EXPECT_EQ(hv_.CreateEcGlobal(root_, kOccupiedSel, kSelOwnPd, 0, [] {}),
+            Status::kBusy);
+  EXPECT_EQ(hv_.CreateVcpu(root_, kOccupiedSel, kVmSel, 0, 200), Status::kBusy);
+  EXPECT_EQ(hv_.CreateSc(root_, kOccupiedSel, kThreadSel, 1, 1'000'000),
+            Status::kBusy);
+  EXPECT_EQ(hv_.CreatePt(root_, kOccupiedSel, kHandlerSel, 0, 7), Status::kBusy);
+  EXPECT_EQ(hv_.CreateSm(root_, kOccupiedSel, 0), Status::kBusy);
+  EXPECT_EQ(Take(), before);
+  // CreateSc left the EC without an SC, and the occupant is still there.
+  const auto thread = RefAs<Ec>(root_->caps().LookupRef(kThreadSel), ObjType::kEc);
+  ASSERT_NE(thread, nullptr);
+  EXPECT_EQ(thread->sc(), nullptr);
+  EXPECT_NE(RefAs<Sm>(root_->caps().LookupRef(kOccupiedSel), ObjType::kSm),
+            nullptr);
+}
+
+TEST_F(LedgerTest, CreatePdThenDestroyRestoresLedger) {
+  for (const std::uint64_t quota : {KmemQuota::kUnlimited, std::uint64_t{8}}) {
+    const Ledger before = Take();
+    ASSERT_EQ(hv_.CreatePd(root_, kNewSel, "child", false, nullptr, quota),
+              Status::kSuccess);
+    EXPECT_NE(Take(), before);
+    ASSERT_EQ(hv_.DestroyPd(root_, kNewSel), Status::kSuccess);
+    EXPECT_EQ(Take(), before) << "quota " << quota;
+  }
+}
+
+TEST_F(LedgerTest, ObjectCreateThenDestroyRestoresLedger) {
+  const std::vector<std::pair<const char*, std::function<Status()>>> creates = {
+      {"ec-local",
+       [&] {
+         return hv_.CreateEcLocal(root_, kNewSel, kSelOwnPd, 0,
+                                  [](std::uint64_t) {});
+       }},
+      {"ec-global",
+       [&] { return hv_.CreateEcGlobal(root_, kNewSel, kSelOwnPd, 0, [] {}); }},
+      {"vcpu", [&] { return hv_.CreateVcpu(root_, kNewSel, kVmSel, 0, 200); }},
+      {"pt", [&] { return hv_.CreatePt(root_, kNewSel, kHandlerSel, 0, 7); }},
+      {"sm", [&] { return hv_.CreateSm(root_, kNewSel, 0); }},
+  };
+  for (const auto& [what, create] : creates) {
+    const Ledger before = Take();
+    ASSERT_EQ(create(), Status::kSuccess) << what;
+    EXPECT_NE(Take(), before) << what;
+    Destroy(kNewSel);
+    EXPECT_EQ(Take(), before) << what;
+  }
+}
+
+TEST_F(LedgerTest, CreateScThenDestroyRestoresLedger) {
+  // An SC sits in its core's ready queue from creation on; it leaves the
+  // queue with its domain, so the round trip runs in a child domain.
+  const Ledger before = Take();
+  ASSERT_EQ(hv_.CreatePd(root_, kNewSel, "child", false), Status::kSuccess);
+  const CapSel ec_sel = Free(root_);
+  ASSERT_EQ(hv_.CreateEcGlobal(root_, ec_sel, kNewSel, 0, [] {}), Status::kSuccess);
+  const std::uint64_t used = root_->kmem().used();
+  const CapSel sc_sel = Free(root_);
+  ASSERT_EQ(hv_.CreateSc(root_, sc_sel, ec_sel, 1, 1'000'000), Status::kSuccess);
+  EXPECT_EQ(root_->kmem().used(), used + 1);
+  ASSERT_EQ(hv_.DestroyPd(root_, kNewSel), Status::kSuccess);
+  Destroy(sc_sel);
+  Destroy(ec_sel);
+  EXPECT_EQ(Take(), before);
 }
 
 }  // namespace

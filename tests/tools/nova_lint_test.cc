@@ -2,7 +2,7 @@
 // fixture snippets — a seeded violation it must detect, a clean variant
 // it must stay silent on, and a suppressed variant it must count as
 // suppressed — plus the comment/string blanking machinery, the layer
-// ladder, and the JSON report shape.
+// ladder, and the report format.
 #include "tools/nova_lint/lint.h"
 
 #include <gtest/gtest.h>
@@ -30,88 +30,6 @@ int CountRule(const LintResult& r, const std::string& rule) {
   int n = 0;
   for (const Finding& f : r.findings) n += (f.rule == rule) ? 1 : 0;
   return n;
-}
-
-// --- quota-symmetry ------------------------------------------------------
-
-TEST(QuotaSymmetryRule, FlagsChargeWithoutCredit) {
-  const auto r = RunOn({{"src/hv/q.cc", R"cc(
-void Grow(P* pd) {
-  (void)pool->AllocFrameFor(pd);
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "quota-symmetry"), 1);
-}
-
-TEST(QuotaSymmetryRule, SilentWhenPaired) {
-  const auto r = RunOn({{"src/hv/q.cc", R"cc(
-void Grow(P* pd) {
-  (void)pool->AllocFrameFor(pd);
-}
-void Shrink(P* pd, unsigned f) {
-  pool->FreeFrameFor(pd, f);
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "quota-symmetry"), 0);
-}
-
-TEST(QuotaSymmetryRule, IgnoresDeclarationsAndTests) {
-  // A declaration is not a call; test files are out of scope entirely.
-  const auto r = RunOn({{"src/hv/q.h", R"cc(
-struct Pool {
-  virtual unsigned AllocFrameFor(P* pd) = 0;
-};
-)cc"},
-                        {"tests/hv/q_test.cc", R"cc(
-void T() { (void)pool->AllocFrameFor(pd); }
-)cc"}});
-  EXPECT_EQ(CountRule(r, "quota-symmetry"), 0);
-}
-
-// --- raw-counter ---------------------------------------------------------
-
-TEST(RawCounterRule, FlagsBareBumpInHv) {
-  const auto r = RunOn({{"src/hv/c.cc", R"cc(
-void F() {
-  x = 1;
-  y = 2;
-  ctr_.hlt.Add();
-  z = 3;
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "raw-counter"), 1);
-}
-
-TEST(RawCounterRule, FlagsStringKeyedLookupEvenWithCoEmission) {
-  const auto r = RunOn({{"src/hv/c.cc", R"cc(
-void F() {
-  stats_.counter("ipc-calls").Add();
-  tracer_->InstantAt(now, cat, name, tid);
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "raw-counter"), 1);
-}
-
-TEST(RawCounterRule, SilentWithAdjacentCoEmission) {
-  const auto r = RunOn({{"src/hv/c.cc", R"cc(
-void F() {
-  flushes_.Add();
-  Mark(trc_.flush);
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "raw-counter"), 0);
-}
-
-TEST(RawCounterRule, OutOfScopeOutsideHv) {
-  const auto r = RunOn({{"src/hw/c.cc", R"cc(
-void F() {
-  x = 1;
-  y = 2;
-  retries_.Add();
-  z = 3;
-}
-)cc"}});
-  EXPECT_EQ(CountRule(r, "raw-counter"), 0);
 }
 
 // --- raw-span ------------------------------------------------------------
@@ -221,6 +139,22 @@ bool Hypervisor::AnyReady(long deadline) {
 }
 )cc"}});
   EXPECT_EQ(CountRule(r, "per-cpu-state"), 2);
+}
+
+TEST(PerCpuStateRule, ControlStatementHeaderIsNotAParameterList) {
+  // "num_cpus" in a loop header names no core: the enclosing function's
+  // own parameters decide, and here it has none.
+  const auto r = RunOn({{"src/hv/p.cc", R"cc(
+bool Hypervisor::AnyReady() {
+  for (unsigned i = 0; i < machine_->num_cpus(); ++i) {
+    if (cpu_state(i).HasReady()) {
+      return true;
+    }
+  }
+  return false;
+}
+)cc"}});
+  EXPECT_EQ(CountRule(r, "per-cpu-state"), 1);
 }
 
 TEST(PerCpuStateRule, SilentWithCpuIdOrScEcParameter) {
@@ -464,61 +398,7 @@ class T {
   EXPECT_EQ(r.suppressed, 1);
 }
 
-// --- driver: parallelism, roots, baseline --------------------------------
-
-TEST(Driver, ParallelRunMatchesSerialByteForByte) {
-  std::vector<SourceFile> files;
-  for (int i = 0; i < 24; ++i) {
-    files.emplace_back("src/hv/f" + std::to_string(i) + ".cc",
-                       "void F" + std::to_string(i) + "() {\n"
-                       "  t.BeginAt(1);\n  t.BeginAt(2);\n}\n");
-  }
-  const LintResult serial = RunLint(files, AllRules(), 1);
-  const LintResult parallel = RunLint(files, AllRules(), 4);
-  EXPECT_EQ(FormatText(serial), FormatText(parallel));
-  EXPECT_EQ(serial.findings.size(), 48u);
-}
-
-TEST(Driver, RootsExcludeRulesByLongestPrefix) {
-  std::vector<SourceFile> files;
-  files.emplace_back("src/hv/a.cc", "void F() {\n  t.BeginAt(1);\n}\n");
-  std::vector<RootSpec> roots;
-  roots.push_back({"src", {}});
-  roots.push_back({"src/hv", {"raw-span"}});
-  const LintResult r = RunLint(files, AllRules(), 1, roots);
-  EXPECT_EQ(CountRule(r, "raw-span"), 0);
-  const LintResult all = RunLint(files, AllRules(), 1);
-  EXPECT_EQ(CountRule(all, "raw-span"), 1);
-}
-
-TEST(Driver, BaselineRatchetDropsKnownPairsOnly) {
-  LintResult r = RunOn({{"src/hv/a.cc", "void F() {\n  t.BeginAt(1);\n}\n"},
-                        {"src/hv/b.cc", "void G() {\n  t.BeginAt(1);\n}\n"}});
-  ASSERT_EQ(r.findings.size(), 2u);
-  const int dropped = ApplyBaseline(
-      &r, {"# known debt", "raw-span src/hv/a.cc", "", "bogus-line"});
-  EXPECT_EQ(dropped, 1);
-  EXPECT_EQ(r.baselined, 1);
-  ASSERT_EQ(r.findings.size(), 1u);
-  EXPECT_EQ(r.findings[0].file, "src/hv/b.cc");
-}
-
 // --- report formats ------------------------------------------------------
-
-TEST(Report, JsonCarriesSchemaFieldsAndEscapes) {
-  const auto r = RunOn({{"src/hv/a.cc", "void F() {\n  t.BeginAt(1);\n}\n"}});
-  ASSERT_EQ(r.findings.size(), 1u);
-  const std::string json = FormatJson(r);
-  EXPECT_NE(json.find("\"findings\":["), std::string::npos);
-  EXPECT_NE(json.find("\"rule\":\"raw-span\""), std::string::npos);
-  EXPECT_NE(json.find("\"file\":\"src/hv/a.cc\""), std::string::npos);
-  EXPECT_NE(json.find("\"line\":2"), std::string::npos);
-  EXPECT_NE(json.find("\"count\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"suppressed\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"baselined\":0"), std::string::npos);
-  EXPECT_NE(json.find("\"files_scanned\":1"), std::string::npos);
-  EXPECT_NE(json.find("\"wall_ms\":"), std::string::npos);
-}
 
 TEST(Report, TextFormatIsFileLineRuleMessage) {
   const auto r = RunOn({{"src/hv/a.cc", "void F() {\n  t.BeginAt(1);\n}\n"}});

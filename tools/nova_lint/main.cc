@@ -1,111 +1,30 @@
 // nova-lint — project-invariant static analysis for the NOVA repro.
 //
-//   nova_lint [--json] [--rule=<name>]... [--list-rules] [--jobs=<n>]
-//             [--roots=<spec>] [--baseline=<file>] <path>...
+//   nova_lint [--rule=<name>]... <path>...
 //
 // Scans the given files/directories, runs every registered rule (or the
 // --rule subset) and prints findings. Exit code: 0 clean, 1 findings,
 // 2 usage or I/O error. Suppress a finding in source with
 //   // nova-lint: allow(<rule>)           (this or the next line)
 //   // nova-lint: allow-file(<rule>)      (whole file)
-//
-// --roots takes `path[=-rule[,-rule...]]` entries joined with ';' and
-// both scans the paths and restricts rules per root, e.g.
-//   --roots='src;tests=-determinism;tools=-determinism'
-// lints all three trees but keeps the determinism rule (which only
-// fires inside src/ layers anyway) off the test and tool code.
-//
-// --baseline is a ratchet: the file holds one `<rule> <file>` pair per
-// line ('#' comments allowed); matching findings are reported in the
-// summary as baselined but do not fail the run, so a new rule can land
-// with known debt without blocking CI.
 #include <cstdio>
-#include <cstdlib>
-#include <fstream>
 #include <string>
 #include <vector>
 
 #include "tools/nova_lint/lint.h"
 #include "tools/nova_lint/rule.h"
 
-namespace {
-
-// Parses `path[=-rule,...][;path...]` into RootSpecs.
-bool ParseRoots(const std::string& spec,
-                std::vector<nova::lint::RootSpec>* out) {
-  std::size_t start = 0;
-  while (start < spec.size()) {
-    std::size_t end = spec.find(';', start);
-    if (end == std::string::npos) end = spec.size();
-    const std::string entry = spec.substr(start, end - start);
-    start = end + 1;
-    if (entry.empty()) continue;
-    nova::lint::RootSpec root;
-    const std::size_t eq = entry.find('=');
-    root.path = entry.substr(0, eq);
-    if (root.path.empty()) return false;
-    // Normalize away a trailing '/' so prefix matching is exact.
-    while (root.path.size() > 1 && root.path.back() == '/') {
-      root.path.pop_back();
-    }
-    if (eq != std::string::npos) {
-      std::string name;
-      auto flush = [&] {
-        if (name.empty()) return true;
-        if (name[0] != '-' || name.size() < 2) return false;
-        root.exclude.insert(name.substr(1));
-        name.clear();
-        return true;
-      };
-      for (std::size_t i = eq + 1; i < entry.size(); ++i) {
-        if (entry[i] == ',') {
-          if (!flush()) return false;
-        } else {
-          name += entry[i];
-        }
-      }
-      if (!flush()) return false;
-    }
-    out->push_back(std::move(root));
-  }
-  return true;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
   using namespace nova::lint;
 
-  bool json = false;
-  bool list_rules = false;
-  int jobs = 0;
   std::vector<std::string> rule_filter;
   std::vector<std::string> paths;
-  std::vector<RootSpec> roots;
-  std::string baseline_path;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg == "--json") {
-      json = true;
-    } else if (arg == "--list-rules") {
-      list_rules = true;
-    } else if (arg.rfind("--rule=", 0) == 0) {
+    if (arg.rfind("--rule=", 0) == 0) {
       rule_filter.push_back(arg.substr(7));
-    } else if (arg.rfind("--jobs=", 0) == 0) {
-      jobs = std::atoi(arg.c_str() + 7);
-    } else if (arg.rfind("--roots=", 0) == 0) {
-      if (!ParseRoots(arg.substr(8), &roots)) {
-        std::fprintf(stderr, "nova_lint: bad --roots spec '%s'\n",
-                     arg.c_str() + 8);
-        return 2;
-      }
-    } else if (arg.rfind("--baseline=", 0) == 0) {
-      baseline_path = arg.substr(11);
     } else if (arg == "--help" || arg == "-h") {
-      std::printf(
-          "usage: nova_lint [--json] [--rule=<name>]... [--list-rules]\n"
-          "                 [--jobs=<n>] [--roots=<spec>]\n"
-          "                 [--baseline=<file>] <path>...\n");
+      std::printf("usage: nova_lint [--rule=<name>]... <path>...\n");
       return 0;
     } else if (arg.rfind("--", 0) == 0) {
       std::fprintf(stderr, "nova_lint: unknown option '%s'\n", arg.c_str());
@@ -114,17 +33,8 @@ int main(int argc, char** argv) {
       paths.push_back(arg);
     }
   }
-  for (const RootSpec& r : roots) {
-    paths.push_back(r.path);
-  }
 
   std::vector<std::unique_ptr<Rule>> rules = AllRules();
-  if (list_rules) {
-    for (const auto& r : rules) {
-      std::printf("%-20s %s\n", r->name(), r->summary());
-    }
-    return 0;
-  }
   if (!rule_filter.empty()) {
     std::vector<std::unique_ptr<Rule>> kept;
     for (auto& r : rules) {
@@ -162,21 +72,7 @@ int main(int argc, char** argv) {
     files.push_back(std::move(*f));
   }
 
-  LintResult result = RunLint(files, rules, jobs, roots);
-  if (!baseline_path.empty()) {
-    std::ifstream in(baseline_path);
-    if (!in) {
-      std::fprintf(stderr, "nova_lint: cannot read baseline '%s'\n",
-                   baseline_path.c_str());
-      return 2;
-    }
-    std::vector<std::string> lines;
-    for (std::string line; std::getline(in, line);) {
-      lines.push_back(line);
-    }
-    ApplyBaseline(&result, lines);
-  }
-  const std::string report = json ? FormatJson(result) : FormatText(result);
-  std::fputs(report.c_str(), stdout);
+  const LintResult result = RunLint(files, rules);
+  std::fputs(FormatText(result).c_str(), stdout);
   return result.findings.empty() ? 0 : 1;
 }

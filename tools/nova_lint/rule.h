@@ -29,14 +29,10 @@ class Rule {
   virtual ~Rule() = default;
   // Stable kebab-case id used in diagnostics and allow() comments.
   virtual const char* name() const = 0;
-  // One-line description for --list-rules.
-  virtual const char* summary() const = 0;
   virtual void Check(const FileCtx& ctx, Findings* out) const = 0;
 };
 
 // Factories for every shipped rule (one translation unit each).
-std::unique_ptr<Rule> MakeQuotaSymmetryRule();
-std::unique_ptr<Rule> MakeRawCounterRule();
 std::unique_ptr<Rule> MakeRawSpanRule();
 std::unique_ptr<Rule> MakeLayeringRule();
 std::unique_ptr<Rule> MakeUncheckedDowncastRule();

@@ -70,10 +70,6 @@ bool FirstArgHasPointer(const Tokens& toks, int open, int close) {
 class DeterminismRule final : public Rule {
  public:
   const char* name() const override { return "determinism"; }
-  const char* summary() const override {
-    return "no unordered containers, pointer keys, wall clocks or address "
-           "leaks in the simulated-machine layers";
-  }
 
   void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;

@@ -36,9 +36,6 @@ std::string IncludedLayer(const std::string& raw) {
 class LayeringRule : public Rule {
  public:
   const char* name() const override { return "layering"; }
-  const char* summary() const override {
-    return "include of a higher architecture layer (upward dependency)";
-  }
 
   void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;

@@ -45,12 +45,23 @@ bool ParamsNameACore(const Tokens& toks, int open, int close) {
   return false;
 }
 
+// True when toks[i] is a control-statement keyword (`if constexpr` ends
+// in `constexpr`): the parens after it hold a loop or condition header,
+// not a parameter list.
+bool IsControlKeyword(const Tokens& toks, int i) {
+  for (const char* kw : {"for", "if", "while", "switch", "catch", "constexpr"}) {
+    if (IsIdent(toks, i, kw)) return true;
+  }
+  return false;
+}
+
 // Finds the parameter list of the function enclosing token `i`.
 // Walks outward over enclosing '{'s; for each, checks whether it opens a
 // function body (the tokens before it end in a ')' — possibly through
-// const/noexcept/override and a constructor init list). Returns true with
-// *open/*close set to the parameter parens, false when token `i` is not
-// inside a function body (e.g. a member declaration at class scope).
+// const/noexcept/override and a constructor init list — that does not
+// close a control statement's header). Returns true with *open/*close set
+// to the parameter parens, false when token `i` is not inside a function
+// body (e.g. a member declaration at class scope).
 bool EnclosingFunctionParams(const Tokens& toks, int i, int* open, int* close) {
   int depth = 0;
   for (int j = i - 1; j >= 0; --j) {
@@ -70,6 +81,7 @@ bool EnclosingFunctionParams(const Tokens& toks, int i, int* open, int* close) {
     while (k >= 0 && IsPunct(toks, k, ")")) {
       const int o = MatchBackward(toks, k);
       if (o < 0) return false;
+      if (IsControlKeyword(toks, o - 1)) break;  // A control block.
       // `ident (` preceded by ':' or ',' is an initializer, keep hopping;
       // otherwise this is the parameter list itself.
       const int before_name = o - 2;  // o-1 is the initializer/function name
@@ -94,9 +106,6 @@ bool EnclosingFunctionParams(const Tokens& toks, int i, int* open, int* close) {
 class PerCpuStateRule : public Rule {
  public:
   const char* name() const override { return "per-cpu-state"; }
-  const char* summary() const override {
-    return "per-CPU kernel state accessed without an explicit core";
-  }
 
   void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;

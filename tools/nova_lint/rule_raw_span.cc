@@ -18,9 +18,6 @@ namespace {
 class RawSpanRule : public Rule {
  public:
   const char* name() const override { return "raw-span"; }
-  const char* summary() const override {
-    return "manual BeginAt/EndAt span emission outside ScopedSpan";
-  }
 
   void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;

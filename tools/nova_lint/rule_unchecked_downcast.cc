@@ -67,9 +67,6 @@ bool GuardedBeforeUse(const Tokens& toks, int from, const std::string& var) {
 class UncheckedDowncastRule : public Rule {
  public:
   const char* name() const override { return "unchecked-downcast"; }
-  const char* summary() const override {
-    return "capability downcast dereferenced without a null check";
-  }
 
   void Check(const FileCtx& ctx, Findings* out) const override {
     const SourceFile& file = ctx.file;

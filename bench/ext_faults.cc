@@ -12,11 +12,9 @@
 // Detection latency is stale_checks * period; the end-to-end cost shows up
 // as added workload completion time.
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "bench/common.h"
+#include "bench/scenario.h"
 #include "src/guest/workload_disk.h"
 #include "src/root/supervisor.h"
 #include "src/sim/fault.h"
@@ -55,41 +53,13 @@ FaultDiskResult RunDiskWithErrorRate(double rate, std::uint64_t requests) {
   plan.Arm(&system.machine.events());
   system.platform.disk->set_fault_plan(&plan);
 
-  vmm::VmmConfig vc;
-  vc.guest_mem_bytes = 128ull << 20;
-  vmm::Vmm vm(&system.hv, system.root.get(), vc);
-  vm.ConnectDiskServer(&server);
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system.hv.engine(0));
-  guest::GuestKernel gk(
-      &system.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm.GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 128ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestAhciDriver driver(
-      &gk, guest::GuestAhciDriver::Config{
-               .mmio_base = vmm::vahci::kMmioBase,
-               .irq_vector = vmm::vahci::kVector,
-               .read_ci =
-                   [&vm]() -> std::uint32_t {
-                 return static_cast<std::uint32_t>(vm.vahci().MmioRead(
-                     vmm::vahci::kMmioBase + hw::ahci::kPxCi, 4));
-               },
-               .handle_errors = true,
-               .read_err =
-                   [&vm]() -> std::uint32_t {
-                 return static_cast<std::uint32_t>(vm.vahci().MmioRead(
-                     vmm::vahci::kMmioBase + hw::ahci::kPxVs, 4));
-               }});
+  GuestVm vm(system, vmm::VmmConfig{.guest_mem_bytes = 128ull << 20},
+             GuestVm::Disk::kServerWithErrors);
   guest::DiskWorkload workload(
-      &gk, &driver,
+      &vm.kernel(), vm.driver(),
       guest::DiskWorkload::Config{.block_bytes = kBlock,
                                   .total_requests = requests});
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(vm.gstate());
-  (void)vm.Start(vm.gstate().rip);
+  vm.Boot(workload.EmitMain());
 
   hw::Cpu& cpu = system.machine.cpu(0);
   cpu.ResetUtilization();
@@ -104,7 +74,7 @@ FaultDiskResult RunDiskWithErrorRate(double rate, std::uint64_t requests) {
   r.injected = plan.injected(sim::FaultKind::kDiskMediaError);
   r.server_retries = server.requests_retried();
   r.server_failed = server.requests_failed();
-  r.driver_retries = driver.retried();
+  r.driver_retries = vm.driver()->retried();
   return r;
 }
 
@@ -121,7 +91,7 @@ RecoveryResult RunCrashRecovery(sim::PicoSeconds check_period_ps, bool crash,
   sc.machine =
       hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
-  services::DiskServer& server = system.StartDiskServer();
+  system.StartDiskServer();  // Its domain precedes the VMM's.
 
   sim::FaultPlan plan(/*seed=*/9);
   if (crash) {
@@ -133,60 +103,25 @@ RecoveryResult RunCrashRecovery(sim::PicoSeconds check_period_ps, bool crash,
   }
   plan.Arm(&system.machine.events());
 
-  vmm::VmmConfig vc;
-  vc.name = "vm";
-  vc.guest_mem_bytes = 32ull << 20;
-  auto vm = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), vc);
-  vm->SetFaultPlan(&plan);
-  vm->ConnectDiskServer(&server);
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system.hv.engine(0));
-  guest::GuestKernel gk(
-      &system.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm->GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 32ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestAhciDriver driver(
-      &gk, guest::GuestAhciDriver::Config{
-               .mmio_base = vmm::vahci::kMmioBase,
-               .irq_vector = vmm::vahci::kVector,
-               .read_ci =
-                   [&vm]() -> std::uint32_t {
-                 return static_cast<std::uint32_t>(vm->vahci().MmioRead(
-                     vmm::vahci::kMmioBase + hw::ahci::kPxCi, 4));
-               },
-               .handle_errors = true,
-               .read_err =
-                   [&vm]() -> std::uint32_t {
-                 return static_cast<std::uint32_t>(vm->vahci().MmioRead(
-                     vmm::vahci::kMmioBase + hw::ahci::kPxVs, 4));
-               }});
+  GuestVm vm(system,
+             vmm::VmmConfig{.name = "vm", .guest_mem_bytes = 32ull << 20},
+             GuestVm::Disk::kServerWithErrors);
+  vm.vmm().SetFaultPlan(&plan);
   guest::DiskWorkload workload(
-      &gk, &driver,
+      &vm.kernel(), vm.driver(),
       guest::DiskWorkload::Config{.block_bytes = kBlock,
                                   .total_requests = requests});
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(vm->gstate());
-  (void)vm->Start(vm->gstate().rip);
+  vm.Boot(workload.EmitMain());
 
   root::VmmSupervisor::Config supc;
   supc.check_period_ps = check_period_ps;
   supc.stale_checks = 2;
   root::VmmSupervisor supervisor(&system.hv, system.root.get(), supc);
-  supervisor.Watch(vm.get(), [&](const root::VmmSupervisor::RecoveryInfo& info) {
-    server.CloseChannel(vm->disk_channel_id());
-    vm.reset();
-    vmm::VmmConfig cr = vc;
-    cr.fixed_guest_base_page = info.guest_base_page;
-    vm = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), cr);
-    vm->ConnectDiskServer(&server);
-    (void)vm->Start(info.gstate.rip);
-    vm->gstate() = info.gstate;
-    vm->vahci().RestoreRegs(info.vahci_regs);
-    vm->vahci().InjectAbort(driver.issued_mask());
-  });
+  CheckOk("VmmSupervisor::Watch",
+          supervisor.Watch(&vm.vmm(),
+                           [&vm](const root::VmmSupervisor::RecoveryInfo& info) {
+                             vm.Restart(info);
+                           }));
 
   const sim::PicoSeconds t0 = system.machine.cpu(0).NowPs();
   system.hv.RunUntilCondition([&workload] { return workload.done(); },

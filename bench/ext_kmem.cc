@@ -8,12 +8,8 @@
 // guest's own least-recently-used shadow contexts under pressure instead
 // of failing the allocation; the guest pays re-fill work, never a crash.
 #include <cstdio>
-#include <memory>
 
-#include "bench/common.h"
-#include "src/guest/workload_compile.h"
-#include "src/root/system.h"
-#include "src/vmm/vmm.h"
+#include "bench/scenario.h"
 
 namespace nova::bench {
 namespace {
@@ -55,28 +51,17 @@ KmemResult RunWithQuota(std::uint64_t quota_frames, bool smoke) {
   root::NovaSystem system(sc);
   system.hv.set_vtlb_policy(hv::VtlbPolicy{.cache_contexts = true});
 
-  vmm::VmmConfig vc;
-  vc.name = "kmem-sweep";
-  vc.guest_mem_bytes = kGuestMem;
-  vc.mode = hw::TranslationMode::kShadow;
-  vc.kmem_quota_frames = quota_frames;
-  vmm::Vmm vm(&system.hv, system.root.get(), vc);
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system.hv.engine(0));
-  guest::GuestKernel gk(
-      &system.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm.GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = kGuestMem});
-  gk.BuildStandardHandlers();
-  guest::CompileWorkload workload(&gk, nullptr, ThrashWorkload(smoke));
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(vm.gstate());
-  (void)vm.Start(vm.gstate().rip);
+  GuestVm vm(system,
+             vmm::VmmConfig{.name = "kmem-sweep",
+                            .guest_mem_bytes = kGuestMem,
+                            .mode = hw::TranslationMode::kShadow,
+                            .kmem_quota_frames = quota_frames},
+             GuestVm::Disk::kNone);
+  guest::CompileWorkload workload(&vm.kernel(), nullptr, ThrashWorkload(smoke));
+  vm.Boot(workload.EmitMain());
 
   KmemResult r;
-  r.boot_used = vm.vmm_pd()->kmem().used();
+  r.boot_used = vm.vmm().vmm_pd()->kmem().used();
 
   const sim::PicoSeconds t0 = system.machine.cpu(0).NowPs();
   system.hv.RunUntilCondition([&workload] { return workload.done(); },
@@ -89,7 +74,7 @@ KmemResult RunWithQuota(std::uint64_t quota_frames, bool smoke) {
   r.vtlb_fills = system.hv.EventCount("vTLB Fill");
   r.pressure_evicts = system.hv.EventCount("vTLB Pressure Evict");
   r.flush_evicts = system.hv.EventCount("vTLB Context Evict");
-  r.used_end = vm.vmm_pd()->kmem().used();
+  r.used_end = vm.vmm().vmm_pd()->kmem().used();
   r.vm_errors = system.hv.EventCount("VM Error");
   return r;
 }

@@ -26,11 +26,8 @@
 // in-flight requests survive either way, but only the checkpointed
 // variant never trusts post-crash VMM memory.
 #include <cstdio>
-#include <functional>
-#include <memory>
 #include <vector>
 
-#include "bench/common.h"
 #include "bench/scenario.h"
 #include "src/guest/workload_disk.h"
 #include "src/root/supervisor.h"
@@ -184,7 +181,7 @@ SupervisorRow RunSupervisedCrash(std::uint32_t checkpoint_every,
   sc.machine =
       hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
-  services::DiskServer& server = system.StartDiskServer();
+  system.StartDiskServer();  // Its domain precedes the VMM's.
 
   sim::FaultPlan plan(/*seed=*/9);
   plan.Schedule({.at = sim::Milliseconds(2),
@@ -194,43 +191,15 @@ SupervisorRow RunSupervisedCrash(std::uint32_t checkpoint_every,
                  .rate = 1.0});
   plan.Arm(&system.machine.events());
 
-  vmm::VmmConfig vc;
-  vc.name = "vm";
-  vc.guest_mem_bytes = 32ull << 20;
-  auto vm = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), vc);
-  vm->SetFaultPlan(&plan);
-  vm->ConnectDiskServer(&server);
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system.hv.engine(0));
-  guest::GuestKernel gk(
-      &system.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm->GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 32ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestAhciDriver driver(
-      &gk, guest::GuestAhciDriver::Config{
-               .mmio_base = vmm::vahci::kMmioBase,
-               .irq_vector = vmm::vahci::kVector,
-               .read_ci =
-                   [&vm]() -> std::uint32_t {
-                 return static_cast<std::uint32_t>(vm->vahci().MmioRead(
-                     vmm::vahci::kMmioBase + hw::ahci::kPxCi, 4));
-               },
-               .handle_errors = true,
-               .read_err =
-                   [&vm]() -> std::uint32_t {
-                 return static_cast<std::uint32_t>(vm->vahci().MmioRead(
-                     vmm::vahci::kMmioBase + hw::ahci::kPxVs, 4));
-               }});
+  GuestVm vm(system,
+             vmm::VmmConfig{.name = "vm", .guest_mem_bytes = 32ull << 20},
+             GuestVm::Disk::kServerWithErrors);
+  vm.vmm().SetFaultPlan(&plan);
   guest::DiskWorkload workload(
-      &gk, &driver,
+      &vm.kernel(), vm.driver(),
       guest::DiskWorkload::Config{.block_bytes = 4096,
                                   .total_requests = requests});
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(vm->gstate());
-  (void)vm->Start(vm->gstate().rip);
+  vm.Boot(workload.EmitMain());
 
   root::VmmSupervisor::Config supc;
   supc.check_period_ps = sim::Microseconds(200);
@@ -238,20 +207,12 @@ SupervisorRow RunSupervisedCrash(std::uint32_t checkpoint_every,
   supc.checkpoint_every_checks = checkpoint_every;
   root::VmmSupervisor supervisor(&system.hv, system.root.get(), supc);
   SupervisorRow row;
-  supervisor.Watch(
-      vm.get(), [&](const root::VmmSupervisor::RecoveryInfo& info) {
-        row.regs_from_checkpoint = info.regs_from_checkpoint;
-        server.CloseChannel(vm->disk_channel_id());
-        vm.reset();
-        vmm::VmmConfig cr = vc;
-        cr.fixed_guest_base_page = info.guest_base_page;
-        vm = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), cr);
-        vm->ConnectDiskServer(&server);
-        (void)vm->Start(info.gstate.rip);
-        vm->gstate() = info.gstate;
-        vm->vahci().RestoreRegs(info.vahci_regs);
-        vm->vahci().InjectAbort(driver.issued_mask());
-      });
+  CheckOk("VmmSupervisor::Watch",
+          supervisor.Watch(
+              &vm.vmm(), [&](const root::VmmSupervisor::RecoveryInfo& info) {
+                row.regs_from_checkpoint = info.regs_from_checkpoint;
+                vm.Restart(info);
+              }));
 
   const sim::PicoSeconds t0 = system.machine.cpu(0).NowPs();
   system.hv.RunUntilCondition([&workload] { return workload.done(); },

@@ -7,7 +7,7 @@
 // one batched hypercall.
 #include <cstdio>
 
-#include "bench/common.h"
+#include "bench/scenario.h"
 
 namespace nova::bench {
 namespace {
@@ -22,23 +22,14 @@ double RunConsole(bool paravirt, std::uint64_t* exits_out) {
   root::SystemConfig sc;
   sc.machine = hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
-  vmm::VmmConfig vc;
-  vc.guest_mem_bytes = 64ull << 20;
-  vmm::Vmm vm(&system.hv, system.root.get(), vc);
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system.hv.engine(0));
-  guest::GuestKernel gk(
-      &system.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm.GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 64ull << 20});
-  gk.BuildStandardHandlers();
+  GuestVm vm(system, vmm::VmmConfig{.guest_mem_bytes = 64ull << 20},
+             GuestVm::Disk::kNone);
 
   // The message buffer in guest memory.
   std::string msg(kMessageLen, 'x');
-  vm.WriteGuest(0x500000, msg.data(), msg.size());
+  vm.vmm().WriteGuest(0x500000, msg.data(), msg.size());
 
-  hw::isa::Assembler& as = gk.text();
+  hw::isa::Assembler& as = vm.kernel().text();
   const std::uint64_t main = as.Here();
   as.MovImm(5, kRepeats);
   const std::uint64_t top = as.Here();
@@ -54,15 +45,12 @@ double RunConsole(bool paravirt, std::uint64_t* exits_out) {
   }
   as.Loop(5, top);
   as.Hlt();
-  gk.EmitBoot(main);
-  gk.Install();
-  gk.PrimeState(vm.gstate());
-  (void)vm.Start(vm.gstate().rip);
+  vm.Boot(main);
 
-  hw::GuestState& gs = vm.gstate();
+  hw::GuestState& gs = vm.vmm().gstate();
   const sim::Cycles before = system.machine.cpu(0).cycles();
   system.hv.RunUntilCondition([&gs] { return gs.halted; }, sim::Seconds(60));
-  *exits_out = vm.exits_handled();
+  *exits_out = vm.vmm().exits_handled();
   return static_cast<double>(system.machine.cpu(0).cycles() - before) /
          (kRepeats * kMessageLen);
 }

@@ -16,10 +16,7 @@
 #include <string>
 #include <vector>
 
-#include "bench/common.h"
-#include "src/guest/workload_compile.h"
-#include "src/root/system.h"
-#include "src/vmm/vmm.h"
+#include "bench/scenario.h"
 
 namespace nova::bench {
 namespace {
@@ -94,13 +91,11 @@ guest::CompileWorkload::Config WorkloadFor(Profile p, bool smoke) {
   return w;
 }
 
-// One guest VM: its VMM, guest kernel, optional disk driver, workload.
+// One guest VM and its workload.
 struct VmInstance {
   Profile profile;
   std::uint32_t cpu = 0;
-  std::unique_ptr<vmm::Vmm> vm;
-  std::unique_ptr<guest::GuestKernel> gk;
-  std::unique_ptr<guest::GuestAhciDriver> driver;
+  std::unique_ptr<GuestVm> vm;
   std::unique_ptr<guest::CompileWorkload> workload;
   std::uint64_t total_units = 0;
   sim::PicoSeconds done_ps = 0;  // 0 = still running.
@@ -161,69 +156,32 @@ ConsolidationResult RunConsolidation(std::uint32_t cores, std::uint32_t vms,
   root::NovaSystem system(sc);
   system.hv.set_vtlb_policy(hv::VtlbPolicy{.cache_contexts = true});
 
-  // One guest-logic mux per core; every VM pinned to that core registers
-  // its handlers there.
-  std::vector<std::unique_ptr<guest::GuestLogicMux>> muxes;
-  for (std::uint32_t c = 0; c < cores; ++c) {
-    muxes.push_back(std::make_unique<guest::GuestLogicMux>());
-    muxes.back()->Attach(system.hv.engine(c));
-  }
-
-  services::DiskServer* disk_server = nullptr;
-
   std::vector<std::unique_ptr<VmInstance>> fleet;
   for (std::uint32_t i = 0; i < vms; ++i) {
     auto inst = std::make_unique<VmInstance>();
     inst->profile = ProfileFor(i, cores);
     inst->cpu = i % cores;
-
-    vmm::VmmConfig vc;
-    vc.name = std::string(ProfileName(inst->profile)) + std::to_string(i);
-    vc.guest_mem_bytes = kGuestMem;
-    vc.mode = inst->profile == Profile::kCompile
-                  ? hw::TranslationMode::kShadow
-                  : hw::TranslationMode::kNested;
-    vc.first_cpu = inst->cpu;
-    // A consolidation host time-slices finely: with the default quantum a
-    // single slice spans most of the run and co-tenants finish in arrival
-    // order instead of advancing in lockstep.
-    vc.quantum = 200'000;
-    inst->vm = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), vc);
-
     const auto wcfg = WorkloadFor(inst->profile, smoke);
     inst->total_units = wcfg.total_units;
 
-    if (wcfg.disk_every != 0) {
-      if (disk_server == nullptr) {
-        disk_server = &system.StartDiskServer(/*cpu=*/0);
-      }
-      inst->vm->ConnectDiskServer(disk_server);
-    }
-
-    vmm::Vmm* vm = inst->vm.get();
-    inst->gk = std::make_unique<guest::GuestKernel>(
-        &system.machine.mem(),
-        [vm](std::uint64_t gpa) { return vm->GpaToHpa(gpa); },
-        muxes[inst->cpu].get(),
-        guest::GuestKernelConfig{.mem_bytes = kGuestMem});
-    inst->gk->BuildStandardHandlers();
-    if (wcfg.disk_every != 0) {
-      inst->driver = std::make_unique<guest::GuestAhciDriver>(
-          inst->gk.get(),
-          guest::GuestAhciDriver::Config{
-              .mmio_base = vmm::vahci::kMmioBase,
-              .irq_vector = vmm::vahci::kVector,
-              .read_ci = [vm]() -> std::uint32_t {
-                return static_cast<std::uint32_t>(vm->vahci().MmioRead(
-                    vmm::vahci::kMmioBase + hw::ahci::kPxCi, 4));
-              }});
-    }
+    // A consolidation host time-slices finely: with the default quantum a
+    // single slice spans most of the run and co-tenants finish in arrival
+    // order instead of advancing in lockstep. Disk VMs reach the core-0
+    // disk server.
+    inst->vm = std::make_unique<GuestVm>(
+        system,
+        vmm::VmmConfig{
+            .name = std::string(ProfileName(inst->profile)) + std::to_string(i),
+            .guest_mem_bytes = kGuestMem,
+            .mode = inst->profile == Profile::kCompile
+                        ? hw::TranslationMode::kShadow
+                        : hw::TranslationMode::kNested,
+            .first_cpu = inst->cpu,
+            .quantum = 200'000},
+        wcfg.disk_every != 0 ? GuestVm::Disk::kServer : GuestVm::Disk::kNone);
     inst->workload = std::make_unique<guest::CompileWorkload>(
-        inst->gk.get(), inst->driver.get(), wcfg);
-    inst->gk->EmitBoot(inst->workload->EmitMain());
-    inst->gk->Install();
-    inst->gk->PrimeState(vm->gstate());
-    (void)vm->Start(vm->gstate().rip);
+        &inst->vm->kernel(), inst->vm->driver(), wcfg);
+    inst->vm->Boot(inst->workload->EmitMain());
     fleet.push_back(std::move(inst));
   }
 
@@ -237,7 +195,7 @@ ConsolidationResult RunConsolidation(std::uint32_t cores, std::uint32_t vms,
   if (scratch_base != 0) {
     for (std::uint32_t i = 0; i < vms; ++i) {
       (void)system.hv.Delegate(
-          system.root->pd(), fleet[i]->vm->ExposeVmToRoot(),
+          system.root->pd(), fleet[i]->vm->vmm().ExposeVmToRoot(),
           hv::Crd{hv::CrdKind::kMem, scratch_base + i * kScratchPages, 2,
                   hv::perm::kRwx},
           (kGuestMem >> hw::kPageShift) + i * kScratchPages);

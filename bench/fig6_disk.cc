@@ -3,7 +3,7 @@
 // virtualized controller.
 #include <cstdio>
 
-#include "bench/common.h"
+#include "bench/scenario.h"
 #include "src/guest/workload_disk.h"
 
 namespace nova::bench {
@@ -75,47 +75,13 @@ DiskRunResult RunVmDisk(std::uint32_t block, bool direct) {
   root::SystemConfig sc;
   sc.machine = hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
-
-  vmm::VmmConfig vc;
-  vc.guest_mem_bytes = 128ull << 20;
-  vmm::Vmm vm(&system.hv, system.root.get(), vc);
-
-  guest::GuestAhciDriver::Config dc;
-  if (direct) {
-    (void)vm.AssignHostDevice("ahci", 43);
-    dc.mmio_base = root::kAhciMmioBase;
-    dc.irq_vector = 43;
-    dc.read_ci = [&system]() -> std::uint32_t {
-      std::uint64_t v = 0;
-      (void)system.machine.bus().MmioRead(root::kAhciMmioBase + hw::ahci::kPxCi, 4, &v);
-      return static_cast<std::uint32_t>(v);
-    };
-  } else {
-    vm.ConnectDiskServer(&system.StartDiskServer());
-    dc.mmio_base = vmm::vahci::kMmioBase;
-    dc.irq_vector = vmm::vahci::kVector;
-    dc.read_ci = [&vm]() -> std::uint32_t {
-      return static_cast<std::uint32_t>(
-          vm.vahci().MmioRead(vmm::vahci::kMmioBase + hw::ahci::kPxCi, 4));
-    };
-  }
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system.hv.engine(0));
-  guest::GuestKernel gk(
-      &system.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm.GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 128ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestAhciDriver driver(&gk, dc);
+  GuestVm vm(system, vmm::VmmConfig{.guest_mem_bytes = 128ull << 20},
+             direct ? GuestVm::Disk::kHostAhci : GuestVm::Disk::kServer);
   guest::DiskWorkload workload(
-      &gk, &driver,
+      &vm.kernel(), vm.driver(),
       guest::DiskWorkload::Config{.block_bytes = block,
                                   .total_requests = RequestsFor(block)});
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(vm.gstate());
-  (void)vm.Start(vm.gstate().rip);
+  vm.Boot(workload.EmitMain());
 
   hw::Cpu& cpu = system.machine.cpu(0);
   cpu.ResetUtilization();

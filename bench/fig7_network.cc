@@ -4,7 +4,7 @@
 // virtualized by the VMM).
 #include <cstdio>
 
-#include "bench/common.h"
+#include "bench/scenario.h"
 #include "src/guest/driver_nic.h"
 #include "src/guest/workload_udp.h"
 
@@ -67,28 +67,16 @@ NetRunResult RunDirectNet(double mbit, std::uint32_t packet_bytes) {
   root::SystemConfig sc;
   sc.machine = hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
-
-  vmm::VmmConfig vc;
-  vc.guest_mem_bytes = 128ull << 20;
-  vmm::Vmm vm(&system.hv, system.root.get(), vc);
-  (void)vm.AssignHostDevice("nic", 42);
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system.hv.engine(0));
-  guest::GuestKernel gk(
-      &system.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm.GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 128ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestNicDriver driver(&gk, guest::GuestNicDriver::Config{
-                                        .mmio_base = root::kNicMmioBase,
-                                        .irq_vector = 42,
-                                        .packet_bytes = packet_bytes});
-  guest::UdpWorkload workload(&gk, &driver);
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(vm.gstate());
-  (void)vm.Start(vm.gstate().rip);
+  GuestVm vm(system, vmm::VmmConfig{.guest_mem_bytes = 128ull << 20},
+             GuestVm::Disk::kNone);
+  CheckOk("Vmm::AssignHostDevice(nic)", vm.vmm().AssignHostDevice("nic", 42));
+  guest::GuestNicDriver driver(&vm.kernel(),
+                               guest::GuestNicDriver::Config{
+                                   .mmio_base = root::kNicMmioBase,
+                                   .irq_vector = 42,
+                                   .packet_bytes = packet_bytes});
+  guest::UdpWorkload workload(&vm.kernel(), &driver);
+  vm.Boot(workload.EmitMain());
 
   system.platform.link->StartStream(mbit, packet_bytes);
   system.hv.RunUntilCondition([] { return false; }, kWarmup);

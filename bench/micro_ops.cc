@@ -7,7 +7,7 @@
 // portals).
 #include <benchmark/benchmark.h>
 
-#include "bench/common.h"
+#include "bench/scenario.h"
 
 namespace nova::bench {
 namespace {
@@ -207,28 +207,18 @@ void BM_Ablation_MtdStateTransfer(benchmark::State& state) {
     sc.machine =
         hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
     root::NovaSystem system(sc);
-    vmm::VmmConfig vc;
-    vc.guest_mem_bytes = 64ull << 20;
-    vc.full_state_transfer = full;
-    vmm::Vmm vm(&system.hv, system.root.get(), vc);
-    guest::GuestLogicMux mux;
-    mux.Attach(system.hv.engine(0));
-    guest::GuestKernel gk(
-        &system.machine.mem(),
-        [&vm](std::uint64_t gpa) { return vm.GpaToHpa(gpa); }, &mux,
-        guest::GuestKernelConfig{.mem_bytes = 64ull << 20});
-    gk.BuildStandardHandlers();
-    hw::isa::Assembler& as = gk.text();
+    GuestVm vm(system,
+               vmm::VmmConfig{.guest_mem_bytes = 64ull << 20,
+                              .full_state_transfer = full},
+               GuestVm::Disk::kNone);
+    hw::isa::Assembler& as = vm.kernel().text();
     const std::uint64_t main = as.Here();
     as.MovImm(5, 1000);
     const std::uint64_t top = as.Cpuid();
     as.Loop(5, top);
     as.Hlt();
-    gk.EmitBoot(main);
-    gk.Install();
-    gk.PrimeState(vm.gstate());
-    (void)vm.Start(vm.gstate().rip);
-    hw::GuestState& gs = vm.gstate();
+    vm.Boot(main);
+    hw::GuestState& gs = vm.vmm().gstate();
     const sim::Cycles before = system.machine.cpu(0).cycles();
     system.hv.RunUntilCondition([&gs] { return gs.halted; }, sim::Seconds(10));
     cycles_per_exit =

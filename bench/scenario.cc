@@ -1,6 +1,117 @@
 #include "bench/scenario.h"
 
+#include <cstdio>
+#include <cstdlib>
+#include <map>
+
 namespace nova::bench {
+namespace {
+
+// The host AHCI's interrupt vector in the guest (root::kAhciGsi).
+constexpr std::uint8_t kHostAhciVector = 43;
+
+// The guest-logic mux on `engine`. An engine holds one guest-logic
+// callback and a second Attach silently replaces the first, so every
+// GuestVm whose vCPU runs there shares the one mux; it lives as long as
+// they do.
+std::shared_ptr<guest::GuestLogicMux> MuxOn(hw::VmEngine& engine) {
+  static std::map<const hw::VmEngine*, std::weak_ptr<guest::GuestLogicMux>>
+      muxes;
+  std::erase_if(muxes, [](const auto& entry) { return entry.second.expired(); });
+  std::weak_ptr<guest::GuestLogicMux>& slot = muxes[&engine];
+  if (std::shared_ptr<guest::GuestLogicMux> shared = slot.lock()) {
+    return shared;
+  }
+  auto mux = std::make_shared<guest::GuestLogicMux>();
+  mux->Attach(engine);
+  slot = mux;
+  return mux;
+}
+
+}  // namespace
+
+void CheckOk(const char* call, Status s) {
+  if (!Ok(s)) {
+    std::fprintf(stderr, "%s failed: %s\n", call, StatusName(s));
+    std::abort();
+  }
+}
+
+GuestVm::GuestVm(root::NovaSystem& system, const vmm::VmmConfig& config,
+                 Disk disk, std::uint32_t timer_hz)
+    : system_(system), config_(config), disk_(disk) {
+  vmm_ = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), config);
+  CheckOk("vmm::Vmm construction", vmm_->create_status());
+  if (disk == Disk::kHostAhci) {
+    CheckOk("Vmm::AssignHostDevice(ahci)",
+            vmm_->AssignHostDevice("ahci", kHostAhciVector));
+  } else if (disk != Disk::kNone) {
+    vmm_->ConnectDiskServer(&system.StartDiskServer());
+  }
+  mux_ = MuxOn(system.hv.engine(config.first_cpu));
+  kernel_ = std::make_unique<guest::GuestKernel>(
+      &system.machine.mem(),
+      [this](std::uint64_t gpa) { return vmm_->GpaToHpa(gpa); }, mux_.get(),
+      guest::GuestKernelConfig{.mem_bytes = config.guest_mem_bytes,
+                               .timer_hz = timer_hz});
+  kernel_->BuildStandardHandlers();
+  if (disk != Disk::kNone) {
+    driver_ = std::make_unique<guest::GuestAhciDriver>(kernel_.get(),
+                                                       DriverConfig());
+  }
+}
+
+guest::GuestAhciDriver::Config GuestVm::DriverConfig() {
+  if (disk_ == Disk::kHostAhci) {
+    return {.mmio_base = root::kAhciMmioBase,
+            .irq_vector = kHostAhciVector,
+            .read_ci = [this]() -> std::uint32_t {
+              std::uint64_t v = 0;
+              (void)system_.machine.bus().MmioRead(
+                  root::kAhciMmioBase + hw::ahci::kPxCi, 4, &v);
+              return static_cast<std::uint32_t>(v);
+            },
+            .read_err = nullptr};
+  }
+  // Registers are read through vmm_, so they follow a restarted VMM.
+  const auto vahci_reg = [this](std::uint64_t reg) {
+    return [this, reg]() -> std::uint32_t {
+      return static_cast<std::uint32_t>(
+          vmm_->vahci().MmioRead(vmm::vahci::kMmioBase + reg, 4));
+    };
+  };
+  return {.mmio_base = vmm::vahci::kMmioBase,
+          .irq_vector = vmm::vahci::kVector,
+          .read_ci = vahci_reg(hw::ahci::kPxCi),
+          .handle_errors = disk_ == Disk::kServerWithErrors,
+          .read_err = vahci_reg(hw::ahci::kPxVs)};
+}
+
+void GuestVm::Boot(std::uint64_t main) {
+  kernel_->EmitBoot(main);
+  kernel_->Install();
+  kernel_->PrimeState(vmm_->gstate());
+  CheckOk("Vmm::Start", vmm_->Start(vmm_->gstate().rip));
+}
+
+void GuestVm::Restart(const root::VmmSupervisor::RecoveryInfo& info) {
+  // The dead VMM's disk channel is retired first so the replacement
+  // recycles its ring frame.
+  services::DiskServer& server = system_.StartDiskServer();
+  server.CloseChannel(vmm_->disk_channel_id());
+  vmm_.reset();
+  vmm::VmmConfig config = config_;
+  config.fixed_guest_base_page = info.guest_base_page;
+  vmm_ = std::make_unique<vmm::Vmm>(&system_.hv, system_.root.get(), config);
+  CheckOk("vmm::Vmm construction", vmm_->create_status());
+  vmm_->ConnectDiskServer(&server);
+  CheckOk("Vmm::Start", vmm_->Start(info.gstate.rip));
+  vmm_->gstate() = info.gstate;
+  vmm_->vahci().RestoreRegs(info.vahci_regs);
+  // The driver still counts its in-flight slots as issued; surface them as
+  // errors so its retry path re-submits them to the new model.
+  vmm_->vahci().InjectAbort(driver_->issued_mask());
+}
 
 CompileScenario::CompileScenario(const RunConfig& config) : config_(config) {
   // This sequence is shared with RunCompile's virtualized path: any change
@@ -18,7 +129,8 @@ CompileScenario::CompileScenario(const RunConfig& config) : config_(config) {
   vc.guest_mem_bytes = kBenchGuestMem;
   vc.large_pages = config.large_pages;
   vc.mode = config.mode;
-  if (config.stack == StackKind::kDirect) {
+  const bool direct = config.stack == StackKind::kDirect;
+  if (direct) {
     vc.disable_intercepts = true;
     vc.direct_interrupts = true;
   }
@@ -26,54 +138,19 @@ CompileScenario::CompileScenario(const RunConfig& config) : config_(config) {
     vc.full_state_transfer = true;
     baseline::ApplyMonolithicVmmCosts(vc);
   }
-  vm_ = std::make_unique<vmm::Vmm>(&system_->hv, system_->root.get(), vc);
-
-  const bool direct = config.stack == StackKind::kDirect;
+  // The driver exists even when the workload reads no disk: its section
+  // is part of every snapshot.
+  guest_ = std::make_unique<GuestVm>(
+      *system_, vc, direct ? GuestVm::Disk::kHostAhci : GuestVm::Disk::kServer,
+      config.timer_hz);
   if (direct) {
-    (void)vm_->AssignHostDevice("ahci", 43);
-    (void)vm_->AssignHostDevice("timer", 32);
-    (void)vm_->GrantGuestPorts(0x20, 2);  // PIC handshake ports.
-  } else if (config.workload.disk_every != 0) {
-    vm_->ConnectDiskServer(&system_->StartDiskServer());
+    CheckOk("Vmm::AssignHostDevice(timer)", vm().AssignHostDevice("timer", 32));
+    CheckOk("Vmm::GrantGuestPorts(PIC)", vm().GrantGuestPorts(0x20, 2));
   }
-
-  mux_.Attach(system_->hv.engine(0));
-  vmm::Vmm* vm = vm_.get();
-  gk_ = std::make_unique<guest::GuestKernel>(
-      &system_->machine.mem(),
-      [vm](std::uint64_t gpa) { return vm->GpaToHpa(gpa); }, &mux_,
-      guest::GuestKernelConfig{.mem_bytes = kBenchGuestMem,
-                               .timer_hz = config.timer_hz});
-  gk_->BuildStandardHandlers();
-
-  guest::GuestAhciDriver::Config dc =
-      direct
-          ? guest::GuestAhciDriver::Config{
-                .mmio_base = root::kAhciMmioBase,
-                .irq_vector = 43,
-                .read_ci =
-                    [this]() -> std::uint32_t {
-                      std::uint64_t v = 0;
-                      (void)system_->machine.bus().MmioRead(
-                          root::kAhciMmioBase + hw::ahci::kPxCi, 4, &v);
-                      return static_cast<std::uint32_t>(v);
-                    }}
-          : guest::GuestAhciDriver::Config{
-                .mmio_base = vmm::vahci::kMmioBase,
-                .irq_vector = vmm::vahci::kVector,
-                .read_ci = [vm]() -> std::uint32_t {
-                  return static_cast<std::uint32_t>(vm->vahci().MmioRead(
-                      vmm::vahci::kMmioBase + hw::ahci::kPxCi, 4));
-                }};
-  driver_ = std::make_unique<guest::GuestAhciDriver>(gk_.get(), dc);
   workload_ = std::make_unique<guest::CompileWorkload>(
-      gk_.get(), config.workload.disk_every != 0 ? driver_.get() : nullptr,
+      &guest_kernel(), config.workload.disk_every != 0 ? &driver() : nullptr,
       config.workload);
-  const std::uint64_t main = workload_->EmitMain();
-  gk_->EmitBoot(main);
-  gk_->Install();
-  gk_->PrimeState(vm_->gstate());
-  (void)vm_->Start(vm_->gstate().rip);
+  guest_->Boot(workload_->EmitMain());
 }
 
 sim::PicoSeconds CompileScenario::now() const {
@@ -92,9 +169,9 @@ void CompileScenario::RunFor(sim::PicoSeconds dt) {
 template <class Ar>
 void CompileScenario::Io(Ar& ar) {
   ar.Io(*system_);
-  ar.Section("vmm.guest", 1, *vm_);
-  ar.Section("guest.kernel", 1, *gk_);
-  ar.Section("guest.driver", 1, *driver_);
+  ar.Section("vmm.guest", 1, vm());
+  ar.Section("guest.kernel", 1, guest_kernel());
+  ar.Section("guest.driver", 1, driver());
   ar.Section("guest.workload", 1, *workload_);
 }
 

@@ -1,23 +1,80 @@
-// A complete virtualized compile-workload node as one restorable object.
+// The virtualized guest stacks the benches and tests run.
 //
-// Wraps the construction sequence RunCompile performs for virtualized
-// stacks — NovaSystem, VMM, guest kernel, AHCI driver, workload — behind
-// an object whose whole mutable state can be checkpointed into a
-// `sim::Snapshot` and restored onto a twin built from the identical
-// RunConfig. This is the unit the migration driver moves between nodes
-// and the snapshot round-trip tests verify digest-exactness on.
+// `GuestVm` assembles one virtualized guest on a NovaSystem: the VMM and
+// its device wiring, the guest kernel and its AHCI driver. It also holds
+// the VMM crash restart. `CompileScenario` builds a whole compile-workload
+// node on it as one restorable object: its mutable state can be
+// checkpointed into a `sim::Snapshot` and restored onto a twin built from
+// the identical RunConfig. That is the unit the migration driver moves
+// between nodes and the snapshot round-trip tests verify digest-exactness
+// on.
 #ifndef BENCH_SCENARIO_H_
 #define BENCH_SCENARIO_H_
 
 #include <memory>
 
 #include "bench/common.h"
+#include "src/root/supervisor.h"
 
 namespace nova::bench {
 
 // Guest RAM every benchmark guest receives (the paper machine gives the
 // guest 512 MiB; the model scales down, keeping relative behaviour).
 constexpr std::uint64_t kBenchGuestMem = 128ull << 20;
+
+// Aborts, naming `call` and the status, unless `s` is kSuccess. A bench
+// that went on would measure a guest that never started.
+void CheckOk(const char* call, Status s);
+
+// One guest VM, built in this order: the VMM and its disk wiring, the
+// guest-logic mux of the vCPU's core, the guest kernel with its standard
+// handlers, and the AHCI driver. The caller emits its program through
+// kernel() and passes its entry point to Boot(). Every assembly status is
+// checked with CheckOk. The guest kernel gets `config.guest_mem_bytes` of
+// RAM.
+class GuestVm {
+ public:
+  // The disk the guest's AHCI driver talks to.
+  enum class Disk {
+    kNone,              // No driver.
+    kServer,            // The VMM's virtual AHCI, backed by the disk server.
+    kServerWithErrors,  // kServer, and the driver re-issues failed slots.
+    kHostAhci,          // The host AHCI, assigned to the VM.
+  };
+
+  GuestVm(root::NovaSystem& system, const vmm::VmmConfig& config, Disk disk,
+          std::uint32_t timer_hz = 0);
+  GuestVm(const GuestVm&) = delete;
+  GuestVm& operator=(const GuestVm&) = delete;
+
+  // Emits the boot code that ends in `main`, installs the image, primes
+  // the vCPU's state and starts it.
+  void Boot(std::uint64_t main);
+
+  // The VMM crash restart (a `VmmSupervisor` restart callback): rebuilds
+  // the VMM over the guest RAM that survived, reconnects the disk server,
+  // resumes the vCPU where the supervisor stopped it and aborts the
+  // requests the driver had in flight, so it re-issues them. Needs a
+  // disk-server attachment.
+  void Restart(const root::VmmSupervisor::RecoveryInfo& info);
+
+  // The current VMM; Restart replaces it.
+  vmm::Vmm& vmm() { return *vmm_; }
+  guest::GuestKernel& kernel() { return *kernel_; }
+  // Null for Disk::kNone.
+  guest::GuestAhciDriver* driver() { return driver_.get(); }
+
+ private:
+  guest::GuestAhciDriver::Config DriverConfig();
+
+  root::NovaSystem& system_;
+  const vmm::VmmConfig config_;
+  const Disk disk_;
+  std::unique_ptr<vmm::Vmm> vmm_;
+  std::shared_ptr<guest::GuestLogicMux> mux_;
+  std::unique_ptr<guest::GuestKernel> kernel_;
+  std::unique_ptr<guest::GuestAhciDriver> driver_;
+};
 
 class CompileScenario {
  public:
@@ -34,9 +91,9 @@ class CompileScenario {
   void RunFor(sim::PicoSeconds dt);
 
   root::NovaSystem& system() { return *system_; }
-  vmm::Vmm& vm() { return *vm_; }
-  guest::GuestKernel& guest_kernel() { return *gk_; }
-  guest::GuestAhciDriver& driver() { return *driver_; }
+  vmm::Vmm& vm() { return guest_->vmm(); }
+  guest::GuestKernel& guest_kernel() { return guest_->kernel(); }
+  guest::GuestAhciDriver& driver() { return *guest_->driver(); }
   guest::CompileWorkload& workload() { return *workload_; }
   const RunConfig& config() const { return config_; }
 
@@ -50,10 +107,7 @@ class CompileScenario {
  private:
   RunConfig config_;
   std::unique_ptr<root::NovaSystem> system_;
-  std::unique_ptr<vmm::Vmm> vm_;
-  guest::GuestLogicMux mux_;
-  std::unique_ptr<guest::GuestKernel> gk_;
-  std::unique_ptr<guest::GuestAhciDriver> driver_;
+  std::unique_ptr<GuestVm> guest_;
   std::unique_ptr<guest::CompileWorkload> workload_;
 };
 

@@ -11,7 +11,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "bench/common.h"
+#include "bench/scenario.h"
 #include "src/guest/workload_disk.h"
 
 namespace nova::bench {
@@ -70,17 +70,9 @@ double MeasureExitCost(hw::isa::Opcode opcode, std::uint64_t iters) {
   root::SystemConfig sc;
   sc.machine = hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
-  vmm::VmmConfig vc;
-  vc.guest_mem_bytes = 64ull << 20;
-  vmm::Vmm vm(&system.hv, system.root.get(), vc);
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system.hv.engine(0));
-  guest::GuestKernel gk(
-      &system.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm.GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 64ull << 20});
-  gk.BuildStandardHandlers();
+  GuestVm vm(system, vmm::VmmConfig{.guest_mem_bytes = 64ull << 20},
+             GuestVm::Disk::kNone);
+  guest::GuestKernel& gk = vm.kernel();
   if (opcode == hw::isa::Opcode::kLoad) {
     // MMIO exits need the device window mapped in the guest page table.
     gk.MapDevice(gk.kernel_cr3(), vmm::vahci::kMmioBase, hw::kPageSize);
@@ -100,13 +92,10 @@ double MeasureExitCost(hw::isa::Opcode opcode, std::uint64_t iters) {
   }
   as.Loop(5, top);
   as.Hlt();
-  gk.EmitBoot(main);
-  gk.Install();
-  gk.PrimeState(vm.gstate());
-  (void)vm.Start(vm.gstate().rip);
+  vm.Boot(main);
 
   // Skip boot, then measure the steady-state loop.
-  hw::GuestState& gs = vm.gstate();
+  hw::GuestState& gs = vm.vmm().gstate();
   const sim::Cycles before = system.machine.cpu(0).cycles();
   system.hv.RunUntilCondition([&gs] { return gs.halted; }, sim::Seconds(30));
   const sim::Cycles total = system.machine.cpu(0).cycles() - before;
@@ -119,34 +108,13 @@ RunResult RunDisk4k(bool smoke) {
   root::SystemConfig sc;
   sc.machine = hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
-  vmm::VmmConfig vc;
-  vc.guest_mem_bytes = 128ull << 20;
-  vmm::Vmm vm(&system.hv, system.root.get(), vc);
-  vm.ConnectDiskServer(&system.StartDiskServer());
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system.hv.engine(0));
-  guest::GuestKernel gk(
-      &system.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm.GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 128ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestAhciDriver driver(
-      &gk, guest::GuestAhciDriver::Config{
-               .mmio_base = vmm::vahci::kMmioBase,
-               .irq_vector = vmm::vahci::kVector,
-               .read_ci = [&vm]() -> std::uint32_t {
-                 return static_cast<std::uint32_t>(vm.vahci().MmioRead(
-                     vmm::vahci::kMmioBase + hw::ahci::kPxCi, 4));
-               }});
+  GuestVm vm(system, vmm::VmmConfig{.guest_mem_bytes = 128ull << 20},
+             GuestVm::Disk::kServer);
   guest::DiskWorkload workload(
-      &gk, &driver,
+      &vm.kernel(), vm.driver(),
       guest::DiskWorkload::Config{.block_bytes = 4096,
                                   .total_requests = smoke ? 100u : 2000u});
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(vm.gstate());
-  (void)vm.Start(vm.gstate().rip);
+  vm.Boot(workload.EmitMain());
 
   system.hv.stats().ResetAll();
   sim::Tracer& tracer = system.machine.tracer();
@@ -168,8 +136,8 @@ RunResult RunDisk4k(bool smoke) {
   r.trace_rows = report.Rows(tracer);
   tracer.set_sink(nullptr);
   r.stats.counter("Disk Operations").Add(workload.completed());
-  r.stats.counter("Injected vIRQ").Add(vm.interrupts_injected());
-  r.exits = vm.exits_handled();
+  r.stats.counter("Injected vIRQ").Add(vm.vmm().interrupts_injected());
+  r.exits = vm.vmm().exits_handled();
   return r;
 }
 

@@ -5,6 +5,7 @@ namespace nova::root {
 namespace {
 constexpr sim::EventTag kCheckTag{
     sim::EventQueue::OwnerToken("root.supervisor"), /*op=*/1};
+constexpr std::uint64_t kBeatsPerPage = hw::kPageSize / sizeof(std::uint64_t);
 }  // namespace
 
 VmmSupervisor::VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root,
@@ -20,13 +21,18 @@ VmmSupervisor::VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root,
       });
 }
 
-void VmmSupervisor::Watch(vmm::Vmm* vmm, RestartFn on_restart) {
-  if (hb_page_ == 0) {
-    hb_page_ = root_->AllocPages(1);
+Status VmmSupervisor::Watch(vmm::Vmm* vmm, RestartFn on_restart) {
+  const std::uint64_t slot = watched_.size() % kBeatsPerPage;
+  if (slot == 0) {
+    const std::uint64_t page = root_->AllocPages(1);
+    if (page == 0) {
+      return Status::kNoMem;
+    }
+    hb_page_ = page;
   }
   Watched w;
   w.vmm = vmm;
-  w.hb_addr = (hb_page_ << hw::kPageShift) + watched_.size() * sizeof(std::uint64_t);
+  w.hb_addr = (hb_page_ << hw::kPageShift) + slot * sizeof(std::uint64_t);
   // The teardown selectors are fetched eagerly: once the VMM is dead it can
   // no longer push its VM capability up to the root.
   w.vm_sel = vmm->ExposeVmToRoot();
@@ -38,9 +44,9 @@ void VmmSupervisor::Watch(vmm::Vmm* vmm, RestartFn on_restart) {
 
   if (!check_running_) {
     check_running_ = true;
-    check_event_ =
-        hv_->machine().events().ScheduleAfter(config_.check_period_ps, kCheckTag);
+    hv_->machine().events().ScheduleAfter(config_.check_period_ps, kCheckTag);
   }
+  return Status::kSuccess;
 }
 
 void VmmSupervisor::CheckTick() {
@@ -50,8 +56,7 @@ void VmmSupervisor::CheckTick() {
     CheckpointAll();
   }
   CheckAll();
-  check_event_ =
-      hv_->machine().events().ScheduleAfter(config_.check_period_ps, kCheckTag);
+  hv_->machine().events().ScheduleAfter(config_.check_period_ps, kCheckTag);
 }
 
 void VmmSupervisor::CheckAll() {
@@ -83,8 +88,6 @@ void VmmSupervisor::CheckpointAll() {
       continue;
     }
     w.ckpt_regs = w.vmm->vahci().SaveRegs();
-    w.ckpt_gstate = w.vmm->gstate(0);
-    w.ckpt_at_ps = hv_->machine().events().now();
     w.has_checkpoint = true;
     ++checkpoints_;
   }
@@ -109,7 +112,6 @@ void VmmSupervisor::Recover(Watched& w) {
   } else {
     info.vahci_regs = w.vmm->vahci().SaveRegs();
   }
-  info.detected_at_ps = hv_->machine().events().now();
   last_detect_latency_ps_ = config_.stale_checks * config_.check_period_ps;
 
   // Teardown through the ordinary hypercall interface: child domains first
@@ -126,28 +128,5 @@ void VmmSupervisor::Recover(Watched& w) {
     restart(info);  // May Watch() the replacement — `w` is dead after this.
   }
 }
-
-template <class Ar>
-void VmmSupervisor::Io(Ar& ar) {
-  ar.Verify(hb_page_);
-  ar.Verify(static_cast<std::uint32_t>(watched_.size()));
-  for (Watched& e : watched_) {
-    // Wiring: hb_addr derives from hb_page_ and watch order.
-    ar.Verify(e.hb_addr);
-    ar.Verify(std::uint64_t{e.vm_sel});
-    ar.Verify(std::uint64_t{e.vmm_sel});
-    ar.Io(e.last_seen, e.stale, e.recovered, e.has_checkpoint);
-    if (e.has_checkpoint) {
-      ar.Io(e.ckpt_regs, e.ckpt_gstate, e.ckpt_at_ps);
-    }
-  }
-  ar.Io(recoveries_, checkpoints_, ticks_, last_detect_latency_ps_,
-        check_running_, check_event_);
-}
-
-Status VmmSupervisor::SaveState(sim::SnapWriter& w) const {
-  return w.Save(*this);
-}
-Status VmmSupervisor::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 }  // namespace nova::root

@@ -55,7 +55,6 @@ class VmmSupervisor {
     hw::GuestState gstate;
     std::uint64_t guest_base_page = 0;
     vmm::VAhci::Regs vahci_regs;
-    sim::PicoSeconds detected_at_ps = 0;
     // True when vahci_regs came from a healthy-time checkpoint rather than
     // the crashed monitor's memory.
     bool regs_from_checkpoint = false;
@@ -71,20 +70,15 @@ class VmmSupervisor {
   // Start watching `vmm`: allocates its heartbeat word, starts the VMM's
   // heartbeat, and records the selectors needed for teardown. On detected
   // death the supervisor destroys the VM and VMM domains and calls
-  // `on_restart` with the saved state.
-  void Watch(vmm::Vmm* vmm, RestartFn on_restart);
+  // `on_restart` with the saved state. Every watch, a re-watch after a
+  // restart included, takes a fresh word; a full heartbeat page is followed
+  // by a new one from the root, and kNoMem means the root had none left
+  // (nothing is watched then).
+  [[nodiscard]] Status Watch(vmm::Vmm* vmm, RestartFn on_restart);
 
   std::uint64_t recoveries() const { return recoveries_; }
   std::uint64_t checkpoints() const { return checkpoints_; }
   sim::PicoSeconds last_detect_latency_ps() const { return last_detect_latency_ps_; }
-
-  // Watch-list heartbeat cursors and recovery counters. The watch list
-  // itself (and the restart callbacks) is rebuilt by the twin's Watch
-  // calls; saved checkpointed register state is restored verbatim.
-  Status SaveState(sim::SnapWriter& w) const;
-  Status LoadState(sim::SnapReader& r);
-  template <class Ar>
-  void Io(Ar& ar);
 
  private:
   struct Watched {
@@ -99,8 +93,6 @@ class VmmSupervisor {
     // Last healthy-time checkpoint (checkpoint_every_checks != 0 only).
     bool has_checkpoint = false;
     vmm::VAhci::Regs ckpt_regs;
-    hw::GuestState ckpt_gstate;
-    sim::PicoSeconds ckpt_at_ps = 0;
   };
 
   void CheckTick();  // Tagged "root.supervisor" op 1.
@@ -111,14 +103,13 @@ class VmmSupervisor {
   hv::Hypervisor* hv_;
   RootPartitionManager* root_;
   Config config_;
-  std::uint64_t hb_page_ = 0;  // Root-owned page holding heartbeat words.
+  std::uint64_t hb_page_ = 0;  // Root-owned page of the newest heartbeat words.
   std::vector<Watched> watched_;
   std::uint64_t recoveries_ = 0;
   std::uint64_t checkpoints_ = 0;
   std::uint64_t ticks_ = 0;
   sim::PicoSeconds last_detect_latency_ps_ = 0;
   bool check_running_ = false;
-  sim::EventQueue::EventId check_event_ = 0;  // Last scheduled check.
   sim::EventOwner event_owner_;  // Last member: unregisters first.
 };
 

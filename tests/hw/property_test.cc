@@ -8,22 +8,17 @@
 #include <array>
 #include <functional>
 #include <map>
-#include <memory>
 #include <optional>
 #include <utility>
 #include <vector>
 
-#include "src/guest/driver_ahci.h"
-#include "src/guest/kernel.h"
+#include "bench/scenario.h"
 #include "src/guest/workload_disk.h"
 #include "src/hw/iommu.h"
 #include "src/hw/paging.h"
 #include "src/hw/tlb.h"
-#include "src/root/supervisor.h"
-#include "src/root/system.h"
 #include "src/sim/fault.h"
 #include "src/sim/rng.h"
-#include "src/vmm/vmm.h"
 
 namespace nova::hw {
 namespace {
@@ -638,7 +633,7 @@ FaultCycleResult RunFaultCycles(std::uint64_t seed, std::uint64_t crashes,
   std::vector<const hw::CpuModel*> cpus(vmm_cpu + 1, &hw::CoreI7_920());
   sc.machine = hw::MachineConfig{.cpus = cpus, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
-  services::DiskServer& server = system.StartDiskServer();
+  system.StartDiskServer();  // Its domain precedes the VMM's.
 
   // Crash times are drawn from the seed: spaced widely enough for the
   // supervisor to finish one recovery before the next crash activates.
@@ -654,47 +649,20 @@ FaultCycleResult RunFaultCycles(std::uint64_t seed, std::uint64_t crashes,
   }
   plan.Arm(&system.machine.events());
 
-  vmm::VmmConfig ca;
-  ca.name = "a";
-  ca.guest_mem_bytes = 32ull << 20;
-  ca.first_cpu = vmm_cpu;
-  ca.kmem_quota_frames = kVmmQuotaFrames;
   FaultCycleResult r;
   r.root_limit_start = system.hv.root_pd()->kmem().limit();
-  auto vm_a = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), ca);
-  vm_a->SetFaultPlan(&plan);
-  vm_a->ConnectDiskServer(&server);
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system.hv.engine(vmm_cpu));
-  guest::GuestKernel gk(
-      &system.machine.mem(),
-      [&vm_a](std::uint64_t gpa) { return vm_a->GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 32ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestAhciDriver driver(
-      &gk, guest::GuestAhciDriver::Config{
-               .mmio_base = vmm::vahci::kMmioBase,
-               .irq_vector = vmm::vahci::kVector,
-               .read_ci =
-                   [&vm_a]() -> std::uint32_t {
-                 return static_cast<std::uint32_t>(vm_a->vahci().MmioRead(
-                     vmm::vahci::kMmioBase + ahci::kPxCi, 4));
-               },
-               .handle_errors = true,
-               .read_err =
-                   [&vm_a]() -> std::uint32_t {
-                 return static_cast<std::uint32_t>(vm_a->vahci().MmioRead(
-                     vmm::vahci::kMmioBase + ahci::kPxVs, 4));
-               }});
+  bench::GuestVm vm(system,
+                    vmm::VmmConfig{.name = "a",
+                                   .guest_mem_bytes = 32ull << 20,
+                                   .first_cpu = vmm_cpu,
+                                   .kmem_quota_frames = kVmmQuotaFrames},
+                    bench::GuestVm::Disk::kServerWithErrors);
+  vm.vmm().SetFaultPlan(&plan);
   guest::DiskWorkload workload(
-      &gk, &driver,
+      &vm.kernel(), vm.driver(),
       guest::DiskWorkload::Config{.block_bytes = 4096,
                                   .total_requests = kCycleRequests});
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(vm_a->gstate());
-  (void)vm_a->Start(vm_a->gstate().rip);
+  vm.Boot(workload.EmitMain());
 
   root::VmmSupervisor::Config supc;
   supc.check_period_ps = sim::Microseconds(200);
@@ -703,22 +671,13 @@ FaultCycleResult RunFaultCycles(std::uint64_t seed, std::uint64_t crashes,
 
   std::function<void(const root::VmmSupervisor::RecoveryInfo&)> restart;
   restart = [&](const root::VmmSupervisor::RecoveryInfo& info) {
-    server.CloseChannel(vm_a->disk_channel_id());
-    vm_a.reset();
-    vmm::VmmConfig cr = ca;
-    cr.fixed_guest_base_page = info.guest_base_page;
-    vm_a = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), cr);
-    vm_a->SetFaultPlan(&plan);  // The replacement can crash again.
-    vm_a->ConnectDiskServer(&server);
-    (void)vm_a->Start(info.gstate.rip);
-    vm_a->gstate() = info.gstate;
-    vm_a->vahci().RestoreRegs(info.vahci_regs);
-    vm_a->vahci().InjectAbort(driver.issued_mask());
-    supervisor.Watch(vm_a.get(), restart);
+    vm.Restart(info);
+    vm.vmm().SetFaultPlan(&plan);  // The replacement can crash again.
+    EXPECT_EQ(supervisor.Watch(&vm.vmm(), restart), Status::kSuccess);
     r.frames_after_restart.push_back(system.hv.FramesInUse());
     r.root_limit_after_restart.push_back(system.hv.root_pd()->kmem().limit());
   };
-  supervisor.Watch(vm_a.get(), restart);
+  EXPECT_EQ(supervisor.Watch(&vm.vmm(), restart), Status::kSuccess);
 
   system.hv.RunUntilCondition(
       [&] { return workload.done() && supervisor.recoveries() >= crashes; },
@@ -728,8 +687,8 @@ FaultCycleResult RunFaultCycles(std::uint64_t seed, std::uint64_t crashes,
   r.recoveries = supervisor.recoveries();
   r.frames_end = system.hv.FramesInUse();
   r.root_limit_end = system.hv.root_pd()->kmem().limit();
-  r.vmm_used_end = vm_a->vmm_pd()->kmem().used();
-  r.vmm_limit_end = vm_a->vmm_pd()->kmem().limit();
+  r.vmm_used_end = vm.vmm().vmm_pd()->kmem().used();
+  r.vmm_limit_end = vm.vmm().vmm_pd()->kmem().limit();
   return r;
 }
 

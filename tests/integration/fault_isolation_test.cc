@@ -6,16 +6,9 @@
 // fault-free run.
 #include <gtest/gtest.h>
 
-#include <memory>
-
-#include "src/guest/driver_ahci.h"
-#include "src/guest/kernel.h"
-#include "src/guest/workload_compile.h"
+#include "bench/scenario.h"
 #include "src/guest/workload_disk.h"
-#include "src/root/supervisor.h"
-#include "src/root/system.h"
 #include "src/sim/fault.h"
-#include "src/vmm/vmm.h"
 
 namespace nova {
 namespace {
@@ -40,7 +33,7 @@ ScenarioResult RunScenario(bool crash) {
   sc.machine = hw::MachineConfig{.cpus = {&hw::CoreI7_920(), &hw::CoreI7_920()},
                                  .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
-  services::DiskServer& server = system.StartDiskServer();
+  system.StartDiskServer();  // Its domain precedes the VMM's.
 
   // --- VM A: disk workload on CPU 0, supervised, crash candidate --------
   sim::FaultPlan plan(/*seed=*/7);
@@ -53,60 +46,22 @@ ScenarioResult RunScenario(bool crash) {
   }
   plan.Arm(&system.machine.events());
 
-  vmm::VmmConfig ca;
-  ca.name = "a";
-  ca.guest_mem_bytes = kGuestMem;
-  ca.first_cpu = 0;
-  auto vm_a = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), ca);
-  vm_a->SetFaultPlan(&plan);
-  vm_a->ConnectDiskServer(&server);
-
-  guest::GuestLogicMux mux_a;
-  mux_a.Attach(system.hv.engine(0));
-  guest::GuestKernel gk_a(
-      &system.machine.mem(),
-      [&vm_a](std::uint64_t gpa) { return vm_a->GpaToHpa(gpa); }, &mux_a,
-      guest::GuestKernelConfig{.mem_bytes = kGuestMem});
-  gk_a.BuildStandardHandlers();
-  guest::GuestAhciDriver driver_a(
-      &gk_a,
-      guest::GuestAhciDriver::Config{
-          .mmio_base = vmm::vahci::kMmioBase,
-          .irq_vector = vmm::vahci::kVector,
-          .read_ci =
-              [&vm_a]() -> std::uint32_t {
-            return static_cast<std::uint32_t>(
-                vm_a->vahci().MmioRead(vmm::vahci::kMmioBase + hw::ahci::kPxCi, 4));
-          },
-          .handle_errors = true,
-          .read_err =
-              [&vm_a]() -> std::uint32_t {
-            return static_cast<std::uint32_t>(
-                vm_a->vahci().MmioRead(vmm::vahci::kMmioBase + hw::ahci::kPxVs, 4));
-          }});
+  bench::GuestVm vm_a(
+      system,
+      vmm::VmmConfig{.name = "a", .guest_mem_bytes = kGuestMem, .first_cpu = 0},
+      bench::GuestVm::Disk::kServerWithErrors);
+  vm_a.vmm().SetFaultPlan(&plan);
   guest::DiskWorkload workload_a(
-      &gk_a, &driver_a,
+      &vm_a.kernel(), vm_a.driver(),
       guest::DiskWorkload::Config{.block_bytes = 4096,
                                   .total_requests = kDiskRequests});
-  gk_a.EmitBoot(workload_a.EmitMain());
-  gk_a.Install();
-  gk_a.PrimeState(vm_a->gstate());
-  (void)vm_a->Start(vm_a->gstate().rip);
+  vm_a.Boot(workload_a.EmitMain());
 
   // --- VM B: compute-only kernel compile on CPU 1 -----------------------
-  vmm::VmmConfig cb;
-  cb.name = "b";
-  cb.guest_mem_bytes = kGuestMem;
-  cb.first_cpu = 1;
-  vmm::Vmm vm_b(&system.hv, system.root.get(), cb);
-
-  guest::GuestLogicMux mux_b;
-  mux_b.Attach(system.hv.engine(1));
-  guest::GuestKernel gk_b(
-      &system.machine.mem(),
-      [&vm_b](std::uint64_t gpa) { return vm_b.GpaToHpa(gpa); }, &mux_b,
-      guest::GuestKernelConfig{.mem_bytes = kGuestMem});
-  gk_b.BuildStandardHandlers();
+  bench::GuestVm vm_b(
+      system,
+      vmm::VmmConfig{.name = "b", .guest_mem_bytes = kGuestMem, .first_cpu = 1},
+      bench::GuestVm::Disk::kNone);
   guest::CompileWorkload::Config wb;
   wb.processes = 2;
   wb.ws_pages = 32;
@@ -116,34 +71,21 @@ ScenarioResult RunScenario(bool crash) {
   wb.switch_every = 10;
   wb.disk_every = 0;  // Compute-only: CPU 1 shares nothing with VM A.
   wb.recycle_every = 150;
-  guest::CompileWorkload workload_b(&gk_b, nullptr, wb);
-  gk_b.EmitBoot(workload_b.EmitMain());
-  gk_b.Install();
-  gk_b.PrimeState(vm_b.gstate());
-  (void)vm_b.Start(vm_b.gstate().rip);
+  guest::CompileWorkload workload_b(&vm_b.kernel(), nullptr, wb);
+  vm_b.Boot(workload_b.EmitMain());
 
   // --- Supervision + restart policy -------------------------------------
+  // The restart rebuilds the monitor over the surviving guest RAM and
+  // resumes the guest exactly where it stopped.
   root::VmmSupervisor::Config supc;
   supc.check_period_ps = sim::Microseconds(200);
   supc.stale_checks = 2;
   root::VmmSupervisor supervisor(&system.hv, system.root.get(), supc);
-  supervisor.Watch(vm_a.get(), [&](const root::VmmSupervisor::RecoveryInfo& info) {
-    // Rebuild the monitor over the surviving guest RAM and resume the
-    // guest exactly where it stopped. The dead VMM's disk channel is
-    // retired first so the replacement recycles its ring frame.
-    server.CloseChannel(vm_a->disk_channel_id());
-    vm_a.reset();
-    vmm::VmmConfig cr = ca;
-    cr.fixed_guest_base_page = info.guest_base_page;
-    vm_a = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), cr);
-    vm_a->ConnectDiskServer(&server);
-    (void)vm_a->Start(info.gstate.rip);
-    vm_a->gstate() = info.gstate;
-    vm_a->vahci().RestoreRegs(info.vahci_regs);
-    // The guest driver still considers its in-flight slots issued; surface
-    // them as errors so its retry path re-submits them to the new model.
-    vm_a->vahci().InjectAbort(driver_a.issued_mask());
-  });
+  EXPECT_EQ(supervisor.Watch(&vm_a.vmm(),
+                             [&vm_a](const root::VmmSupervisor::RecoveryInfo& info) {
+                               vm_a.Restart(info);
+                             }),
+            Status::kSuccess);
 
   ScenarioResult r;
   system.hv.RunUntilCondition(
@@ -159,7 +101,7 @@ ScenarioResult RunScenario(bool crash) {
 
   r.a_done = workload_a.done();
   r.a_completed = workload_a.completed();
-  r.a_retries = driver_a.retried();
+  r.a_retries = vm_a.driver()->retried();
   r.recoveries = supervisor.recoveries();
   r.frames_in_use = system.hv.FramesInUse();
   return r;
@@ -193,6 +135,41 @@ TEST(FaultIsolation, RecoveryReclaimsKernelFrames) {
   const ScenarioResult clean = RunScenario(/*crash=*/false);
   const ScenarioResult faulted = RunScenario(/*crash=*/true);
   EXPECT_EQ(faulted.frames_in_use, clean.frames_in_use);
+}
+
+// Heartbeat words live only in pages the root allocated for heartbeats.
+// Every watch takes a fresh word, so a page fills after 512 of them; the
+// next word must not land in the page the root handed out after it.
+TEST(VmmSupervisor, HeartbeatsStayInTheirOwnPages) {
+  root::NovaSystem system;
+  vmm::Vmm vm(&system.hv, system.root.get(),
+              vmm::VmmConfig{.guest_mem_bytes = 4ull << 20});
+  root::VmmSupervisor supervisor(&system.hv, system.root.get());
+  ASSERT_EQ(supervisor.Watch(&vm, nullptr), Status::kSuccess);
+
+  const hw::PhysAddr neighbour = system.root->AllocPages(1) << hw::kPageShift;
+  ASSERT_NE(neighbour, 0u);
+  constexpr std::uint64_t kSentinel = 0x5e7715e75e7715e7;
+  ASSERT_EQ(system.machine.mem().Write64(neighbour, kSentinel), Status::kSuccess);
+  for (int i = 0; i < 512; ++i) {
+    ASSERT_EQ(supervisor.Watch(&vm, nullptr), Status::kSuccess);
+  }
+  EXPECT_EQ(system.machine.mem().Read64(neighbour), kSentinel);
+}
+
+TEST(VmmSupervisor, WatchWithoutAHeartbeatPageFails) {
+  root::NovaSystem system;
+  vmm::Vmm vm(&system.hv, system.root.get(),
+              vmm::VmmConfig{.guest_mem_bytes = 4ull << 20});
+  for (std::uint64_t pages = 1ull << 20; pages != 0; pages /= 2) {
+    while (system.root->AllocPages(pages) != 0) {
+    }
+  }
+  root::VmmSupervisor supervisor(&system.hv, system.root.get());
+  const std::uint64_t word_at_zero = system.machine.mem().Read64(0);
+  EXPECT_EQ(supervisor.Watch(&vm, nullptr), Status::kNoMem);
+  // No heartbeat started: nothing beat into physical address 0.
+  EXPECT_EQ(system.machine.mem().Read64(0), word_at_zero);
 }
 
 }  // namespace

@@ -8,10 +8,7 @@
 
 #include <memory>
 
-#include "src/guest/kernel.h"
-#include "src/guest/workload_compile.h"
-#include "src/root/system.h"
-#include "src/vmm/vmm.h"
+#include "bench/scenario.h"
 
 namespace nova {
 namespace {
@@ -81,54 +78,30 @@ GreedyResult RunScenario(std::uint64_t adversary_quota) {
 
   // Victim first, so its placement and construction are identical whether
   // or not the adversary exists.
-  vmm::VmmConfig vc;
-  vc.name = "victim";
-  vc.guest_mem_bytes = kGuestMem;
-  vc.first_cpu = 1;
-  vmm::Vmm victim(&system.hv, system.root.get(), vc);
+  bench::GuestVm victim(system,
+                        vmm::VmmConfig{.name = "victim",
+                                       .guest_mem_bytes = kGuestMem,
+                                       .first_cpu = 1},
+                        bench::GuestVm::Disk::kNone);
+  guest::CompileWorkload victim_work(&victim.kernel(), nullptr, VictimWorkload());
+  victim.Boot(victim_work.EmitMain());
 
-  guest::GuestLogicMux victim_mux;
-  victim_mux.Attach(system.hv.engine(1));
-  guest::GuestKernel victim_gk(
-      &system.machine.mem(),
-      [&victim](std::uint64_t gpa) { return victim.GpaToHpa(gpa); }, &victim_mux,
-      guest::GuestKernelConfig{.mem_bytes = kGuestMem});
-  victim_gk.BuildStandardHandlers();
-  guest::CompileWorkload victim_work(&victim_gk, nullptr, VictimWorkload());
-  victim_gk.EmitBoot(victim_work.EmitMain());
-  victim_gk.Install();
-  victim_gk.PrimeState(victim.gstate());
-  EXPECT_EQ(victim.Start(victim.gstate().rip), Status::kSuccess);
-
-  std::unique_ptr<vmm::Vmm> greedy;
-  std::unique_ptr<guest::GuestLogicMux> greedy_mux;
-  std::unique_ptr<guest::GuestKernel> greedy_gk;
+  std::unique_ptr<bench::GuestVm> greedy;
   std::unique_ptr<guest::CompileWorkload> greedy_work;
   GreedyResult r;
   if (adversary_quota != 0) {
-    vmm::VmmConfig ac;
-    ac.name = "greedy";
-    ac.guest_mem_bytes = kGuestMem;
-    ac.first_cpu = 0;
-    ac.mode = hw::TranslationMode::kShadow;
-    ac.kmem_quota_frames = adversary_quota;
-    greedy = std::make_unique<vmm::Vmm>(&system.hv, system.root.get(), ac);
-    EXPECT_EQ(greedy->create_status(), Status::kSuccess);
-
-    greedy_mux = std::make_unique<guest::GuestLogicMux>();
-    greedy_mux->Attach(system.hv.engine(0));
-    greedy_gk = std::make_unique<guest::GuestKernel>(
-        &system.machine.mem(),
-        [&g = *greedy](std::uint64_t gpa) { return g.GpaToHpa(gpa); },
-        greedy_mux.get(), guest::GuestKernelConfig{.mem_bytes = kGuestMem});
-    greedy_gk->BuildStandardHandlers();
-    greedy_work = std::make_unique<guest::CompileWorkload>(greedy_gk.get(), nullptr,
-                                                           AdversaryWorkload());
-    greedy_gk->EmitBoot(greedy_work->EmitMain());
-    greedy_gk->Install();
-    greedy_gk->PrimeState(greedy->gstate());
-    EXPECT_EQ(greedy->Start(greedy->gstate().rip), Status::kSuccess);
-    r.adversary_boot_used = greedy->vmm_pd()->kmem().used();
+    greedy = std::make_unique<bench::GuestVm>(
+        system,
+        vmm::VmmConfig{.name = "greedy",
+                       .guest_mem_bytes = kGuestMem,
+                       .mode = hw::TranslationMode::kShadow,
+                       .first_cpu = 0,
+                       .kmem_quota_frames = adversary_quota},
+        bench::GuestVm::Disk::kNone);
+    greedy_work = std::make_unique<guest::CompileWorkload>(
+        &greedy->kernel(), nullptr, AdversaryWorkload());
+    greedy->Boot(greedy_work->EmitMain());
+    r.adversary_boot_used = greedy->vmm().vmm_pd()->kmem().used();
   }
 
   // The scenario ends when the victim is done AND the adversary has
@@ -147,8 +120,8 @@ GreedyResult RunScenario(std::uint64_t adversary_quota) {
   r.victim_ps = system.machine.cpu(1).NowPs();
   if (greedy != nullptr) {
     r.adversary_units = greedy_work->units_done();
-    r.adversary_used = greedy->vmm_pd()->kmem().used();
-    r.adversary_limit = greedy->vmm_pd()->kmem().limit();
+    r.adversary_used = greedy->vmm().vmm_pd()->kmem().used();
+    r.adversary_limit = greedy->vmm().vmm_pd()->kmem().limit();
     r.pressure_evicts = system.hv.EventCount("vTLB Pressure Evict");
     r.vm_errors = system.hv.EventCount("VM Error");
   }

@@ -3,9 +3,7 @@
 // only the exit mix changes (Table 2's two compile columns).
 #include <gtest/gtest.h>
 
-#include "src/guest/kernel.h"
-#include "src/root/system.h"
-#include "src/vmm/vmm.h"
+#include "bench/scenario.h"
 
 namespace nova {
 namespace {
@@ -21,17 +19,12 @@ class ShadowStackTest : public ::testing::Test {
 };
 
 TEST_F(ShadowStackTest, GuestWithPagingRunsUnderVtlb) {
-  vmm::Vmm vm(&system_.hv, system_.root.get(),
-              vmm::VmmConfig{.guest_mem_bytes = 64ull << 20,
-                             .mode = hw::TranslationMode::kShadow});
-
-  guest::GuestLogicMux mux;
-  mux.Attach(system_.hv.engine(0));
-  guest::GuestKernel gk(
-      &system_.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm.GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 64ull << 20});
-  gk.BuildStandardHandlers();
+  bench::GuestVm guest_vm(system_,
+                          vmm::VmmConfig{.guest_mem_bytes = 64ull << 20,
+                                         .mode = hw::TranslationMode::kShadow},
+                          bench::GuestVm::Disk::kNone);
+  vmm::Vmm& vm = guest_vm.vmm();
+  guest::GuestKernel& gk = guest_vm.kernel();
   const std::uint64_t proc = gk.CreateAddressSpace();
 
   hw::isa::Assembler& as = gk.text();
@@ -47,10 +40,7 @@ TEST_F(ShadowStackTest, GuestWithPagingRunsUnderVtlb) {
   as.LoadAbs(3, 0x600000);
   as.StoreAbs(3, 0x601000);
   gk.EmitIdleLoop();
-  gk.EmitBoot(main);
-  gk.Install();
-  gk.PrimeState(vm.gstate());
-  (void)vm.Start(vm.gstate().rip);
+  guest_vm.Boot(main);
 
   system_.hv.RunUntilCondition(
       [&] {
@@ -75,16 +65,12 @@ TEST_F(ShadowStackTest, GuestWithPagingRunsUnderVtlb) {
 }
 
 TEST_F(ShadowStackTest, MmioStillReachesVmmUnderShadow) {
-  vmm::Vmm vm(&system_.hv, system_.root.get(),
-              vmm::VmmConfig{.guest_mem_bytes = 64ull << 20,
-                             .mode = hw::TranslationMode::kShadow});
-  guest::GuestLogicMux mux;
-  mux.Attach(system_.hv.engine(0));
-  guest::GuestKernel gk(
-      &system_.machine.mem(),
-      [&vm](std::uint64_t gpa) { return vm.GpaToHpa(gpa); }, &mux,
-      guest::GuestKernelConfig{.mem_bytes = 64ull << 20});
-  gk.BuildStandardHandlers();
+  bench::GuestVm guest_vm(system_,
+                          vmm::VmmConfig{.guest_mem_bytes = 64ull << 20,
+                                         .mode = hw::TranslationMode::kShadow},
+                          bench::GuestVm::Disk::kNone);
+  vmm::Vmm& vm = guest_vm.vmm();
+  guest::GuestKernel& gk = guest_vm.kernel();
   // Map the virtual AHCI window in the guest page table; the backing GPA
   // is unmapped in host space -> vTLB classifies it as MMIO.
   gk.MapDevice(gk.kernel_cr3(), vmm::vahci::kMmioBase, hw::kPageSize);
@@ -94,10 +80,7 @@ TEST_F(ShadowStackTest, MmioStillReachesVmmUnderShadow) {
   as.Load(1, hw::isa::kNoReg, vmm::vahci::kMmioBase + hw::ahci::kPxSsts);
   as.StoreAbs(1, 0x600000);
   gk.EmitIdleLoop();
-  gk.EmitBoot(main);
-  gk.Install();
-  gk.PrimeState(vm.gstate());
-  (void)vm.Start(vm.gstate().rip);
+  guest_vm.Boot(main);
 
   system_.hv.RunUntilCondition(
       [&] {

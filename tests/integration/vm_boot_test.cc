@@ -2,18 +2,13 @@
 // partition manager, disk server, VMM) hosting a synthetic guest OS.
 #include <gtest/gtest.h>
 
-#include "src/guest/driver_ahci.h"
-#include "src/guest/kernel.h"
+#include "bench/scenario.h"
 #include "src/guest/workload_disk.h"
-#include "src/root/system.h"
-#include "src/vmm/vmm.h"
 
 namespace nova {
 namespace {
 
-using guest::GuestKernel;
-using guest::GuestKernelConfig;
-using guest::GuestLogicMux;
+using bench::GuestVm;
 
 class VmBootTest : public ::testing::Test {
  protected:
@@ -21,61 +16,50 @@ class VmBootTest : public ::testing::Test {
                      .machine = {.cpus = {&hw::CoreI7_920()},
                                  .ram_size = 512ull << 20}}) {}
 
-  // Build a VMM and a guest kernel wired into it.
-  void MakeVm(vmm::VmmConfig config = {}) {
-    vm_ = std::make_unique<vmm::Vmm>(&system_.hv, system_.root.get(), config);
-    mux_ = std::make_unique<GuestLogicMux>();
-    mux_->Attach(system_.hv.engine(config.first_cpu));
-    gk_ = std::make_unique<GuestKernel>(
-        &system_.machine.mem(),
-        [this](std::uint64_t gpa) { return vm_->GpaToHpa(gpa); }, mux_.get(),
-        GuestKernelConfig{.mem_bytes = vm_->guest_mem_bytes(),
-                          .timer_hz = timer_hz_});
+  void MakeVm(vmm::VmmConfig config = {},
+              GuestVm::Disk disk = GuestVm::Disk::kNone) {
+    guest_ = std::make_unique<GuestVm>(system_, config, disk, timer_hz_);
   }
 
   void BootAndRun(std::uint64_t main_gva, sim::PicoSeconds deadline,
                   const std::function<bool()>& pred) {
-    gk_->EmitBoot(main_gva);
-    gk_->Install();
-    gk_->PrimeState(vm_->gstate());
-    (void)vm_->Start(vm_->gstate().rip);
+    guest_->Boot(main_gva);
     system_.hv.RunUntilCondition(pred, deadline);
   }
 
+  vmm::Vmm& vm() { return guest_->vmm(); }
+  guest::GuestKernel& gk() { return guest_->kernel(); }
+
   root::NovaSystem system_;
-  std::unique_ptr<vmm::Vmm> vm_;
-  std::unique_ptr<GuestLogicMux> mux_;
-  std::unique_ptr<GuestKernel> gk_;
+  std::unique_ptr<GuestVm> guest_;
   std::uint32_t timer_hz_ = 0;
 };
 
 TEST_F(VmBootTest, GuestPrintsToVirtualSerial) {
   MakeVm();
-  gk_->BuildStandardHandlers();
-  hw::isa::Assembler& as = gk_->text();
+  hw::isa::Assembler& as = gk().text();
   const std::uint64_t main = as.Here();
   for (const char c : std::string("hello from the guest")) {
     as.MovImm(1, static_cast<std::uint64_t>(c));
     as.Out(vmm::vuart::kData, 1);
   }
-  gk_->EmitIdleLoop();
+  gk().EmitIdleLoop();
 
   BootAndRun(main, sim::Milliseconds(100),
-             [this] { return vm_->vuart().output().size() >= 20; });
-  EXPECT_EQ(vm_->vuart().output(), "hello from the guest");
+             [this] { return vm().vuart().output().size() >= 20; });
+  EXPECT_EQ(vm().vuart().output(), "hello from the guest");
   // Every character was a port-I/O exit handled by the VMM.
   EXPECT_GE(system_.hv.EventCount("Port I/O"), 20u);
 }
 
 TEST_F(VmBootTest, BiosServicesViaVmcall) {
   MakeVm();
-  vm_->SetBootDisk(system_.platform.disk);
+  vm().SetBootDisk(system_.platform.disk);
   const char boot_data[] = "bootloader payload!";
   system_.platform.disk->WriteContent(100 * hw::kSectorSize, boot_data,
                                       sizeof(boot_data));
 
-  gk_->BuildStandardHandlers();
-  hw::isa::Assembler& as = gk_->text();
+  hw::isa::Assembler& as = gk().text();
   const std::uint64_t main = as.Here();
   // BIOS putchar.
   as.MovImm(1, 'B');
@@ -88,29 +72,28 @@ TEST_F(VmBootTest, BiosServicesViaVmcall) {
   // BIOS memory size into r1.
   as.Emit({.opcode = hw::isa::Opcode::kVmcall, .imm32 = 3});
   as.StoreAbs(1, 0x601000);
-  gk_->EmitIdleLoop();
+  gk().EmitIdleLoop();
 
   BootAndRun(main, sim::Milliseconds(100), [this] {
-    return system_.machine.mem().Read64(vm_->GpaToHpa(0x601000)) != 0;
+    return system_.machine.mem().Read64(vm().GpaToHpa(0x601000)) != 0;
   });
-  EXPECT_EQ(vm_->vuart().output(), "B");
+  EXPECT_EQ(vm().vuart().output(), "B");
   char out[sizeof(boot_data)] = {};
-  ASSERT_TRUE(vm_->ReadGuest(0x600000, out, sizeof(out)));
+  ASSERT_TRUE(vm().ReadGuest(0x600000, out, sizeof(out)));
   EXPECT_STREQ(out, boot_data);
-  EXPECT_EQ(system_.machine.mem().Read64(vm_->GpaToHpa(0x601000)),
-            vm_->guest_mem_bytes());
+  EXPECT_EQ(system_.machine.mem().Read64(vm().GpaToHpa(0x601000)),
+            vm().guest_mem_bytes());
 }
 
 TEST_F(VmBootTest, VirtualTimerTicksAndInjects) {
   timer_hz_ = 1000;
   MakeVm();
-  gk_->BuildStandardHandlers();
-  const std::uint64_t main = gk_->EmitIdleLoop();
+  const std::uint64_t main = gk().EmitIdleLoop();
 
-  BootAndRun(main, sim::Milliseconds(50), [this] { return gk_->ticks() >= 20; });
-  EXPECT_GE(gk_->ticks(), 20u);
-  EXPECT_GE(vm_->vpit().ticks(), 20u);
-  EXPECT_GE(vm_->interrupts_injected(), 20u);
+  BootAndRun(main, sim::Milliseconds(50), [this] { return gk().ticks() >= 20; });
+  EXPECT_GE(gk().ticks(), 20u);
+  EXPECT_GE(vm().vpit().ticks(), 20u);
+  EXPECT_GE(vm().interrupts_injected(), 20u);
   // Each tick is serviced with the four-step controller handshake.
   EXPECT_GE(system_.hv.EventCount("Port I/O"), 4 * 20u);
   // The parked (halted) vCPU was recalled for injection (§7.5).
@@ -119,23 +102,13 @@ TEST_F(VmBootTest, VirtualTimerTicksAndInjects) {
 
 TEST_F(VmBootTest, VirtualizedDiskReadThroughFullStack) {
   auto& server = system_.StartDiskServer();
-  MakeVm();
-  vm_->ConnectDiskServer(&server);
+  MakeVm({}, GuestVm::Disk::kServer);
 
   const char payload[] = "sector data via the whole stack";
   system_.platform.disk->WriteContent(42 * hw::kSectorSize, payload,
                                       sizeof(payload));
 
-  gk_->BuildStandardHandlers();
-  guest::GuestAhciDriver driver(
-      gk_.get(), guest::GuestAhciDriver::Config{
-                     .mmio_base = vmm::vahci::kMmioBase,
-                     .irq_vector = vmm::vahci::kVector,
-                     .read_ci = [this] {
-                       return static_cast<std::uint32_t>(vm_->vahci().MmioRead(
-                           vmm::vahci::kMmioBase + hw::ahci::kPxCi, 4));
-                     }});
-  guest::DiskWorkload workload(gk_.get(), &driver,
+  guest::DiskWorkload workload(&gk(), guest_->driver(),
                                guest::DiskWorkload::Config{
                                    .block_bytes = 4096,
                                    .total_requests = 8,
@@ -148,15 +121,15 @@ TEST_F(VmBootTest, VirtualizedDiskReadThroughFullStack) {
 
   EXPECT_TRUE(workload.done());
   EXPECT_EQ(workload.completed(), 8u);
-  EXPECT_EQ(vm_->vahci().commands_issued(), 8u);
-  EXPECT_EQ(vm_->vahci().commands_completed(), 8u);
+  EXPECT_EQ(vm().vahci().commands_issued(), 8u);
+  EXPECT_EQ(vm().vahci().commands_completed(), 8u);
   EXPECT_EQ(server.requests_issued(), 8u);
   EXPECT_EQ(server.requests_completed(), 8u);
 
   // The host controller DMAed disk content directly into the guest buffer:
   // compare the buffer against the disk model's content for the last block.
   std::uint8_t guest_buf[4096];
-  ASSERT_TRUE(vm_->ReadGuest(guest::GuestLayout::kDmaBase, guest_buf,
+  ASSERT_TRUE(vm().ReadGuest(guest::GuestLayout::kDmaBase, guest_buf,
                              sizeof(guest_buf)));
   std::uint8_t disk_buf[4096];
   system_.platform.disk->ReadContent(7 * 4096, disk_buf, sizeof(disk_buf));
@@ -167,21 +140,8 @@ TEST_F(VmBootTest, VirtualizedDiskReadThroughFullStack) {
 }
 
 TEST_F(VmBootTest, DirectAssignedDiskBypassesDeviceEmulation) {
-  MakeVm();
-  ASSERT_EQ(vm_->AssignHostDevice("ahci", /*vector=*/43), Status::kSuccess);
-
-  gk_->BuildStandardHandlers();
-  guest::GuestAhciDriver driver(
-      gk_.get(), guest::GuestAhciDriver::Config{
-                     .mmio_base = root::kAhciMmioBase,
-                     .irq_vector = 43,
-                     .read_ci = [this]() -> std::uint32_t {
-                       std::uint64_t v = 0;
-                       (void)system_.machine.bus().MmioRead(
-                           root::kAhciMmioBase + hw::ahci::kPxCi, 4, &v);
-                       return static_cast<std::uint32_t>(v);
-                     }});
-  guest::DiskWorkload workload(gk_.get(), &driver,
+  MakeVm({}, GuestVm::Disk::kHostAhci);
+  guest::DiskWorkload workload(&gk(), guest_->driver(),
                                guest::DiskWorkload::Config{
                                    .block_bytes = 4096,
                                    .total_requests = 8,
@@ -198,7 +158,7 @@ TEST_F(VmBootTest, DirectAssignedDiskBypassesDeviceEmulation) {
   // in host mode and re-enters the guest via recall + injection, followed
   // by the four-step controller handshake.
   EXPECT_GE(system_.hv.EventCount("Recall"), 8u);
-  EXPECT_GE(vm_->interrupts_injected(), 8u);
+  EXPECT_GE(vm().interrupts_injected(), 8u);
   EXPECT_GE(system_.hv.EventCount("Port I/O"), 4 * 8u);
   EXPECT_GE(system_.hv.EventCount("HLT"), 8u);
   // DMA was remapped guest-physical -> host-physical by the IOMMU using
@@ -216,15 +176,14 @@ TEST_F(VmBootTest, CompromisedGuestCannotEscapeItsVm) {
   const char canary[] = "victim data";
   vm2->WriteGuest(0x5000, canary, sizeof(canary));
 
-  gk_->BuildStandardHandlers();
-  hw::isa::Assembler& as = gk_->text();
+  hw::isa::Assembler& as = gk().text();
   const std::uint64_t main = as.Here();
   // Hostile guest: store to addresses far beyond its RAM.
   as.MovImm(0, 0x6666);
   for (std::uint64_t gpa = 256ull << 20; gpa < (260ull << 20); gpa += (1ull << 20)) {
     as.StoreAbs(0, gpa);
   }
-  gk_->EmitIdleLoop();
+  gk().EmitIdleLoop();
 
   int mmio_exits_before = static_cast<int>(system_.hv.EventCount("Memory-Mapped I/O"));
   BootAndRun(main, sim::Milliseconds(100), [this] {
@@ -235,6 +194,19 @@ TEST_F(VmBootTest, CompromisedGuestCannotEscapeItsVm) {
   char out[sizeof(canary)] = {};
   vm2->ReadGuest(0x5000, out, sizeof(out));
   EXPECT_STREQ(out, canary);  // The victim VM is untouched.
+}
+
+TEST(GuestVmDeathTest, VmmOutOfKernelMemoryAborts) {
+  // A one-frame quota cannot hold the VMM's own domain: construction
+  // reports kNoMem, and the builder stops there instead of booting a guest
+  // that never starts.
+  root::NovaSystem system;
+  EXPECT_DEATH(
+      {
+        GuestVm vm(system, vmm::VmmConfig{.kmem_quota_frames = 1},
+                   GuestVm::Disk::kNone);
+      },
+      "vmm::Vmm construction failed: kNoMem");
 }
 
 }  // namespace

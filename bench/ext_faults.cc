@@ -9,8 +9,8 @@
 // Part 2 — VMM crash recovery latency across supervisor check periods: a
 // VMM is killed mid-workload; the root detects the stale heartbeat, tears
 // the domains down and restarts the monitor over the surviving guest RAM.
-// Detection latency is stale_checks * period; the end-to-end cost shows up
-// as added workload completion time.
+// Detection latency is VmmSupervisor::kStaleChecks * period; the end-to-end
+// cost shows up as added workload completion time.
 #include <cstdio>
 #include <vector>
 
@@ -115,7 +115,6 @@ RecoveryResult RunCrashRecovery(sim::PicoSeconds check_period_ps, bool crash,
 
   root::VmmSupervisor::Config supc;
   supc.check_period_ps = check_period_ps;
-  supc.stale_checks = 2;
   root::VmmSupervisor supervisor(&system.hv, system.root.get(), supc);
   CheckOk("VmmSupervisor::Watch",
           supervisor.Watch(&vm.vmm(),

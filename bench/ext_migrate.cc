@@ -97,7 +97,7 @@ MigrateRow RunMigration(std::uint32_t ws_pages) {
     const double round0_ms =
         (static_cast<double>(row.r.round_pages[0]) * 4096.0 * 8.0e6 /
              mc.bandwidth_mbps +
-         static_cast<double>(mc.round_latency_ps)) /
+         static_cast<double>(services::kRoundLatencyPs)) /
         1e9;
     row.dirty_pages_per_ms =
         static_cast<double>(row.r.round_pages[1]) / round0_ms;
@@ -203,7 +203,6 @@ SupervisorRow RunSupervisedCrash(std::uint32_t checkpoint_every,
 
   root::VmmSupervisor::Config supc;
   supc.check_period_ps = sim::Microseconds(200);
-  supc.stale_checks = 2;
   supc.checkpoint_every_checks = checkpoint_every;
   root::VmmSupervisor supervisor(&system.hv, system.root.get(), supc);
   SupervisorRow row;

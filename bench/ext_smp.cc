@@ -74,7 +74,6 @@ guest::CompileWorkload::Config WorkloadFor(Profile p, bool smoke) {
       w.mem_bursts = 2;
       w.switch_every = 16;
       w.disk_every = 8;
-      w.disk_read_bytes = 16384;
       break;
     case Profile::kNet:
       // Network-service stand-in: many small units with frequent context

@@ -32,7 +32,7 @@ DiskRunResult RunNativeDisk(std::uint32_t block) {
   hw::Machine machine(hw::MachineConfig{.cpus = {&hw::CoreI7_920()},
                                         .ram_size = 512ull << 20,
                                         .iommu_present = false});
-  root::SetupStandardPlatform(&machine, nullptr);
+  const root::Platform platform = root::SetupStandardPlatform(&machine, nullptr);
   machine.irq().Configure(root::kAhciGsi, 0, 43);
   machine.irq().Unmask(root::kAhciGsi);
 

@@ -130,10 +130,7 @@ CompileScenario::CompileScenario(const RunConfig& config) : config_(config) {
   vc.large_pages = config.large_pages;
   vc.mode = config.mode;
   const bool direct = config.stack == StackKind::kDirect;
-  if (direct) {
-    vc.disable_intercepts = true;
-    vc.direct_interrupts = true;
-  }
+  vc.direct = direct;
   if (config.stack == StackKind::kMonolithic) {
     vc.full_state_transfer = true;
     baseline::ApplyMonolithicVmmCosts(vc);
@@ -169,7 +166,7 @@ void CompileScenario::RunFor(sim::PicoSeconds dt) {
 template <class Ar>
 void CompileScenario::Io(Ar& ar) {
   ar.Io(*system_);
-  ar.Section("vmm.guest", 1, vm());
+  ar.Section("vmm.guest", 2, vm());
   ar.Section("guest.kernel", 1, guest_kernel());
   ar.Section("guest.driver", 1, driver());
   ar.Section("guest.workload", 1, *workload_);

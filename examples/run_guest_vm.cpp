@@ -27,7 +27,7 @@ int main() {
   config.guest_mem_bytes = 64ull << 20;
   vmm::Vmm vm(&system.hv, system.root.get(), config);
   vm.ConnectDiskServer(&disk_server);
-  vm.SetBootDisk(system.platform.disk);
+  vm.SetBootDisk(system.platform.disk.get());
 
   guest::GuestLogicMux mux;
   mux.Attach(system.hv.engine(0));

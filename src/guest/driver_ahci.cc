@@ -17,7 +17,7 @@ void GuestAhciDriver::EmitInit() {
   hw::isa::Assembler& as = gk_->text();
   as.MovImm(1, hw::ahci::kGhcIntrEnable);
   as.Store(1, hw::isa::kNoReg, config_.mmio_base + hw::ahci::kGhc);
-  as.MovImm(1, config_.cmd_gpa);
+  as.MovImm(1, GuestLayout::kAhciCmdBase);
   as.Store(1, hw::isa::kNoReg, config_.mmio_base + hw::ahci::kPxClb);
   as.MovImm(1, config_.handle_errors ? (hw::ahci::kPxIsDhrs | hw::ahci::kPxIsTfes)
                                      : hw::ahci::kPxIsDhrs);
@@ -51,9 +51,10 @@ void GuestAhciDriver::PrepareLogic(hw::GuestState& gs) {
   std::uint8_t header[32] = {};
   const std::uint32_t dw0 = 1u << 16;  // One PRDT entry, read.
   std::memcpy(header, &dw0, 4);
-  const auto ctba = static_cast<std::uint32_t>(config_.cmd_gpa + 0x400 + slot * 0x100);
+  const auto ctba =
+      static_cast<std::uint32_t>(GuestLayout::kAhciCmdBase + 0x400 + slot * 0x100);
   std::memcpy(header + 8, &ctba, 4);
-  gk_->WriteGuestRaw(config_.cmd_gpa + slot * 32ull, header, sizeof(header));
+  gk_->WriteGuestRaw(GuestLayout::kAhciCmdBase + slot * 32ull, header, sizeof(header));
 
   // Command FIS + PRDT.
   std::uint8_t table[0x90] = {};

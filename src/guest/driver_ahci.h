@@ -23,7 +23,6 @@ class GuestAhciDriver {
   struct Config {
     std::uint64_t mmio_base = 0xfe00'0000;  // Virtualized controller default.
     std::uint8_t irq_vector = 43;
-    std::uint64_t cmd_gpa = 0x7e0000;  // Command list + tables (guest RAM).
     // Reads the controller's PxCI register for completion bookkeeping
     // (stands for the driver's in-memory tag tracking; the cost of that
     // bookkeeping is charged inside the ISR).

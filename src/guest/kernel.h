@@ -35,6 +35,7 @@ struct GuestLayout {
   static constexpr std::uint64_t kCodeBase = 0x10000;
   static constexpr std::uint64_t kPtRoot = 0x100000;   // Kernel CR3.
   static constexpr std::uint64_t kPtPool = 0x104000;   // Page-table frames.
+  static constexpr std::uint64_t kAhciCmdBase = 0x7e0000;  // Command list + tables.
   static constexpr std::uint64_t kDmaBase = 0x800000;  // Driver DMA buffers.
   static constexpr std::uint64_t kDataBase = 0xf00000; // Kernel counters.
   static constexpr std::uint64_t kHeapBase = 0x1000000;  // Process frames.

@@ -1,6 +1,11 @@
 #include "src/guest/workload_compile.h"
 
 namespace nova::guest {
+namespace {
+
+constexpr std::uint64_t kDiskReadBytes = 16384;  // One source-file read.
+
+}  // namespace
 
 CompileWorkload::CompileWorkload(GuestKernel* gk, GuestAhciDriver* driver,
                                  Config config)
@@ -62,10 +67,9 @@ void CompileWorkload::UnitSetupLogic(hw::GuestState& gs) {
       units_done_ % config_.disk_every == 0 && disk_outstanding_ < 4) {
     gs.regs[0] = 1;
     gs.regs[1] = next_lba_;
-    gs.regs[2] = config_.disk_read_bytes / hw::kSectorSize;
-    gs.regs[3] = GuestLayout::kDmaBase +
-                 (disk_reads_ % 4) * ((config_.disk_read_bytes + 0x3fff) & ~0x3fffull);
-    next_lba_ += config_.disk_read_bytes / hw::kSectorSize;
+    gs.regs[2] = kDiskReadBytes / hw::kSectorSize;
+    gs.regs[3] = GuestLayout::kDmaBase + (disk_reads_ % 4) * kDiskReadBytes;
+    next_lba_ += kDiskReadBytes / hw::kSectorSize;
     ++disk_reads_;
     ++disk_outstanding_;
   }

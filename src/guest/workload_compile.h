@@ -36,7 +36,6 @@ class CompileWorkload {
     std::uint32_t recycle_every = 900;  // Units between job completions: a
                                         // fresh process (new address space,
                                         // cold working set) takes the slot.
-    std::uint32_t disk_read_bytes = 16384;
     std::uint64_t seed = 42;
   };
 

@@ -18,7 +18,7 @@ void DiskWorkload::NextRequestLogic(hw::GuestState& gs) {
   gs.regs[7] = 0;
   gs.regs[1] = next_lba_;                                   // LBA.
   gs.regs[2] = config_.block_bytes / hw::kSectorSize;       // Sectors.
-  gs.regs[3] = config_.buffer_gpa;                          // DMA buffer.
+  gs.regs[3] = GuestLayout::kDmaBase;                       // DMA buffer.
   next_lba_ += config_.block_bytes / hw::kSectorSize;       // Sequential.
   ++issued_;
   outstanding_ = true;

@@ -18,7 +18,6 @@ class DiskWorkload {
   struct Config {
     std::uint32_t block_bytes = 4096;
     std::uint64_t total_requests = 1000;
-    std::uint64_t buffer_gpa = GuestLayout::kDmaBase;
   };
 
   DiskWorkload(GuestKernel* gk, GuestAhciDriver* driver, Config config);

@@ -2,8 +2,6 @@
 
 #include <algorithm>
 
-#include "src/sim/log.h"
-
 namespace nova::hv {
 
 namespace mtd {
@@ -69,7 +67,7 @@ Hypervisor::Hypervisor(hw::Machine* machine, HvCosts costs)
 
 void Hypervisor::RegisterObject(const ObjRef& obj) {
   obj->set_oid(objects_.size());
-  objects_.push_back(ObjSlot{obj, obj->type()});
+  objects_.push_back(obj);
 }
 
 Hypervisor::~Hypervisor() {
@@ -79,8 +77,8 @@ Hypervisor::~Hypervisor() {
   // hand frames and tags back to still exist; emptying every capability
   // space then lets the remaining references unwind.
   std::vector<ObjRef> live;
-  for (const ObjSlot& slot : objects_) {
-    if (ObjRef obj = slot.ref.lock(); obj != nullptr) {
+  for (const std::weak_ptr<KObject>& slot : objects_) {
+    if (ObjRef obj = slot.lock(); obj != nullptr) {
       live.push_back(std::move(obj));
     }
   }
@@ -166,18 +164,6 @@ std::shared_ptr<Pd> Hypervisor::SelfRef(Pd* caller) {
   }
   auto self = RefAs<Pd>(caller->caps().LookupRef(kSelOwnPd), ObjType::kPd);
   return self != nullptr ? self : root_pd_;
-}
-
-hw::PhysAddr Hypervisor::AllocFrame() {
-  return root_pd_ != nullptr ? AllocFrameFor(root_pd_.get()) : PoolAlloc();
-}
-
-void Hypervisor::FreeFrame(hw::PhysAddr frame) {
-  if (root_pd_ != nullptr) {
-    FreeFrameFor(root_pd_.get(), frame);
-  } else {
-    PoolFree(frame);
-  }
 }
 
 std::shared_ptr<Pd> Hypervisor::MakePd(const std::string& name, bool is_vm,

@@ -158,10 +158,6 @@ class Hypervisor : public KmemPool {
   // Test accessor: callers inspect a stopped machine.
   Mdb& mdb() { return mdb_.Get(SerialPhase::kQuiescedSnapshot); }
 
-  // Kernel frame allocator (exposed for the root PM to build tables for
-  // guests during image installation). Charged to the root PD's account.
-  [[nodiscard]] hw::PhysAddr AllocFrame();
-  void FreeFrame(hw::PhysAddr frame);
   // KmemPool: allocate/free one kernel frame charged to `pd`'s quota
   // chain. Returns 0 on quota or pool exhaustion — never a fake frame.
   [[nodiscard]] hw::PhysAddr AllocFrameFor(Pd* pd) override;
@@ -182,7 +178,6 @@ class Hypervisor : public KmemPool {
   // after the call (they are attached lazily, on a vCPU's first
   // shadow-paging exit), so set it before the VM first runs.
   void set_vtlb_policy(const VtlbPolicy& policy) { vtlb_policy_ = policy; }
-  const VtlbPolicy& vtlb_policy() const { return vtlb_policy_; }
   // The per-vCPU shadow-paging subsystem, attached on first use.
   Vtlb& VtlbFor(Ec* vcpu);
 
@@ -210,7 +205,7 @@ class Hypervisor : public KmemPool {
 
   // Object registry: every kernel object gets a creation-order ordinal.
   ObjRef ObjectByOid(std::uint64_t oid) const {
-    return oid < objects_.size() ? objects_[oid].ref.lock() : nullptr;
+    return oid < objects_.size() ? objects_[oid].lock() : nullptr;
   }
   std::uint64_t ObjectCount() const { return objects_.size(); }
 
@@ -421,13 +416,8 @@ class Hypervisor : public KmemPool {
   hw::PagingMode host_paging_mode_;
   std::uint32_t boot_cpu_for_step_ = 0;
 
-  // Creation-order object registry (snapshot identity). Entries are never
-  // pruned; `type` is kept so save can name an expired object in errors.
-  struct ObjSlot {
-    std::weak_ptr<KObject> ref;
-    ObjType type = ObjType::kPd;
-  };
-  std::vector<ObjSlot> objects_;
+  // Creation-order object registry (snapshot identity); never pruned.
+  std::vector<std::weak_ptr<KObject>> objects_;
 
   // Shared kernel structures with a contention price under SMP.
   KernelLock<LockId::kSched> sched_lock_;

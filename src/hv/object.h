@@ -14,17 +14,6 @@ namespace nova::hv {
 
 enum class ObjType : std::uint8_t { kPd, kEc, kSc, kPt, kSm };
 
-constexpr const char* ObjTypeName(ObjType t) {
-  switch (t) {
-    case ObjType::kPd: return "pd";
-    case ObjType::kEc: return "ec";
-    case ObjType::kSc: return "sc";
-    case ObjType::kPt: return "pt";
-    case ObjType::kSm: return "sm";
-  }
-  return "?";
-}
-
 class KObject {
  public:
   explicit KObject(ObjType type) : type_(type) {}

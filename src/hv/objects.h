@@ -102,7 +102,6 @@ class Pd : public KObject {
   // an IPI on unmap/invalidate.
   std::uint64_t cores_mask() const { return cores_mask_; }
   void NoteCore(std::uint32_t cpu_id) { cores_mask_ |= 1ull << cpu_id; }
-  void ClearCore(std::uint32_t cpu_id) { cores_mask_ &= ~(1ull << cpu_id); }
   void ClearCores() { cores_mask_ = 0; }
   // Snapshot field list; `refs` encodes kernel-object references as oids
   // (hv/snapshot.cc). Name and kind are construction invariants.

@@ -73,7 +73,6 @@ class CpuState {
   }
   std::vector<std::shared_ptr<Ec>>& halted() { return halted_vcpus_; }
   const std::vector<std::shared_ptr<Ec>>& halted() const { return halted_vcpus_; }
-  bool has_halted() const { return !halted_vcpus_.empty(); }
 
   // Snapshot support: enumerate / reset the ready queue (see RunQueue).
   void CollectReady(std::vector<Sc*>* out) const { runqueue_.CollectOrdered(out); }

@@ -73,8 +73,8 @@ void Hypervisor::Io(Ar& ar) {
   // keeps each object and its charge alive while references are rewritten.
   std::vector<ObjRef> objs;
   objs.reserve(objects_.size());
-  for (const ObjSlot& slot : objects_) {
-    objs.push_back(slot.ref.lock());
+  for (const std::weak_ptr<KObject>& slot : objects_) {
+    objs.push_back(slot.lock());
     if (objs.back() == nullptr) {
       ar.Fail();
       return;

@@ -43,8 +43,6 @@ class MemSpace {
   // Host frame backing `page`, or ~0 when unmapped.
   std::uint64_t HpaPageFor(std::uint64_t page) const;
 
-  std::size_t mapped_pages() const { return pages_.size(); }
-
   // Visit every mapped page in ascending page order (deterministic: used
   // by the migration driver to enumerate guest frames and by dirty-log
   // collection).

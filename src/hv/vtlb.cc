@@ -169,7 +169,9 @@ Vtlb::Outcome Vtlb::Resolve(const hw::VmExit& exit, std::uint64_t* gpa_out) {
   const hw::Access access{.write = exit.is_write, .user = false};
 
   std::uint64_t gpa = gva;
-  std::uint64_t guest_leaf = hw::pte::kWritable | hw::pte::kUser;
+  // Without guest paging every access is to a writable, already-dirty page.
+  bool guest_writable = true;
+  bool guest_dirty = true;
   if (gs.paging) {
     // Parse the real guest page table. Each entry's GPA->HPA step is the
     // free host walk (the host-page-table trick, see above); a guest table
@@ -190,7 +192,8 @@ Vtlb::Outcome Vtlb::Resolve(const hw::VmExit& exit, std::uint64_t* gpa_out) {
       return Outcome::kGuestFault;
     }
     gpa = w.pa;
-    guest_leaf = w.pte;
+    guest_writable = w.writable();
+    guest_dirty = w.dirty();
   }
 
   // Final GPA->HPA through the VM's host page table.
@@ -203,11 +206,8 @@ Vtlb::Outcome Vtlb::Resolve(const hw::VmExit& exit, std::uint64_t* gpa_out) {
 
   // Install the shadow entry. Writable only once the guest dirty bit is
   // set, so the first write to a clean page faults back into the vTLB.
-  const bool host_writable = (fx.pte & hw::pte::kWritable) != 0;
-  const bool guest_writable = (guest_leaf & hw::pte::kWritable) != 0;
-  const bool dirty = (guest_leaf & hw::pte::kDirty) != 0 || !gs.paging;
   std::uint64_t flags = hw::pte::kUser;
-  if (guest_writable && host_writable && (dirty || access.write)) {
+  if (guest_writable && fx.writable() && (guest_dirty || access.write)) {
     flags |= hw::pte::kWritable | hw::pte::kDirty;
   }
 

@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "src/sim/log.h"
-
 namespace nova::hw {
 
 AhciController::AhciController(DeviceId id, Iommu* iommu, IrqChip* irq,

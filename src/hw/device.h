@@ -70,9 +70,6 @@ class Bus {
   Status PioRead(std::uint16_t port, unsigned size, std::uint32_t* out) const;
   Status PioWrite(std::uint16_t port, unsigned size, std::uint32_t value) const;
 
-  const std::vector<MmioRange>& mmio_ranges() const { return mmio_; }
-  const std::vector<PioRange>& pio_ranges() const { return pio_; }
-
  private:
   std::vector<MmioRange> mmio_;
   std::vector<PioRange> pio_;

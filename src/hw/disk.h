@@ -75,7 +75,6 @@ class DiskModel {
   void WriteContent(std::uint64_t offset, const void* data, std::uint64_t bytes);
   void ReadContent(std::uint64_t offset, void* out, std::uint64_t bytes) const;
 
-  const DiskGeometry& geometry() const { return geometry_; }
   std::uint64_t completed_requests() const { return completed_.value(); }
   std::uint64_t media_errors() const { return media_errors_.value(); }
   std::size_t pending_requests() const { return pending_.size(); }

@@ -42,7 +42,6 @@ void Machine::Io(Ar& ar) {
   ar.Section("sim.events", 1, events_);
   ar.Section("hw.irq", 1, irq_);
   ar.Section("hw.iommu", 1, iommu_);
-  ar.Section("sim.stats", 1, stats_);
   ar.Section("sim.trace", 1, tracer_);
   ar.Section("hw.cpus", 1, [this](auto& cw) {
     // The twin must match the CPU topology.

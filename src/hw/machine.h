@@ -14,7 +14,6 @@
 #include "src/hw/irq.h"
 #include "src/hw/phys_mem.h"
 #include "src/sim/event_queue.h"
-#include "src/sim/stats.h"
 #include "src/sim/trace.h"
 
 namespace nova::hw {
@@ -41,7 +40,6 @@ class Machine {
   IrqChip& irq() { return irq_; }
   Iommu& iommu() { return iommu_; }
   Bus& bus() { return bus_; }
-  sim::StatRegistry& stats() { return stats_; }
   // Structured event tracer; disabled by default and shared by every layer
   // riding on this machine (hypervisor, devices, interrupt fabric).
   sim::Tracer& tracer() { return tracer_; }
@@ -57,7 +55,6 @@ class Machine {
     devices_.push_back(std::move(device));
     return raw;
   }
-  const std::vector<std::unique_ptr<Device>>& devices() const { return devices_; }
 
   // Earliest local clock across all CPUs. Device time may never advance
   // past this: a core that is behind could still initiate I/O "in the
@@ -74,7 +71,7 @@ class Machine {
   bool SkipToNextEvent();
 
   // Serialize the machine's own components (RAM, event queue, interrupt
-  // fabric, IOMMU, CPUs, stats, tracer) as sections of `snap`. Device
+  // fabric, IOMMU, CPUs, tracer) as sections of `snap`. Device
   // models are owned by higher layers with typed pointers and save their
   // own sections. Restore overlays a twin constructed from the identical
   // MachineConfig.
@@ -93,7 +90,6 @@ class Machine {
   IrqChip irq_;
   Iommu iommu_;
   Bus bus_;
-  sim::StatRegistry stats_;
   sim::Tracer tracer_{&events_};
   std::vector<std::unique_ptr<Cpu>> cpus_;
   std::vector<std::unique_ptr<Device>> devices_;

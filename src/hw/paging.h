@@ -69,6 +69,12 @@ struct WalkResult {
   int accesses = 0;                  // Memory accesses the walk performed.
   bool table_fault = false;          // A table entry did not resolve.
   PageFaultInfo fault;               // Valid on a failed, non-table-fault walk.
+
+  // Leaf permission and status bits (valid on a successful walk).
+  bool writable() const { return (pte & pte::kWritable) != 0; }
+  bool user() const { return (pte & pte::kUser) != 0; }
+  bool dirty() const { return (pte & pte::kDirty) != 0; }
+  bool global() const { return (pte & pte::kGlobal) != 0; }
 };
 
 // Page size helpers per mode.

@@ -30,7 +30,6 @@ constexpr std::uint64_t kPageSize = 4096;
 constexpr std::uint64_t kPageMask = kPageSize - 1;
 constexpr std::uint64_t kPageShift = 12;
 
-constexpr PhysAddr PageAlignDown(PhysAddr a) { return a & ~kPageMask; }
 constexpr PhysAddr PageAlignUp(PhysAddr a) { return (a + kPageMask) & ~kPageMask; }
 constexpr std::uint64_t FrameOf(PhysAddr a) { return a >> kPageShift; }
 

@@ -69,8 +69,8 @@ VmEngine::XlatResult VmEngine::TranslateGpa(const VmControls& ctl,
     r.pf = w.fault;
     return r;
   }
-  (void)nested_tlb_.Insert(ctl.tag, gpa, w.pa, w.page_size,
-                     (w.pte & pte::kWritable) != 0, true, true);
+  (void)nested_tlb_.Insert(ctl.tag, gpa, w.pa, w.page_size, w.writable(), true,
+                           true);
   r.hpa = w.pa;
   return r;
 }
@@ -100,9 +100,8 @@ VmEngine::XlatResult VmEngine::Translate(GuestState& gs, const VmControls& ctl,
         r.pf = w.fault;
         return r;
       }
-      (void)tlb.Insert(ctl.tag, gva, w.pa, w.page_size, (w.pte & pte::kWritable) != 0,
-                 (w.pte & pte::kUser) != 0, (w.pte & pte::kDirty) != 0,
-                 (w.pte & pte::kGlobal) != 0);
+      (void)tlb.Insert(ctl.tag, gva, w.pa, w.page_size, w.writable(), w.user(),
+                       w.dirty(), w.global());
       r.hpa = w.pa;
       return r;
     }
@@ -110,7 +109,8 @@ VmEngine::XlatResult VmEngine::Translate(GuestState& gs, const VmControls& ctl,
     case TranslationMode::kNested: {
       std::uint64_t gpa = gva;
       std::uint64_t guest_page = 0;  // 0: determined by the host page below.
-      std::uint64_t leaf = 0;
+      bool writable = true;
+      bool user = true;
       if (gs.paging) {
         // Two-dimensional walk: every guest-table access itself goes
         // through the nested tables.
@@ -132,7 +132,8 @@ VmEngine::XlatResult VmEngine::Translate(GuestState& gs, const VmControls& ctl,
         }
         guest_page = w.page_size;
         gpa = w.pa;
-        leaf = w.pte;
+        writable = w.writable();
+        user = w.user();
       }
       const XlatResult fx = TranslateGpa(ctl, gpa, access);
       if (fx.kind != XlatResult::Kind::kOk) {
@@ -140,8 +141,6 @@ VmEngine::XlatResult VmEngine::Translate(GuestState& gs, const VmControls& ctl,
       }
       // The TLB caches GVA->HPA at the smaller of the two granularities.
       std::uint64_t span = guest_page != 0 ? guest_page : kPageSize;
-      const bool writable = !gs.paging || (leaf & pte::kWritable) != 0;
-      const bool user = !gs.paging || (leaf & pte::kUser) != 0;
       (void)tlb.Insert(ctl.tag, gva, fx.hpa, std::min(span, kPageSize * 512),
                  writable, user, access.write);
       r.hpa = fx.hpa;
@@ -157,8 +156,8 @@ VmEngine::XlatResult VmEngine::Translate(GuestState& gs, const VmControls& ctl,
         r.pf = w.fault;
         return r;
       }
-      (void)tlb.Insert(ctl.tag, gva, w.pa, w.page_size, (w.pte & pte::kWritable) != 0,
-                 (w.pte & pte::kUser) != 0, (w.pte & pte::kDirty) != 0);
+      (void)tlb.Insert(ctl.tag, gva, w.pa, w.page_size, w.writable(), w.user(),
+                       w.dirty());
       r.hpa = w.pa;
       return r;
     }

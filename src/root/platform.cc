@@ -4,18 +4,12 @@
 
 namespace nova::root {
 
-Platform SetupStandardPlatform(hw::Machine* machine, RootPartitionManager* root,
-                               hw::DiskGeometry disk_geometry) {
+Platform SetupStandardPlatform(hw::Machine* machine, RootPartitionManager* root) {
   Platform p;
 
-  auto disk = std::make_unique<hw::DiskModel>(&machine->events(), disk_geometry);
-  p.disk = disk.get();
-  // The disk model is not a bus device itself; keep it alive by pairing it
-  // with the controller below.
-  static_assert(sizeof(disk) > 0);
-
+  p.disk = std::make_unique<hw::DiskModel>(&machine->events(), hw::DiskGeometry{});
   auto ahci = std::make_unique<hw::AhciController>(
-      kAhciDevId, &machine->iommu(), &machine->irq(), kAhciGsi, disk.get());
+      kAhciDevId, &machine->iommu(), &machine->irq(), kAhciGsi, p.disk.get());
   p.ahci = machine->AddDevice(std::move(ahci));
   p.ahci->set_tracer(&machine->tracer());
   (void)machine->bus().RegisterMmio(kAhciMmioBase, kAhciMmioSize, p.ahci);
@@ -35,20 +29,6 @@ Platform SetupStandardPlatform(hw::Machine* machine, RootPartitionManager* root,
   auto uart = std::make_unique<hw::Uart>(kUartDevId);
   p.uart = machine->AddDevice(std::move(uart));
   (void)machine->bus().RegisterPio(hw::uart::kPortBase, 8, p.uart);
-
-  // Transfer disk-model ownership into the machine's device list by
-  // wrapping it; the controller holds the functional pointer.
-  class DiskHolder : public hw::Device {
-   public:
-    explicit DiskHolder(std::unique_ptr<hw::DiskModel> d)
-        : Device(0xffff, "disk-model"), disk_(std::move(d)) {}
-    std::uint64_t MmioRead(std::uint64_t, unsigned) override { return 0; }
-    void MmioWrite(std::uint64_t, unsigned, std::uint64_t) override {}
-
-   private:
-    std::unique_ptr<hw::DiskModel> disk_;
-  };
-  machine->AddDevice(std::make_unique<DiskHolder>(std::move(disk)));
 
   if (root != nullptr) {
     root->RegisterDevice("ahci", DeviceInfo{.id = kAhciDevId,

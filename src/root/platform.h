@@ -31,9 +31,11 @@ constexpr hw::DeviceId kNicDevId = 0x0208;
 constexpr hw::DeviceId kTimerDevId = 0x0020;
 constexpr hw::DeviceId kUartDevId = 0x0028;
 
+// The bus devices belong to the machine; the disk model and the network
+// link are not bus devices, so the platform owns them.
 struct Platform {
   hw::AhciController* ahci = nullptr;
-  hw::DiskModel* disk = nullptr;
+  std::unique_ptr<hw::DiskModel> disk;
   hw::Nic* nic = nullptr;
   std::unique_ptr<hw::NetLink> link;
   hw::PlatformTimer* timer = nullptr;
@@ -41,9 +43,10 @@ struct Platform {
 };
 
 // Build the standard device set on `machine`, register bus windows, and
-// announce everything to the root partition manager.
-Platform SetupStandardPlatform(hw::Machine* machine, RootPartitionManager* root,
-                               hw::DiskGeometry disk_geometry = hw::DiskGeometry{});
+// announce everything to the root partition manager. The result must
+// outlive the machine's use of the AHCI controller, which reads its disk.
+[[nodiscard]] Platform SetupStandardPlatform(hw::Machine* machine,
+                                             RootPartitionManager* root);
 
 }  // namespace nova::root
 

@@ -1,5 +1,7 @@
 #include "src/root/supervisor.h"
 
+#include <algorithm>
+
 namespace nova::root {
 
 namespace {
@@ -22,25 +24,35 @@ VmmSupervisor::VmmSupervisor(hv::Hypervisor* hv, RootPartitionManager* root,
 }
 
 Status VmmSupervisor::Watch(vmm::Vmm* vmm, RestartFn on_restart) {
-  const std::uint64_t slot = watched_.size() % kBeatsPerPage;
-  if (slot == 0) {
-    const std::uint64_t page = root_->AllocPages(1);
-    if (page == 0) {
-      return Status::kNoMem;
+  // A recovered entry's VMM is dead and beats no more: its word is free.
+  auto it = std::find_if(watched_.begin(), watched_.end(),
+                         [](const Watched& entry) { return entry.recovered; });
+  hw::PhysAddr hb_addr = 0;
+  if (it != watched_.end()) {
+    hb_addr = it->hb_addr;
+    *it = Watched{};
+  } else {
+    const std::uint64_t slot = watched_.size() % kBeatsPerPage;
+    if (slot == 0) {
+      const std::uint64_t page = root_->AllocPages(1);
+      if (page == 0) {
+        return Status::kNoMem;
+      }
+      hb_page_ = page;
     }
-    hb_page_ = page;
+    hb_addr = (hb_page_ << hw::kPageShift) + slot * sizeof(std::uint64_t);
+    it = watched_.emplace(watched_.end());
   }
-  Watched w;
+  Watched& w = *it;
   w.vmm = vmm;
-  w.hb_addr = (hb_page_ << hw::kPageShift) + slot * sizeof(std::uint64_t);
+  w.hb_addr = hb_addr;
   // The teardown selectors are fetched eagerly: once the VMM is dead it can
   // no longer push its VM capability up to the root.
   w.vm_sel = vmm->ExposeVmToRoot();
   w.vmm_sel = vmm->vmm_pd_sel();
   w.on_restart = std::move(on_restart);
-  watched_.push_back(std::move(w));
 
-  vmm->StartHeartbeat(config_.check_period_ps / 2, watched_.back().hb_addr);
+  vmm->StartHeartbeat(config_.check_period_ps / 2, w.hb_addr);
 
   if (!check_running_) {
     check_running_ = true;
@@ -73,7 +85,7 @@ void VmmSupervisor::CheckAll() {
       watched_[i].stale = 0;
       continue;
     }
-    if (++watched_[i].stale >= config_.stale_checks) {
+    if (++watched_[i].stale >= kStaleChecks) {
       Recover(watched_[i]);
     }
   }
@@ -112,7 +124,7 @@ void VmmSupervisor::Recover(Watched& w) {
   } else {
     info.vahci_regs = w.vmm->vahci().SaveRegs();
   }
-  last_detect_latency_ps_ = config_.stale_checks * config_.check_period_ps;
+  last_detect_latency_ps_ = kStaleChecks * config_.check_period_ps;
 
   // Teardown through the ordinary hypercall interface: child domains first
   // (the VM), then the VMM itself. Revocation recursively strips every

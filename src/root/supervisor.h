@@ -39,8 +39,6 @@ class VmmSupervisor {
     // How often the supervisor samples the heartbeat words. The VMM beats
     // at twice this rate, so one missed sample is already suspicious.
     sim::PicoSeconds check_period_ps = 2'000'000'000;  // 2 ms.
-    // Consecutive stale samples before the VMM is declared dead.
-    std::uint32_t stale_checks = 2;
     // Checkpoint each healthy VMM's recovery state every N check ticks
     // (0 disables; recovery then reads the dead VMM's device model as a
     // best effort, the pre-checkpointing behaviour).
@@ -67,13 +65,17 @@ class VmmSupervisor {
   VmmSupervisor(const VmmSupervisor&) = delete;
   VmmSupervisor& operator=(const VmmSupervisor&) = delete;
 
+  // Consecutive stale samples before a VMM is declared dead.
+  static constexpr std::uint32_t kStaleChecks = 2;
+
   // Start watching `vmm`: allocates its heartbeat word, starts the VMM's
   // heartbeat, and records the selectors needed for teardown. On detected
   // death the supervisor destroys the VM and VMM domains and calls
-  // `on_restart` with the saved state. Every watch, a re-watch after a
-  // restart included, takes a fresh word; a full heartbeat page is followed
-  // by a new one from the root, and kNoMem means the root had none left
-  // (nothing is watched then).
+  // `on_restart` with the saved state. A watch takes over the entry and
+  // heartbeat word of a VMM already recovered (the replacement re-watched
+  // from `on_restart`, say); otherwise it takes a fresh word, a full
+  // heartbeat page is followed by a new one from the root, and kNoMem
+  // means the root had none left (nothing is watched then).
   [[nodiscard]] Status Watch(vmm::Vmm* vmm, RestartFn on_restart);
 
   std::uint64_t recoveries() const { return recoveries_; }

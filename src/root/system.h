@@ -18,17 +18,15 @@ namespace nova::root {
 struct SystemConfig {
   hw::MachineConfig machine{};
   hv::HvCosts hv_costs{};
-  std::uint64_t kernel_reserve = 64ull << 20;
-  hw::DiskGeometry disk_geometry{};
 };
 
 class NovaSystem {
  public:
   explicit NovaSystem(SystemConfig config = SystemConfig{})
       : machine(config.machine), hv(&machine, config.hv_costs) {
-    hv.Boot(config.kernel_reserve);
+    hv.Boot();
     root = std::make_unique<RootPartitionManager>(&hv);
-    platform = SetupStandardPlatform(&machine, root.get(), config.disk_geometry);
+    platform = SetupStandardPlatform(&machine, root.get());
   }
 
   // Start the user-level disk server (idempotent).

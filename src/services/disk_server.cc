@@ -13,10 +13,11 @@ constexpr std::uint64_t kDiskServerOwner =
     sim::EventQueue::OwnerToken("svc.disk");
 constexpr std::uint32_t kOpDeadline = 1;
 constexpr std::uint32_t kOpReissue = 2;
+constexpr std::uint8_t kIrqPrio = 40;  // Interrupt thread's priority.
 }  // namespace
 
 DiskServer::DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
-                       std::uint32_t cpu, std::uint8_t irq_prio)
+                       std::uint32_t cpu)
     : hv_(hv), root_(root), cpu_(cpu) {
   event_owner_ = hv_->machine().events().RegisterOwner(
       kDiskServerOwner,
@@ -57,7 +58,7 @@ DiskServer::DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
   (void)hv_->CreateEcGlobal(root->pd(), irq_ec_sel, pd_sel_, cpu,
                       [this] { IrqThreadStep(); }, &irq_ec_);
   const hv::CapSel irq_sc_sel = root->FreeSel();
-  (void)hv_->CreateSc(root->pd(), irq_sc_sel, irq_ec_sel, irq_prio, 5'000'000);
+  (void)hv_->CreateSc(root->pd(), irq_sc_sel, irq_ec_sel, kIrqPrio, 5'000'000);
 
   // Bring the controller up. Task-file errors interrupt too, so errored
   // commands surface on the same semaphore as completions.

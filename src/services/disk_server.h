@@ -45,7 +45,7 @@ class DiskServer {
   // Creates the server domain, claims the AHCI controller and its
   // interrupt, allocates command memory, and starts the interrupt thread.
   DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
-             std::uint32_t cpu, std::uint8_t irq_prio = 40);
+             std::uint32_t cpu);
 
   struct Channel {
     hv::CapSel request_portal;   // In the *client's* capability space.

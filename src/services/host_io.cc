@@ -4,7 +4,6 @@ namespace nova::services {
 namespace {
 
 constexpr sim::Cycles kMmioCost = 150;
-constexpr sim::Cycles kPioCost = 220;
 
 bool HoldsWindow(hv::Pd* pd, hw::PhysAddr addr) {
   return pd->mem_space().PermsFor(addr >> hw::kPageShift) != 0;
@@ -36,32 +35,6 @@ Status HostMmioWrite(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
     return Status::kDenied;
   }
   return hv->machine().bus().MmioWrite(addr, size, value);
-}
-
-std::uint32_t HostPioRead(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
-                          std::uint16_t port, Status* status) {
-  hv->machine().cpu(cpu_id).Charge(kPioCost);
-  if (!pd->io_space().Test(port)) {
-    if (status != nullptr) {
-      *status = Status::kDenied;
-    }
-    return ~0u;
-  }
-  std::uint32_t value = 0;
-  const Status s = hv->machine().bus().PioRead(port, 4, &value);
-  if (status != nullptr) {
-    *status = s;
-  }
-  return value;
-}
-
-Status HostPioWrite(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
-                    std::uint16_t port, std::uint32_t value) {
-  hv->machine().cpu(cpu_id).Charge(kPioCost);
-  if (!pd->io_space().Test(port)) {
-    return Status::kDenied;
-  }
-  return hv->machine().bus().PioWrite(port, 4, value);
 }
 
 }  // namespace nova::services

@@ -19,12 +19,6 @@ std::uint64_t HostMmioRead(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
 Status HostMmioWrite(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
                      hw::PhysAddr addr, unsigned size, std::uint64_t value);
 
-// Port I/O with I/O-space permission check.
-std::uint32_t HostPioRead(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
-                          std::uint16_t port, Status* status = nullptr);
-Status HostPioWrite(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
-                    std::uint16_t port, std::uint32_t value);
-
 }  // namespace nova::services
 
 #endif  // SRC_SERVICES_HOST_IO_H_

@@ -13,7 +13,7 @@ sim::PicoSeconds MigrationDriver::TransferTime(std::uint64_t bytes) const {
   const double ps_per_byte = 8.0e6 / config_.bandwidth_mbps;
   return static_cast<sim::PicoSeconds>(static_cast<double>(bytes) *
                                        ps_per_byte) +
-         config_.round_latency_ps;
+         kRoundLatencyPs;
 }
 
 bool MigrationDriver::LinkDown(MigrationResult* result) {
@@ -43,7 +43,7 @@ MigrationResult MigrationDriver::Run() {
     if (LinkDown(&result)) {
       continue;  // Dirty pages accumulate; retry the same round.
     }
-    const std::uint64_t bytes = pending_pages * config_.frame_bytes;
+    const std::uint64_t bytes = pending_pages * hw::kPageSize;
     ep_.run_source(TransferTime(bytes));
     result.bytes_sent += bytes;
     result.total_ps += TransferTime(bytes);
@@ -81,7 +81,7 @@ MigrationResult MigrationDriver::Run() {
   }
   result.snapshot_bytes = snap.PayloadBytes();
   const std::uint64_t stop_bytes =
-      pending_pages * config_.frame_bytes + result.snapshot_bytes;
+      pending_pages * hw::kPageSize + result.snapshot_bytes;
   result.stop_copy_pages = pending_pages;
   result.bytes_sent += stop_bytes;
   result.downtime_ps = TransferTime(stop_bytes);

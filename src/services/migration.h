@@ -42,10 +42,11 @@ class Pd;
 
 namespace nova::services {
 
+// Fixed latency every transfer pays on top of its bytes over the link.
+constexpr sim::PicoSeconds kRoundLatencyPs = sim::Microseconds(100);
+
 struct MigrationConfig {
   double bandwidth_mbps = 1000;          // Migration link (the paper's GigE).
-  std::uint64_t frame_bytes = 4096;      // Page transfer granularity.
-  sim::PicoSeconds round_latency_ps = sim::Microseconds(100);
   std::uint32_t max_rounds = 8;          // Pre-copy rounds before cutoff.
   std::uint64_t stop_copy_threshold_pages = 64;
   std::uint32_t retry_max = 3;           // Partition retries before giving up.

@@ -94,21 +94,6 @@ class FaultPlan {
   }
   std::uint64_t total_injected() const;
 
-  // Snapshot the injection cursor: RNG stream position, per-entry
-  // budgets/activation, injection counts. Entries themselves must match
-  // between save and load (the twin schedules the identical plan).
-  Status SaveState(SnapWriter& w) const { return w.Save(*this); }
-  Status LoadState(SnapReader& r) { return r.Restore(*this); }
-  template <class Ar>
-  void Io(Ar& ar) {
-    ar.Io(rng_, armed_, injected_);
-    ar.Verify(static_cast<std::uint32_t>(entries_.size()));
-    for (Entry& e : entries_) {
-      ar.Io(e.ev.at, e.ev.kind, e.ev.target, e.ev.count, e.ev.rate,
-            e.ev.window_ps, e.active);
-    }
-  }
-
  private:
   struct Entry {
     FaultEvent ev;

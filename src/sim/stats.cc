@@ -1,18 +1,6 @@
 #include "src/sim/stats.h"
 
-#include <cmath>
-
 namespace nova::sim {
-
-std::uint64_t Distribution::Percentile(double q) const {
-  if (samples_.empty()) {
-    return 0;
-  }
-  std::sort(samples_.begin(), samples_.end());
-  const double rank = q / 100.0 * static_cast<double>(samples_.size() - 1);
-  const auto idx = static_cast<std::size_t>(std::llround(rank));
-  return samples_[std::min(idx, samples_.size() - 1)];
-}
 
 void UtilizationTracker::SetBusy(PicoSeconds now, bool busy) {
   if (busy == busy_) {

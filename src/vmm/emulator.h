@@ -38,8 +38,6 @@ class InsnEmulator {
                std::function<std::uint64_t(std::uint64_t)> gpa_to_hpa)
       : mem_(mem), cpu_(cpu), gpa_to_hpa_(std::move(gpa_to_hpa)) {}
 
-  void set_costs(const Costs& costs) { costs_ = costs; }
-
   enum class Result : std::uint8_t {
     kOk,           // Emulated; arch state updated.
     kInjectPf,     // Deliver #PF to the guest (arch.cr2 set).

@@ -113,12 +113,11 @@ void Vmm::StartHeartbeat(sim::PicoSeconds period_ps, hw::PhysAddr hb_addr) {
 
 void Vmm::HeartbeatTick() {
   if (!hb_running_ || crashed_) {
-    hb_event_ = 0;
     return;  // A dead VMM stops beating — that is the signal.
   }
   ++hb_count_;
   (void)hv_->machine().mem().Write(hb_addr_, &hb_count_, sizeof(hb_count_));
-  hb_event_ = hv_->machine().events().ScheduleAfter(
+  hv_->machine().events().ScheduleAfter(
       hb_period_ps_, sim::EventTag{HbOwner(), /*op=*/1});
 }
 
@@ -231,12 +230,12 @@ void Vmm::CreateVm() {
       ctl.intercept_cr3 = true;
       ctl.intercept_invlpg = true;
     }
-    if (config_.disable_intercepts) {
+    if (config_.direct) {
       ctl.intercept_cpuid = false;
       ctl.intercept_hlt = false;
       ctl.intercept_vmcall = false;
     }
-    ctl.direct_interrupts = config_.direct_interrupts;
+    ctl.direct_interrupts = config_.direct;
   }
 }
 
@@ -285,7 +284,7 @@ Status Vmm::AssignHostDevice(const std::string& name, std::uint8_t vector,
   // virtualization, §8.2/8.3).
   const root::DeviceInfo* dev = root_->FindDevice(name);
   if (dev != nullptr && dev->gsi != ~0u) {
-    if (config_.direct_interrupts) {
+    if (config_.direct) {
       // Idealized zero-exit configuration: interrupts delivered straight
       // into the guest (§8.1 "Direct" bar).
       const hv::CapSel vcpu_in_root = root_->FreeSel();
@@ -318,7 +317,6 @@ Status Vmm::AssignHostDevice(const std::string& name, std::uint8_t vector,
 }
 
 void Vmm::ConnectDiskServer(services::DiskServer* server) {
-  disk_server_ = server;
   // Completion portal: handled by a dedicated local EC in the VMM domain;
   // the capability lives in the root's space so the root can broker it to
   // the server (channel setup is a control-plane operation).
@@ -654,8 +652,8 @@ void Vmm::Io(Ar& ar) {
   if constexpr (Ar::kLoading) {
     delegated_buffer_pages_ = {delegated.begin(), delegated.end()};
   }
-  ar.Io(crashed_, hb_count_, hb_running_, hb_period_ps_, hb_addr_, hb_event_,
-        *vpic_, *vpit_, *vuart_, *vahci_);
+  ar.Io(crashed_, hb_count_, hb_running_, hb_period_ps_, hb_addr_, *vpic_,
+        *vpit_, *vuart_, *vahci_);
 }
 
 Status Vmm::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }

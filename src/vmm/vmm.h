@@ -38,8 +38,7 @@ struct VmmConfig {
   hw::TranslationMode mode = hw::TranslationMode::kNested;
   // Zero-exit "Direct" configuration of §8.1: intercepts disabled and
   // interrupts delivered straight into the guest.
-  bool disable_intercepts = false;
-  bool direct_interrupts = false;
+  bool direct = false;
   std::uint32_t num_vcpus = 1;
   std::uint32_t first_cpu = 0;  // vCPU i runs on physical CPU first_cpu+i.
   // Transfer the full architectural state on every exit instead of the
@@ -221,7 +220,6 @@ class Vmm {
   std::vector<DeviceModel*> models_;
 
   // Disk server channel.
-  services::DiskServer* disk_server_ = nullptr;
   hv::CapSel disk_portal_ = hv::kInvalidSel;  // Request portal (VMM space).
   std::uint64_t disk_shared_page_ = 0;
   std::uint32_t disk_channel_id_ = 0;
@@ -243,7 +241,6 @@ class Vmm {
   bool hb_running_ = false;
   sim::PicoSeconds hb_period_ps_ = 0;
   hw::PhysAddr hb_addr_ = 0;
-  sim::EventQueue::EventId hb_event_ = 0;  // Pending beat; 0 once stopped.
   sim::EventOwner hb_owner_;  // Last member: unregisters first.
 };
 

@@ -18,10 +18,9 @@ class GuestKernelTest : public ::testing::Test {
       : machine_(hw::MachineConfig{.cpus = {&hw::CoreI7_920()},
                                    .ram_size = 256ull << 20,
                                    .iommu_present = false}),
-        runner_(&machine_) {
-    // Host devices (the guest's timer lives on ports 0x40-0x43).
-    root::SetupStandardPlatform(&machine_, nullptr);
-  }
+        runner_(&machine_),
+        // Host devices (the guest's timer lives on ports 0x40-0x43).
+        platform_(root::SetupStandardPlatform(&machine_, nullptr)) {}
 
   std::unique_ptr<GuestKernel> MakeKernel(GuestKernelConfig config) {
     return std::make_unique<GuestKernel>(
@@ -37,6 +36,7 @@ class GuestKernelTest : public ::testing::Test {
 
   hw::Machine machine_;
   BareMetalRunner runner_;
+  root::Platform platform_;
 };
 
 TEST_F(GuestKernelTest, BootRunsWithPagingEnabled) {

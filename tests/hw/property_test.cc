@@ -666,7 +666,6 @@ FaultCycleResult RunFaultCycles(std::uint64_t seed, std::uint64_t crashes,
 
   root::VmmSupervisor::Config supc;
   supc.check_period_ps = sim::Microseconds(200);
-  supc.stale_checks = 2;
   root::VmmSupervisor supervisor(&system.hv, system.root.get(), supc);
 
   std::function<void(const root::VmmSupervisor::RecoveryInfo&)> restart;

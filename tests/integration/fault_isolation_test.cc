@@ -4,6 +4,8 @@
 // victim VM resumes and completes its workload; a second VM compiling on
 // another CPU is untouched — its counters are byte-identical to a
 // fault-free run.
+#include <functional>
+
 #include <gtest/gtest.h>
 
 #include "bench/scenario.h"
@@ -79,7 +81,6 @@ ScenarioResult RunScenario(bool crash) {
   // resumes the guest exactly where it stopped.
   root::VmmSupervisor::Config supc;
   supc.check_period_ps = sim::Microseconds(200);
-  supc.stale_checks = 2;
   root::VmmSupervisor supervisor(&system.hv, system.root.get(), supc);
   EXPECT_EQ(supervisor.Watch(&vm_a.vmm(),
                              [&vm_a](const root::VmmSupervisor::RecoveryInfo& info) {
@@ -170,6 +171,59 @@ TEST(VmmSupervisor, WatchWithoutAHeartbeatPageFails) {
   EXPECT_EQ(supervisor.Watch(&vm, nullptr), Status::kNoMem);
   // No heartbeat started: nothing beat into physical address 0.
   EXPECT_EQ(system.machine.mem().Read64(0), word_at_zero);
+}
+
+// A re-watch from the restart callback takes over the recovered entry and
+// its heartbeat word: however often the VMM dies, one word beats.
+TEST(VmmSupervisor, RewatchAfterRestartReusesTheHeartbeatWord) {
+  root::NovaSystem system;
+  system.StartDiskServer();  // Its domain precedes the VMM's.
+  constexpr std::uint64_t kCrashes = 3;
+  sim::FaultPlan plan(/*seed=*/7);
+  for (std::uint64_t i = 0; i < kCrashes; ++i) {
+    plan.Schedule({.at = sim::Milliseconds(1 + 2 * i),
+                   .kind = sim::FaultKind::kVmmCrash,
+                   .target = "a",
+                   .count = 1,
+                   .rate = 1.0});
+  }
+  plan.Arm(&system.machine.events());
+
+  bench::GuestVm vm(system,
+                    vmm::VmmConfig{.name = "a", .guest_mem_bytes = kGuestMem},
+                    bench::GuestVm::Disk::kServerWithErrors);
+  vm.vmm().SetFaultPlan(&plan);
+  guest::DiskWorkload workload(
+      &vm.kernel(), vm.driver(),
+      guest::DiskWorkload::Config{.block_bytes = 4096,
+                                  .total_requests = kDiskRequests});
+  vm.Boot(workload.EmitMain());
+
+  root::VmmSupervisor::Config supc;
+  supc.check_period_ps = sim::Microseconds(200);
+  root::VmmSupervisor supervisor(&system.hv, system.root.get(), supc);
+  std::function<void(const root::VmmSupervisor::RecoveryInfo&)> restart;
+  restart = [&](const root::VmmSupervisor::RecoveryInfo& info) {
+    vm.Restart(info);
+    vm.vmm().SetFaultPlan(&plan);  // The replacement can crash again.
+    EXPECT_EQ(supervisor.Watch(&vm.vmm(), restart), Status::kSuccess);
+  };
+  // The root hands out pages in order: the heartbeat page is the next one.
+  const std::uint64_t before = system.root->AllocPages(1);
+  ASSERT_NE(before, 0u);
+  ASSERT_EQ(supervisor.Watch(&vm.vmm(), restart), Status::kSuccess);
+  system.hv.RunUntilCondition(
+      [&] { return supervisor.recoveries() >= kCrashes; }, sim::Seconds(30));
+  ASSERT_EQ(supervisor.recoveries(), kCrashes);
+
+  const hw::PhysAddr hb_page = (before + 1) << hw::kPageShift;
+  EXPECT_NE(system.machine.mem().Read64(hb_page), 0u);
+  for (std::uint64_t word = 1; word < hw::kPageSize / sizeof(std::uint64_t);
+       ++word) {
+    EXPECT_EQ(system.machine.mem().Read64(hb_page + word * sizeof(std::uint64_t)),
+              0u)
+        << "heartbeat word " << word;
+  }
 }
 
 }  // namespace

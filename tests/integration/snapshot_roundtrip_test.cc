@@ -110,12 +110,13 @@ INSTANTIATE_TEST_SUITE_P(MultiSeed, SnapshotRoundTrip,
 
 // The wire format is pinned: migration prices stop-and-copy downtime from
 // Snapshot::PayloadBytes(), so a moved byte moves bench output. Each row is
-// (section, payload bytes, FNV-1a of the payload) for the seed-42 scenario
-// checkpointed at the midpoint.
+// (section, payload bytes, FNV-1a of the payload, section version) for the
+// seed-42 scenario checkpointed at the midpoint.
 struct GoldenSection {
   const char* name;
   std::size_t bytes;
   std::uint64_t digest;
+  std::uint16_t version = 1;
 };
 
 void ExpectEncodingMatches(const RunConfig& config, std::uint64_t payload,
@@ -134,8 +135,8 @@ void ExpectEncodingMatches(const RunConfig& config, std::uint64_t payload,
   }
   ASSERT_EQ(snap.SectionNames(), names);
   for (const GoldenSection& g : golden) {
-    ASSERT_EQ(snap.SectionVersion(g.name), 1) << g.name;
-    sim::SnapReader r = snap.Open(g.name, 1);
+    ASSERT_EQ(snap.SectionVersion(g.name), g.version) << g.name;
+    sim::SnapReader r = snap.Open(g.name, g.version);
     std::vector<std::uint8_t> bytes;
     while (!r.AtEnd()) {
       bytes.push_back(r.U8());
@@ -149,7 +150,7 @@ void ExpectEncodingMatches(const RunConfig& config, std::uint64_t payload,
 
 TEST(SnapshotRoundTrip, EncodingMatchesGolden) {
   ExpectEncodingMatches(
-      ShortConfig(42), 1955868,
+      ShortConfig(42), 1955856,
       {{"guest.driver", 36, 0x8784d121986dd086ull},
        {"guest.kernel", 24, 0x2da1791f684fadffull},
        {"guest.workload", 453, 0xc47c5a9aaddb2862ull},
@@ -167,10 +168,9 @@ TEST(SnapshotRoundTrip, EncodingMatchesGolden) {
        {"root.pm", 20, 0x47090b7c007fd75eull},
        {"root.sys", 1, 0xaf63bc4c8601b62cull},
        {"sim.events", 84, 0xf2f654fef3d3cfbaull},
-       {"sim.stats", 4, 0x4d25767f9dce13f5ull},
        {"sim.trace", 737, 0xba0f1ef19cbe3605ull},
        {"svc.disk", 1425, 0x4bbd138196d0dc67ull},
-       {"vmm.guest", 265, 0xb53415e760a38a74ull}});
+       {"vmm.guest", 257, 0xfc48f41040ea12d4ull, 2}});
 }
 
 // Same pin for the shadow-paging stack, whose vCPU carries a vTLB and
@@ -181,7 +181,7 @@ TEST(SnapshotRoundTrip, ShadowEncodingMatchesGolden) {
   config.vtlb.cache_contexts = true;
   config.vtlb.use_vpid = true;
   ExpectEncodingMatches(
-      config, 1985970,
+      config, 1985958,
       {{"guest.driver", 36, 0x8784d121986dd086ull},
        {"guest.kernel", 24, 0x6e76da25bf934df5ull},
        {"guest.workload", 413, 0x88fcf2dc333132beull},
@@ -199,10 +199,9 @@ TEST(SnapshotRoundTrip, ShadowEncodingMatchesGolden) {
        {"root.pm", 20, 0x47090b7c007fd75eull},
        {"root.sys", 1, 0xaf63bc4c8601b62cull},
        {"sim.events", 84, 0x1ac22cfecb0aa3c1ull},
-       {"sim.stats", 4, 0x4d25767f9dce13f5ull},
        {"sim.trace", 837, 0x536abb92a190288bull},
        {"svc.disk", 1425, 0x4bbd138196d0dc67ull},
-       {"vmm.guest", 265, 0xb53415e760a38a74ull}});
+       {"vmm.guest", 257, 0xfc48f41040ea12d4ull, 2}});
 }
 
 TEST(SnapshotRoundTrip, StructurallyMismatchedTwinFailsLoudly) {

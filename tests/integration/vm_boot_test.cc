@@ -54,7 +54,7 @@ TEST_F(VmBootTest, GuestPrintsToVirtualSerial) {
 
 TEST_F(VmBootTest, BiosServicesViaVmcall) {
   MakeVm();
-  vm().SetBootDisk(system_.platform.disk);
+  vm().SetBootDisk(system_.platform.disk.get());
   const char boot_data[] = "bootloader payload!";
   system_.platform.disk->WriteContent(100 * hw::kSectorSize, boot_data,
                                       sizeof(boot_data));

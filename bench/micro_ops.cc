@@ -7,7 +7,11 @@
 // portals).
 #include <benchmark/benchmark.h>
 
+#include <vector>
+
 #include "bench/scenario.h"
+#include "src/hv/dirty_log.h"
+#include "src/sim/rng.h"
 
 namespace nova::bench {
 namespace {
@@ -194,6 +198,84 @@ void BM_DelegateRevoke(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_DelegateRevoke);
+
+// A guest's memory space as the VMM builds it: 32 768 pages (128 MiB)
+// delegated in 512-page chunks onto consecutive host frames.
+constexpr std::uint64_t kSpacePages = 32768;
+void MapGuestPages(hv::MemSpace& space, std::uint64_t hpa_page) {
+  for (std::uint64_t page = 0; page < kSpacePages; page += 512) {
+    (void)space.Map(page, hpa_page + page, 512, hv::perm::kRw, false);
+  }
+}
+
+// Saving that space's bookkeeping: what every snapshot of a VM pays.
+void BM_MemSpaceSave(benchmark::State& state) {
+  hw::PhysMem mem(1ull << 30);
+  hw::PhysAddr next = 0x100000;
+  hv::MemSpace space(&mem, hw::PagingMode::kFourLevel, 0x1000, [&next] {
+    next += hw::kPageSize;
+    return next - hw::kPageSize;
+  });
+  MapGuestPages(space, 0x10000);
+  for (auto _ : state) {
+    sim::SnapWriter w;
+    (void)space.SaveState(w);
+    benchmark::DoNotOptimize(w.data().data());
+  }
+  state.SetItemsProcessed(state.iterations() * kSpacePages);
+}
+BENCHMARK(BM_MemSpaceSave);
+
+// One pre-copy round's collection over that space with 1 % of its pages
+// dirty; dirtying them (one 8-byte write each) is not timed.
+void BM_DirtyLogCollect(benchmark::State& state) {
+  hw::Machine machine(hw::MachineConfig{.cpus = {&hw::CoreI7_920()},
+                                        .ram_size = 512ull << 20});
+  hv::Hypervisor hv(&machine);
+  hv::Pd* root = hv.Boot();
+  hv::Pd* vm = nullptr;
+  (void)hv.CreatePd(root, 100, "vm", true, &vm);
+  const std::uint64_t hpa_page = hv.kernel_reserve() >> hw::kPageShift;
+  MapGuestPages(vm->mem_space(), hpa_page);
+  hv::DirtyLog log(&hv, vm);
+  log.Arm();
+  std::vector<std::uint64_t> dirty;
+  for (auto _ : state) {
+    state.PauseTiming();
+    for (std::uint64_t page = 0; page < kSpacePages; page += 100) {
+      (void)machine.mem().Write64((hpa_page + page) << hw::kPageShift, page);
+    }
+    dirty.clear();
+    state.ResumeTiming();
+    log.CollectAndReset(&dirty);
+    benchmark::DoNotOptimize(dirty.data());
+  }
+  state.SetItemsProcessed(state.iterations() * kSpacePages);
+}
+BENCHMARK(BM_DirtyLogCollect);
+
+// Encoding a snapshot and decoding it again: one section of Arg MiB of
+// guest memory beside two small ones. Bytes/s is per payload byte.
+void BM_SnapshotEncodeDecode(benchmark::State& state) {
+  const std::uint64_t bytes = static_cast<std::uint64_t>(state.range(0)) << 20;
+  sim::Snapshot snap;
+  std::vector<std::uint8_t> ram(bytes);
+  sim::Rng rng(1);
+  for (std::uint8_t& b : ram) {
+    b = static_cast<std::uint8_t>(rng.Next());
+  }
+  snap.Section("mem", 1).Bytes(ram.data(), ram.size());
+  snap.Section("cpu", 1).U64(42);
+  snap.Section("vmm", 1).Str("state");
+  for (auto _ : state) {
+    const std::vector<std::uint8_t> encoded = snap.Encode();
+    sim::Snapshot decoded;
+    benchmark::DoNotOptimize(decoded.Decode(encoded));
+  }
+  state.SetBytesProcessed(state.iterations() *
+                          static_cast<std::int64_t>(snap.PayloadBytes()));
+}
+BENCHMARK(BM_SnapshotEncodeDecode)->Arg(1)->Arg(8);
 
 // --- Simulated-cycle ablations ---------------------------------------------
 

@@ -32,7 +32,7 @@ class GuestAhciDriver {
     // three extra MMIO accesses per interrupt. Off by default so the
     // fault-free six-MMIO budget of §8.2 is untouched.
     bool handle_errors = false;
-    std::function<std::uint32_t()> read_err;
+    std::function<std::uint32_t()> read_err = nullptr;
   };
 
   GuestAhciDriver(GuestKernel* gk, Config config);

@@ -1,6 +1,7 @@
 #include "src/hv/dirty_log.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "src/hv/kernel.h"
 
@@ -32,18 +33,28 @@ void DirtyLog::Disarm() {
 
 void DirtyLog::CollectAndReset(std::vector<std::uint64_t>* out) {
   // Intersect dirty host frames with the VM's guest mappings: catches
-  // lazily-mapped pages and filters frames owned by other domains.
-  vm_->mem_space().ForEachMapping(
-      [this, out](std::uint64_t page, std::uint64_t hpa_page, std::uint8_t perms,
-                  bool large) {
-        (void)perms;
-        (void)large;
-        // Device windows map frames beyond installed RAM: never dirty here.
-        if (hpa_page / 64 < dirty_frames_.size() &&
-            (dirty_frames_[hpa_page / 64] >> (hpa_page % 64) & 1) != 0) {
-          out->push_back(page);
-        }
-      });
+  // lazily-mapped pages and filters frames owned by other domains. Each run
+  // backs its pages with consecutive frames, so its pages are the set bits
+  // of one bitmap range.
+  const std::uint64_t tracked = dirty_frames_.size() * 64;
+  for (const auto& [first, run] : vm_->mem_space().runs()) {
+    // Device windows map frames beyond installed RAM: never dirty here.
+    const std::uint64_t lo = run.hpa_page;
+    const std::uint64_t hi = std::min(run.hpa_page + run.count, tracked);
+    for (std::uint64_t f = lo; f < hi;) {
+      const std::uint64_t bits = dirty_frames_[f / 64] >> (f % 64);
+      if (bits == 0) {
+        f = (f / 64 + 1) * 64;  // The rest of this word is clean.
+        continue;
+      }
+      f += static_cast<std::uint64_t>(std::countr_zero(bits));
+      if (f >= hi) {
+        break;
+      }
+      out->push_back(first + (f - lo));
+      ++f;
+    }
+  }
   std::fill(dirty_frames_.begin(), dirty_frames_.end(), 0);
 }
 

@@ -18,8 +18,7 @@ void Hypervisor::TransferWords(Utcb& from, Utcb& to, std::uint32_t cpu_id) {
   Charge(cpu_id, static_cast<sim::Cycles>(n) * cpu(cpu_id).model().word_copy);
 }
 
-Status Hypervisor::ApplyTypedItems(Pd* sender, Pd* receiver, Utcb& msg,
-                                   std::uint32_t cpu_id) {
+Status Hypervisor::ApplyTypedItems(Pd* sender, Pd* receiver, Utcb& msg) {
   for (std::uint32_t i = 0; i < std::min(msg.num_typed, kUtcbTypedItems); ++i) {
     TypedItem item = msg.typed[i];
     // The receiver only accepts delegations into its declared window (§6).
@@ -153,7 +152,7 @@ Status Hypervisor::TraversePortal(Ec* caller_ec, Pt* portal) {
     // receiver window was declared by the handler ahead of time.
     Utcb msg = caller_ec->utcb();
     msg.recv_window = handler.utcb().recv_window;
-    const Status s = ApplyTypedItems(&caller_ec->pd(), &handler.pd(), msg, run_cpu);
+    const Status s = ApplyTypedItems(&caller_ec->pd(), &handler.pd(), msg);
     caller_ec->utcb().num_typed = 0;
     if (!Ok(s)) {
       return s;
@@ -180,7 +179,7 @@ Status Hypervisor::TraversePortal(Ec* caller_ec, Pt* portal) {
   if (handler.utcb().num_typed > 0) {
     Utcb msg = handler.utcb();
     msg.recv_window = caller_ec->utcb().recv_window;
-    const Status s = ApplyTypedItems(&handler.pd(), &caller_ec->pd(), msg, run_cpu);
+    const Status s = ApplyTypedItems(&handler.pd(), &caller_ec->pd(), msg);
     if (!Ok(s)) {
       return s;
     }

@@ -296,7 +296,7 @@ class Hypervisor : public KmemPool {
   // handler's run on the donated SC, and the reply.
   Status TraversePortal(Ec* caller_ec, Pt* portal);
   void TransferWords(Utcb& from, Utcb& to, std::uint32_t cpu_id);
-  Status ApplyTypedItems(Pd* sender, Pd* receiver, Utcb& msg, std::uint32_t cpu_id);
+  Status ApplyTypedItems(Pd* sender, Pd* receiver, Utcb& msg);
 
   // VM-exit plumbing (vcpu.cc).
   void RunVcpu(Sc* sc, sim::Cycles budget);

@@ -1,5 +1,8 @@
 #include "src/hv/spaces.h"
 
+#include <algorithm>
+#include <iterator>
+
 namespace nova::hv {
 namespace {
 
@@ -9,6 +12,15 @@ std::uint64_t PteFlags(std::uint8_t perms) {
     flags |= hw::pte::kWritable;
   }
   return flags;
+}
+
+// Whether `run` at `first` carries on where `prev` ends: the next page,
+// the next host frame, the same perms and the same page size.
+bool Continues(const std::pair<const std::uint64_t, MemSpace::Run>& prev,
+               std::uint64_t first, const MemSpace::Run& run) {
+  const MemSpace::Run& p = prev.second;
+  return prev.first + p.count == first && p.hpa_page + p.count == run.hpa_page &&
+         p.perms == run.perms && p.large == run.large;
 }
 
 }  // namespace
@@ -49,8 +61,9 @@ Status MemSpace::Map(std::uint64_t page, std::uint64_t hpa_page,
       }
     }
   }
-  for (std::uint64_t off = 0; off < count; ++off) {
-    pages_[page + off] = Holding{hpa_page + off, perms, large};
+  if (count != 0) {
+    Cut(page, page + count);
+    Place(page, Run{count, hpa_page, perms, large});
   }
   return Status::kSuccess;
 }
@@ -58,48 +71,136 @@ Status MemSpace::Map(std::uint64_t page, std::uint64_t hpa_page,
 Status MemSpace::Unmap(std::uint64_t page, std::uint64_t count) {
   const std::uint64_t large_pages =
       hw::LargePageSize(table_.mode()) / hw::kPageSize;
-  for (std::uint64_t off = 0; off < count; ++off) {
-    const Holding* h = pages_.Find(page + off);
-    if (h == nullptr) {
-      continue;
+  const std::uint64_t end = page + count;
+  std::uint64_t pos = page;
+  while (pos < end) {
+    // The run holding `pos`, or else the first run after it.
+    auto it = RunHolding(pos);
+    if (it == runs_.end()) {
+      it = runs_.upper_bound(pos);
     }
-    if (h->large) {
+    if (it == runs_.end() || it->first >= end) {
+      break;
+    }
+    const std::uint64_t first_held = std::max(pos, it->first);
+    if (it->second.large) {
       // Revoking any part of a superpage drops the whole superpage.
-      const std::uint64_t base = (page + off) & ~(large_pages - 1);
+      const std::uint64_t base = first_held & ~(large_pages - 1);
       (void)table_.Unmap(base << hw::kPageShift);
-      for (std::uint64_t i = 0; i < large_pages; ++i) {
-        pages_.Erase(base + i);
-      }
+      Cut(base, base + large_pages);
+      pos = base + large_pages;
     } else {
-      (void)table_.Unmap((page + off) << hw::kPageShift);
-      pages_.Erase(page + off);
+      const std::uint64_t stop = std::min(end, it->first + it->second.count);
+      for (std::uint64_t p = first_held; p < stop; ++p) {
+        (void)table_.Unmap(p << hw::kPageShift);
+      }
+      Cut(first_held, stop);
+      pos = stop;
     }
   }
   return Status::kSuccess;
 }
 
+void MemSpace::Cut(std::uint64_t lo, std::uint64_t hi) {
+  auto it = runs_.lower_bound(lo);
+  if (it != runs_.begin()) {
+    auto prev = std::prev(it);
+    const std::uint64_t prev_end = prev->first + prev->second.count;
+    if (prev_end > lo) {
+      prev->second.count = lo - prev->first;
+      if (prev_end > hi) {
+        runs_.emplace_hint(it, hi,
+                           Run{prev_end - hi, prev->second.hpa_page + (hi - prev->first),
+                               prev->second.perms, prev->second.large});
+        return;
+      }
+    }
+  }
+  while (it != runs_.end() && it->first < hi) {
+    const std::uint64_t run_end = it->first + it->second.count;
+    if (run_end > hi) {
+      const Run tail{run_end - hi, it->second.hpa_page + (hi - it->first),
+                     it->second.perms, it->second.large};
+      runs_.emplace_hint(runs_.erase(it), hi, tail);
+      return;
+    }
+    it = runs_.erase(it);
+  }
+}
+
+void MemSpace::Place(std::uint64_t first, const Run& run) {
+  auto next = runs_.lower_bound(first);
+  auto it = next;
+  if (next != runs_.begin() && Continues(*std::prev(next), first, run)) {
+    it = std::prev(next);
+    it->second.count += run.count;
+  } else {
+    it = runs_.emplace_hint(next, first, run);
+  }
+  if (next != runs_.end() && Continues(*it, next->first, next->second)) {
+    it->second.count += next->second.count;
+    runs_.erase(next);
+  }
+}
+
+MemSpace::Runs::const_iterator MemSpace::RunHolding(std::uint64_t page) const {
+  auto it = runs_.upper_bound(page);
+  if (it == runs_.begin() || page >= std::prev(it)->first + std::prev(it)->second.count) {
+    return runs_.end();
+  }
+  return std::prev(it);
+}
+
 std::uint8_t MemSpace::PermsFor(std::uint64_t page) const {
-  const Holding* h = pages_.Find(page);
-  return h == nullptr ? 0 : h->perms;
+  const auto it = RunHolding(page);
+  return it == runs_.end() ? 0 : it->second.perms;
 }
 
 std::uint64_t MemSpace::HpaPageFor(std::uint64_t page) const {
-  const Holding* h = pages_.Find(page);
-  return h == nullptr ? ~0ull : h->hpa_page;
+  const auto it = RunHolding(page);
+  return it == runs_.end() ? ~0ull : it->second.hpa_page + (page - it->first);
 }
 
-void MemSpace::ForEachMapping(const MappingVisitor& visit) const {
-  pages_.ForEachInKeyOrder([&](std::uint64_t page, const Holding& h) {
-    visit(page, h.hpa_page, h.perms, h.large);
-  });
-}
-
+// The bytes `Keyed` writes for a map of pages: a count64, then per page
+// in ascending order its number, host frame, perms and `large`. Loading
+// takes the pages the way PhysMem takes frames: each must strictly ascend.
 template <class Ar>
 void MemSpace::Io(Ar& ar) {
-  if constexpr (Ar::kLoading) {
-    pages_.clear();
+  std::uint64_t count = 0;
+  if constexpr (!Ar::kLoading) {
+    for (const auto& [first, run] : runs_) {
+      count += run.count;
+    }
   }
-  ar.Keyed(sim::kCount64, pages_);
+  ar.Io(count);
+  if constexpr (Ar::kLoading) {
+    runs_.clear();
+    // Every page takes 18 bytes, so a forged count runs the reader dry and
+    // fails within the section's length.
+    std::uint64_t prev = 0;
+    for (std::uint64_t i = 0; i < count && ar.ok(); ++i) {
+      std::uint64_t page = 0;
+      Run run{1, 0, 0, false};
+      ar.Io(page, run.hpa_page, run.perms, run.large);
+      if (!ar.ok()) {
+        return;
+      }
+      if (i != 0 && page <= prev) {
+        ar.Fail(Status::kBadParameter);
+        return;
+      }
+      Place(page, run);
+      prev = page;
+    }
+  } else {
+    for (const auto& [first, run] : runs_) {
+      for (std::uint64_t i = 0; i < run.count; ++i) {
+        std::uint64_t page = first + i;
+        std::uint64_t hpa_page = run.hpa_page + i;
+        ar.Io(page, hpa_page, run.perms, run.large);
+      }
+    }
+  }
 }
 
 Status MemSpace::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
@@ -107,21 +208,7 @@ Status MemSpace::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 template <class Ar>
 void IoSpace::Io(Ar& ar) {
-  // The port bitmap as 1024 words, bit b of word w being port 64w + b.
-  for (std::size_t word = 0; word < 1024; ++word) {
-    std::uint64_t bits = 0;
-    if constexpr (!Ar::kLoading) {
-      for (std::size_t b = 0; b < 64; ++b) {
-        bits |= static_cast<std::uint64_t>(bitmap_.test(word * 64 + b)) << b;
-      }
-    }
-    ar.Io(bits);
-    if constexpr (Ar::kLoading) {
-      for (std::size_t b = 0; b < 64; ++b) {
-        bitmap_.set(word * 64 + b, ((bits >> b) & 1) != 0);
-      }
-    }
-  }
+  ar.Io(ports_.words);
 }
 
 Status IoSpace::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
@@ -129,13 +216,13 @@ Status IoSpace::LoadState(sim::SnapReader& r) { return r.Restore(*this); }
 
 void IoSpace::Grant(std::uint64_t port, std::uint64_t count) {
   for (std::uint64_t p = port; p < port + count && p < 65536; ++p) {
-    bitmap_.set(p);
+    ports_.words[p / 64] |= 1ull << (p % 64);
   }
 }
 
 void IoSpace::Revoke(std::uint64_t port, std::uint64_t count) {
   for (std::uint64_t p = port; p < port + count && p < 65536; ++p) {
-    bitmap_.reset(p);
+    ports_.words[p / 64] &= ~(1ull << (p % 64));
   }
 }
 

@@ -7,14 +7,13 @@
 #ifndef SRC_HV_SPACES_H_
 #define SRC_HV_SPACES_H_
 
-#include <bitset>
 #include <cstdint>
-#include <functional>
+#include <map>
 
+#include "src/hw/guest_state.h"
 #include "src/hw/paging.h"
 #include "src/hw/phys_mem.h"
 #include "src/hv/types.h"
-#include "src/sim/hash_index.h"
 #include "src/sim/snapshot.h"
 #include "src/sim/status.h"
 
@@ -43,12 +42,22 @@ class MemSpace {
   // Host frame backing `page`, or ~0 when unmapped.
   std::uint64_t HpaPageFor(std::uint64_t page) const;
 
-  // Visit every mapped page in ascending page order (deterministic: used
-  // by the migration driver to enumerate guest frames and by dirty-log
-  // collection).
-  using MappingVisitor = std::function<void(
-      std::uint64_t page, std::uint64_t hpa_page, std::uint8_t perms, bool large)>;
-  void ForEachMapping(const MappingVisitor& visit) const;
+  // A maximal run of pages held alike: `count` pages from the run's first
+  // page onward, backed by consecutive host frames from `hpa_page`, all
+  // with the same perms and the same `large` (part of a superpage
+  // mapping). Neighbouring runs differ in one of these or leave a gap.
+  struct Run {
+    std::uint64_t count;
+    std::uint64_t hpa_page;
+    std::uint8_t perms;
+    bool large;
+  };
+
+  using Runs = std::map<std::uint64_t, Run>;  // Keyed by first page.
+
+  // The runs in ascending page order (deterministic: dirty-log collection
+  // walks guest frames this way).
+  const Runs& runs() const { return runs_; }
 
   // Bookkeeping-only serialization: the radix tree itself lives in PhysMem
   // frames and rides the memory section of the snapshot.
@@ -58,28 +67,26 @@ class MemSpace {
   void Io(Ar& ar);
 
  private:
-  struct Holding {
-    std::uint64_t hpa_page;
-    std::uint8_t perms;
-    bool large;  // Part of a superpage mapping.
-    template <class Ar>
-    void Io(Ar& ar) {
-      ar.Io(hpa_page, perms, large);
-    }
-  };
+  // The run holding `page`, or runs_.end().
+  Runs::const_iterator RunHolding(std::uint64_t page) const;
+  // Remove pages [lo, hi) from the runs, splitting the runs that straddle
+  // either end.
+  void Cut(std::uint64_t lo, std::uint64_t hi);
+  // Put `run` at `first` into a gap, merged with each neighbour it
+  // continues, so every run stays maximal.
+  void Place(std::uint64_t first, const Run& run);
 
   hw::PageTable table_;
   hw::PageTable::FrameAllocator alloc_;
-  sim::HashIndex<std::uint64_t, Holding> pages_;
+  Runs runs_;
 };
 
 class IoSpace {
  public:
   void Grant(std::uint64_t port, std::uint64_t count);
   void Revoke(std::uint64_t port, std::uint64_t count);
-  bool Test(std::uint16_t port) const { return bitmap_.test(port); }
-  const std::bitset<65536>& bitmap() const { return bitmap_; }
-  std::size_t granted() const { return bitmap_.count(); }
+  bool Test(std::uint16_t port) const { return ports_.Test(port); }
+  const hw::PortBitmap& bitmap() const { return ports_; }
 
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
@@ -87,7 +94,7 @@ class IoSpace {
   void Io(Ar& ar);
 
  private:
-  std::bitset<65536> bitmap_;
+  hw::PortBitmap ports_;
 };
 
 }  // namespace nova::hv

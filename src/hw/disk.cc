@@ -25,9 +25,16 @@ sim::PicoSeconds DiskModel::ServiceTime(std::uint64_t bytes) const {
   return std::max(geometry_.request_overhead, media);
 }
 
-std::uint8_t DiskModel::PatternByte(std::uint64_t offset) const {
-  // Deterministic content for unwritten sectors.
-  return static_cast<std::uint8_t>((offset * 2654435761u) >> 24);
+void DiskModel::FillPattern(std::uint64_t offset, std::uint8_t* out,
+                            std::uint64_t bytes) {
+  // Deterministic content for unwritten sectors: byte `offset` reads as
+  // bits 24-31 of offset * 2654435761. Those bits depend only on the low
+  // 32 bits of the offset, so one 32-bit product steps along the range.
+  auto h = static_cast<std::uint32_t>(offset) * 2654435761u;
+  for (std::uint64_t i = 0; i < bytes; ++i) {
+    out[i] = static_cast<std::uint8_t>(h >> 24);
+    h += 2654435761u;
+  }
 }
 
 void DiskModel::ReadContent(std::uint64_t offset, void* out, std::uint64_t bytes) const {
@@ -39,9 +46,7 @@ void DiskModel::ReadContent(std::uint64_t offset, void* out, std::uint64_t bytes
     if (const std::vector<std::uint8_t>* stored = sectors_.Find(sector)) {
       std::memcpy(dst, stored->data() + in_sector, chunk);
     } else {
-      for (std::uint64_t i = 0; i < chunk; ++i) {
-        dst[i] = PatternByte(offset + i);
-      }
+      FillPattern(offset, dst, chunk);
     }
     offset += chunk;
     dst += chunk;
@@ -59,9 +64,7 @@ void DiskModel::WriteContent(std::uint64_t offset, const void* data,
     auto& store = sectors_[sector];
     if (store.empty()) {
       store.resize(kSectorSize);
-      for (std::uint64_t i = 0; i < kSectorSize; ++i) {
-        store[i] = PatternByte(sector * kSectorSize + i);
-      }
+      FillPattern(sector * kSectorSize, store.data(), kSectorSize);
     }
     std::memcpy(store.data() + in_sector, src, chunk);
     offset += chunk;

@@ -105,7 +105,9 @@ class DiskModel {
   };
 
   sim::PicoSeconds ServiceTime(std::uint64_t bytes) const;
-  std::uint8_t PatternByte(std::uint64_t offset) const;
+  // Write the unwritten-sector pattern of bytes [offset, offset + bytes).
+  static void FillPattern(std::uint64_t offset, std::uint8_t* out,
+                          std::uint64_t bytes);
   Status MediaStatus();
   RequestId Enqueue(Pending p);
   void Fire(RequestId id);

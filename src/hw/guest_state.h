@@ -4,7 +4,6 @@
 #define SRC_HW_GUEST_STATE_H_
 
 #include <array>
-#include <bitset>
 #include <cstdint>
 
 #include "src/hw/isa.h"
@@ -15,6 +14,15 @@ namespace nova::hw {
 
 constexpr int kNumVectors = 64;
 constexpr int kMaxIntrNesting = 8;
+
+// One bit per I/O port: port p is bit p % 64 of word p / 64.
+struct PortBitmap {
+  std::array<std::uint64_t, 1024> words{};
+
+  bool Test(std::uint16_t port) const {
+    return (words[port / 64] >> (port % 64) & 1) != 0;
+  }
+};
 
 // Register and system state of one virtual CPU (or, in native mode, of the
 // physical CPU running an operating system directly).
@@ -101,7 +109,7 @@ struct VmControls {
   // Ports the guest may access directly (direct device assignment). All
   // other ports exit. Null means "intercept everything" for VMs; native
   // mode ignores it.
-  const std::bitset<65536>* io_passthrough = nullptr;
+  const PortBitmap* io_passthrough = nullptr;
 
   // Everything but io_passthrough: the bitmap pointer targets the owning
   // PD's IoSpace, which the twin wires at construction.

@@ -99,9 +99,9 @@ class Assembler {
 
   std::uint64_t Emit(const Insn& insn) {
     const std::uint64_t at = Here();
-    std::uint8_t buf[kInsnSize];
-    Encode(insn, buf);
-    bytes_.insert(bytes_.end(), buf, buf + kInsnSize);
+    const std::size_t offset = bytes_.size();
+    bytes_.resize(offset + kInsnSize);
+    Encode(insn, bytes_.data() + offset);
     return at;
   }
 

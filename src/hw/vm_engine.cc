@@ -418,7 +418,7 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
       const auto port = static_cast<std::uint16_t>(insn.imm32);
       const bool direct =
           ctl.mode == TranslationMode::kNative ||
-          (ctl.io_passthrough != nullptr && ctl.io_passthrough->test(port));
+          (ctl.io_passthrough != nullptr && ctl.io_passthrough->Test(port));
       if (direct) {
         cpu_->Charge(costs_.pio_access);
         if (is_out) {

@@ -44,7 +44,12 @@ std::vector<std::string> Snapshot::SectionNames() const {
 }
 
 std::vector<std::uint8_t> Snapshot::Encode() const {
+  std::size_t len = sizeof kMagic + 4 + 4;
+  for (const auto& [name, stored] : sections_) {
+    len += 4 + name.size() + 2 + 8 + 8 + stored.writer.size();
+  }
   SnapWriter w;
+  w.Reserve(len);
   w.Bytes(kMagic, sizeof kMagic);
   w.U32(kFileVersion);
   w.U32(static_cast<std::uint32_t>(sections_.size()));
@@ -56,7 +61,7 @@ std::vector<std::uint8_t> Snapshot::Encode() const {
     w.U64(SnapFnv1a(payload.data(), payload.size()));
     w.Bytes(payload.data(), payload.size());
   }
-  return w.data();
+  return w.Release();
 }
 
 Status Snapshot::Decode(const std::uint8_t* data, std::size_t len) {
@@ -79,15 +84,13 @@ Status Snapshot::Decode(const std::uint8_t* data, std::size_t len) {
     if (!r.ok() || size > r.remaining()) {
       return Status::kBadParameter;
     }
-    std::vector<std::uint8_t> payload(static_cast<std::size_t>(size));
-    r.Bytes(payload.data(), payload.size());
-    if (!r.ok() ||
-        SnapFnv1a(payload.data(), payload.size()) != checksum) {
+    const std::uint8_t* payload = r.View(static_cast<std::size_t>(size));
+    if (!r.ok() || SnapFnv1a(payload, size) != checksum) {
       return Status::kBadParameter;
     }
     Stored& s = sections_[name];
     s.version = version;
-    s.writer.Bytes(payload.data(), payload.size());
+    s.writer.Bytes(payload, size);
   }
   return r.AtEnd() ? Status::kSuccess : Status::kBadParameter;
 }

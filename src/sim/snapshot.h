@@ -5,7 +5,9 @@
 // string with a small section version and an FNV-1a checksum. The
 // writer/reader pair implements a tiny little-endian encoding with no
 // host-dependent layout, so an encoded snapshot is bit-identical across
-// runs and platforms.
+// runs. It moves each integer with one memcpy in host order, as guest
+// memory (hw::PhysMem) and the instruction encoding do, so the host must
+// be little-endian; the static_assert below checks that at build time.
 //
 // One field list per class: a stateful class lists its snapshot fields
 // once, in wire order, in `template <class Ar> void Io(Ar& ar)`. The same
@@ -35,6 +37,7 @@
 #define SRC_SIM_SNAPSHOT_H_
 
 #include <array>
+#include <bit>
 #include <concepts>
 #include <cstdint>
 #include <cstring>
@@ -48,6 +51,9 @@
 #include "src/sim/status.h"
 
 namespace nova::sim {
+
+static_assert(std::endian::native == std::endian::little,
+              "snapshot bytes are copied in host order");
 
 // Incremental FNV-1a, shared with the trace digest machinery.
 constexpr std::uint64_t kSnapFnvOffset = 0xcbf29ce484222325ull;
@@ -273,6 +279,10 @@ class SnapWriter : public SnapArchive<SnapWriter> {
 
   std::size_t size() const { return buf_.size(); }
   const std::vector<std::uint8_t>& data() const { return buf_; }
+  // Make room for `len` more bytes at once.
+  void Reserve(std::size_t len) { buf_.reserve(buf_.size() + len); }
+  // Hand the bytes over, leaving the writer empty.
+  std::vector<std::uint8_t> Release() { return std::move(buf_); }
 
  private:
   friend class SnapArchive<SnapWriter>;
@@ -282,9 +292,9 @@ class SnapWriter : public SnapArchive<SnapWriter> {
     return n;
   }
   void PutLe(std::uint64_t v, int bytes) {
-    for (int i = 0; i < bytes; ++i) {
-      buf_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-    }
+    const std::size_t at = buf_.size();
+    buf_.resize(at + static_cast<std::size_t>(bytes));
+    std::memcpy(buf_.data() + at, &v, static_cast<std::size_t>(bytes));
   }
   std::vector<std::uint8_t> buf_;
 };
@@ -332,6 +342,17 @@ class SnapReader : public SnapArchive<SnapReader> {
     std::memcpy(out, data_ + pos_, len);
     pos_ += len;
   }
+  // Step over `len` bytes and return where they start, so a caller can
+  // use them in place; null (and the error latched) when fewer are left.
+  const std::uint8_t* View(std::size_t len) {
+    if (remaining() < len) {
+      Fail();
+      return nullptr;
+    }
+    const std::uint8_t* at = data_ + pos_;
+    pos_ += len;
+    return at;
+  }
 
   std::size_t remaining() const { return ok() ? len_ - pos_ : 0; }
   bool AtEnd() const { return remaining() == 0; }
@@ -364,9 +385,7 @@ class SnapReader : public SnapArchive<SnapReader> {
       return 0;
     }
     std::uint64_t v = 0;
-    for (int i = 0; i < bytes; ++i) {
-      v |= static_cast<std::uint64_t>(data_[pos_ + i]) << (8 * i);
-    }
+    std::memcpy(&v, data_ + pos_, static_cast<std::size_t>(bytes));
     pos_ += static_cast<std::size_t>(bytes);
     return v;
   }

@@ -2,7 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 namespace nova::hw {
 namespace {
@@ -40,6 +42,46 @@ TEST(DiskModel, UnwrittenSectorsDeterministic) {
   disk.ReadContent(777777, a, sizeof(a));
   disk.ReadContent(777777, b, sizeof(b));
   EXPECT_EQ(0, memcmp(a, b, sizeof(a)));
+}
+
+// Unwritten bytes read as the per-byte formula below at any offset:
+// unaligned, across sector boundaries, across the 2^32 offset (where the
+// fill's 32-bit product wraps) and beside a written sector, including the
+// pattern a partial write leaves in the rest of its fresh sector.
+TEST(DiskModel, PatternFillMatchesPerByteFormula) {
+  const auto pattern = [](std::uint64_t offset) {
+    return static_cast<std::uint8_t>((offset * 2654435761u) >> 24);
+  };
+  sim::EventQueue events;
+  DiskModel disk(&events, DiskGeometry{});
+  const std::uint64_t written = 5000 * kSectorSize + 100;
+  const std::uint8_t data[40] = {1, 2, 3, 4, 5, 6, 7, 8};
+  disk.WriteContent(written, data, sizeof(data));
+
+  const struct {
+    std::uint64_t offset;
+    std::uint64_t bytes;
+  } reads[] = {
+      {0, 1},
+      {3, 509},
+      {511, 2},
+      {12345, 4096},
+      {(1ull << 32) - 700, 1400},
+      {(1ull << 32) + 1, 3},
+      {(7ull << 32) - 1, 2},
+      {4999 * kSectorSize + 17, 3 * kSectorSize},
+  };
+  for (const auto& read : reads) {
+    std::vector<std::uint8_t> got(read.bytes);
+    disk.ReadContent(read.offset, got.data(), got.size());
+    for (std::uint64_t i = 0; i < read.bytes; ++i) {
+      const std::uint64_t at = read.offset + i;
+      const std::uint8_t want = at >= written && at < written + sizeof(data)
+                                    ? data[at - written]
+                                    : pattern(at);
+      ASSERT_EQ(got[i], want) << "offset " << at;
+    }
+  }
 }
 
 TEST(DiskModel, ReadCompletesAfterServiceTime) {

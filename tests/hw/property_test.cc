@@ -87,10 +87,10 @@ INSTANTIATE_TEST_SUITE_P(
                       PagingCase{PagingMode::kFourLevel, 1},
                       PagingCase{PagingMode::kFourLevel, 2},
                       PagingCase{PagingMode::kFourLevel, 3}),
-    [](const auto& info) {
-      return std::string(info.param.mode == PagingMode::kTwoLevel ? "TwoLevel"
+    [](const auto& test) {
+      return std::string(test.param.mode == PagingMode::kTwoLevel ? "TwoLevel"
                                                                   : "FourLevel") +
-             "Seed" + std::to_string(info.param.seed);
+             "Seed" + std::to_string(test.param.seed);
     });
 
 class TlbProperty : public ::testing::TestWithParam<std::uint32_t> {};

@@ -29,36 +29,21 @@ Status MemSpace::Map(std::uint64_t page, std::uint64_t hpa_page,
                      std::uint64_t count, std::uint8_t perms, bool large) {
   const std::uint64_t large_size = hw::LargePageSize(table_.mode());
   const std::uint64_t large_pages = large_size / hw::kPageSize;
+  if (large && (page % large_pages != 0 || hpa_page % large_pages != 0 ||
+                count % large_pages != 0)) {
+    return Status::kBadParameter;
+  }
   // A failed table-node allocation surfaces from the walker as kOverflow;
-  // report it as kNoMem and unmap the partially-built prefix so a failed
-  // Map leaves no half-installed range behind.
-  if (large) {
-    if (page % large_pages != 0 || hpa_page % large_pages != 0 ||
-        count % large_pages != 0) {
-      return Status::kBadParameter;
-    }
-    for (std::uint64_t off = 0; off < count; off += large_pages) {
-      const Status s =
-          table_.Map((page + off) << hw::kPageShift, (hpa_page + off) << hw::kPageShift,
-                     large_size, PteFlags(perms), alloc_);
-      if (!Ok(s)) {
-        for (std::uint64_t undo = 0; undo < off; undo += large_pages) {
-          (void)table_.Unmap((page + undo) << hw::kPageShift);
-        }
-        return s == Status::kOverflow ? Status::kNoMem : s;
-      }
-    }
-  } else {
-    for (std::uint64_t off = 0; off < count; ++off) {
-      const Status s =
-          table_.Map((page + off) << hw::kPageShift, (hpa_page + off) << hw::kPageShift,
-                     hw::kPageSize, PteFlags(perms), alloc_);
-      if (!Ok(s)) {
-        for (std::uint64_t undo = 0; undo < off; ++undo) {
-          (void)table_.Unmap((page + undo) << hw::kPageShift);
-        }
-        return s == Status::kOverflow ? Status::kNoMem : s;
-      }
+  // report it as kNoMem and put the installed prefix back as it was, so a
+  // failed Map leaves no half-installed range behind.
+  const std::uint64_t step = large ? large_pages : 1;
+  for (std::uint64_t off = 0; off < count; off += step) {
+    const Status s =
+        table_.Map((page + off) << hw::kPageShift, (hpa_page + off) << hw::kPageShift,
+                   large ? large_size : hw::kPageSize, PteFlags(perms), alloc_);
+    if (!Ok(s)) {
+      Restore(page, off, large);
+      return s == Status::kOverflow ? Status::kNoMem : s;
     }
   }
   if (count != 0) {
@@ -99,6 +84,28 @@ Status MemSpace::Unmap(std::uint64_t page, std::uint64_t count) {
     }
   }
   return Status::kSuccess;
+}
+
+void MemSpace::Restore(std::uint64_t page, std::uint64_t count, bool large) {
+  const std::uint64_t large_size = hw::LargePageSize(table_.mode());
+  const std::uint64_t step = large ? large_size / hw::kPageSize : 1;
+  for (std::uint64_t p = page; p < page + count; p += step) {
+    // A 4 KiB map stops at the first superpage it meets, so every unit it
+    // overwrote was a 4 KiB page or a hole, and a large map's were blocks.
+    const auto it = RunHolding(p);
+    if (it != runs_.end() && it->second.large == large) {
+      const Run& run = it->second;
+      (void)table_.Map(p << hw::kPageShift,
+                       (run.hpa_page + (p - it->first)) << hw::kPageShift,
+                       large ? large_size : hw::kPageSize, PteFlags(run.perms),
+                       alloc_);
+      continue;
+    }
+    (void)table_.Unmap(p << hw::kPageShift);
+    if (large) {
+      Cut(p, p + step);
+    }
+  }
 }
 
 void MemSpace::Cut(std::uint64_t lo, std::uint64_t hi) {

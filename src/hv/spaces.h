@@ -69,6 +69,14 @@ class MemSpace {
  private:
   // The run holding `page`, or runs_.end().
   Runs::const_iterator RunHolding(std::uint64_t page) const;
+  // Undo a Map that failed after installing `count` pages from `page`:
+  // each page the runs hold gets its frame and perms back (a superpage
+  // once), into the entry the map overwrote, so no table frame is needed;
+  // the table drops the other pages. One case cannot go back: a superpage
+  // leaf laid over a block of 4 KiB pages replaced their table, a new one
+  // needs the frame the map failed to get, and so those pages leave the
+  // runs as they left the table.
+  void Restore(std::uint64_t page, std::uint64_t count, bool large);
   // Remove pages [lo, hi) from the runs, splitting the runs that straddle
   // either end.
   void Cut(std::uint64_t lo, std::uint64_t hi);

@@ -30,10 +30,21 @@ void DiskModel::FillPattern(std::uint64_t offset, std::uint8_t* out,
   // Deterministic content for unwritten sectors: byte `offset` reads as
   // bits 24-31 of offset * 2654435761. Those bits depend only on the low
   // 32 bits of the offset, so one 32-bit product steps along the range.
-  auto h = static_cast<std::uint32_t>(offset) * 2654435761u;
-  for (std::uint64_t i = 0; i < bytes; ++i) {
+  // Each 16-byte block derives its bytes from the block's first product in
+  // a constant-count loop, which GCC vectorizes at -O2; a loop that carries
+  // the product from byte to byte does not vectorize.
+  constexpr std::uint32_t kMul = 2654435761u;
+  auto h = static_cast<std::uint32_t>(offset) * kMul;
+  std::uint64_t i = 0;
+  for (; i + 16 <= bytes; i += 16) {
+    for (std::uint32_t k = 0; k < 16; ++k) {
+      out[i + k] = static_cast<std::uint8_t>((h + k * kMul) >> 24);
+    }
+    h += 16 * kMul;
+  }
+  for (; i < bytes; ++i) {
     out[i] = static_cast<std::uint8_t>(h >> 24);
-    h += 2654435761u;
+    h += kMul;
   }
 }
 

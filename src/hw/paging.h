@@ -38,12 +38,19 @@ constexpr std::uint64_t kGlobal = 1ull << 8;
 constexpr std::uint64_t kAddrMask = ~0xfffull;
 }  // namespace pte
 
-// Access permissions requested by a translation.
+// Access permissions requested by a translation. All four bytes are
+// members with initialisers, so a constant Access is one 32-bit immediate
+// (`Access{.write = true}` is 0x1 in the argument register). GCC builds a
+// three-byte Access in a stack slot with a 2-byte and a 1-byte store and
+// reloads it as 4 bytes, a store-to-load forward that fails and stalls
+// every guest fetch, load and store (DESIGN.md §5).
 struct Access {
   bool write = false;
   bool user = false;      // Access from guest user mode (CPL 3).
   bool execute = false;
+  std::uint8_t reserved = 0;  // Always zero: fills the fourth byte.
 };
+static_assert(sizeof(Access) == 4, "Access must fit one 32-bit register");
 
 // Page-fault style error codes, modelled after the x86 #PF error word.
 struct PageFaultInfo {

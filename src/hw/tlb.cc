@@ -34,7 +34,7 @@ Tlb::Tlb(std::uint32_t capacity_4k, std::uint32_t capacity_large)
   index_shift_ = 64 - bits;
 }
 
-std::optional<PhysAddr> Tlb::Lookup(TlbTag tag, VirtAddr va, Access access) {
+std::uint64_t Tlb::Probe(TlbTag tag, VirtAddr va, Access access) {
   // Probe each page size: we do not know the mapping size in advance. The
   // superpage probes cannot hit while their class is empty.
   for (const std::uint64_t size : kPageSizes) {
@@ -57,10 +57,12 @@ std::optional<PhysAddr> Tlb::Lookup(TlbTag tag, VirtAddr va, Access access) {
     }
     Touch(s);
     hits_.Add();
-    return (e.phys_page & ~(size - 1)) | (va & (size - 1));
+    // The key's page, not `va & ~(size - 1)`: that value would stay live
+    // across the calls above and push `va` out of its register.
+    return (e.phys_page & ~(size - 1)) - (slots_[s].key.vpage << kPageShift);
   }
   misses_.Add();
-  return std::nullopt;
+  return kMiss;
 }
 
 void Tlb::Insert(TlbTag tag, VirtAddr va, PhysAddr pa, std::uint64_t page_size,

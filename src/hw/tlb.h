@@ -85,10 +85,24 @@ class Tlb {
   // Both capacities must be nonzero.
   Tlb(std::uint32_t capacity_4k, std::uint32_t capacity_large);
 
-  // Look up `va` under `tag`. Returns the translated physical address on a
-  // usable hit. Misses (including permission-insufficient and clean-entry
-  // write cases) return nullopt.
-  std::optional<PhysAddr> Lookup(TlbTag tag, VirtAddr va, Access access);
+  // Probe's answer to a miss. A hit returns the translation's delta, the
+  // physical page base minus the virtual one (mod 2^64), and `va` plus it
+  // is the physical address. Both bases are multiples of 4 KiB, so a delta
+  // never equals kMiss, while a translated address can: paging off, va ~0
+  // translates to ~0.
+  static constexpr std::uint64_t kMiss = ~std::uint64_t{0};
+
+  // Look up `va` under `tag`: its delta on a usable hit, kMiss on a miss
+  // (including permission-insufficient and clean-entry write cases). The
+  // result is one register wide: GCC returns an optional through a stack
+  // slot written as a byte and reloaded as a word, which stalls the hit
+  // test of every guest access.
+  std::uint64_t Probe(TlbTag tag, VirtAddr va, Access access);
+  // The translated address as an optional: nullopt on a miss.
+  std::optional<PhysAddr> Lookup(TlbTag tag, VirtAddr va, Access access) {
+    const std::uint64_t delta = Probe(tag, va, access);
+    return delta != kMiss ? std::optional<PhysAddr>(va + delta) : std::nullopt;
+  }
 
   // Install a translation as produced by a page-table walk.
   void Insert(TlbTag tag, VirtAddr va, PhysAddr pa, std::uint64_t page_size,

@@ -27,26 +27,25 @@ const char* ExitReasonName(ExitReason r) {
 VmEngine::VmEngine(Cpu* cpu, PhysMem* mem, Bus* bus, IrqChip* irq)
     : cpu_(cpu), mem_(mem), bus_(bus), irq_(irq) {}
 
-std::uint64_t VmEngine::PhysRead(PhysAddr pa, unsigned size) {
-  std::uint64_t out = 0;
+std::uint64_t VmEngine::PhysRead(PhysAddr pa) {
   if (bus_->FindMmio(pa) != nullptr) {
     cpu_->Charge(costs_.mmio_access);
-    (void)bus_->MmioRead(pa, size, &out);
+    std::uint64_t out = 0;
+    (void)bus_->MmioRead(pa, 8, &out);
     return out;
   }
   cpu_->Charge(cpu_->model().mem_access);
-  (void)mem_->Read(pa, &out, size);
-  return out;
+  return mem_->Read64(pa);
 }
 
-void VmEngine::PhysWrite(PhysAddr pa, unsigned size, std::uint64_t value) {
+void VmEngine::PhysWrite(PhysAddr pa, std::uint64_t value) {
   if (bus_->FindMmio(pa) != nullptr) {
     cpu_->Charge(costs_.mmio_access);
-    (void)bus_->MmioWrite(pa, size, value);
+    (void)bus_->MmioWrite(pa, 8, value);
     return;
   }
   cpu_->Charge(cpu_->model().mem_access);
-  (void)mem_->Write(pa, &value, size);
+  (void)mem_->Write64(pa, value);
 }
 
 VmEngine::XlatResult VmEngine::TranslateGpa(const VmControls& ctl,
@@ -56,8 +55,9 @@ VmEngine::XlatResult VmEngine::TranslateGpa(const VmControls& ctl,
     r.hpa = gpa;  // Native / shadow: guest-physical is host-physical.
     return r;
   }
-  if (auto hit = nested_tlb_.Lookup(ctl.tag, gpa, access)) {
-    r.hpa = *hit;
+  if (const std::uint64_t delta = nested_tlb_.Probe(ctl.tag, gpa, access);
+      delta != Tlb::kMiss) {
+    r.hpa = gpa + delta;
     return r;
   }
   PageTable host(mem_, ctl.nested_format, ctl.nested_root);
@@ -79,8 +79,9 @@ VmEngine::XlatResult VmEngine::Translate(GuestState& gs, const VmControls& ctl,
                                          VirtAddr gva, Access access) {
   XlatResult r;
   Tlb& tlb = cpu_->tlb();
-  if (auto hit = tlb.Lookup(ctl.tag, gva, access)) {
-    r.hpa = *hit;
+  if (const std::uint64_t delta = tlb.Probe(ctl.tag, gva, access);
+      delta != Tlb::kMiss) {
+    r.hpa = gva + delta;
     return r;
   }
   const CpuModel& model = cpu_->model();
@@ -206,24 +207,24 @@ bool VmEngine::HandleXlatFault(GuestState& gs, const XlatResult& x, VirtAddr gva
 }
 
 bool VmEngine::MemRead(GuestState& gs, const VmControls& ctl, VirtAddr gva,
-                       unsigned size, std::uint64_t* out, VmExit* exit) {
+                       std::uint64_t* out, VmExit* exit) {
   const Access access{.write = false};
   XlatResult x = Translate(gs, ctl, gva, access);
   if (x.kind != XlatResult::Kind::kOk) {
     return HandleXlatFault(gs, x, gva, access, exit);
   }
-  *out = PhysRead(x.hpa, size);
+  *out = PhysRead(x.hpa);
   return true;
 }
 
 bool VmEngine::MemWrite(GuestState& gs, const VmControls& ctl, VirtAddr gva,
-                        unsigned size, std::uint64_t value, VmExit* exit) {
+                        std::uint64_t value, VmExit* exit) {
   const Access access{.write = true};
   XlatResult x = Translate(gs, ctl, gva, access);
   if (x.kind != XlatResult::Kind::kOk) {
     return HandleXlatFault(gs, x, gva, access, exit);
   }
-  PhysWrite(x.hpa, size, value);
+  PhysWrite(x.hpa, value);
   return true;
 }
 
@@ -289,6 +290,8 @@ VmEngine::StepResult VmEngine::Step(GuestState& gs, const VmControls& ctl) {
     }
     return sr;  // #PF delivered internally: retry from the handler.
   }
+  // An aligned fetch never crosses a frame, and its constant size inlines
+  // the read to two 8-byte loads.
   std::uint8_t bytes[isa::kInsnSize];
   (void)mem_->Read(x.hpa, bytes, isa::kInsnSize);
   cpu_->Charge(cpu_->model().mem_access);
@@ -336,7 +339,7 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
           (insn.r2 != isa::kNoReg ? gs.regs[insn.r2 & 7] : 0) + insn.imm64;
       std::uint64_t value = 0;
       VmExit exit;
-      if (!MemRead(gs, ctl, addr, 8, &value, &exit)) {
+      if (!MemRead(gs, ctl, addr, &value, &exit)) {
         if (exit.reason != ExitReason::kNone) {
           exit_here(exit);
         }
@@ -351,7 +354,7 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
       const std::uint64_t addr =
           (insn.r2 != isa::kNoReg ? gs.regs[insn.r2 & 7] : 0) + insn.imm64;
       VmExit exit;
-      if (!MemWrite(gs, ctl, addr, 8, gs.regs[insn.r1 & 7], &exit)) {
+      if (!MemWrite(gs, ctl, addr, gs.regs[insn.r1 & 7], &exit)) {
         if (exit.reason != ExitReason::kNone) {
           exit_here(exit);
         }

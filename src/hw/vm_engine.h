@@ -82,9 +82,11 @@ class VmEngine {
   // Translate a guest-physical address through the nested tables only.
   XlatResult TranslateGpa(const VmControls& ctl, std::uint64_t gpa, Access access);
 
-  // Physical access routed to RAM or a device window. Charges access cost.
-  std::uint64_t PhysRead(PhysAddr pa, unsigned size);
-  void PhysWrite(PhysAddr pa, unsigned size, std::uint64_t value);
+  // One 8-byte guest word at `pa`, in RAM or a device window (an MMIO
+  // access of width 8). Charges access cost. The size is fixed so a RAM
+  // word inlines to one load or store instead of a libc memcpy call.
+  std::uint64_t PhysRead(PhysAddr pa);
+  void PhysWrite(PhysAddr pa, std::uint64_t value);
 
   // Deliver an exception or interrupt through the guest IDT (used by the
   // hypervisor to inject guest page faults under shadow paging). Returns
@@ -124,12 +126,13 @@ class VmEngine {
   // a nested-delivery failure (triple fault analogue).
   bool DeliverEvent(GuestState& gs, std::uint8_t vector);
 
-  // Memory helpers: translate + access; fill `exit` on faults that must
-  // leave the engine. Returns false if an exit (or internal #PF delivery)
-  // happened and the instruction must be abandoned.
-  bool MemRead(GuestState& gs, const VmControls& ctl, VirtAddr gva, unsigned size,
+  // Memory helpers for kLoad and kStore: translate + access one 8-byte
+  // word; fill `exit` on faults that must leave the engine. Returns false
+  // if an exit (or internal #PF delivery) happened and the instruction
+  // must be abandoned.
+  bool MemRead(GuestState& gs, const VmControls& ctl, VirtAddr gva,
                std::uint64_t* out, VmExit* exit);
-  bool MemWrite(GuestState& gs, const VmControls& ctl, VirtAddr gva, unsigned size,
+  bool MemWrite(GuestState& gs, const VmControls& ctl, VirtAddr gva,
                 std::uint64_t value, VmExit* exit);
   bool HandleXlatFault(GuestState& gs, const XlatResult& x, VirtAddr gva,
                        Access access, VmExit* exit);

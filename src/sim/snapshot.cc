@@ -88,9 +88,14 @@ Status Snapshot::Decode(const std::uint8_t* data, std::size_t len) {
     if (!r.ok() || SnapFnv1a(payload, size) != checksum) {
       return Status::kBadParameter;
     }
-    Stored& s = sections_[name];
-    s.version = version;
-    s.writer.Bytes(payload, size);
+    // A name may appear once: Encode writes each section once, so a
+    // repeat would give one snapshot a second encoding.
+    const auto [it, fresh] = sections_.try_emplace(name);
+    if (!fresh) {
+      return Status::kBadParameter;
+    }
+    it->second.version = version;
+    it->second.writer.Bytes(payload, size);
   }
   return r.AtEnd() ? Status::kSuccess : Status::kBadParameter;
 }

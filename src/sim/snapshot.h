@@ -423,7 +423,8 @@ class Snapshot {
   Status Restore(T& obj) const;
 
   // Wire encoding: magic, file version, section count, then per section
-  // (name, version, length, FNV-1a checksum, payload).
+  // (name, version, length, FNV-1a checksum, payload). Decode fails with
+  // kBadParameter on a section name that appears twice.
   std::vector<std::uint8_t> Encode() const;
   Status Decode(const std::uint8_t* data, std::size_t len);
   Status Decode(const std::vector<std::uint8_t>& bytes) {

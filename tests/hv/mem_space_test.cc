@@ -70,9 +70,7 @@ class ReferenceSpace {
                                   large ? large_size : hw::kPageSize,
                                   PteFlags(perms), alloc_);
       if (!Ok(s)) {
-        for (std::uint64_t undo = 0; undo < off; undo += step) {
-          (void)table_.Unmap((page + undo) << hw::kPageShift);
-        }
+        Restore(page, off, large, step);
         return s == Status::kOverflow ? Status::kNoMem : s;
       }
     }
@@ -80,6 +78,25 @@ class ReferenceSpace {
       pages_[page + off] = Holding{hpa_page + off, perms, large};
     }
     return Status::kSuccess;
+  }
+
+  // A failed Map's undo, unit by unit: a page or superpage held before
+  // the call gets its frame and perms back, any other unit is unmapped,
+  // and the 4 KiB pages of a block a superpage leaf overwrote are dropped.
+  void Restore(std::uint64_t page, std::uint64_t count, bool large,
+               std::uint64_t step) {
+    for (std::uint64_t p = page; p < page + count; p += step) {
+      const auto it = pages_.find(p);
+      if (it != pages_.end() && it->second.large == large) {
+        (void)table_.Map(p << hw::kPageShift, it->second.hpa_page << hw::kPageShift,
+                         step * hw::kPageSize, PteFlags(it->second.perms), alloc_);
+        continue;
+      }
+      (void)table_.Unmap(p << hw::kPageShift);
+      for (std::uint64_t i = 0; large && i < step; ++i) {
+        pages_.erase(p + i);
+      }
+    }
   }
 
   void Unmap(std::uint64_t page, std::uint64_t count) {
@@ -161,11 +178,35 @@ struct SpaceCase {
 
 class MemSpaceProperty : public ::testing::TestWithParam<SpaceCase> {};
 
+// Whether the space's own page table maps `page` the way its runs say: a
+// walk faults where PermsFor reads 0 and otherwise reaches HpaPageFor's
+// frame, writable exactly when the perms grant writing. A two-level entry
+// is 32 bits wide and keeps a frame's address modulo 4 GiB.
+::testing::AssertionResult WalkAgrees(MemSpace& space, std::uint64_t page) {
+  const hw::WalkResult w =
+      space.table().Walk(page << hw::kPageShift, hw::Access{}, /*set_ad=*/false);
+  const std::uint8_t perms = space.PermsFor(page);
+  const std::uint64_t reach =
+      space.table().mode() == hw::PagingMode::kTwoLevel ? 0xffffffffull : ~0ull;
+  if (perms == 0 ? !Ok(w.status)
+                 : Ok(w.status) && w.user() &&
+                       w.pa == ((space.HpaPageFor(page) << hw::kPageShift) & reach) &&
+                       w.writable() == ((perms & perm::kWrite) != 0)) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "page " << page << ": perms " << int{perms} << ", frame "
+         << space.HpaPageFor(page) << ", walk status " << StatusName(w.status)
+         << " pa " << w.pa;
+}
+
 // Random Map/Unmap sequences: superpages, overlaps, re-maps with other
 // perms, table allocation failing part-way, and unmaps of partial ranges,
 // of ranges across runs and of ranges inside a superpage. After every step
 // the runs, lookups and snapshot bytes equal the reference's, and so do
-// the page tables both built.
+// the page tables both built. The reference shares MemSpace's rules, so a
+// walk of every superpage block the step touched must also agree with the
+// space's own lookups.
 TEST_P(MemSpaceProperty, MatchesPerPageReference) {
   const SpaceCase c = GetParam();
   constexpr std::uint64_t kRam = 32ull << 20;
@@ -197,12 +238,16 @@ TEST_P(MemSpaceProperty, MatchesPerPageReference) {
     if (rng.Chance(0.15)) {
       pool.budget = ref_pool.budget = rng.Below(3);
     }
+    std::uint64_t touched = 0;  // The step's first page and page count.
+    std::uint64_t touched_count = 0;
     switch (rng.Below(5)) {
       case 0:
       case 1: {  // 4 KiB pages, at times across a superpage boundary.
         const std::uint64_t page = rng.Below(space_pages);
         const std::uint64_t count =
             rng.Chance(0.8) ? rng.Range(1, 40) : rng.Range(1, 2 * large_pages);
+        touched = page;
+        touched_count = count;
         const std::uint64_t hpa = pick_hpa(page, 1);
         const Status st = space.Map(page, hpa, count, perms, false);
         ASSERT_EQ(st, ref.Map(page, hpa, count, perms, false));
@@ -216,6 +261,8 @@ TEST_P(MemSpaceProperty, MatchesPerPageReference) {
             rng.Below(space_pages / large_pages) * large_pages +
             (rng.Chance(0.1) ? 1 : 0);
         const std::uint64_t count = rng.Range(1, 2) * large_pages;
+        touched = page;
+        touched_count = count;
         const std::uint64_t hpa = pick_hpa(page, large_pages);
         const Status st = space.Map(page, hpa, count, perms, true);
         ASSERT_EQ(st, ref.Map(page, hpa, count, perms, true));
@@ -226,6 +273,8 @@ TEST_P(MemSpaceProperty, MatchesPerPageReference) {
         const std::uint64_t page = rng.Below(space_pages);
         const std::uint64_t count =
             rng.Chance(0.5) ? rng.Range(1, 8) : rng.Range(1, 2 * large_pages);
+        touched = page;
+        touched_count = count;
         ASSERT_EQ(space.Unmap(page, count), Status::kSuccess);
         ref.Unmap(page, count);
         break;
@@ -242,6 +291,11 @@ TEST_P(MemSpaceProperty, MatchesPerPageReference) {
       ASSERT_EQ(space.HpaPageFor(page),
                 it == ref.pages().end() ? ~0ull : it->second.hpa_page)
           << "page " << page;
+    }
+    const std::uint64_t touched_end =
+        (touched + touched_count + large_pages - 1) & ~(large_pages - 1);
+    for (std::uint64_t p = touched & ~(large_pages - 1); p < touched_end; ++p) {
+      ASSERT_TRUE(WalkAgrees(space, p));
     }
     ASSERT_EQ(SaveBytes(space), KeyedBytes(ref.pages()));
     ASSERT_EQ(pool.next, ref_pool.next);
@@ -275,6 +329,60 @@ INSTANTIATE_TEST_SUITE_P(
                              : "FourLevel") +
              "Seed" + std::to_string(test.param.seed);
     });
+
+// A 4 KiB map that runs into a superpage fails with kBusy after it has
+// overwritten the pages before it. Those it found held go back to their
+// old frames and the rest are unmapped, with no new table frame; a walk of
+// each agrees with the bookkeeping the failed call left alone.
+TEST(MemSpace, FailedMapRestoresPagesItOverwrote) {
+  hw::PhysMem mem(32ull << 20);
+  FramePool pool;
+  MemSpace space(&mem, hw::PagingMode::kFourLevel, kRoot,
+                 [&pool] { return pool.Alloc(); });
+  ASSERT_EQ(space.Map(0, 100, 4, perm::kRw, false), Status::kSuccess);
+  ASSERT_EQ(space.Map(512, 1024, 512, perm::kRead, true), Status::kSuccess);
+  const std::vector<RunRow> before = RunsOf(space);
+  const hw::PhysAddr frames_before = pool.next;
+
+  EXPECT_EQ(space.Map(0, 6000, 600, perm::kRw, false), Status::kBusy);
+  EXPECT_EQ(RunsOf(space), before);
+  EXPECT_EQ(pool.next, frames_before);
+  const hw::WalkResult w = space.table().Walk(0x10, hw::Access{}, false);
+  ASSERT_EQ(w.status, Status::kSuccess);
+  EXPECT_EQ(w.pa, (std::uint64_t{100} << hw::kPageShift) + 0x10);
+  for (std::uint64_t page = 0; page < 1100; ++page) {
+    ASSERT_TRUE(WalkAgrees(space, page));
+  }
+}
+
+// A superpage map whose third block finds no table frame. The first block
+// had held a superpage, which goes back into its old entry; the second had
+// held three 4 KiB pages, whose table the new leaf replaced, so they leave
+// the runs and the table alike.
+TEST(MemSpace, FailedSuperpageMapRestoresSuperpagesItOverwrote) {
+  hw::PhysMem mem(32ull << 20);
+  FramePool pool;
+  MemSpace space(&mem, hw::PagingMode::kFourLevel, kRoot,
+                 [&pool] { return pool.Alloc(); });
+  // The last two blocks of the first GiB; the third needs a new table.
+  constexpr std::uint64_t kBlock = 512;
+  constexpr std::uint64_t kFirst = (1ull << 18) - 2 * kBlock;
+  ASSERT_EQ(space.Map(kFirst, 4 * kBlock, kBlock, perm::kRead, true),
+            Status::kSuccess);
+  ASSERT_EQ(space.Map(kFirst + kBlock + 7, 900, 3, perm::kRw, false),
+            Status::kSuccess);
+  const hw::PhysAddr frames_before = pool.next;
+
+  pool.budget = 0;
+  EXPECT_EQ(space.Map(kFirst, 8 * kBlock, 3 * kBlock, perm::kRw, true),
+            Status::kNoMem);
+  EXPECT_EQ(RunsOf(space),
+            (std::vector<RunRow>{{kFirst, kBlock, 4 * kBlock, perm::kRead, true}}));
+  EXPECT_EQ(pool.next, frames_before);
+  for (std::uint64_t page = kFirst; page < kFirst + 3 * kBlock; ++page) {
+    ASSERT_TRUE(WalkAgrees(space, page));
+  }
+}
 
 // A page whose record repeats or descends has no run to extend: the load
 // fails, as Keyed's did for the hashed pages.

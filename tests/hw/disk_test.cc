@@ -44,10 +44,11 @@ TEST(DiskModel, UnwrittenSectorsDeterministic) {
   EXPECT_EQ(0, memcmp(a, b, sizeof(a)));
 }
 
-// Unwritten bytes read as the per-byte formula below at any offset:
-// unaligned, across sector boundaries, across the 2^32 offset (where the
-// fill's 32-bit product wraps) and beside a written sector, including the
-// pattern a partial write leaves in the rest of its fresh sector.
+// Unwritten bytes read as the per-byte formula below at any offset and
+// length: unaligned, around the fill's 16-byte blocks, across sector
+// boundaries, across the 2^32 offset (where the fill's 32-bit product
+// wraps) and beside a written sector, including the pattern a partial
+// write leaves in the rest of its fresh sector.
 TEST(DiskModel, PatternFillMatchesPerByteFormula) {
   const auto pattern = [](std::uint64_t offset) {
     return static_cast<std::uint8_t>((offset * 2654435761u) >> 24);
@@ -63,6 +64,9 @@ TEST(DiskModel, PatternFillMatchesPerByteFormula) {
     std::uint64_t bytes;
   } reads[] = {
       {0, 1},
+      {1, 15},  // Shorter than, equal to and one past a 16-byte block.
+      {1, 16},
+      {1, 17},
       {3, 509},
       {511, 2},
       {12345, 4096},

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <utility>
+#include <vector>
+
 #include "src/hw/machine.h"
 
 namespace nova::hw {
@@ -52,6 +56,75 @@ TEST_F(EngineTest, BasicAluAndMemory) {
   EXPECT_EQ(gs.regs[2], 12u);
   EXPECT_EQ(machine_.mem().Read64(0x20000), 12u);
   EXPECT_EQ(engine_.instructions(), 6u);
+}
+
+// A guest word at frame offset 4092 spans two frames: the store lands in
+// both, as PhysMem::Read of the pair shows, the write observer sees it once
+// as (addr, 8), and the load reads it back whole.
+TEST_F(EngineTest, WordAccessAcrossFrameBoundary) {
+  constexpr PhysAddr kAddr = 0x20000 + kPageSize - 4;
+  constexpr std::uint64_t kValue = 0x1122334455667788;
+  isa::Assembler as(0x10000);
+  as.MovImm(0, kValue);
+  as.StoreAbs(0, kAddr);
+  as.LoadAbs(1, kAddr);
+  as.LoadAbs(2, kAddr - 4);  // The word before it, inside the first frame.
+  as.Hlt();
+  Install(as);
+  std::vector<std::pair<PhysAddr, std::uint64_t>> observed;
+  machine_.mem().set_write_observer(
+      [&observed](PhysAddr addr, std::uint64_t len) { observed.emplace_back(addr, len); });
+
+  GuestState gs;
+  gs.rip = 0x10000;
+  EXPECT_EQ(engine_.Run(gs, VmControls{}, kBudget).reason, ExitReason::kHlt);
+  std::uint8_t frames[2 * kPageSize];
+  ASSERT_EQ(machine_.mem().Read(0x20000, frames, sizeof frames), Status::kSuccess);
+  std::uint8_t want[2 * kPageSize] = {};
+  std::memcpy(want + kPageSize - 4, &kValue, sizeof kValue);
+  EXPECT_EQ(std::memcmp(frames, want, sizeof frames), 0);
+  EXPECT_EQ(observed, (std::vector<std::pair<PhysAddr, std::uint64_t>>{{kAddr, 8}}));
+  EXPECT_EQ(gs.regs[1], kValue);
+  EXPECT_EQ(gs.regs[2], kValue << 32);
+}
+
+// Paging off, a native guest address is its own translation, so a load
+// from ~0 translates to ~0 (no RAM there: it reads zero). Its second load
+// must be one TLB hit, exactly as for a load from the base of that page:
+// the same counters and the same TLB snapshot bytes (stamps and clock),
+// not a hit followed by a second insert.
+TEST_F(EngineTest, LoadTranslatingToLastAddressHitsTlbOnce) {
+  constexpr VirtAddr kTop = ~VirtAddr{0};
+  struct Twin {
+    Machine machine{MachineConfig{.cpus = {&CoreI7_920()}, .ram_size = 256ull << 20}};
+    VmEngine engine{&machine.cpu(0), &machine.mem(), &machine.bus(), &machine.irq()};
+  };
+  const auto run = [](Twin& twin, VirtAddr addr) {
+    isa::Assembler as(0x10000);
+    as.MovImm(1, 7);
+    as.LoadAbs(1, addr);
+    as.LoadAbs(1, addr);
+    as.Hlt();
+    (void)twin.machine.mem().Write(as.base(), as.bytes().data(), as.bytes().size());
+    GuestState gs;
+    gs.rip = 0x10000;
+    EXPECT_EQ(twin.engine.Run(gs, VmControls{}, kBudget).reason, ExitReason::kHlt);
+    EXPECT_EQ(gs.regs[1], 0u);
+  };
+  Twin top;
+  Twin base;
+  run(top, kTop);
+  run(base, kTop & ~kPageMask);
+  const Tlb& tlb = top.machine.cpu(0).tlb();
+  EXPECT_EQ(tlb.hits().value(), 4u);    // Three fetches, the second load.
+  EXPECT_EQ(tlb.misses().value(), 2u);  // The first fetch and load.
+  EXPECT_EQ(tlb.hits().value(), base.machine.cpu(0).tlb().hits().value());
+  EXPECT_EQ(tlb.misses().value(), base.machine.cpu(0).tlb().misses().value());
+  sim::SnapWriter a;
+  sim::SnapWriter b;
+  ASSERT_EQ(tlb.SaveState(a), Status::kSuccess);
+  ASSERT_EQ(base.machine.cpu(0).tlb().SaveState(b), Status::kSuccess);
+  EXPECT_EQ(a.data(), b.data());
 }
 
 TEST_F(EngineTest, LoopExecutesNTimes) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 namespace nova::hw {
@@ -19,6 +20,60 @@ TEST(Tlb, MissThenHit) {
   EXPECT_EQ(*hit, 0x5234u);
   EXPECT_EQ(tlb.hits().value(), 1u);
   EXPECT_EQ(tlb.misses().value(), 1u);
+}
+
+// Probe is the lookup and Lookup its optional view. On a hit, a miss,
+// permission misses, a write to a clean entry, a superpage hit and a hit
+// that translates to ~0, two twins, one probed and one looked up, answer
+// alike and end with equal counters, stamps and LRU order (their snapshot
+// bytes).
+TEST(Tlb, ProbeEqualsLookup) {
+  constexpr VirtAddr kTop = ~VirtAddr{0};
+  Tlb probed(16, 4);
+  Tlb looked_up(16, 4);
+  for (Tlb* tlb : {&probed, &looked_up}) {
+    (void)tlb->Insert(1, 0x1000, 0x5000, kPageSize, true, true, true);
+    (void)tlb->Insert(1, 0x2000, 0x6000, kPageSize, /*writable=*/false, true, true);
+    (void)tlb->Insert(1, 0x3000, 0x7000, kPageSize, true, /*user=*/false, true);
+    (void)tlb->Insert(1, 0x4000, 0x8000, kPageSize, true, true, /*dirty=*/false);
+    (void)tlb->Insert(1, k2M, k2M * 3, k2M, true, true, true);
+    (void)tlb->Insert(1, kTop, kTop, kPageSize, true, true, true);  // Identity.
+  }
+  const struct {
+    VirtAddr va;
+    Access access;
+    std::optional<PhysAddr> want;  // nullopt: a miss.
+  } probes[] = {
+      {0x1234, Access{}, 0x5234},                       // Hit.
+      {0x9000, Access{}, std::nullopt},                 // Miss.
+      {0x2008, Access{.write = true}, std::nullopt},    // Read-only entry.
+      {0x3008, Access{.user = true}, std::nullopt},     // Supervisor entry.
+      {0x4010, Access{.write = true}, std::nullopt},    // Clean entry.
+      {0x4010, Access{}, 0x8010},                       // Its read hits.
+      {k2M + 0x12345, Access{.write = true}, k2M * 3 + 0x12345},  // Superpage.
+      {0x1ff8, Access{.execute = true}, 0x5ff8},
+      {kTop, Access{}, kTop},  // The translation equals Probe's miss value.
+  };
+  for (const auto& p : probes) {
+    SCOPED_TRACE(::testing::Message() << std::hex << "va 0x" << p.va);
+    const std::uint64_t delta = probed.Probe(1, p.va, p.access);
+    if (p.want.has_value()) {
+      EXPECT_NE(delta, Tlb::kMiss);
+      EXPECT_EQ(p.va + delta, *p.want);
+    } else {
+      EXPECT_EQ(delta, Tlb::kMiss);
+    }
+    EXPECT_EQ(looked_up.Lookup(1, p.va, p.access), p.want);
+  }
+  EXPECT_EQ(probed.hits().value(), 5u);
+  EXPECT_EQ(probed.misses().value(), 4u);
+  EXPECT_EQ(looked_up.hits().value(), probed.hits().value());
+  EXPECT_EQ(looked_up.misses().value(), probed.misses().value());
+  sim::SnapWriter a;
+  sim::SnapWriter b;
+  ASSERT_EQ(probed.SaveState(a), Status::kSuccess);
+  ASSERT_EQ(looked_up.SaveState(b), Status::kSuccess);
+  EXPECT_EQ(a.data(), b.data());
 }
 
 TEST(Tlb, TagsIsolate) {

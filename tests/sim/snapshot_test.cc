@@ -123,6 +123,29 @@ TEST(Snapshot, BadMagicRejected) {
   EXPECT_NE(decoded.Decode(bytes), Status::kSuccess);
 }
 
+// A stream that names one section twice has no Encode that wrote it:
+// Decode refuses it rather than joining the two payloads.
+TEST(Snapshot, DecodeRejectsRepeatedSection) {
+  Snapshot snap;
+  snap.Section("dev", 1).U64(0x1122334455667788ull);
+  std::vector<std::uint8_t> bytes = snap.Encode();
+  constexpr std::size_t kHeader = sizeof Snapshot::kMagic + 4 + 4;
+  constexpr std::size_t kCountAt = kHeader - 4;
+  ASSERT_EQ(std::vector<std::uint8_t>(bytes.begin() + kCountAt,
+                                      bytes.begin() + kHeader),
+            (std::vector<std::uint8_t>{1, 0, 0, 0}));
+  const std::vector<std::uint8_t> record(bytes.begin() + kHeader, bytes.end());
+  bytes.insert(bytes.end(), record.begin(), record.end());
+  bytes[kCountAt] = 2;
+  Snapshot decoded;
+  EXPECT_EQ(decoded.Decode(bytes), Status::kBadParameter);
+
+  bytes.resize(bytes.size() - record.size());
+  bytes[kCountAt] = 1;
+  ASSERT_EQ(decoded.Decode(bytes), Status::kSuccess);
+  EXPECT_EQ(decoded.Encode(), snap.Encode());
+}
+
 TEST(Snapshot, PayloadBytesSumsSections) {
   Snapshot snap;
   snap.Section("a", 1).U64(1);  // 8 bytes.

@@ -166,10 +166,10 @@ void Run(const BenchOptions& opts) {
                 r.completed && r.recoveries == 1 ? "" : "  [INCOMPLETE]");
   }
   std::printf(
-      "\nShape: detection latency is stale_checks * period; the end-to-end "
-      "overhead tracks it plus the in-flight request replay, so tight "
-      "heartbeat periods buy bounded recovery time for a fixed polling "
-      "cost.\n");
+      "\nShape: detection latency is VmmSupervisor::kStaleChecks * period; "
+      "the end-to-end overhead tracks it plus the in-flight request replay, "
+      "so tight heartbeat periods buy bounded recovery time for a fixed "
+      "polling cost.\n");
 }
 
 }  // namespace

@@ -49,13 +49,13 @@ class CapSpace {
 
   // Typed lookup with permission check.
   template <typename T>
-  T* LookupAs(CapSel sel, ObjType type, std::uint8_t required_perms) const {
+  Checked<T*> LookupAs(CapSel sel, ObjType type, std::uint8_t required_perms) const {
     const Capability* cap = Lookup(sel);
     if (cap == nullptr || cap->object->type() != type ||
         (cap->perms & required_perms) != required_perms) {
-      return nullptr;
+      return {};
     }
-    return static_cast<T*>(cap->object.get());
+    return Checked(static_cast<T*>(cap->object.get()));
   }
 
   // Keep the object alive: shared_ptr form of Lookup.

@@ -71,13 +71,13 @@ Status Hypervisor::Call(Ec* caller_ec, CapSel pt_sel) {
   Charge(cpu_id, cpu(cpu_id).model().syscall_entry);
   Charge(cpu_id, costs_.hypercall_dispatch);
 
-  Pt* pt = LookupCharged<Pt>(&caller_ec->pd(), pt_sel, ObjType::kPt, perm::kCall,
-                             cpu_id);
+  auto pt = LookupCharged<Pt>(&caller_ec->pd(), pt_sel, ObjType::kPt, perm::kCall,
+                              cpu_id);
   if (pt == nullptr) {
     Charge(cpu_id, cpu(cpu_id).model().syscall_exit);
     return Status::kBadCapability;
   }
-  const Status s = DoCall(caller_ec, pt);
+  const Status s = DoCall(caller_ec, pt.get());
   Charge(cpu_id, cpu(cpu_id).model().syscall_exit);
   return s;
 }

@@ -47,8 +47,6 @@ Hypervisor::Hypervisor(hw::Machine* machine, HvCosts costs)
     engines_.push_back(std::make_unique<hw::VmEngine>(
         &machine_->cpu(i), &machine_->mem(), &machine_->bus(), &machine_->irq()));
   }
-  // nova-lint: allow(per-cpu-state) — boot-time sizing, no core yet.
-  cpu_states_.resize(machine_->num_cpus());
   // SmDown deadline events are tagged (ec oid, sm oid); the factory
   // resolves both against the creation-order registry, which on restore
   // is the twin's. The closure holds shared refs, so both objects outlive
@@ -61,7 +59,9 @@ Hypervisor::Hypervisor(hw::Machine* machine, HvCosts costs)
         if (tag.op != 1 || ec == nullptr || sm == nullptr) {
           return nullptr;
         }
-        return [this, ec, sm] { SmDeadlineExpired(ec, sm); };
+        return [this, ec = ec.shared(), sm = sm.shared()] {
+          SmDeadlineExpired(ec, sm);
+        };
       });
 }
 
@@ -163,7 +163,7 @@ std::shared_ptr<Pd> Hypervisor::SelfRef(Pd* caller) {
     return root_pd_;
   }
   auto self = RefAs<Pd>(caller->caps().LookupRef(kSelOwnPd), ObjType::kPd);
-  return self != nullptr ? self : root_pd_;
+  return self ? self.shared() : root_pd_;
 }
 
 std::shared_ptr<Pd> Hypervisor::MakePd(const std::string& name, bool is_vm,
@@ -334,12 +334,12 @@ Status Hypervisor::CreatePd(Pd* caller, CapSel dst_sel, const std::string& name,
 }
 
 Status Hypervisor::DestroyPd(Pd* caller, CapSel pd_sel) {
-  Pd* pd = LookupCharged<Pd>(caller, pd_sel, ObjType::kPd, perm::kCtrl,
-                             boot_cpu_for_step_);
+  auto pd = LookupCharged<Pd>(caller, pd_sel, ObjType::kPd, perm::kCtrl,
+                              boot_cpu_for_step_);
   if (pd == nullptr) {
     return Status::kBadCapability;
   }
-  if (pd == root_pd_.get()) {
+  if (pd.get() == root_pd_.get()) {
     return Status::kDenied;
   }
   // Reclaim first, while the domain's kernel objects still exist: the
@@ -347,14 +347,14 @@ Status Hypervisor::DestroyPd(Pd* caller, CapSel pd_sel) {
   // a delegated cap, and a foreign waiter blocked on it must observe the
   // abort, not be stranded on a vanished object.
   pd->MarkDead();
-  ReclaimPd(pd);
+  ReclaimPd(pd.get());
   // Withdraw everything this domain held and everything derived from it.
   // The per-node withdrawals below are best-effort by design: a range the
   // domain already unmapped itself is not an error during teardown.
   // Teardown of a dead domain runs serially on the calling core; charging
   // mdb_lock_ here would change the contention model and shift digests.
   Mdb& mdb = mdb_.Get(SerialPhase::kUncharged);
-  mdb.DropDomain(pd, [this](const MdbNode& node) {
+  mdb.DropDomain(pd.get(), [this](const MdbNode& node) {
     if (node.pd->dead()) {
       return;  // A domain destroyed earlier: its spaces are already gone.
     }
@@ -511,11 +511,11 @@ Status Hypervisor::CreateEc(Pd* caller, CapSel dst_sel, CapSel pd_sel,
   if (pd == nullptr) {
     return Status::kBadCapability;
   }
-  KmemCharge utcb = ChargeObjectFrames(pd, 1);
+  KmemCharge utcb = ChargeObjectFrames(pd.shared(), 1);
   if (!utcb) {
     return Status::kNoMem;
   }
-  auto ec = std::make_shared<Ec>(kind, pd, cpu_id);
+  auto ec = std::make_shared<Ec>(kind, pd.shared(), cpu_id);
   ec->set_handler(std::move(handler));
   ec->set_step_fn(std::move(step));
   const Status s = Publish(caller, dst_sel, ec, std::move(utcb));
@@ -543,11 +543,11 @@ Status Hypervisor::CreateVcpu(Pd* caller, CapSel dst_sel, CapSel vm_pd_sel,
   if (!pd->is_vm()) {
     return Status::kBadParameter;
   }
-  KmemCharge utcb_vmcs = ChargeObjectFrames(pd, 2);
+  KmemCharge utcb_vmcs = ChargeObjectFrames(pd.shared(), 2);
   if (!utcb_vmcs) {
     return Status::kNoMem;
   }
-  auto ec = std::make_shared<Ec>(Ec::Kind::kVcpu, pd, cpu_id);
+  auto ec = std::make_shared<Ec>(Ec::Kind::kVcpu, pd.shared(), cpu_id);
   ec->set_evt_base(evt_base);
   // Default controls: full virtualization with nested paging on the VM's
   // host page table. The VMM reconfigures via ec->ctl() before first run.
@@ -594,7 +594,7 @@ Status Hypervisor::CreateSc(Pd* caller, CapSel dst_sel, CapSel ec_sel,
   if (!charge) {
     return Status::kNoMem;
   }
-  auto sc = std::make_shared<Sc>(ec, prio, quantum);
+  auto sc = std::make_shared<Sc>(ec.shared(), prio, quantum);
   ec->set_sc(sc.get());
   const Status s = Publish(caller, dst_sel, sc, std::move(charge));
   if (!Ok(s)) {
@@ -620,13 +620,13 @@ Status Hypervisor::CreatePt(Pd* caller, CapSel dst_sel, CapSel handler_ec_sel,
   if (!charge) {
     return Status::kNoMem;
   }
-  return Publish(caller, dst_sel, std::make_shared<Pt>(ec, m, id),
+  return Publish(caller, dst_sel, std::make_shared<Pt>(ec.shared(), m, id),
                  std::move(charge));
 }
 
 Status Hypervisor::PtCtrlMtd(Pd* caller, CapSel pt_sel, Mtd m) {
-  Pt* pt = LookupCharged<Pt>(caller, pt_sel, ObjType::kPt, perm::kCtrl,
-                             boot_cpu_for_step_);
+  auto pt = LookupCharged<Pt>(caller, pt_sel, ObjType::kPt, perm::kCtrl,
+                              boot_cpu_for_step_);
   if (pt == nullptr) {
     return Status::kBadCapability;
   }
@@ -653,8 +653,8 @@ Status Hypervisor::CreateSm(Pd* caller, CapSel dst_sel, std::uint64_t initial) {
 
 Status Hypervisor::SmUp(Pd* caller, CapSel sm_sel) {
   Charge(boot_cpu_for_step_, costs_.hypercall_dispatch + costs_.sm_op);
-  Sm* sm = LookupCharged<Sm>(caller, sm_sel, ObjType::kSm, perm::kSmUp,
-                             boot_cpu_for_step_);
+  auto sm = LookupCharged<Sm>(caller, sm_sel, ObjType::kSm, perm::kSmUp,
+                              boot_cpu_for_step_);
   if (sm == nullptr) {
     return Status::kBadCapability;
   }
@@ -732,8 +732,8 @@ Hypervisor::DownResult Hypervisor::SmDown(Ec* caller_ec, CapSel sm_sel,
     caller_ec->set_wake_status(Status::kSuccess);
     return why == Status::kTimeout ? DownResult::kTimeout : DownResult::kAborted;
   }
-  Sm* sm = LookupCharged<Sm>(&caller_ec->pd(), sm_sel, ObjType::kSm, perm::kSmDown,
-                             caller_ec->cpu());
+  auto sm = LookupCharged<Sm>(&caller_ec->pd(), sm_sel, ObjType::kSm,
+                              perm::kSmDown, caller_ec->cpu());
   if (sm == nullptr) {
     return DownResult::kError;
   }
@@ -752,7 +752,7 @@ Hypervisor::DownResult Hypervisor::SmDown(Ec* caller_ec, CapSel sm_sel,
     return DownResult::kError;  // Only threads with their own SC may block.
   }
   caller_ec->set_block_state(Ec::BlockState::kBlockedSm);
-  caller_ec->set_blocked_on(sm);
+  caller_ec->set_blocked_on(sm.get());
   auto ec_ref = caller_ec->sc()->ec_ref();
   sm->waiters().push_back(ec_ref);
   if (deadline_ps != 0) {
@@ -774,7 +774,7 @@ Status Hypervisor::Delegate(Pd* caller, CapSel dst_pd_sel, const Crd& src,
   const std::uint32_t cpu_id = boot_cpu_for_step_;
   Charge(cpu_id, costs_.hypercall_dispatch);
   Mdb& mdb = mdb_.Get(ChargeLock(mdb_lock_, cpu_id));
-  Pd* dst = LookupCharged<Pd>(caller, dst_pd_sel, ObjType::kPd, 0, cpu_id);
+  auto dst = LookupCharged<Pd>(caller, dst_pd_sel, ObjType::kPd, 0, cpu_id);
   if (dst == nullptr) {
     return Status::kBadCapability;
   }
@@ -831,7 +831,7 @@ Status Hypervisor::Delegate(Pd* caller, CapSel dst_pd_sel, const Crd& src,
     case CrdKind::kNull:
       break;
   }
-  (void)mdb.Delegate(node, dst, hotspot, src.count(), eff, src.base);
+  (void)mdb.Delegate(node, dst.get(), hotspot, src.count(), eff, src.base);
   return Status::kSuccess;
 }
 
@@ -915,7 +915,7 @@ Status Hypervisor::AssignGsi(Pd* caller, CapSel sm_sel, std::uint32_t gsi,
   // Rebind hypercalls are serialized with delivery by the event loop; on
   // real hardware this is where sched_lock_ would be taken. Charging it
   // here would change the contention model and the golden digests.
-  gsi_sms_.Get(SerialPhase::kUncharged)[gsi] = sm;
+  gsi_sms_.Get(SerialPhase::kUncharged)[gsi] = sm.shared();
   gsi_direct_.Get(SerialPhase::kUncharged)[gsi] = nullptr;
   machine_->irq().Configure(gsi, cpu_id, static_cast<std::uint8_t>(32 + gsi));
   return Status::kSuccess;
@@ -931,7 +931,7 @@ Status Hypervisor::AssignGsiDirect(Pd* caller, CapSel vcpu_sel, std::uint32_t gs
     return Status::kBadCapability;
   }
   // Serialized with delivery and uncharged, as in AssignGsi.
-  gsi_direct_.Get(SerialPhase::kUncharged)[gsi] = ec;
+  gsi_direct_.Get(SerialPhase::kUncharged)[gsi] = ec.shared();
   gsi_sms_.Get(SerialPhase::kUncharged)[gsi] = nullptr;
   machine_->irq().Configure(gsi, ec->cpu(), static_cast<std::uint8_t>(32 + gsi));
   machine_->irq().Unmask(gsi);
@@ -941,7 +941,7 @@ Status Hypervisor::AssignGsiDirect(Pd* caller, CapSel vcpu_sel, std::uint32_t gs
 Status Hypervisor::AssignDev(Pd* caller, CapSel pd_sel, hw::DeviceId dev,
                              std::uint32_t gsi) {
   Charge(boot_cpu_for_step_, costs_.hypercall_dispatch);
-  Pd* pd = LookupCharged<Pd>(caller, pd_sel, ObjType::kPd, 0, boot_cpu_for_step_);
+  auto pd = LookupCharged<Pd>(caller, pd_sel, ObjType::kPd, 0, boot_cpu_for_step_);
   if (pd == nullptr) {
     return Status::kBadCapability;
   }
@@ -1106,15 +1106,13 @@ void Hypervisor::SyncDeviceTime() {
   // (SkipToNextEvent) takes over from there.
   sim::PicoSeconds floor = 0;
   bool any_runnable = false;
-  for (std::uint32_t i = 0; i < machine_->num_cpus(); ++i) {
-    // nova-lint: allow(per-cpu-state) — machine-wide floor scan.
-    if (!cpu_state(i).Runnable()) {
-      continue;
+  ForEachCpu(machine_->num_cpus(), [&](CpuId c) {
+    if (cpu_state(c).Runnable()) {
+      const sim::PicoSeconds now = cpu(c).NowPs();
+      floor = any_runnable ? std::min(floor, now) : now;
+      any_runnable = true;
     }
-    const sim::PicoSeconds now = cpu(i).NowPs();
-    floor = any_runnable ? std::min(floor, now) : now;
-    any_runnable = true;
-  }
+  });
   if (!any_runnable) {
     floor = cpu(boot_cpu_for_step_).NowPs();
   }
@@ -1123,25 +1121,22 @@ void Hypervisor::SyncDeviceTime() {
 
 // --- Scheduling loop ----------------------------------------------------------
 
-std::uint32_t Hypervisor::PickNextCpu() {
+std::optional<CpuId> Hypervisor::PickNextCpu() {
   // The runnable CPU with the smallest local time (conservative
   // co-simulation across the package).
-  std::uint32_t chosen = ~0u;
-  for (std::uint32_t i = 0; i < machine_->num_cpus(); ++i) {
-    // nova-lint: allow(per-cpu-state) — the picker is the all-cores scan.
-    if (!cpu_state(i).HasReady()) {
-      continue;
+  std::optional<CpuId> chosen;
+  ForEachCpu(machine_->num_cpus(), [&](CpuId c) {
+    if (cpu_state(c).HasReady() &&
+        (!chosen || cpu(c).NowPs() < cpu(*chosen).NowPs())) {
+      chosen = c;
     }
-    if (chosen == ~0u || cpu(i).NowPs() < cpu(chosen).NowPs()) {
-      chosen = i;
-    }
-  }
+  });
   return chosen;
 }
 
 bool Hypervisor::StepOnce() {
-  std::uint32_t chosen = PickNextCpu();
-  if (chosen == ~0u) {
+  std::optional<CpuId> chosen = PickNextCpu();
+  if (!chosen) {
     // Everything is blocked: handle pending interrupts in host context —
     // this may wake driver threads or halted direct-interrupt vCPUs.
     for (std::uint32_t i = 0; i < machine_->num_cpus(); ++i) {
@@ -1149,7 +1144,7 @@ bool Hypervisor::StepOnce() {
     }
     chosen = PickNextCpu();
   }
-  if (chosen == ~0u) {
+  if (!chosen) {
     // Truly idle: hop to the next device event (which may raise an
     // interrupt and unblock work).
     for (std::uint32_t i = 0; i < machine_->num_cpus(); ++i) {
@@ -1161,10 +1156,10 @@ bool Hypervisor::StepOnce() {
     }
     return progressed;
   }
-  return DispatchOn(chosen);
+  return DispatchOn(*chosen);
 }
 
-bool Hypervisor::DispatchOn(std::uint32_t cpu_id) {
+bool Hypervisor::DispatchOn(CpuId cpu_id) {
   CpuState& state = cpu_state(cpu_id);
   hw::Cpu& c = cpu(cpu_id);
 
@@ -1247,11 +1242,13 @@ bool Hypervisor::WorkRemainsBefore(sim::PicoSeconds deadline_ps) {
   // Runnable work on a CPU that has not yet reached the deadline, or a
   // pending device event before it, keeps the run loop going. Idle CPUs
   // do not: nothing will advance their clocks.
-  for (std::uint32_t i = 0; i < machine_->num_cpus(); ++i) {
-    // nova-lint: allow(per-cpu-state) — machine-wide progress check.
-    if (cpu_state(i).HasReady() && cpu(i).NowPs() < deadline_ps) {
-      return true;
-    }
+  bool ready_before = false;
+  ForEachCpu(machine_->num_cpus(), [&](CpuId c) {
+    ready_before = ready_before ||
+                   (cpu_state(c).HasReady() && cpu(c).NowPs() < deadline_ps);
+  });
+  if (ready_before) {
+    return true;
   }
   if (!machine_->events().empty() &&
       machine_->events().NextDeadline() < deadline_ps) {

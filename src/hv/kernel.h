@@ -18,6 +18,7 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <vector>
 
 #include "src/hw/machine.h"
@@ -215,9 +216,8 @@ class Hypervisor : public KmemPool {
   hw::Cpu& cpu(std::uint32_t id) { return machine_->cpu(id); }
   void Charge(std::uint32_t cpu_id, sim::Cycles c) { cpu(cpu_id).Charge(c); }
 
-  // The only door to per-core kernel state: call sites must name the core
-  // (nova-lint rule per-cpu-state enforces the discipline).
-  CpuState& cpu_state(std::uint32_t cpu_id) { return cpu_states_[cpu_id]; }
+  // The door to per-core kernel state: the caller names the core.
+  CpuState& cpu_state(CpuId cpu_id) { return cpu_states_[cpu_id]; }
 
   // Put `sc` on its home core's ready queue (Hedron: SCs have core
   // affinity; the queue is always the one keyed by Sc::cpu). A wakeup
@@ -312,9 +312,10 @@ class Hypervisor : public KmemPool {
   void ProcessPendingIrqs(std::uint32_t cpu_id);
 
   // Scheduling internals: choose the runnable core with the smallest
-  // local clock (~0u = none), then run one dispatch on it.
-  std::uint32_t PickNextCpu();
-  bool DispatchOn(std::uint32_t cpu_id);
+  // local clock (none when no core has ready work), then run one dispatch
+  // on it.
+  std::optional<CpuId> PickNextCpu();
+  bool DispatchOn(CpuId cpu_id);
 
   // Unlink an EC from its semaphore wait and make it runnable again with
   // `status` as the wake reason (kSuccess = normal Up).
@@ -339,8 +340,8 @@ class Hypervisor : public KmemPool {
 
   // Charged capability lookup.
   template <typename T>
-  T* LookupCharged(Pd* caller, CapSel sel, ObjType type, std::uint8_t perms,
-                   std::uint32_t cpu_id) {
+  Checked<T*> LookupCharged(Pd* caller, CapSel sel, ObjType type,
+                            std::uint8_t perms, std::uint32_t cpu_id) {
     Charge(cpu_id, costs_.cap_lookup);
     return caller->caps().LookupAs<T>(sel, type, perms);
   }
@@ -399,7 +400,7 @@ class Hypervisor : public KmemPool {
 
   std::shared_ptr<Pd> root_pd_;
   std::vector<std::unique_ptr<hw::VmEngine>> engines_;
-  std::vector<CpuState> cpu_states_;
+  CpuStates cpu_states_{machine_->num_cpus()};
 
   // GSI bindings. Rebinding a route races interrupt delivery on another
   // core, so writers outside single-core phases take the scheduler lock.

@@ -4,8 +4,12 @@
 #ifndef SRC_HV_OBJECT_H_
 #define SRC_HV_OBJECT_H_
 
+#include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
+#include <type_traits>
 #include <utility>
 
 #include "src/hv/kmem.h"
@@ -13,6 +17,22 @@
 namespace nova::hv {
 
 enum class ObjType : std::uint8_t { kPd, kEc, kSc, kPt, kSm };
+
+constexpr const char* ObjTypeName(ObjType type) {
+  switch (type) {
+    case ObjType::kPd:
+      return "Pd";
+    case ObjType::kEc:
+      return "Ec";
+    case ObjType::kSc:
+      return "Sc";
+    case ObjType::kPt:
+      return "Pt";
+    case ObjType::kSm:
+      return "Sm";
+  }
+  return "?";
+}
 
 class KObject {
  public:
@@ -52,16 +72,68 @@ class KObject {
 
 using ObjRef = std::shared_ptr<KObject>;
 
-// Checked downcast for capability lookups: null unless the object is of
+// What a checked downcast returns: RefAs below, CapSpace::LookupAs and
+// Hypervisor::LookupCharged. It holds the object, or nothing when the
+// capability is missing, dead, of another type or short of the required
+// rights. Test it before use (`if (!pt)`, `pt == nullptr`): `->` and `*`
+// on an empty handle abort and name the expected type, where a raw
+// pointer would follow null. `P` is `T*` for an object the capability
+// space keeps alive, `std::shared_ptr<T>` for one the caller holds.
+template <class P>
+class [[nodiscard]] Checked {
+ public:
+  using T = typename std::pointer_traits<P>::element_type;
+
+  Checked() = default;
+  explicit Checked(P ptr) : ptr_(std::move(ptr)) {}
+
+  explicit operator bool() const { return ptr_ != nullptr; }
+  friend bool operator==(const Checked& c, std::nullptr_t) {
+    return c.ptr_ == nullptr;
+  }
+
+  // The object, or null: for passing on after the test.
+  T* get() const {
+    if constexpr (std::is_pointer_v<P>) {
+      return ptr_;
+    } else {
+      return ptr_.get();
+    }
+  }
+  // The caller's own reference, or null (shared_ptr handles only).
+  const P& shared() const
+    requires(!std::is_pointer_v<P>)
+  {
+    return ptr_;
+  }
+
+  T& operator*() const {
+    if (ptr_ == nullptr) {
+      std::fprintf(stderr,
+                   "hv::Checked<%s>: dereferenced an empty handle (the "
+                   "capability is missing, dead, of another type or short "
+                   "of rights)\n",
+                   ObjTypeName(T::kType));
+      std::abort();
+    }
+    return *ptr_;
+  }
+  T* operator->() const { return &**this; }
+
+ private:
+  P ptr_{};
+};
+
+// Checked downcast of an object reference: empty unless the object is of
 // the expected type. (A static_pointer_cast through the wrong dynamic type
 // is undefined behaviour even if the result is discarded after a type
 // check.)
 template <typename T>
-std::shared_ptr<T> RefAs(ObjRef ref, ObjType type) {
+Checked<std::shared_ptr<T>> RefAs(ObjRef ref, ObjType type) {
   if (ref == nullptr || ref->type() != type) {
-    return nullptr;
+    return {};
   }
-  return std::static_pointer_cast<T>(std::move(ref));
+  return Checked(std::static_pointer_cast<T>(std::move(ref)));
 }
 
 }  // namespace nova::hv

@@ -161,7 +161,7 @@ class Ec : public KObject {
   Kind kind() const { return kind_; }
   Pd& pd() { return *pd_; }
   std::shared_ptr<Pd> pd_ref() { return pd_; }
-  std::uint32_t cpu() const { return cpu_; }
+  CpuId cpu() const { return CpuId(cpu_); }
 
   Utcb& utcb() { return utcb_; }
 
@@ -254,7 +254,7 @@ class Sc : public KObject {
   sim::Cycles quantum() const { return quantum_; }
   // Home core: an SC is bound to its EC's CPU (Hedron model) and only
   // ever sits in that core's run queue.
-  std::uint32_t cpu() const { return ec_->cpu(); }
+  CpuId cpu() const { return ec_->cpu(); }
 
   sim::Cycles left() const { return left_; }
   void Refill() { left_ = quantum_; }

@@ -7,6 +7,7 @@
 #define SRC_HV_SCHEDULER_H_
 
 #include <array>
+#include <cstddef>
 #include <cstdint>
 #include <deque>
 #include <memory>
@@ -48,8 +49,7 @@ class RunQueue {
 
 // Everything the kernel keeps per core: the ready queue, the SC whose EC
 // is on the CPU right now, and the vCPUs halted on this core waiting for
-// an interrupt. All mutation goes through methods so that call sites are
-// forced to name the core they operate on (see nova-lint per-cpu-state).
+// an interrupt.
 class CpuState {
  public:
   // Ready set.
@@ -86,6 +86,17 @@ class CpuState {
   RunQueue runqueue_;
   Sc* current_ = nullptr;
   std::vector<std::shared_ptr<Ec>> halted_vcpus_;
+};
+
+// One CpuState per core, reached only through a named core (CpuId): there
+// is no integer index and no iteration.
+class CpuStates {
+ public:
+  explicit CpuStates(std::size_t cores) : states_(cores) {}
+  CpuState& operator[](CpuId cpu) { return states_[cpu]; }
+
+ private:
+  std::vector<CpuState> states_;
 };
 
 }  // namespace nova::hv

@@ -46,7 +46,7 @@ class OidRefs {
       if constexpr (std::is_same_v<T, KObject>) {
         obj = hv_.ObjectByOid(oid);
       } else {
-        obj = RefAs<T>(hv_.ObjectByOid(oid), T::kType);
+        obj = RefAs<T>(hv_.ObjectByOid(oid), T::kType).shared();
       }
       if constexpr (std::is_pointer_v<P>) {
         ref = obj == nullptr ? nullptr : obj.get();
@@ -143,11 +143,10 @@ void Hypervisor::Io(Ar& ar) {
     refs.Io(ar, ec);
   }
 
-  // Per-core scheduler state. Machine-wide enumeration by design:
-  // nova-lint: allow(per-cpu-state)
-  ar.Verify(static_cast<std::uint32_t>(cpu_states_.size()));
-  // nova-lint: allow(per-cpu-state)
-  for (CpuState& state : cpu_states_) {
+  // Per-core scheduler state, core by core.
+  ar.Verify(static_cast<std::uint32_t>(machine_->num_cpus()));
+  ForEachCpu(machine_->num_cpus(), [&](CpuId c) {
+    CpuState& state = cpu_state(c);
     Sc* current = state.current();
     std::vector<Sc*> ready;  // Dequeue order: priority-descending, FIFO.
     if constexpr (!Ar::kLoading) {
@@ -170,7 +169,7 @@ void Hypervisor::Io(Ar& ar) {
         }
       }
     }
-  }
+  });
 
   // Mapping database and root sanity anchor.
   mdb_.Get(SerialPhase::kQuiescedSnapshot).Io(ar, refs);

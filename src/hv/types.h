@@ -4,11 +4,40 @@
 #ifndef SRC_HV_TYPES_H_
 #define SRC_HV_TYPES_H_
 
+#include <cstddef>
 #include <cstdint>
 
 #include "src/sim/time.h"
 
 namespace nova::hv {
+
+// A core, as the kernel keys its per-core state (Hypervisor::cpu_state).
+// No integer converts to one: a CpuId is an Ec's or Sc's home core or
+// comes from ForEachCpu's scan, so per-core state is reached only through
+// a core an object or a scan named, never through an ambient "current
+// CPU" left over from the single-core kernel. It reads as its index
+// wherever a core number is wanted (charging, the machine's CPUs).
+class CpuId {
+ public:
+  constexpr operator std::uint32_t() const { return index_; }
+
+ private:
+  friend class Ec;
+  template <class Fn>
+  friend void ForEachCpu(std::size_t cores, Fn&& fn);
+  constexpr explicit CpuId(std::uint32_t index) : index_(index) {}
+
+  std::uint32_t index_;
+};
+
+// The machine-wide scan: `fn(cpu)` for each of `cores` cores, in index
+// order.
+template <class Fn>
+void ForEachCpu(std::size_t cores, Fn&& fn) {
+  for (std::uint32_t i = 0; i < cores; ++i) {
+    fn(CpuId(i));
+  }
+}
 
 // Capability selector: an index into a protection domain's capability
 // space, analogous to a Unix file descriptor (§5 of the paper).

@@ -119,7 +119,7 @@ bool Hypervisor::DispatchVmEvent(Ec* vcpu, Event event, const hw::VmExit& exit) 
 
   // The kernel looks up the event portal in the *VM's* capability space;
   // the VM itself cannot perform hypercalls (§4.2).
-  Pt* pt = LookupCharged<Pt>(&vm, sel, ObjType::kPt, perm::kCall, cpu_id);
+  auto pt = LookupCharged<Pt>(&vm, sel, ObjType::kPt, perm::kCall, cpu_id);
   if (pt == nullptr) {
     events_.vm_event_unhandled.Count(cpu(cpu_id));
     return false;

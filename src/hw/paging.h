@@ -91,6 +91,11 @@ constexpr std::uint64_t LargePageSize(PagingMode mode) {
 constexpr int Levels(PagingMode mode) {
   return mode == PagingMode::kTwoLevel ? 2 : 4;
 }
+// The first physical address an entry cannot hold: a two-level entry is
+// 32 bits wide, a four-level one keeps 52 address bits.
+constexpr PhysAddr EntryReach(PagingMode mode) {
+  return mode == PagingMode::kTwoLevel ? (1ull << 32) : (1ull << 52);
+}
 
 // A page table rooted at `root`, and the simulator's only reader of
 // page-table entry bits: the engine's walks, the vTLB, the VMM's emulator
@@ -128,9 +133,11 @@ class PageTable {
   WalkResult Walk(VirtAddr va, Access access, bool set_ad, Resolve&& resolve) const;
 
   // Install a mapping. `page_size` must be kPageSize or LargePageSize(mode),
-  // and va/pa must be aligned to it. Intermediate tables are allocated via
-  // `alloc` (0 = exhausted: kOverflow). Replaces any existing mapping at
-  // that slot. kMemoryFault when a table address does not resolve.
+  // va/pa must be aligned to it, and pa must lie below EntryReach(mode);
+  // otherwise kBadParameter, with nothing written. Intermediate tables are
+  // allocated via `alloc` (0 = exhausted: kOverflow). Replaces any existing
+  // mapping at that slot. kMemoryFault when a table address does not
+  // resolve.
   Status Map(VirtAddr va, PhysAddr pa, std::uint64_t page_size,
              std::uint64_t flags, const FrameAllocator& alloc);
   template <class Alloc, class Resolve>
@@ -234,7 +241,8 @@ Status PageTable::Map(VirtAddr va, PhysAddr pa, std::uint64_t page_size,
   if (!large && page_size != kPageSize) {
     return Status::kBadParameter;
   }
-  if ((va & (page_size - 1)) != 0 || (pa & (page_size - 1)) != 0) {
+  if ((va & (page_size - 1)) != 0 || (pa & (page_size - 1)) != 0 ||
+      pa >= EntryReach(mode_)) {
     return Status::kBadParameter;
   }
 

@@ -1,5 +1,7 @@
 #include "src/services/disk_server.h"
 
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 #include "src/services/host_io.h"
@@ -14,6 +16,17 @@ constexpr std::uint64_t kDiskServerOwner =
 constexpr std::uint32_t kOpDeadline = 1;
 constexpr std::uint32_t kOpReissue = 2;
 constexpr std::uint8_t kIrqPrio = 40;  // Interrupt thread's priority.
+
+// Root delegates the AHCI window when it builds the server and nothing
+// revokes it, so a refused access is a broken construction invariant.
+void CheckMmio(const char* access, std::uint64_t offset, Status s) {
+  if (!Ok(s)) {
+    std::fprintf(stderr,
+                 "services::DiskServer: AHCI %s at offset 0x%llx failed: %s\n",
+                 access, static_cast<unsigned long long>(offset), StatusName(s));
+    std::abort();
+  }
+}
 }  // namespace
 
 DiskServer::DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
@@ -62,10 +75,10 @@ DiskServer::DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
 
   // Bring the controller up. Task-file errors interrupt too, so errored
   // commands surface on the same semaphore as completions.
-  (void)MmioWrite(hw::ahci::kGhc, hw::ahci::kGhcIntrEnable);
-  (void)MmioWrite(hw::ahci::kPxClb, clb_page_ << hw::kPageShift);
-  (void)MmioWrite(hw::ahci::kPxIe, hw::ahci::kPxIsDhrs | hw::ahci::kPxIsTfes);
-  (void)MmioWrite(hw::ahci::kPxCmd, hw::ahci::kPxCmdStart);
+  MmioWrite(hw::ahci::kGhc, hw::ahci::kGhcIntrEnable);
+  MmioWrite(hw::ahci::kPxClb, clb_page_ << hw::kPageShift);
+  MmioWrite(hw::ahci::kPxIe, hw::ahci::kPxIsDhrs | hw::ahci::kPxIsTfes);
+  MmioWrite(hw::ahci::kPxCmd, hw::ahci::kPxCmdStart);
 }
 
 void DiskServer::SetRequestDeadline(sim::PicoSeconds deadline_ps,
@@ -77,18 +90,22 @@ void DiskServer::SetRequestDeadline(sim::PicoSeconds deadline_ps,
 }
 
 std::uint64_t DiskServer::MmioRead(std::uint64_t offset) {
-  return HostMmioRead(hv_, pd_, cpu_, kAhciMmioBase + offset, 4);
+  std::uint64_t value = 0;
+  CheckMmio("read", offset,
+            HostMmioRead(hv_, pd_, cpu_, kAhciMmioBase + offset, 4, &value));
+  return value;
 }
 
 void DiskServer::MmioWrite(std::uint64_t offset, std::uint64_t value) {
-  (void)HostMmioWrite(hv_, pd_, cpu_, kAhciMmioBase + offset, 4, value);
+  CheckMmio("write", offset,
+            HostMmioWrite(hv_, pd_, cpu_, kAhciMmioBase + offset, 4, value));
 }
 
 DiskServer::Channel DiskServer::OpenChannel(hv::CapSel client_pd_sel,
                                             hv::CapSel completion_pt_sel,
                                             std::uint32_t max_outstanding) {
   Channel out{hv::kInvalidSel, 0};
-  hv::Pd* client =
+  auto client =
       root_->pd()->caps().LookupAs<hv::Pd>(client_pd_sel, hv::ObjType::kPd, 0);
   if (client == nullptr) {
     return out;
@@ -277,7 +294,7 @@ void DiskServer::HandleRequest(std::uint32_t channel_id) {
         sim::EventTag{kDiskServerOwner, kOpDeadline,
                       static_cast<std::uint64_t>(slot), slots_[slot].generation});
   }
-  (void)MmioWrite(hw::ahci::kPxCi, 1u << slot);
+  MmioWrite(hw::ahci::kPxCi, 1u << slot);
   reply(Status::kSuccess, static_cast<std::uint64_t>(slot));
 }
 
@@ -289,8 +306,8 @@ void DiskServer::IrqThreadStep() {
   // Acknowledge the controller.
   const std::uint64_t is = MmioRead(hw::ahci::kIs);
   const std::uint64_t px_is = MmioRead(hw::ahci::kPxIs);
-  (void)MmioWrite(hw::ahci::kPxIs, px_is);
-  (void)MmioWrite(hw::ahci::kIs, is);
+  MmioWrite(hw::ahci::kPxIs, px_is);
+  MmioWrite(hw::ahci::kIs, is);
 
   const auto ci = static_cast<std::uint32_t>(MmioRead(hw::ahci::kPxCi));
   // The error register is only consulted when a task-file error actually
@@ -298,7 +315,7 @@ void DiskServer::IrqThreadStep() {
   std::uint32_t err = 0;
   if ((px_is & hw::ahci::kPxIsTfes) != 0) {
     err = static_cast<std::uint32_t>(MmioRead(hw::ahci::kPxVs));
-    (void)MmioWrite(hw::ahci::kPxVs, err);
+    MmioWrite(hw::ahci::kPxVs, err);
   }
   // A quarantined slot leaves quarantine once the hardware finished with
   // it, successfully or not.
@@ -405,7 +422,7 @@ void DiskServer::DeadlineExpired(int slot, std::uint64_t generation) {
 
 void DiskServer::ReissueSlot(int slot, std::uint64_t generation) {
   if (slots_[slot].active && slots_[slot].generation == generation) {
-    (void)MmioWrite(hw::ahci::kPxCi, 1u << slot);
+    MmioWrite(hw::ahci::kPxCi, 1u << slot);
   }
 }
 

@@ -135,6 +135,8 @@ class DiskServer {
   void DeadlineExpired(int slot, std::uint64_t generation);
   void ReissueSlot(int slot, std::uint64_t generation);
 
+  // AHCI register accesses through the delegated window; a refused one
+  // aborts, naming the register offset and the status.
   std::uint64_t MmioRead(std::uint64_t offset);
   void MmioWrite(std::uint64_t offset, std::uint64_t value);
 

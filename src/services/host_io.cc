@@ -11,21 +11,13 @@ bool HoldsWindow(hv::Pd* pd, hw::PhysAddr addr) {
 
 }  // namespace
 
-std::uint64_t HostMmioRead(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
-                           hw::PhysAddr addr, unsigned size, Status* status) {
+Status HostMmioRead(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
+                    hw::PhysAddr addr, unsigned size, std::uint64_t* value) {
   hv->machine().cpu(cpu_id).Charge(kMmioCost);
   if (!HoldsWindow(pd, addr)) {
-    if (status != nullptr) {
-      *status = Status::kDenied;
-    }
-    return ~0ull;
+    return Status::kDenied;
   }
-  std::uint64_t value = 0;
-  const Status s = hv->machine().bus().MmioRead(addr, size, &value);
-  if (status != nullptr) {
-    *status = s;
-  }
-  return value;
+  return hv->machine().bus().MmioRead(addr, size, value);
 }
 
 Status HostMmioWrite(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,

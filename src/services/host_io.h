@@ -13,9 +13,11 @@
 namespace nova::services {
 
 // MMIO read/write from `pd` running on `cpu_id`. Charges the uncached
-// device-access cost and enforces that the window was delegated.
-std::uint64_t HostMmioRead(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
-                           hw::PhysAddr addr, unsigned size, Status* status = nullptr);
+// device-access cost, then refuses with kDenied an address whose window
+// was not delegated to `pd`; otherwise the bus's status (kMemoryFault
+// where no device claims the address).
+Status HostMmioRead(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
+                    hw::PhysAddr addr, unsigned size, std::uint64_t* value);
 Status HostMmioWrite(hv::Hypervisor* hv, hv::Pd* pd, std::uint32_t cpu_id,
                      hw::PhysAddr addr, unsigned size, std::uint64_t value);
 

@@ -9,7 +9,8 @@
 // not compile: address order is no more reproducible than hash order.
 //
 // This header is the one place in the simulated-machine layers that may
-// name `std::unordered_*` (nova-lint's `determinism` rule exempts it).
+// name `std::unordered_*` (cmake/check_sources.cmake's `determinism`
+// check exempts it).
 #ifndef SRC_SIM_HASH_INDEX_H_
 #define SRC_SIM_HASH_INDEX_H_
 

@@ -242,13 +242,14 @@ class ScopedSpan {
   ScopedSpan(Tracer* t, TraceCat cat, std::uint16_t name, std::uint8_t tid,
              ClockFn clock, std::uint64_t a0 = 0, std::uint64_t a1 = 0)
       : t_(t), clock_(std::move(clock)), cat_(cat), name_(name), tid_(tid) {
-    // This class IS the sanctioned wrapper the raw-span rule points to.
+    // The one pairing outside the tracer's tests that the raw-span
+    // source check (cmake/check_sources.cmake) admits.
     if (t_->enabled())
-      t_->BeginAt(clock_(), cat_, name_, tid_, a0, a1);  // nova-lint: allow(raw-span)
+      t_->BeginAt(clock_(), cat_, name_, tid_, a0, a1);
   }
   ~ScopedSpan() {
     if (t_->enabled())
-      t_->EndAt(clock_(), cat_, name_, tid_);  // nova-lint: allow(raw-span)
+      t_->EndAt(clock_(), cat_, name_, tid_);
   }
   ScopedSpan(const ScopedSpan&) = delete;
   ScopedSpan& operator=(const ScopedSpan&) = delete;

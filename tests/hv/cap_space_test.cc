@@ -45,6 +45,21 @@ TEST(CapSpace, TypedLookupChecksTypeAndPerms) {
   EXPECT_EQ(caps.LookupAs<Sm>(3, ObjType::kSm, perm::kSmDown), nullptr);
 }
 
+// A downcast that finds no object of the expected type is empty, and
+// dereferencing it aborts, naming that type, where a raw pointer would
+// have followed null.
+TEST(CapSpaceDeathTest, DereferencingAnEmptyHandleAbortsNamingTheType) {
+  CapSpace caps;
+  ASSERT_EQ(caps.Insert(3, Capability{MakeSm(), perm::kAll}), Status::kSuccess);
+  const auto ec = RefAs<Ec>(caps.LookupRef(3), ObjType::kEc);
+  EXPECT_FALSE(ec);
+  EXPECT_DEATH((void)ec->kind(), "Checked<Ec>: dereferenced an empty handle");
+  const auto pt = caps.LookupAs<Pt>(3, ObjType::kPt, 0);
+  EXPECT_DEATH((void)(*pt).id(), "Checked<Pt>: dereferenced an empty handle");
+  // A handle that holds its object dereferences as the object.
+  EXPECT_EQ(caps.LookupAs<Sm>(3, ObjType::kSm, 0)->counter(), 0u);
+}
+
 TEST(CapSpace, DeadObjectLookupFails) {
   CapSpace caps;
   auto sm = MakeSm();

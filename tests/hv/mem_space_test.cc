@@ -51,7 +51,8 @@ std::uint64_t PteFlags(std::uint8_t perms) {
 }
 
 // MemSpace as it was before it kept runs: a map of pages beside its own
-// page table, every Map and Unmap applied page by page.
+// page table, every Map and Unmap applied page by page. Its table refuses
+// the same frames, those beyond what an entry holds (hw::EntryReach).
 class ReferenceSpace {
  public:
   ReferenceSpace(hw::PhysMem* mem, hw::PagingMode mode, FramePool* pool)
@@ -180,17 +181,14 @@ class MemSpaceProperty : public ::testing::TestWithParam<SpaceCase> {};
 
 // Whether the space's own page table maps `page` the way its runs say: a
 // walk faults where PermsFor reads 0 and otherwise reaches HpaPageFor's
-// frame, writable exactly when the perms grant writing. A two-level entry
-// is 32 bits wide and keeps a frame's address modulo 4 GiB.
+// frame, writable exactly when the perms grant writing.
 ::testing::AssertionResult WalkAgrees(MemSpace& space, std::uint64_t page) {
   const hw::WalkResult w =
       space.table().Walk(page << hw::kPageShift, hw::Access{}, /*set_ad=*/false);
   const std::uint8_t perms = space.PermsFor(page);
-  const std::uint64_t reach =
-      space.table().mode() == hw::PagingMode::kTwoLevel ? 0xffffffffull : ~0ull;
   if (perms == 0 ? !Ok(w.status)
                  : Ok(w.status) && w.user() &&
-                       w.pa == ((space.HpaPageFor(page) << hw::kPageShift) & reach) &&
+                       w.pa == space.HpaPageFor(page) << hw::kPageShift &&
                        w.writable() == ((perms & perm::kWrite) != 0)) {
     return ::testing::AssertionSuccess();
   }
@@ -382,6 +380,38 @@ TEST(MemSpace, FailedSuperpageMapRestoresSuperpagesItOverwrote) {
   for (std::uint64_t page = kFirst; page < kFirst + 3 * kBlock; ++page) {
     ASSERT_TRUE(WalkAgrees(space, page));
   }
+}
+
+// A frame beyond what an entry holds cannot be mapped: 4 GiB for a
+// two-level table, whose entries are 32 bits wide, and 2^52 for a
+// four-level one. The map fails before it writes anything, so the walk and
+// the runs stay as they were.
+TEST(MemSpace, MapRefusesFramesBeyondEntryReach) {
+  hw::PhysMem mem(32ull << 20);
+  FramePool pool;
+  MemSpace space(&mem, hw::PagingMode::kTwoLevel, kRoot,
+                 [&pool] { return pool.Alloc(); });
+  ASSERT_EQ(space.Map(0, 100, 4, perm::kRw, false), Status::kSuccess);
+  const std::vector<RunRow> before = RunsOf(space);
+  constexpr std::uint64_t k4GiB = 1ull << 20;  // In pages.
+  EXPECT_EQ(space.Map(2, k4GiB, 1, perm::kRw, false), Status::kBadParameter);
+  EXPECT_EQ(space.Map(8, k4GiB, 1, perm::kRw, false), Status::kBadParameter);
+  EXPECT_EQ(space.Map(1024, k4GiB, 1024, perm::kRw, true), Status::kBadParameter);
+  EXPECT_EQ(RunsOf(space), before);
+  for (std::uint64_t page = 0; page < 2048; ++page) {
+    ASSERT_TRUE(WalkAgrees(space, page));
+  }
+  // The last frame below 4 GiB still maps.
+  EXPECT_EQ(space.Map(8, k4GiB - 1, 1, perm::kRw, false), Status::kSuccess);
+  EXPECT_TRUE(WalkAgrees(space, 8));
+
+  hw::PhysMem wide_mem(32ull << 20);
+  FramePool wide_pool;
+  MemSpace wide(&wide_mem, hw::PagingMode::kFourLevel, kRoot,
+                [&wide_pool] { return wide_pool.Alloc(); });
+  EXPECT_EQ(wide.Map(0, 1ull << 40, 1, perm::kRw, false), Status::kBadParameter);
+  EXPECT_EQ(wide.Map(0, k4GiB, 1, perm::kRw, false), Status::kSuccess);
+  EXPECT_TRUE(WalkAgrees(wide, 0));
 }
 
 // A page whose record repeats or descends has no run to extend: the load

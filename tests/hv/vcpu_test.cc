@@ -230,7 +230,7 @@ TEST_F(VcpuTest, ExternalInterruptExitsAndSignalsSemaphore) {
   RunSteps(3);
   EXPECT_GE(hv_.EventCount("Hardware Interrupts"), 1u);
   // The semaphore collected the interrupt.
-  Sm* sm = root_->caps().LookupAs<Sm>(kSm, ObjType::kSm, 0);
+  auto sm = root_->caps().LookupAs<Sm>(kSm, ObjType::kSm, 0);
   ASSERT_NE(sm, nullptr);
   EXPECT_EQ(sm->counter(), 1u);
 }

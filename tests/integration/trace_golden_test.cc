@@ -1,11 +1,14 @@
-// Golden-trace regression tests: two full VM-boot runs with the same seed
-// must produce bit-identical trace digests; changing the workload seed must
-// change the digest; enabling tracing must not perturb any architectural
-// result; and the TraceReport attribution must agree with the independent
-// counter registry for every Table 2 row.
+// Golden-trace regression tests: two full VM-boot runs with the same seed,
+// under EPT and under the vTLB, must produce bit-identical trace digests
+// whatever the heap looks like; changing the workload seed must change the
+// digest; enabling tracing must not perturb any architectural result; and
+// the TraceReport attribution must agree with the independent counter
+// registry for every Table 2 row.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
+#include <vector>
 
 #include "bench/common.h"
 
@@ -44,15 +47,41 @@ RunConfig TracedConfig(std::uint64_t seed = 42,
   return c;
 }
 
-TEST(TraceGoldenTest, SameSeedSameDigestAcrossFullVmBoots) {
-  const RunResult first = RunCompile(TracedConfig());
-  const RunResult second = RunCompile(TracedConfig());
+struct Translation {
+  const char* name;
+  hw::TranslationMode mode;
+  hv::VtlbPolicy vtlb;
+};
+
+class TraceDeterminismTest : public ::testing::TestWithParam<Translation> {};
+
+// Two full VM boots with one seed give one digest, also when the second
+// run starts from another heap: a few hundred blocks of mixed sizes, live
+// across it, move every allocation it makes. An address folded into the
+// trace, or an order taken from addresses, would show up as a mismatch.
+TEST_P(TraceDeterminismTest, SameSeedSameDigestAcrossFullVmBoots) {
+  RunConfig config = TracedConfig(42, GetParam().mode);
+  config.vtlb = GetParam().vtlb;
+  const RunResult first = RunCompile(config);
+  std::vector<std::unique_ptr<char[]>> held;
+  for (std::size_t i = 0; i < 300; ++i) {
+    held.push_back(std::make_unique<char[]>(std::size_t{24} << (i % 12)));
+  }
+  const RunResult second = RunCompile(config);
   ASSERT_FALSE(first.trace_rows.empty());
   EXPECT_NE(first.trace_digest, 0u);
   EXPECT_EQ(first.trace_digest, second.trace_digest);
   EXPECT_EQ(first.trace_rows, second.trace_rows);
   EXPECT_EQ(first.seconds, second.seconds);
 }
+
+INSTANTIATE_TEST_SUITE_P(
+    Translations, TraceDeterminismTest,
+    ::testing::Values(
+        Translation{"NestedEpt", hw::TranslationMode::kNested, hv::VtlbPolicy{}},
+        Translation{"ShadowCtxCacheVpid", hw::TranslationMode::kShadow,
+                    hv::VtlbPolicy{.cache_contexts = true, .use_vpid = true}}),
+    [](const auto& test) { return std::string(test.param.name); });
 
 TEST(TraceGoldenTest, DigestChangesWithWorkloadSeed) {
   const RunResult base = RunCompile(TracedConfig(42));

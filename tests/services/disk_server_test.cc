@@ -269,5 +269,22 @@ TEST_F(DiskServerTest, ServerCannotTouchHypervisorMemory) {
   EXPECT_EQ(system_.machine.iommu().faults(), faults);
 }
 
+// Root delegates the AHCI window when it builds the server, and nothing
+// revokes it. A server whose window is gone anyway stops at its first
+// register access, naming the register and the refusal, where it used to
+// write nothing and read all ones.
+using DiskServerDeathTest = DiskServerTest;
+
+TEST_F(DiskServerDeathTest, RevokedWindowAbortsOnFirstAccess) {
+  const auto ch = Open();
+  ASSERT_NE(ch.request_portal, hv::kInvalidSel);
+  ASSERT_EQ(system_.hv.Revoke(system_.root->pd(),
+                              hv::Crd::Mem(root::kAhciMmioBase >> hw::kPageShift, 0,
+                                           hv::perm::kRw),
+                              /*include_self=*/false),
+            Status::kSuccess);
+  EXPECT_DEATH((void)Issue(ch, 50, 1), "AHCI write at offset 0x138 failed: kDenied");
+}
+
 }  // namespace
 }  // namespace nova::services

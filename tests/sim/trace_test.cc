@@ -2,9 +2,8 @@
 // digest coverage of evicted records, nested-span attribution through the
 // TraceReport sink, disabled-mode no-ops and the Chrome JSON exporter.
 //
-// These tests exercise the raw Begin/End API that ScopedSpan wraps, so
-// the raw-span rule does not apply in this file.
-// nova-lint: allow-file(raw-span)
+// These tests exercise the raw Begin/End API that ScopedSpan wraps; the
+// raw-span source check (cmake/check_sources.cmake) admits this file.
 #include "src/sim/trace.h"
 
 #include <gtest/gtest.h>

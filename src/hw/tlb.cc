@@ -1,15 +1,11 @@
 #include "src/hw/tlb.h"
 
 #include <algorithm>
+#include <cstdio>
+#include <cstdlib>
 #include <map>
 
 namespace nova::hw {
-namespace {
-
-constexpr std::uint64_t kPageSizes[] = {kPageSize, std::uint64_t{2} << 20,
-                                        std::uint64_t{4} << 20};
-
-}  // namespace
 
 Tlb::Tlb(std::uint32_t capacity_4k, std::uint32_t capacity_large)
     : slots_(std::size_t{capacity_4k} + capacity_large) {
@@ -34,48 +30,30 @@ Tlb::Tlb(std::uint32_t capacity_4k, std::uint32_t capacity_large)
   index_shift_ = 64 - bits;
 }
 
-std::uint64_t Tlb::Probe(TlbTag tag, VirtAddr va, Access access) {
-  // Probe each page size: we do not know the mapping size in advance. The
-  // superpage probes cannot hit while their class is empty.
-  for (const std::uint64_t size : kPageSizes) {
-    if (size != kPageSize && classes_[1].count == 0) {
-      break;
-    }
-    const std::uint32_t s = Find(MakeKey(tag, va, size));
-    if (s == kNil || slots_[s].entry.page_size != size) {
-      continue;
-    }
-    const TlbEntry& e = slots_[s].entry;
-    if (access.write && !e.writable) {
-      continue;  // Permission-insufficient entry: treat as miss.
-    }
-    if (access.user && !e.user) {
-      continue;
-    }
-    if (access.write && !e.dirty) {
-      continue;  // Clean entry: the walk must run again to set D.
-    }
-    Touch(s);
-    hits_.Add();
-    // The key's page, not `va & ~(size - 1)`: that value would stay live
-    // across the calls above and push `va` out of its register.
-    return (e.phys_page & ~(size - 1)) - (slots_[s].key.vpage << kPageShift);
-  }
-  misses_.Add();
-  return kMiss;
-}
-
 void Tlb::Insert(TlbTag tag, VirtAddr va, PhysAddr pa, std::uint64_t page_size,
                  bool writable, bool user, bool dirty, bool global) {
+  const std::size_t k = SizeIndex(page_size);
+  if (k == std::size(kPageSizes)) {
+    // No probe would look for it: the entry would sit in a slot until
+    // evicted.
+    std::fprintf(stderr,
+                 "hw::Tlb::Insert: page size %llu is not 4 KiB, 2 MiB or "
+                 "4 MiB\n",
+                 static_cast<unsigned long long>(page_size));
+    std::abort();
+  }
   const Key key = MakeKey(tag, va, page_size);
   std::uint32_t s = Find(key);
   if (s == kNil) {
-    const SizeClass& c = classes_[key.large];
-    if (c.count == c.capacity) {
-      Erase(c.head);  // The class's least recently used entry.
+    if (ClassCount(key.large) == classes_[key.large].capacity) {
+      Erase(classes_[key.large].head);  // The class's least recently used.
     }
     s = Allocate(key);
+  } else {
+    // A 2 MiB and a 4 MiB entry at a 4 MiB-aligned base share a key.
+    --live_[SizeIndex(slots_[s].entry.page_size)];
   }
+  ++live_[k];
   slots_[s].entry = TlbEntry{
       .phys_page = pa & ~(page_size - 1),
       .page_size = page_size,
@@ -105,10 +83,11 @@ void Tlb::FlushNonGlobal(TlbTag tag) {
 }
 
 void Tlb::FlushVa(TlbTag tag, VirtAddr va) {
-  for (const std::uint64_t size : kPageSizes) {
-    if (size != kPageSize && classes_[1].count == 0) {
-      break;
+  for (std::size_t k = 0; k < std::size(kPageSizes); ++k) {
+    if (live_[k] == 0) {
+      continue;
     }
+    const std::uint64_t size = kPageSizes[k];
     const std::uint32_t s = Find(MakeKey(tag, va, size));
     if (s != kNil && slots_[s].entry.page_size == size) {
       Erase(s);
@@ -124,24 +103,6 @@ std::size_t Tlb::EntryCount(TlbTag tag) const {
     }
   }
   return n;
-}
-
-std::uint32_t Tlb::Home(const Key& key) const {
-  // Fibonacci hashing: the multiply spreads consecutive pages over the
-  // whole index, and the top bits pick the bucket.
-  const std::uint64_t mixed = key.vpage ^ (std::uint64_t{key.tag} << 48) ^
-                              (std::uint64_t{key.large} << 47);
-  return static_cast<std::uint32_t>((mixed * 0x9e3779b97f4a7c15ull) >>
-                                    index_shift_);
-}
-
-std::uint32_t Tlb::Find(const Key& key) const {
-  for (std::uint32_t i = Home(key);; i = (i + 1) & index_mask_) {
-    const std::uint32_t s = index_[i];
-    if (s == kNil || slots_[s].key == key) {
-      return s;
-    }
-  }
 }
 
 void Tlb::Index(std::uint32_t s) {
@@ -174,7 +135,6 @@ std::uint32_t Tlb::Allocate(const Key& key) {
   SizeClass& c = classes_[key.large];
   const std::uint32_t s = c.free;
   c.free = slots_[s].next;
-  ++c.count;
   slots_[s].key = key;
   Index(s);
   Append(c, s);
@@ -187,29 +147,7 @@ void Tlb::Erase(std::uint32_t s) {
   Unlink(c, s);
   slots_[s].next = c.free;
   c.free = s;
-  --c.count;
-}
-
-void Tlb::Touch(std::uint32_t s) {
-  SizeClass& c = classes_[slots_[s].key.large];
-  if (c.tail != s) {
-    Unlink(c, s);
-    Append(c, s);
-  }
-  slots_[s].lru = ++clock_;
-}
-
-void Tlb::Unlink(SizeClass& c, std::uint32_t s) {
-  const Slot& slot = slots_[s];
-  (slot.prev == kNil ? c.head : slots_[slot.prev].next) = slot.next;
-  (slot.next == kNil ? c.tail : slots_[slot.next].prev) = slot.prev;
-}
-
-void Tlb::Append(SizeClass& c, std::uint32_t s) {
-  slots_[s].prev = c.tail;
-  slots_[s].next = kNil;
-  (c.tail == kNil ? c.head : slots_[c.tail].next) = s;
-  c.tail = s;
+  --live_[SizeIndex(slots_[s].entry.page_size)];
 }
 
 template <class Pred>
@@ -236,14 +174,14 @@ void Tlb::Clear() {
     }
     c.head = kNil;
     c.tail = kNil;
-    c.count = 0;
   }
+  std::fill(std::begin(live_), std::end(live_), 0);
 }
 
 template <class Ar>
 void Tlb::Io(Ar& ar) {
-  std::uint32_t count_4k = classes_[0].count;
-  std::uint32_t count_large = classes_[1].count;
+  std::uint32_t count_4k = ClassCount(false);
+  std::uint32_t count_large = ClassCount(true);
   ar.Io(count_4k, count_large, clock_, hits_, misses_, flushes_);
   std::map<Key, Slot> entries;
   if constexpr (!Ar::kLoading) {
@@ -262,9 +200,8 @@ void Tlb::Io(Ar& ar) {
     std::vector<Slot> by_stamp;
     by_stamp.reserve(entries.size());
     for (auto& [key, slot] : entries) {
-      const std::uint64_t size = slot.entry.page_size;
-      if (key.large ? size != kPageSizes[1] && size != kPageSizes[2]
-                    : size != kPageSize) {
+      const std::size_t k = SizeIndex(slot.entry.page_size);
+      if (k == std::size(kPageSizes) || (k != 0) != key.large) {
         ar.Fail(Status::kBadParameter);
       }
       ++counts[key.large];
@@ -285,6 +222,7 @@ void Tlb::Io(Ar& ar) {
                      [](const Slot& a, const Slot& b) { return a.lru < b.lru; });
     for (const Slot& saved : by_stamp) {
       const std::uint32_t s = Allocate(saved.key);
+      ++live_[SizeIndex(saved.entry.page_size)];
       slots_[s].entry = saved.entry;
       slots_[s].lru = saved.lru;
     }

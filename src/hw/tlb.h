@@ -16,7 +16,9 @@
 #define SRC_HW_TLB_H_
 
 #include <compare>
+#include <cstddef>
 #include <cstdint>
+#include <iterator>
 #include <optional>
 #include <vector>
 
@@ -96,15 +98,51 @@ class Tlb {
   // (including permission-insufficient and clean-entry write cases). The
   // result is one register wide: GCC returns an optional through a stack
   // slot written as a byte and reloaded as a word, which stalls the hit
-  // test of every guest access.
-  std::uint64_t Probe(TlbTag tag, VirtAddr va, Access access);
+  // test of every guest access. Every guest fetch, load, store and nested
+  // walk step probes, so the hash, the probe loop and the LRU touch are
+  // inline: a hit makes no call.
+  std::uint64_t Probe(TlbTag tag, VirtAddr va, Access access) {
+    // Probe each page size: we do not know the mapping size in advance. A
+    // size the TLB holds no entry of cannot hit. Unrolled, each probe's
+    // size is a constant and `access` stays in registers.
+#pragma GCC unroll 3
+    for (std::size_t k = 0; k < std::size(kPageSizes); ++k) {
+      if (live_[k] == 0) {
+        continue;
+      }
+      const std::uint64_t size = kPageSizes[k];
+      const std::uint32_t s = Find(MakeKey(tag, va, size));
+      if (s == kNil) {
+        continue;
+      }
+      const TlbEntry& e = slots_[s].entry;
+      if (e.page_size != size) {
+        continue;  // The other superpage size at the same base.
+      }
+      if (access.write && !e.writable) {
+        continue;  // Permission-insufficient entry: treat as miss.
+      }
+      if (access.user && !e.user) {
+        continue;
+      }
+      if (access.write && !e.dirty) {
+        continue;  // Clean entry: the walk must run again to set D.
+      }
+      Touch(s);
+      hits_.Add();
+      return (e.phys_page & ~(size - 1)) - (va & ~(size - 1));
+    }
+    misses_.Add();
+    return kMiss;
+  }
   // The translated address as an optional: nullopt on a miss.
   std::optional<PhysAddr> Lookup(TlbTag tag, VirtAddr va, Access access) {
     const std::uint64_t delta = Probe(tag, va, access);
     return delta != kMiss ? std::optional<PhysAddr>(va + delta) : std::nullopt;
   }
 
-  // Install a translation as produced by a page-table walk.
+  // Install a translation as produced by a page-table walk. `page_size`
+  // must be 4 KiB, 2 MiB or 4 MiB; any other size aborts.
   void Insert(TlbTag tag, VirtAddr va, PhysAddr pa, std::uint64_t page_size,
               bool writable, bool user, bool dirty, bool global = false);
 
@@ -116,7 +154,7 @@ class Tlb {
   void FlushVa(TlbTag tag, VirtAddr va);  // INVLPG.
 
   std::size_t EntryCount(TlbTag tag) const;
-  std::size_t size() const { return classes_[0].count + classes_[1].count; }
+  std::size_t size() const { return live_[0] + live_[1] + live_[2]; }
 
   const sim::Counter& hits() const { return hits_; }
   const sim::Counter& misses() const { return misses_; }
@@ -133,6 +171,9 @@ class Tlb {
 
  private:
   static constexpr std::uint32_t kNil = ~std::uint32_t{0};
+  // The page sizes a translation can have, in the order Probe tries them.
+  static constexpr std::uint64_t kPageSizes[] = {
+      kPageSize, std::uint64_t{2} << 20, std::uint64_t{4} << 20};
 
   struct Key {
     TlbTag tag;
@@ -164,33 +205,78 @@ class Tlb {
   // insert at capacity is the head and a hit moves its slot to the tail.
   struct SizeClass {
     std::uint32_t capacity = 0;
-    std::uint32_t count = 0;
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
     std::uint32_t free = kNil;
   };
 
-  Key MakeKey(TlbTag tag, VirtAddr va, std::uint64_t page_size) const {
+  static Key MakeKey(TlbTag tag, VirtAddr va, std::uint64_t page_size) {
     const bool large = page_size > kPageSize;
     const std::uint64_t base = va & ~(page_size - 1);
     return Key{tag, base >> kPageShift, large};
   }
+  // kPageSizes' index of `page_size`, or std::size(kPageSizes) if it is
+  // none of them.
+  static std::size_t SizeIndex(std::uint64_t page_size) {
+    std::size_t k = 0;
+    while (k < std::size(kPageSizes) && kPageSizes[k] != page_size) {
+      ++k;
+    }
+    return k;
+  }
+  // Live entries of one class: 4 KiB, or 2 MiB and 4 MiB together.
+  std::uint32_t ClassCount(bool large) const {
+    return large ? live_[1] + live_[2] : live_[0];
+  }
 
   // index_: open addressing with linear probing, at most half full.
-  std::uint32_t Home(const Key& key) const;
-  std::uint32_t Find(const Key& key) const;  // Slot, or kNil.
+  std::uint32_t Home(Key key) const {
+    // Fibonacci hashing: the multiply spreads consecutive pages over the
+    // whole index, and the top bits pick the bucket.
+    const std::uint64_t mixed = key.vpage ^ (std::uint64_t{key.tag} << 48) ^
+                                (std::uint64_t{key.large} << 47);
+    return static_cast<std::uint32_t>((mixed * 0x9e3779b97f4a7c15ull) >>
+                                      index_shift_);
+  }
+  std::uint32_t Find(Key key) const {  // Slot, or kNil.
+    for (std::uint32_t i = Home(key);; i = (i + 1) & index_mask_) {
+      const std::uint32_t s = index_[i];
+      if (s == kNil || slots_[s].key == key) {
+        return s;
+      }
+    }
+  }
   void Index(std::uint32_t s);
   void Unindex(std::uint32_t pos);
 
   std::uint32_t Allocate(const Key& key);  // Class must have a free slot.
   void Erase(std::uint32_t s);
-  void Touch(std::uint32_t s);  // Stamp and move to the tail.
-  void Unlink(SizeClass& c, std::uint32_t s);
-  void Append(SizeClass& c, std::uint32_t s);
+  void Touch(std::uint32_t s) {  // Stamp and move to the tail.
+    SizeClass& c = classes_[slots_[s].key.large];
+    if (c.tail != s) {
+      Unlink(c, s);
+      Append(c, s);
+    }
+    slots_[s].lru = ++clock_;
+  }
+  void Unlink(SizeClass& c, std::uint32_t s) {
+    const Slot& slot = slots_[s];
+    (slot.prev == kNil ? c.head : slots_[slot.prev].next) = slot.next;
+    (slot.next == kNil ? c.tail : slots_[slot.next].prev) = slot.prev;
+  }
+  void Append(SizeClass& c, std::uint32_t s) {
+    slots_[s].prev = c.tail;
+    slots_[s].next = kNil;
+    (c.tail == kNil ? c.head : slots_[c.tail].next) = s;
+    c.tail = s;
+  }
   template <class Pred>
   void EraseIf(Pred pred);
   void Clear();
 
+  // Live entries per page size, indexed as kPageSizes: Probe and FlushVa
+  // skip a size with none. Insert, Erase, Clear and a load move them.
+  std::uint32_t live_[std::size(kPageSizes)] = {};
   SizeClass classes_[2];  // [0] 4 KiB, [1] 2 MiB and 4 MiB: index by large.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> index_;  // Slot numbers; kNil is empty.

@@ -185,52 +185,32 @@ bool VmEngine::HandleXlatFault(GuestState& gs, const XlatResult& x, VirtAddr gva
     case XlatResult::Kind::kGuestFault:
       gs.cr2 = gva;
       if (!DeliverEvent(gs, kVectorPageFault)) {
-        exit->reason = ExitReason::kError;
+        *exit = VmExit{.reason = ExitReason::kError};
+        return true;
       }
-      return false;  // Instruction restarts (or we exited with kError).
+      return false;  // The instruction restarts after the handler.
     case XlatResult::Kind::kHostFault:
-      exit->reason = ExitReason::kEptViolation;
-      exit->gva = gva;
-      exit->gpa = x.gpa;
-      exit->is_write = access.write;
-      return false;
-    case XlatResult::Kind::kShadowMiss:
-      exit->reason = ExitReason::kPageFault;
-      exit->gva = gva;
-      exit->pf = x.pf;
-      exit->is_write = access.write;
-      return false;
-    case XlatResult::Kind::kOk:
+      *exit = VmExit{.reason = ExitReason::kEptViolation,
+                     .gva = gva,
+                     .gpa = x.gpa,
+                     .is_write = access.write};
       return true;
+    case XlatResult::Kind::kShadowMiss:
+      *exit = VmExit{.reason = ExitReason::kPageFault,
+                     .gva = gva,
+                     .pf = x.pf,
+                     .is_write = access.write};
+      return true;
+    case XlatResult::Kind::kOk:
+      return false;
   }
-  return true;
-}
-
-bool VmEngine::MemRead(GuestState& gs, const VmControls& ctl, VirtAddr gva,
-                       std::uint64_t* out, VmExit* exit) {
-  const Access access{.write = false};
-  XlatResult x = Translate(gs, ctl, gva, access);
-  if (x.kind != XlatResult::Kind::kOk) {
-    return HandleXlatFault(gs, x, gva, access, exit);
-  }
-  *out = PhysRead(x.hpa);
-  return true;
-}
-
-bool VmEngine::MemWrite(GuestState& gs, const VmControls& ctl, VirtAddr gva,
-                        std::uint64_t value, VmExit* exit) {
-  const Access access{.write = true};
-  XlatResult x = Translate(gs, ctl, gva, access);
-  if (x.kind != XlatResult::Kind::kOk) {
-    return HandleXlatFault(gs, x, gva, access, exit);
-  }
-  PhysWrite(x.hpa, value);
-  return true;
+  return false;
 }
 
 VmExit VmEngine::Run(GuestState& gs, const VmControls& ctl,
                      sim::Cycles cycle_budget) {
   const sim::Cycles start = cpu_->cycles();
+  VmExit exit;  // Written by the one step that exits.
   for (;;) {
     if (cpu_->cycles() - start >= cycle_budget) {
       return VmExit{.reason = ExitReason::kPreempt};
@@ -264,31 +244,23 @@ VmExit VmEngine::Run(GuestState& gs, const VmControls& ctl,
       return VmExit{.reason = ExitReason::kHlt};
     }
 
-    const StepResult step = Step(gs, ctl);
-    if (step.exited) {
-      return step.exit;
+    if (Step(gs, ctl, &exit)) {
+      return exit;
     }
   }
 }
 
-VmEngine::StepResult VmEngine::Step(GuestState& gs, const VmControls& ctl) {
-  StepResult sr;
+bool VmEngine::Step(GuestState& gs, const VmControls& ctl, VmExit* exit) {
   if ((gs.rip & (isa::kInsnSize - 1)) != 0) {
-    sr.exited = true;
-    sr.exit.reason = ExitReason::kError;
-    return sr;
+    *exit = VmExit{.reason = ExitReason::kError};
+    return true;
   }
   // Fetch through the TLB and page tables.
   const Access fetch{.write = false, .execute = true};
-  XlatResult x = Translate(gs, ctl, gs.rip, fetch);
+  const XlatResult x = Translate(gs, ctl, gs.rip, fetch);
   if (x.kind != XlatResult::Kind::kOk) {
-    VmExit exit;
-    HandleXlatFault(gs, x, gs.rip, fetch, &exit);
-    if (exit.reason != ExitReason::kNone) {
-      sr.exited = true;
-      sr.exit = exit;
-    }
-    return sr;  // #PF delivered internally: retry from the handler.
+    // Exits, or retries from the #PF handler it delivered.
+    return HandleXlatFault(gs, x, gs.rip, fetch, exit);
   }
   // An aligned fetch never crosses a frame, and its constant size inlines
   // the read to two 8-byte loads.
@@ -298,17 +270,17 @@ VmEngine::StepResult VmEngine::Step(GuestState& gs, const VmControls& ctl) {
   const isa::Insn insn = isa::Decode(bytes);
   cpu_->Charge(cpu_->model().op_cost);
   insns_.Add();
-  return Execute(gs, ctl, insn, gs.rip + isa::kInsnSize);
+  return Execute(gs, ctl, insn, gs.rip + isa::kInsnSize, exit);
 }
 
-VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
-                                       const isa::Insn& insn,
-                                       std::uint64_t next_rip) {
+bool VmEngine::Execute(GuestState& gs, const VmControls& ctl,
+                       const isa::Insn& insn, std::uint64_t next_rip,
+                       VmExit* exit) {
   using isa::Opcode;
-  StepResult sr;
-  auto exit_here = [&](VmExit e) {  // Exit with rip at the current insn.
-    sr.exited = true;
-    sr.exit = e;
+  // Exit with rip at the current instruction, unless the case moved it.
+  const auto exit_with = [exit](const VmExit& e) {
+    *exit = e;
+    return true;
   };
 
   switch (insn.opcode) {
@@ -337,15 +309,12 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
     case Opcode::kLoad: {
       const std::uint64_t addr =
           (insn.r2 != isa::kNoReg ? gs.regs[insn.r2 & 7] : 0) + insn.imm64;
-      std::uint64_t value = 0;
-      VmExit exit;
-      if (!MemRead(gs, ctl, addr, &value, &exit)) {
-        if (exit.reason != ExitReason::kNone) {
-          exit_here(exit);
-        }
-        break;
+      const Access access{.write = false};
+      const XlatResult x = Translate(gs, ctl, addr, access);
+      if (x.kind != XlatResult::Kind::kOk) {
+        return HandleXlatFault(gs, x, addr, access, exit);
       }
-      gs.regs[insn.r1 & 7] = value;
+      gs.regs[insn.r1 & 7] = PhysRead(x.hpa);
       gs.rip = next_rip;
       break;
     }
@@ -353,42 +322,34 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
     case Opcode::kStore: {
       const std::uint64_t addr =
           (insn.r2 != isa::kNoReg ? gs.regs[insn.r2 & 7] : 0) + insn.imm64;
-      VmExit exit;
-      if (!MemWrite(gs, ctl, addr, gs.regs[insn.r1 & 7], &exit)) {
-        if (exit.reason != ExitReason::kNone) {
-          exit_here(exit);
-        }
-        break;
+      const Access access{.write = true};
+      const XlatResult x = Translate(gs, ctl, addr, access);
+      if (x.kind != XlatResult::Kind::kOk) {
+        return HandleXlatFault(gs, x, addr, access, exit);
       }
+      PhysWrite(x.hpa, gs.regs[insn.r1 & 7]);
       gs.rip = next_rip;
       break;
     }
 
     case Opcode::kCopy: {
       // Page-chunked copy with per-page translation and per-word charge.
+      // A fault restarts the whole copy once it is resolved.
       std::uint64_t dst = gs.regs[insn.r1 & 7];
       std::uint64_t src = gs.regs[insn.r2 & 7];
       std::uint64_t remaining = insn.imm32;
+      const Access read{.write = false};
+      const Access write{.write = true};
       while (remaining > 0) {
         const std::uint64_t chunk = std::min<std::uint64_t>(
             {remaining, kPageSize - (src & kPageMask), kPageSize - (dst & kPageMask)});
-        XlatResult sx = Translate(gs, ctl, src, Access{.write = false});
+        const XlatResult sx = Translate(gs, ctl, src, read);
         if (sx.kind != XlatResult::Kind::kOk) {
-          VmExit exit;
-          HandleXlatFault(gs, sx, src, Access{.write = false}, &exit);
-          if (exit.reason != ExitReason::kNone) {
-            exit_here(exit);
-          }
-          return sr;  // Restart the whole copy after the fault resolves.
+          return HandleXlatFault(gs, sx, src, read, exit);
         }
-        XlatResult dx = Translate(gs, ctl, dst, Access{.write = true});
+        const XlatResult dx = Translate(gs, ctl, dst, write);
         if (dx.kind != XlatResult::Kind::kOk) {
-          VmExit exit;
-          HandleXlatFault(gs, dx, dst, Access{.write = true}, &exit);
-          if (exit.reason != ExitReason::kNone) {
-            exit_here(exit);
-          }
-          return sr;
+          return HandleXlatFault(gs, dx, dst, write, exit);
         }
         std::uint8_t buf[kPageSize];
         (void)mem_->Read(sx.hpa, buf, chunk);
@@ -434,19 +395,17 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
         gs.rip = next_rip;
         break;
       }
-      exit_here(VmExit{.reason = ExitReason::kPio,
-                       .is_write = is_out,
-                       .port = port,
-                       .width = 4,
-                       .value = is_out ? gs.regs[insn.r1 & 7] : 0,
-                       .reg = static_cast<std::uint8_t>(insn.r1 & 7)});
-      break;
+      return exit_with(VmExit{.reason = ExitReason::kPio,
+                              .is_write = is_out,
+                              .port = port,
+                              .width = 4,
+                              .value = is_out ? gs.regs[insn.r1 & 7] : 0,
+                              .reg = static_cast<std::uint8_t>(insn.r1 & 7)});
     }
 
     case Opcode::kCpuid:
       if (ctl.intercept_cpuid) {
-        exit_here(VmExit{.reason = ExitReason::kCpuid});
-        break;
+        return exit_with(VmExit{.reason = ExitReason::kCpuid});
       }
       cpu_->Charge(costs_.cpuid);
       gs.regs[0] = 0x0000'0001;  // Stepping-style identification leaf.
@@ -459,12 +418,10 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
     case Opcode::kHlt:
       gs.rip = next_rip;
       if (ctl.intercept_hlt) {
-        exit_here(VmExit{.reason = ExitReason::kHlt});
-        break;
+        return exit_with(VmExit{.reason = ExitReason::kHlt});
       }
       gs.halted = true;
-      exit_here(VmExit{.reason = ExitReason::kHlt});
-      break;
+      return exit_with(VmExit{.reason = ExitReason::kHlt});
 
     case Opcode::kRdtsc:
       gs.regs[insn.r1 & 7] = cpu_->cycles();
@@ -475,8 +432,7 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
       const std::uint64_t value =
           insn.r2 != isa::kNoReg ? gs.regs[insn.r2 & 7] : insn.imm64;
       if (ctl.intercept_cr3) {
-        exit_here(VmExit{.reason = ExitReason::kMovCr, .qual = value});
-        break;
+        return exit_with(VmExit{.reason = ExitReason::kMovCr, .qual = value});
       }
       gs.cr3 = value;
       cpu_->tlb().FlushNonGlobal(ctl.tag);
@@ -499,8 +455,7 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
       const std::uint64_t addr =
           insn.r2 != isa::kNoReg ? gs.regs[insn.r2 & 7] : insn.imm64;
       if (ctl.intercept_invlpg) {
-        exit_here(VmExit{.reason = ExitReason::kInvlpg, .gva = addr});
-        break;
+        return exit_with(VmExit{.reason = ExitReason::kInvlpg, .gva = addr});
       }
       cpu_->tlb().FlushVa(ctl.tag, addr);
       cpu_->Charge(50);
@@ -512,7 +467,7 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
       gs.interrupts_enabled = true;
       gs.rip = next_rip;
       if (gs.request_intr_window) {
-        exit_here(VmExit{.reason = ExitReason::kIntrWindow});
+        return exit_with(VmExit{.reason = ExitReason::kIntrWindow});
       }
       break;
 
@@ -523,8 +478,7 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
 
     case Opcode::kIret: {
       if (gs.frame_depth == 0) {
-        exit_here(VmExit{.reason = ExitReason::kError});
-        break;
+        return exit_with(VmExit{.reason = ExitReason::kError});
       }
       const GuestState::Frame frame = gs.frames[--gs.frame_depth];
       gs.rip = frame.rip;
@@ -532,7 +486,7 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
       gs.regs = frame.regs;
       cpu_->Charge(costs_.iret);
       if (gs.interrupts_enabled && gs.request_intr_window) {
-        exit_here(VmExit{.reason = ExitReason::kIntrWindow});
+        return exit_with(VmExit{.reason = ExitReason::kIntrWindow});
       }
       break;
     }
@@ -546,10 +500,9 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
 
     case Opcode::kVmcall:
       if (ctl.intercept_vmcall) {
-        exit_here(VmExit{.reason = ExitReason::kVmcall,
-                         .hypercall = insn.imm32,
-                         .qual = insn.imm32});
-        break;
+        return exit_with(VmExit{.reason = ExitReason::kVmcall,
+                                .hypercall = insn.imm32,
+                                .qual = insn.imm32});
       }
       gs.rip = next_rip;
       break;
@@ -562,10 +515,9 @@ VmEngine::StepResult VmEngine::Execute(GuestState& gs, const VmControls& ctl,
       break;
 
     default:
-      exit_here(VmExit{.reason = ExitReason::kError});
-      break;
+      return exit_with(VmExit{.reason = ExitReason::kError});
   }
-  return sr;
+  return false;
 }
 
 }  // namespace nova::hw

@@ -113,27 +113,19 @@ class VmEngine {
   }
 
  private:
-  struct StepResult {
-    bool exited = false;
-    VmExit exit;
-  };
-
-  StepResult Step(GuestState& gs, const VmControls& ctl);
-  StepResult Execute(GuestState& gs, const VmControls& ctl, const isa::Insn& insn,
-                     std::uint64_t next_rip);
+  // One guest instruction. Both return whether it exited, and write `exit`
+  // only then, whole: Run's record holds only the exiting step's fields.
+  bool Step(GuestState& gs, const VmControls& ctl, VmExit* exit);
+  bool Execute(GuestState& gs, const VmControls& ctl, const isa::Insn& insn,
+               std::uint64_t next_rip, VmExit* exit);
 
   // Deliver an exception/interrupt through the guest IDT. Returns false on
   // a nested-delivery failure (triple fault analogue).
   bool DeliverEvent(GuestState& gs, std::uint8_t vector);
 
-  // Memory helpers for kLoad and kStore: translate + access one 8-byte
-  // word; fill `exit` on faults that must leave the engine. Returns false
-  // if an exit (or internal #PF delivery) happened and the instruction
-  // must be abandoned.
-  bool MemRead(GuestState& gs, const VmControls& ctl, VirtAddr gva,
-               std::uint64_t* out, VmExit* exit);
-  bool MemWrite(GuestState& gs, const VmControls& ctl, VirtAddr gva,
-                std::uint64_t value, VmExit* exit);
+  // A failed translation of `gva`: a guest #PF is delivered through the
+  // IDT and the instruction restarts in the handler (false); an EPT
+  // violation, a shadow miss or a failed delivery writes `exit` (true).
   bool HandleXlatFault(GuestState& gs, const XlatResult& x, VirtAddr gva,
                        Access access, VmExit* exit);
 

@@ -17,6 +17,18 @@ constexpr std::uint32_t kOpDeadline = 1;
 constexpr std::uint32_t kOpReissue = 2;
 constexpr std::uint8_t kIrqPrio = 40;  // Interrupt thread's priority.
 
+// The server's own capabilities and objects are set up by the root that
+// builds it; a refused step leaves it unable to serve, so it stops there,
+// naming the call, rather than at the first use of what the call left
+// unset.
+void CheckOk(const char* call, Status s) {
+  if (!Ok(s)) {
+    std::fprintf(stderr, "services::DiskServer: %s failed: %s\n", call,
+                 StatusName(s));
+    std::abort();
+  }
+}
+
 // Root delegates the AHCI window when it builds the server and nothing
 // revokes it, so a refused access is a broken construction invariant.
 void CheckMmio(const char* access, std::uint64_t offset, Status s) {
@@ -49,8 +61,9 @@ DiskServer::DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
         return nullptr;
       });
   pd_sel_ = root->CreatePd("disk-server", /*is_vm=*/false, &pd_);
-  (void)root->AssignDevice(pd_sel_, "ahci");
-  (void)root->BindInterrupt(pd_sel_, "ahci", kSmSel, cpu);
+  CheckOk("AssignDevice(ahci)", root->AssignDevice(pd_sel_, "ahci"));
+  CheckOk("BindInterrupt(ahci)",
+          root->BindInterrupt(pd_sel_, "ahci", kSmSel, cpu));
 
   // Command list (1 KiB) + command tables (32 x 256 B): three pages.
   clb_page_ = root->GrantMemory(pd_sel_, 1, ~0ull, hv::perm::kRw);
@@ -58,20 +71,25 @@ DiskServer::DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
 
   // Request handler EC: one per server, shared by every channel portal.
   req_ec_cap_sel_ = root->FreeSel();
-  (void)hv_->CreateEcLocal(root->pd(), req_ec_cap_sel_, pd_sel_, cpu,
-                     [this](std::uint64_t channel_id) {
-                       HandleRequest(static_cast<std::uint32_t>(channel_id));
-                     },
-                     &req_ec_);
+  CheckOk("CreateEcLocal(request handler)",
+          hv_->CreateEcLocal(root->pd(), req_ec_cap_sel_, pd_sel_, cpu,
+                             [this](std::uint64_t channel_id) {
+                               HandleRequest(
+                                   static_cast<std::uint32_t>(channel_id));
+                             },
+                             &req_ec_));
   // Accept DMA-buffer delegations anywhere in the identity space.
   req_ec_->utcb().recv_window = hv::Crd::Mem(0, 50, hv::perm::kRw);
 
   // Interrupt thread.
   const hv::CapSel irq_ec_sel = root->FreeSel();
-  (void)hv_->CreateEcGlobal(root->pd(), irq_ec_sel, pd_sel_, cpu,
-                      [this] { IrqThreadStep(); }, &irq_ec_);
+  CheckOk("CreateEcGlobal(interrupt thread)",
+          hv_->CreateEcGlobal(root->pd(), irq_ec_sel, pd_sel_, cpu,
+                              [this] { IrqThreadStep(); }, &irq_ec_));
   const hv::CapSel irq_sc_sel = root->FreeSel();
-  (void)hv_->CreateSc(root->pd(), irq_sc_sel, irq_ec_sel, kIrqPrio, 5'000'000);
+  CheckOk("CreateSc(interrupt thread)",
+          hv_->CreateSc(root->pd(), irq_sc_sel, irq_ec_sel, kIrqPrio,
+                        5'000'000));
 
   // Bring the controller up. Task-file errors interrupt too, so errored
   // commands surface on the same semaphore as completions.
@@ -113,8 +131,10 @@ DiskServer::Channel DiskServer::OpenChannel(hv::CapSel client_pd_sel,
 
   // The server-side handle on the client's completion portal.
   const hv::CapSel comp_sel = next_comp_sel_++;
-  (void)hv_->Delegate(root_->pd(), pd_sel_,
-                hv::Crd::Obj(completion_pt_sel, 0, hv::perm::kCall), comp_sel);
+  CheckOk("Delegate(completion portal)",
+          hv_->Delegate(root_->pd(), pd_sel_,
+                        hv::Crd::Obj(completion_pt_sel, 0, hv::perm::kCall),
+                        comp_sel));
 
   if (!free_channels_.empty()) {
     // Recycle a closed channel: its ring frame keeps its address (so the
@@ -123,11 +143,15 @@ DiskServer::Channel DiskServer::OpenChannel(hv::CapSel client_pd_sel,
     const std::uint32_t channel_id = free_channels_.back();
     free_channels_.pop_back();
     ChannelState& ch = channels_[channel_id];
-    (void)hv_->Delegate(root_->pd(), client_pd_sel,
-                  hv::Crd::Mem(ch.shared_page, 0, hv::perm::kRw), ch.shared_page);
+    CheckOk("Delegate(ring frame to client)",
+            hv_->Delegate(root_->pd(), client_pd_sel,
+                          hv::Crd::Mem(ch.shared_page, 0, hv::perm::kRw),
+                          ch.shared_page));
     const hv::CapSel client_sel = client->caps().FindFree(hv::kSelFirstFree);
-    (void)hv_->Delegate(root_->pd(), client_pd_sel,
-                  hv::Crd::Obj(ch.request_pt, 0, hv::perm::kCall), client_sel);
+    CheckOk("Delegate(request portal to client)",
+            hv_->Delegate(root_->pd(), client_pd_sel,
+                          hv::Crd::Obj(ch.request_pt, 0, hv::perm::kCall),
+                          client_sel));
     ch.completion_pt = comp_sel;
     ch.outstanding = 0;
     ch.max_outstanding = max_outstanding;
@@ -143,16 +167,22 @@ DiskServer::Channel DiskServer::OpenChannel(hv::CapSel client_pd_sel,
 
   // Shared completion ring: one frame mapped in both domains.
   const std::uint64_t frame = root_->AllocPages(1);
-  (void)hv_->Delegate(root_->pd(), pd_sel_, hv::Crd::Mem(frame, 0, hv::perm::kRw), frame);
-  (void)hv_->Delegate(root_->pd(), client_pd_sel, hv::Crd::Mem(frame, 0, hv::perm::kRw),
-                frame);
+  CheckOk("Delegate(ring frame to server)",
+          hv_->Delegate(root_->pd(), pd_sel_,
+                        hv::Crd::Mem(frame, 0, hv::perm::kRw), frame));
+  CheckOk("Delegate(ring frame to client)",
+          hv_->Delegate(root_->pd(), client_pd_sel,
+                        hv::Crd::Mem(frame, 0, hv::perm::kRw), frame));
 
   // Dedicated request portal for this client (§4.2: per-VMM channels).
   const hv::CapSel pt_sel = root_->FreeSel();
-  (void)hv_->CreatePt(root_->pd(), pt_sel, req_ec_cap_sel_, /*mtd=*/0, channel_id);
+  CheckOk("CreatePt(request portal)",
+          hv_->CreatePt(root_->pd(), pt_sel, req_ec_cap_sel_, /*mtd=*/0,
+                        channel_id));
   const hv::CapSel client_sel = client->caps().FindFree(hv::kSelFirstFree);
-  (void)hv_->Delegate(root_->pd(), client_pd_sel, hv::Crd::Obj(pt_sel, 0, hv::perm::kCall),
-                client_sel);
+  CheckOk("Delegate(request portal to client)",
+          hv_->Delegate(root_->pd(), client_pd_sel,
+                        hv::Crd::Obj(pt_sel, 0, hv::perm::kCall), client_sel));
 
   channels_.push_back(ChannelState{.completion_pt = comp_sel,
                                    .request_pt = pt_sel,

@@ -574,6 +574,105 @@ TEST_F(EngineTest, CopyMovesBytesAndCharges) {
   }
 }
 
+// Run keeps one VmExit for the whole call and a step writes it only when
+// it exits, so an exit must carry exactly the fields its own step set.
+void ExpectSameExit(const VmExit& got, const VmExit& want) {
+  EXPECT_EQ(got.reason, want.reason);
+  EXPECT_EQ(got.gva, want.gva);
+  EXPECT_EQ(got.gpa, want.gpa);
+  EXPECT_EQ(got.pf.present, want.pf.present);
+  EXPECT_EQ(got.pf.write, want.pf.write);
+  EXPECT_EQ(got.pf.user, want.pf.user);
+  EXPECT_EQ(got.is_write, want.is_write);
+  EXPECT_EQ(got.port, want.port);
+  EXPECT_EQ(got.width, want.width);
+  EXPECT_EQ(got.value, want.value);
+  EXPECT_EQ(got.reg, want.reg);
+  EXPECT_EQ(got.hypercall, want.hypercall);
+  EXPECT_EQ(got.qual, want.qual);
+}
+
+TEST_F(EngineTest, EptViolationAfterDeliveredPageFaultCarriesOnlyItsFields) {
+  // EPT: guest RAM 0..32 MiB. The guest maps a read-only page, and a page
+  // whose GPA (64 MiB) the EPT does not map.
+  const PhysAddr ept_root = 0x900000;
+  PageTable ept(&machine_.mem(), PagingMode::kFourLevel, ept_root);
+  for (PhysAddr gpa = 0; gpa < (32ull << 20); gpa += (2ull << 20)) {
+    ASSERT_EQ(ept.Map(gpa, gpa, 2ull << 20, pte::kWritable | pte::kUser, Alloc()),
+              Status::kSuccess);
+  }
+  PageTable gpt(&machine_.mem(), PagingMode::kTwoLevel, 0x40000);
+  PhysAddr gnext = 0x50000;
+  auto galloc = [&gnext] {
+    const PhysAddr f = gnext;
+    gnext += kPageSize;
+    return f;
+  };
+  constexpr VirtAddr kReadOnly = 0x700000;
+  constexpr VirtAddr kOutsideEpt = 0x800000;
+  constexpr std::uint64_t kOutsideEptGpa = 64ull << 20;
+  ASSERT_EQ(gpt.Map(0x10000, 0x10000, kPageSize, pte::kWritable, galloc),
+            Status::kSuccess);
+  ASSERT_EQ(gpt.Map(kReadOnly, 0x200000, kPageSize, 0, galloc), Status::kSuccess);
+  ASSERT_EQ(gpt.Map(kOutsideEpt, kOutsideEptGpa, kPageSize, pte::kWritable, galloc),
+            Status::kSuccess);
+
+  isa::Assembler as(0x10000);
+  as.MovImm(0, 7);
+  as.StoreAbs(0, kReadOnly + 0x18);  // #PF (present, write): no exit.
+  as.Hlt();
+  const std::uint64_t handler = as.LoadAbs(1, kOutsideEpt + 0x28);
+  as.Hlt();
+  Install(as);
+
+  GuestState gs;
+  gs.rip = 0x10000;
+  gs.cr3 = 0x40000;
+  gs.paging = true;
+  gs.idt[kVectorPageFault] = handler;
+  VmControls ctl;
+  ctl.mode = TranslationMode::kNested;
+  ctl.nested_root = ept_root;
+
+  const VmExit exit = engine_.Run(gs, ctl, kBudget);
+  ExpectSameExit(exit, VmExit{.reason = ExitReason::kEptViolation,
+                              .gva = kOutsideEpt + 0x28,
+                              .gpa = kOutsideEptGpa + 0x28,
+                              .is_write = false});
+  EXPECT_EQ(gs.cr2, kReadOnly + 0x18);  // The #PF went through the IDT...
+  EXPECT_EQ(gs.frame_depth, 1);
+  EXPECT_EQ(gs.rip, handler);  // ...and the load in its handler exited.
+}
+
+TEST_F(EngineTest, CopyToPageOutsideEptExitsWithOnlyEptViolationFields) {
+  const PhysAddr ept_root = 0x900000;
+  PageTable ept(&machine_.mem(), PagingMode::kFourLevel, ept_root);
+  ASSERT_EQ(ept.Map(0x10000, 0x10000, kPageSize, pte::kWritable | pte::kUser, Alloc()),
+            Status::kSuccess);
+  ASSERT_EQ(ept.Map(0x20000, 0x20000, kPageSize, pte::kWritable | pte::kUser, Alloc()),
+            Status::kSuccess);
+
+  isa::Assembler as(0x10000);
+  as.MovImm(0, 0x3000040);  // dst: not mapped in the EPT.
+  as.MovImm(1, 0x20000);    // src
+  const std::uint64_t copy = as.Copy(0, 1, 256);
+  as.Hlt();
+  Install(as);
+
+  GuestState gs;
+  gs.rip = 0x10000;
+  VmControls ctl;
+  ctl.mode = TranslationMode::kNested;
+  ctl.nested_root = ept_root;
+
+  const VmExit exit = engine_.Run(gs, ctl, kBudget);
+  ExpectSameExit(exit, VmExit{.reason = ExitReason::kEptViolation,
+                              .gva = 0x3000040,
+                              .gpa = 0x3000040,
+                              .is_write = true});
+  EXPECT_EQ(gs.rip, copy);  // The copy restarts once the VMM maps the page.
+}
+
 TEST_F(EngineTest, MmioDirectAccessRoutesToDevice) {
   // A device window mapped in the EPT is reached without exits (direct
   // assignment / framebuffer case from §7.2).

@@ -286,5 +286,18 @@ TEST_F(DiskServerDeathTest, RevokedWindowAbortsOnFirstAccess) {
   EXPECT_DEATH((void)Issue(ch, 50, 1), "AHCI write at offset 0x138 failed: kDenied");
 }
 
+// The server's construction stops at the first call the root refuses and
+// names it, where it used to go on and dereference the request handler a
+// failed CreateEcLocal had left null. A root whose platform registers no
+// AHCI controller has no device to assign.
+TEST(DiskServerSetupDeathTest, RootWithoutAhciDeviceAbortsNamingAssignDevice) {
+  hw::Machine machine(hw::MachineConfig{});
+  hv::Hypervisor hv(&machine);
+  hv.Boot();
+  root::RootPartitionManager root(&hv);
+  EXPECT_DEATH({ DiskServer server(&hv, &root, 0); },
+               "services::DiskServer: AssignDevice\\(ahci\\) failed: kBadDevice");
+}
+
 }  // namespace
 }  // namespace nova::services

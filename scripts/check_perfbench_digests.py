@@ -6,72 +6,59 @@
 Each non-comment line of bench/golden/perfbench_digests.txt is the line
 `sim_digest WORKLOAD seed=SEED DIGEST` that nova_perfbench prints before
 its JSON result. For each, the script runs the binary on that workload and
-seed, untraced, for --seconds (default 1), and fails unless the run exits
-0, reports "correct": true and prints exactly that line. A change that
-only makes the simulator faster must leave every digest as it is.
+seed, untraced, for one second, and fails unless the run passes the output
+checks of perf_pairs.parse_output ("correct": true, no failed operation)
+and prints exactly that line. A change that only makes the simulator
+faster must leave every digest as it is.
 
 Exit status: 0 when every workload matches, 1 otherwise.
 """
 import argparse
-import json
 import os
 import subprocess
 import sys
 
+from perf_pairs import PairsError, parse_output
+
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..",
                       "bench", "golden", "perfbench_digests.txt")
+SECONDS = 1.0  # The digest comes from the first episode: any length will do.
+TIMEOUT_S = 2 * SECONDS + 120  # What perfbench/run.py allows a run.
 
 
-def expected_lines(path):
-    with open(path) as f:
-        return [line.strip() for line in f
-                if line.strip() and not line.startswith("#")]
-
-
-def check(binary, want, seconds):
-    """Runs the workload `want` names; returns an error message or None."""
-    fields = want.split()
-    if len(fields) != 4 or fields[0] != "sim_digest" or \
-            not fields[2].startswith("seed="):
-        return "malformed line: %s" % want
-    workload, seed = fields[1], fields[2][len("seed="):]
+def check(binary, want):
+    """Runs the workload and seed of the golden line `want`; raises
+    PairsError unless the run prints exactly that line."""
+    workload, seed = want.split()[1], want.split()[2][len("seed="):]
     cmd = [binary, "--workload", workload, "--seed", seed,
-           "--seconds", repr(seconds), "--trace", "0"]
+           "--seconds", repr(SECONDS), "--trace", "0"]
     try:
         proc = subprocess.run(cmd, stdout=subprocess.PIPE, text=True,
-                              timeout=2 * seconds + 120)
+                              timeout=TIMEOUT_S)
     except subprocess.TimeoutExpired:
-        return "%s: the run exceeded %g s" % (workload, 2 * seconds + 120)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or len(lines) < 2:
-        return "%s: exited with %d" % (workload, proc.returncode)
-    try:
-        correct = json.loads(lines[-1]).get("correct")
-    except ValueError:
-        return "%s: the last output line is not JSON" % workload
-    if correct is not True:
-        return "%s: \"correct\" is %s" % (workload, json.dumps(correct))
-    if lines[-2].strip() != want:
-        return "%s: printed `%s`, expected `%s`" % (workload, lines[-2], want)
-    return None
+        raise PairsError("the run exceeded %g s" % TIMEOUT_S)
+    if proc.returncode != 0:
+        raise PairsError("exited with %d" % proc.returncode)
+    line, _ = parse_output(proc.stdout)
+    if line != want:
+        raise PairsError("printed `%s`" % line)
 
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("binary", help="path to nova_perfbench")
-    parser.add_argument("--seconds", type=float, default=1.0)
-    parser.add_argument("--golden", default=GOLDEN)
-    args = parser.parse_args()
-    wanted = expected_lines(args.golden)
-    if not wanted:
-        print("FAIL  no digest lines in %s" % args.golden)
-        return 1
-    failures = 0
+    binary = parser.parse_args().binary
+    with open(GOLDEN) as f:
+        wanted = [line.strip() for line in f
+                  if line.strip() and not line.startswith("#")]
+    failures = 0 if wanted else 1
     for want in wanted:
-        error = check(args.binary, want, args.seconds)
-        print("%s  %s" % ("ok  " if error is None else "FAIL", error or want),
-              flush=True)
-        failures += error is not None
+        try:
+            check(binary, want)
+            print("ok    %s" % want, flush=True)
+        except PairsError as e:
+            print("FAIL  %s: %s" % (want, e), flush=True)
+            failures += 1
     return 1 if failures else 0
 
 

@@ -50,7 +50,7 @@ class PairsError(Exception):
     pass
 
 
-# --- statistics and verdicts (pure; tested on canned inputs) ---------------
+# --- statistics, verdicts and run output (pure; tested on canned inputs) ---
 
 def quartiles(values):
     """Returns (q1, median, q3), interpolated between order statistics."""
@@ -145,6 +145,27 @@ def format_rows(rows):
                      for line in table)
 
 
+def parse_output(stdout):
+    """Splits one nova_perfbench run's standard output (perfbench/run.py
+    passes it through) into its `sim_digest WORKLOAD seed=SEED DIGEST` line
+    and its JSON result, the last two lines. Raises PairsError unless the
+    result reports "correct": true and no failed operation."""
+    lines = stdout.strip().splitlines()
+    if len(lines) < 2:
+        raise PairsError("expected a sim_digest line and a JSON result, got "
+                         "%d line(s)" % len(lines))
+    try:
+        result = json.loads(lines[-1])
+    except ValueError:
+        raise PairsError("the last output line is not JSON: %s"
+                         % lines[-1][:200])
+    if result.get("correct") is not True or result.get("failed", 0) != 0:
+        raise PairsError("correct=%s, failed=%s of %s" % (
+            result.get("correct"), result.get("failed"),
+            result.get("attempted")))
+    return lines[-2].strip(), result
+
+
 # --- git and the benchmark runs --------------------------------------------
 
 def git(root, *args, env=None):
@@ -188,22 +209,15 @@ def run_once(path, args):
            "--trace", "0"]
     proc = subprocess.run(cmd, cwd=path, stdout=subprocess.PIPE,
                           stderr=subprocess.PIPE, text=True)
-    lines = proc.stdout.strip().splitlines()
-    if proc.returncode != 0 or len(lines) < 2:
+    if proc.returncode != 0:
         raise PairsError("%s: run.py exited with %d\n%s" % (
             path, proc.returncode, proc.stderr[-2000:]))
     try:
-        result = json.loads(lines[-1])
-    except ValueError:
-        raise PairsError("%s: the last output line is not JSON: %s"
-                         % (path, lines[-1][:200]))
-    digest = lines[-2].split()[-1]
-    if not result.get("correct") or result.get("failed", 0) != 0:
-        raise PairsError("%s: correct=%s, failed=%s of %s" % (
-            path, result.get("correct"), result.get("failed"),
-            result.get("attempted")))
+        digest_line, result = parse_output(proc.stdout)
+    except PairsError as e:
+        raise PairsError("%s: %s" % (path, e))
     values = {k: v["value"] for k, v in result["metrics"].items()}
-    return {"digest": digest, "metrics": values}
+    return {"digest": digest_line.split()[-1], "metrics": values}
 
 
 def main():

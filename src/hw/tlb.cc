@@ -1,8 +1,6 @@
 #include "src/hw/tlb.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstdlib>
 #include <map>
 
 namespace nova::hw {
@@ -32,28 +30,15 @@ Tlb::Tlb(std::uint32_t capacity_4k, std::uint32_t capacity_large)
 
 void Tlb::Insert(TlbTag tag, VirtAddr va, PhysAddr pa, std::uint64_t page_size,
                  bool writable, bool user, bool dirty, bool global) {
-  const std::size_t k = SizeIndex(page_size);
-  if (k == std::size(kPageSizes)) {
-    // No probe would look for it: the entry would sit in a slot until
-    // evicted.
-    std::fprintf(stderr,
-                 "hw::Tlb::Insert: page size %llu is not 4 KiB, 2 MiB or "
-                 "4 MiB\n",
-                 static_cast<unsigned long long>(page_size));
-    std::abort();
-  }
   const Key key = MakeKey(tag, va, page_size);
   std::uint32_t s = Find(key);
   if (s == kNil) {
-    if (ClassCount(key.large) == classes_[key.large].capacity) {
-      Erase(classes_[key.large].head);  // The class's least recently used.
+    const SizeClass& c = classes_[key.large];
+    if (c.count == c.capacity) {
+      Erase(c.head);  // The class's least recently used entry.
     }
     s = Allocate(key);
-  } else {
-    // A 2 MiB and a 4 MiB entry at a 4 MiB-aligned base share a key.
-    --live_[SizeIndex(slots_[s].entry.page_size)];
   }
-  ++live_[k];
   slots_[s].entry = TlbEntry{
       .phys_page = pa & ~(page_size - 1),
       .page_size = page_size,
@@ -83,11 +68,10 @@ void Tlb::FlushNonGlobal(TlbTag tag) {
 }
 
 void Tlb::FlushVa(TlbTag tag, VirtAddr va) {
-  for (std::size_t k = 0; k < std::size(kPageSizes); ++k) {
-    if (live_[k] == 0) {
-      continue;
+  for (const std::uint64_t size : kPageSizes) {
+    if (size != kPageSize && classes_[1].count == 0) {
+      break;
     }
-    const std::uint64_t size = kPageSizes[k];
     const std::uint32_t s = Find(MakeKey(tag, va, size));
     if (s != kNil && slots_[s].entry.page_size == size) {
       Erase(s);
@@ -135,6 +119,7 @@ std::uint32_t Tlb::Allocate(const Key& key) {
   SizeClass& c = classes_[key.large];
   const std::uint32_t s = c.free;
   c.free = slots_[s].next;
+  ++c.count;
   slots_[s].key = key;
   Index(s);
   Append(c, s);
@@ -147,7 +132,7 @@ void Tlb::Erase(std::uint32_t s) {
   Unlink(c, s);
   slots_[s].next = c.free;
   c.free = s;
-  --live_[SizeIndex(slots_[s].entry.page_size)];
+  --c.count;
 }
 
 template <class Pred>
@@ -174,14 +159,14 @@ void Tlb::Clear() {
     }
     c.head = kNil;
     c.tail = kNil;
+    c.count = 0;
   }
-  std::fill(std::begin(live_), std::end(live_), 0);
 }
 
 template <class Ar>
 void Tlb::Io(Ar& ar) {
-  std::uint32_t count_4k = ClassCount(false);
-  std::uint32_t count_large = ClassCount(true);
+  std::uint32_t count_4k = classes_[0].count;
+  std::uint32_t count_large = classes_[1].count;
   ar.Io(count_4k, count_large, clock_, hits_, misses_, flushes_);
   std::map<Key, Slot> entries;
   if constexpr (!Ar::kLoading) {
@@ -200,8 +185,9 @@ void Tlb::Io(Ar& ar) {
     std::vector<Slot> by_stamp;
     by_stamp.reserve(entries.size());
     for (auto& [key, slot] : entries) {
-      const std::size_t k = SizeIndex(slot.entry.page_size);
-      if (k == std::size(kPageSizes) || (k != 0) != key.large) {
+      const std::uint64_t size = slot.entry.page_size;
+      if (key.large ? size != kPageSizes[1] && size != kPageSizes[2]
+                    : size != kPageSize) {
         ar.Fail(Status::kBadParameter);
       }
       ++counts[key.large];
@@ -222,7 +208,6 @@ void Tlb::Io(Ar& ar) {
                      [](const Slot& a, const Slot& b) { return a.lru < b.lru; });
     for (const Slot& saved : by_stamp) {
       const std::uint32_t s = Allocate(saved.key);
-      ++live_[SizeIndex(saved.entry.page_size)];
       slots_[s].entry = saved.entry;
       slots_[s].lru = saved.lru;
     }

@@ -102,13 +102,13 @@ class Tlb {
   // walk step probes, so the hash, the probe loop and the LRU touch are
   // inline: a hit makes no call.
   std::uint64_t Probe(TlbTag tag, VirtAddr va, Access access) {
-    // Probe each page size: we do not know the mapping size in advance. A
-    // size the TLB holds no entry of cannot hit. Unrolled, each probe's
-    // size is a constant and `access` stays in registers.
+    // Probe each page size: we do not know the mapping size in advance. The
+    // superpage probes cannot hit while their class is empty. Unrolled, each
+    // probe's size is a constant and `access` stays in registers.
 #pragma GCC unroll 3
     for (std::size_t k = 0; k < std::size(kPageSizes); ++k) {
-      if (live_[k] == 0) {
-        continue;
+      if (k != 0 && classes_[1].count == 0) {
+        break;
       }
       const std::uint64_t size = kPageSizes[k];
       const std::uint32_t s = Find(MakeKey(tag, va, size));
@@ -141,8 +141,7 @@ class Tlb {
     return delta != kMiss ? std::optional<PhysAddr>(va + delta) : std::nullopt;
   }
 
-  // Install a translation as produced by a page-table walk. `page_size`
-  // must be 4 KiB, 2 MiB or 4 MiB; any other size aborts.
+  // Install a translation as produced by a page-table walk.
   void Insert(TlbTag tag, VirtAddr va, PhysAddr pa, std::uint64_t page_size,
               bool writable, bool user, bool dirty, bool global = false);
 
@@ -154,7 +153,7 @@ class Tlb {
   void FlushVa(TlbTag tag, VirtAddr va);  // INVLPG.
 
   std::size_t EntryCount(TlbTag tag) const;
-  std::size_t size() const { return live_[0] + live_[1] + live_[2]; }
+  std::size_t size() const { return classes_[0].count + classes_[1].count; }
 
   const sim::Counter& hits() const { return hits_; }
   const sim::Counter& misses() const { return misses_; }
@@ -205,6 +204,7 @@ class Tlb {
   // insert at capacity is the head and a hit moves its slot to the tail.
   struct SizeClass {
     std::uint32_t capacity = 0;
+    std::uint32_t count = 0;
     std::uint32_t head = kNil;
     std::uint32_t tail = kNil;
     std::uint32_t free = kNil;
@@ -214,19 +214,6 @@ class Tlb {
     const bool large = page_size > kPageSize;
     const std::uint64_t base = va & ~(page_size - 1);
     return Key{tag, base >> kPageShift, large};
-  }
-  // kPageSizes' index of `page_size`, or std::size(kPageSizes) if it is
-  // none of them.
-  static std::size_t SizeIndex(std::uint64_t page_size) {
-    std::size_t k = 0;
-    while (k < std::size(kPageSizes) && kPageSizes[k] != page_size) {
-      ++k;
-    }
-    return k;
-  }
-  // Live entries of one class: 4 KiB, or 2 MiB and 4 MiB together.
-  std::uint32_t ClassCount(bool large) const {
-    return large ? live_[1] + live_[2] : live_[0];
   }
 
   // index_: open addressing with linear probing, at most half full.
@@ -274,9 +261,6 @@ class Tlb {
   void EraseIf(Pred pred);
   void Clear();
 
-  // Live entries per page size, indexed as kPageSizes: Probe and FlushVa
-  // skip a size with none. Insert, Erase, Clear and a load move them.
-  std::uint32_t live_[std::size(kPageSizes)] = {};
   SizeClass classes_[2];  // [0] 4 KiB, [1] 2 MiB and 4 MiB: index by large.
   std::vector<Slot> slots_;
   std::vector<std::uint32_t> index_;  // Slot numbers; kNil is empty.

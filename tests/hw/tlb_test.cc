@@ -115,31 +115,6 @@ TEST(Tlb, LargePageCoversRange) {
   EXPECT_EQ(*hit, k2M * 3 + 0x12345);
 }
 
-// A 2 MiB and a 4 MiB entry at a 4 MiB-aligned base share one key, so an
-// insert at the other size replaces the entry and moves it between the
-// per-size counts that let a probe skip a size it holds none of.
-TEST(Tlb, ReinsertAtOtherSuperpageSizeMovesItsCount) {
-  constexpr std::uint64_t k4M = 4ull << 20;
-  Tlb tlb(16, 4);
-  (void)tlb.Insert(kHostTag, k4M, k4M * 5, k2M, true, true, true);
-  (void)tlb.Insert(kHostTag, k4M, k4M * 7, k4M, true, true, true);
-  EXPECT_EQ(tlb.size(), 1u);
-  EXPECT_EQ(tlb.Lookup(kHostTag, k4M + k2M + 0x123, Access{}), k4M * 7 + k2M + 0x123);
-  (void)tlb.Insert(kHostTag, k4M, k4M * 5, k2M, true, true, true);
-  EXPECT_EQ(tlb.Lookup(kHostTag, k4M + 0x456, Access{}), k4M * 5 + 0x456);
-  EXPECT_FALSE(tlb.Lookup(kHostTag, k4M + k2M, Access{}).has_value());
-  tlb.FlushVa(kHostTag, k4M);
-  EXPECT_EQ(tlb.size(), 0u);
-  (void)tlb.Insert(kHostTag, 0x1000, 0x5000, kPageSize, true, true, true);
-  EXPECT_EQ(tlb.size(), 1u);
-}
-
-TEST(TlbDeathTest, InsertOfAnotherPageSizeAbortsNamingIt) {
-  Tlb tlb(16, 4);
-  EXPECT_DEATH(tlb.Insert(kHostTag, 0, 0, 1ull << 30, true, true, true),
-               "page size 1073741824 is not 4 KiB, 2 MiB or 4 MiB");
-}
-
 TEST(Tlb, CapacityEvictsLru) {
   Tlb tlb(2, 2);
   (void)tlb.Insert(kHostTag, 0x1000, 0xa000, kPageSize, true, true, true);

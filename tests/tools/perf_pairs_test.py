@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Verdict logic of scripts/perf_pairs.py on canned paired runs."""
+"""Verdict logic and output parsing of scripts/perf_pairs.py on canned
+runs."""
 import os
 import sys
 import unittest
@@ -136,6 +137,29 @@ class SummarizeTest(unittest.TestCase):
         table = perf_pairs.format_rows(rows)
         self.assertIn("10/10", table)
         self.assertIn("0/10", table)
+
+
+class ParseOutputTest(unittest.TestCase):
+    DIGEST = "sim_digest compile_ept seed=42 cf76e769681ef1ea"
+    RESULT = '{"correct": true, "attempted": 4, "failed": 0, "metrics": {}}'
+
+    def test_returns_the_digest_line_and_the_result(self):
+        out = "set-up note\n%s\n%s\n" % (self.DIGEST, self.RESULT)
+        line, result = perf_pairs.parse_output(out)
+        self.assertEqual(line, self.DIGEST)
+        self.assertEqual(result["attempted"], 4)
+
+    def test_incorrect_or_failed_runs_are_rejected(self):
+        for result in (self.RESULT.replace("true", "false"),
+                       self.RESULT.replace('"failed": 0', '"failed": 1'),
+                       '{"attempted": 4, "failed": 0}'):
+            with self.assertRaises(perf_pairs.PairsError, msg=result):
+                perf_pairs.parse_output("%s\n%s" % (self.DIGEST, result))
+
+    def test_missing_or_malformed_lines_are_rejected(self):
+        for out in ("", self.RESULT, "%s\nnot json" % self.DIGEST):
+            with self.assertRaises(perf_pairs.PairsError, msg=out):
+                perf_pairs.parse_output(out)
 
 
 if __name__ == "__main__":

@@ -1,59 +1,32 @@
 #include "bench/common.h"
 
 #include <cstring>
+#include <utility>
 
 #include "bench/scenario.h"
 
 namespace nova::bench {
 namespace {
 
-constexpr std::uint64_t kGuestMem = kBenchGuestMem;
 constexpr sim::PicoSeconds kDeadline = sim::Seconds(120);
 
-guest::GuestAhciDriver::Config NativeDriverConfig(hw::Machine* machine) {
-  return guest::GuestAhciDriver::Config{
-      .mmio_base = root::kAhciMmioBase,
-      .irq_vector = 43,
-      .read_ci = [machine]() -> std::uint32_t {
-        std::uint64_t v = 0;
-        (void)machine->bus().MmioRead(root::kAhciMmioBase + hw::ahci::kPxCi, 4, &v);
-        return static_cast<std::uint32_t>(v);
-      }};
-}
-
 RunResult RunNative(const RunConfig& config) {
-  hw::Machine machine(hw::MachineConfig{.cpus = {config.cpu},
-                                        .ram_size = 512ull << 20,
-                                        .iommu_present = false});
-  root::Platform platform = root::SetupStandardPlatform(&machine, nullptr);
-  machine.irq().Configure(root::kTimerGsi, 0, 32);
-  machine.irq().Unmask(root::kTimerGsi);
-  machine.irq().Configure(root::kAhciGsi, 0, 43);
-  machine.irq().Unmask(root::kAhciGsi);
-
-  guest::BareMetalRunner runner(&machine);
-  guest::GuestKernel gk(
-      &machine.mem(), [](std::uint64_t gpa) { return gpa; }, &runner.mux(),
-      guest::GuestKernelConfig{.mem_bytes = kGuestMem, .timer_hz = config.timer_hz});
-  gk.BuildStandardHandlers();
-  guest::GuestAhciDriver driver(&gk, NativeDriverConfig(&machine));
+  NativeGuest native(config.cpu, config.timer_hz, /*host_ahci=*/true);
   guest::CompileWorkload workload(
-      &gk, config.workload.disk_every != 0 ? &driver : nullptr, config.workload);
-  const std::uint64_t main = workload.EmitMain();
-  gk.EmitBoot(main);
-  gk.Install();
-  gk.PrimeState(runner.gs());
+      &native.kernel(), config.workload.disk_every != 0 ? native.driver() : nullptr,
+      config.workload);
+  native.Boot(workload.EmitMain());
 
-  hw::Cpu& cpu = machine.cpu(0);
+  hw::Cpu& cpu = native.machine().cpu(0);
   cpu.ResetUtilization();
   const sim::PicoSeconds t0 = cpu.NowPs();
-  runner.RunUntil([&workload] { return workload.done(); }, kDeadline);
+  native.runner().RunUntil([&workload] { return workload.done(); }, kDeadline);
 
   RunResult result;
   result.seconds =
       static_cast<double>(cpu.NowPs() - t0) / static_cast<double>(sim::kPicosPerSecond);
   result.utilization = cpu.Utilization();
-  result.guest_insns = runner.engine().instructions();
+  result.guest_insns = native.runner().engine().instructions();
   return result;
 }
 
@@ -67,19 +40,9 @@ RunResult RunVirtualized(const RunConfig& config) {
 
   hw::Cpu& cpu = system.machine.cpu(0);
   cpu.ResetUtilization();
-  system.hv.stats().ResetAll();
-  // Tracing starts exactly where the counters reset so the folded trace
-  // attribution and the counter table describe the same window. The tracer
-  // charges no cycles, so traced and untraced runs are timing-identical.
-  sim::Tracer& tracer = system.machine.tracer();
-  sim::TraceReport report;
-  if (config.trace) {
-    tracer.Reset();
-    tracer.set_sink(&report);
-    tracer.set_enabled(true);
-  }
   const sim::PicoSeconds t0 = cpu.NowPs();
-  scenario.RunUntilDone(kDeadline);
+  MeasuredWindow window = MeasureWindow(
+      system.hv, config.trace, [&scenario] { scenario.RunUntilDone(kDeadline); });
 
   RunResult result;
   result.seconds =
@@ -87,20 +50,13 @@ RunResult RunVirtualized(const RunConfig& config) {
   result.utilization = cpu.Utilization();
   result.exits = vm.exits_handled();
   result.guest_insns = system.hv.engine(0).instructions();
-  for (const auto& [name, counter] : system.hv.stats().counters()) {
-    result.stats.counter(name).Add(counter.value());
-  }
+  result.stats = std::move(window.counters);
   result.stats.counter("disk-reads").Add(workload.disk_reads());
   result.stats.counter("Injected vIRQ").Add(vm.interrupts_injected());
-  if (config.trace) {
-    tracer.set_enabled(false);
-    report.FoldRemaining(tracer);
-    result.trace_digest = tracer.digest();
-    result.trace_rows = report.Rows(tracer);
-    if (!config.trace_json.empty()) {
-      tracer.WriteChromeJsonFile(config.trace_json);
-    }
-    tracer.set_sink(nullptr);
+  result.trace_digest = window.trace_digest;
+  result.trace_rows = std::move(window.trace_rows);
+  if (config.trace && !config.trace_json.empty()) {
+    system.machine.tracer().WriteChromeJsonFile(config.trace_json);
   }
   return result;
 }
@@ -120,6 +76,31 @@ BenchOptions ParseBenchArgs(int argc, char** argv) {
     }
   }
   return opts;
+}
+
+MeasuredWindow MeasureWindow(hv::Hypervisor& hv, bool trace,
+                             const std::function<void()>& run) {
+  sim::Tracer& tracer = hv.machine().tracer();
+  sim::TraceReport report;
+  hv.stats().ResetAll();
+  if (trace) {
+    tracer.Reset();
+    tracer.set_sink(&report);
+    tracer.set_enabled(true);
+  }
+  run();
+  MeasuredWindow window;
+  for (const auto& [name, counter] : hv.stats().counters()) {
+    window.counters.counter(name).Add(counter.value());
+  }
+  if (trace) {
+    tracer.set_enabled(false);
+    report.FoldRemaining(tracer);
+    tracer.set_sink(nullptr);
+    window.trace_rows = report.Rows(tracer);
+    window.trace_digest = tracer.digest();
+  }
+  return window;
 }
 
 RunResult RunCompile(const RunConfig& config) {

@@ -70,6 +70,19 @@ struct RunResult {
 // Run the kernel-compile workload under `config`; returns the timing.
 RunResult RunCompile(const RunConfig& config);
 
+// One run window: the hypervisor's counters from zero and, when traced,
+// the machine trace's folded rows and digest over the same window.
+struct MeasuredWindow {
+  sim::StatRegistry counters;
+  std::map<std::string, sim::TraceReport::Entry> trace_rows;
+  std::uint64_t trace_digest = 0;
+};
+
+// Resets `hv`'s counters (and with `trace` the machine's tracer), then
+// runs `run`. The tracer charges no cycles, so tracing changes no timing.
+MeasuredWindow MeasureWindow(hv::Hypervisor& hv, bool trace,
+                             const std::function<void()>& run);
+
 // Formatting helpers.
 inline void PrintHeader(const char* title) {
   std::printf("\n=== %s ===\n", title);

@@ -14,11 +14,7 @@ namespace {
 
 constexpr int kMessageLen = 64;
 
-// Set by --smoke: fewer repeats per path.
-int g_repeats = 200;
-
-double RunConsole(bool paravirt, std::uint64_t* exits_out) {
-  const int kRepeats = g_repeats;
+double RunConsole(bool paravirt, int repeats, std::uint64_t* exits_out) {
   root::SystemConfig sc;
   sc.machine = hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
@@ -31,7 +27,7 @@ double RunConsole(bool paravirt, std::uint64_t* exits_out) {
 
   hw::isa::Assembler& as = vm.kernel().text();
   const std::uint64_t main = as.Here();
-  as.MovImm(5, kRepeats);
+  as.MovImm(5, repeats);
   const std::uint64_t top = as.Here();
   if (paravirt) {
     as.MovImm(1, 0x500000);
@@ -52,18 +48,16 @@ double RunConsole(bool paravirt, std::uint64_t* exits_out) {
   system.hv.RunUntilCondition([&gs] { return gs.halted; }, sim::Seconds(60));
   *exits_out = vm.vmm().exits_handled();
   return static_cast<double>(system.machine.cpu(0).cycles() - before) /
-         (kRepeats * kMessageLen);
+         (repeats * kMessageLen);
 }
 
 void Run(const BenchOptions& opts) {
-  if (opts.smoke) {
-    g_repeats = 10;
-  }
+  const int repeats = opts.smoke ? 10 : 200;  // --smoke: fewer repeats.
   PrintHeader("Extension: paravirtualized console (enlightened guest, §4)");
   std::uint64_t pio_exits = 0;
   std::uint64_t pv_exits = 0;
-  const double pio = RunConsole(false, &pio_exits);
-  const double pv = RunConsole(true, &pv_exits);
+  const double pio = RunConsole(false, repeats, &pio_exits);
+  const double pv = RunConsole(true, repeats, &pv_exits);
   std::printf("%-28s %14s %14s\n", "path", "cycles/char", "vm-exits");
   std::printf("%-28s %14.0f %14llu\n", "port I/O (1 exit/char)", pio,
               static_cast<unsigned long long>(pio_exits));

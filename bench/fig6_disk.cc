@@ -17,51 +17,28 @@ struct DiskRunResult {
   std::uint64_t pio_exits = 0;
 };
 
-// Set by --smoke: shorter sweep, fewer requests per point.
-bool g_smoke = false;
-
-std::uint64_t RequestsFor(std::uint32_t block) {
+// --smoke: fewer requests per point.
+std::uint64_t RequestsFor(std::uint32_t block, bool smoke) {
   // Enough requests to measure a stable rate without long runtimes.
   const double rate = std::min(8333.0, 67e6 / block);
   const auto n = static_cast<std::uint64_t>(rate * 0.25);
   const std::uint64_t full = std::max<std::uint64_t>(n, 200);
-  return g_smoke ? std::min<std::uint64_t>(full, 50) : full;
+  return smoke ? std::min<std::uint64_t>(full, 50) : full;
 }
 
-DiskRunResult RunNativeDisk(std::uint32_t block) {
-  hw::Machine machine(hw::MachineConfig{.cpus = {&hw::CoreI7_920()},
-                                        .ram_size = 512ull << 20,
-                                        .iommu_present = false});
-  const root::Platform platform = root::SetupStandardPlatform(&machine, nullptr);
-  machine.irq().Configure(root::kAhciGsi, 0, 43);
-  machine.irq().Unmask(root::kAhciGsi);
-
-  guest::BareMetalRunner runner(&machine);
-  guest::GuestKernel gk(
-      &machine.mem(), [](std::uint64_t gpa) { return gpa; }, &runner.mux(),
-      guest::GuestKernelConfig{.mem_bytes = 128ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestAhciDriver driver(
-      &gk, guest::GuestAhciDriver::Config{
-               .mmio_base = root::kAhciMmioBase,
-               .irq_vector = 43,
-               .read_ci = [&machine]() -> std::uint32_t {
-                 std::uint64_t v = 0;
-                 (void)machine.bus().MmioRead(root::kAhciMmioBase + hw::ahci::kPxCi, 4, &v);
-                 return static_cast<std::uint32_t>(v);
-               }});
+DiskRunResult RunNativeDisk(std::uint32_t block, std::uint64_t requests) {
+  NativeGuest native(&hw::CoreI7_920(), /*timer_hz=*/0, /*host_ahci=*/true);
   guest::DiskWorkload workload(
-      &gk, &driver,
+      &native.kernel(), native.driver(),
       guest::DiskWorkload::Config{.block_bytes = block,
-                                  .total_requests = RequestsFor(block)});
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(runner.gs());
+                                  .total_requests = requests});
+  native.Boot(workload.EmitMain());
 
-  hw::Cpu& cpu = machine.cpu(0);
+  hw::Cpu& cpu = native.machine().cpu(0);
   cpu.ResetUtilization();
   const sim::PicoSeconds t0 = cpu.NowPs();
-  runner.RunUntil([&workload] { return workload.done(); }, sim::Seconds(30));
+  native.runner().RunUntil([&workload] { return workload.done(); },
+                           sim::Seconds(30));
 
   DiskRunResult r;
   const double secs = static_cast<double>(cpu.NowPs() - t0) / 1e12;
@@ -71,7 +48,8 @@ DiskRunResult RunNativeDisk(std::uint32_t block) {
   return r;
 }
 
-DiskRunResult RunVmDisk(std::uint32_t block, bool direct) {
+DiskRunResult RunVmDisk(std::uint32_t block, std::uint64_t requests,
+                        bool direct) {
   root::SystemConfig sc;
   sc.machine = hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
@@ -80,7 +58,7 @@ DiskRunResult RunVmDisk(std::uint32_t block, bool direct) {
   guest::DiskWorkload workload(
       &vm.kernel(), vm.driver(),
       guest::DiskWorkload::Config{.block_bytes = block,
-                                  .total_requests = RequestsFor(block)});
+                                  .total_requests = requests});
   vm.Boot(workload.EmitMain());
 
   hw::Cpu& cpu = system.machine.cpu(0);
@@ -101,20 +79,21 @@ DiskRunResult RunVmDisk(std::uint32_t block, bool direct) {
 }
 
 void Run(const BenchOptions& opts) {
-  g_smoke = opts.smoke;
   PrintHeader("Figure 6: sequential disk reads, CPU utilization vs block size");
   std::printf("%-8s | %-22s | %-22s | %-22s\n", "", "Native", "Direct (IOMMU)",
               "Virtualized vAHCI");
   std::printf("%-8s | %10s %10s | %10s %10s | %10s %10s %6s\n", "block",
               "util[%]", "req/s", "util[%]", "req/s", "util[%]", "req/s",
               "mmio/rq");
-  const std::uint32_t max_block = g_smoke ? 4096 : 65536;
-  const std::uint32_t step = g_smoke ? 8 : 2;
+  // --smoke: a shorter sweep.
+  const std::uint32_t max_block = opts.smoke ? 4096 : 65536;
+  const std::uint32_t step = opts.smoke ? 8 : 2;
   for (std::uint32_t block = 512; block <= max_block; block *= step) {
-    const DiskRunResult native = RunNativeDisk(block);
-    const DiskRunResult direct = RunVmDisk(block, /*direct=*/true);
-    const DiskRunResult virt = RunVmDisk(block, /*direct=*/false);
-    const double reqs = static_cast<double>(RequestsFor(block));
+    const std::uint64_t requests = RequestsFor(block, opts.smoke);
+    const DiskRunResult native = RunNativeDisk(block, requests);
+    const DiskRunResult direct = RunVmDisk(block, requests, /*direct=*/true);
+    const DiskRunResult virt = RunVmDisk(block, requests, /*direct=*/false);
+    const double reqs = static_cast<double>(requests);
     std::printf("%-8u | %10.2f %10.0f | %10.2f %10.0f | %10.2f %10.0f %6.1f\n",
                 block, native.utilization * 100, native.requests_per_s,
                 direct.utilization * 100, direct.requests_per_s,

@@ -14,45 +14,31 @@ namespace {
 constexpr sim::PicoSeconds kWarmup = sim::Milliseconds(5);
 constexpr sim::PicoSeconds kMeasure = sim::Milliseconds(60);
 
-// Set by --smoke: shorter measurement window, truncated bandwidth sweep.
-sim::PicoSeconds g_measure = kMeasure;
-double g_max_mbit = 1024;
-
 struct NetRunResult {
   double utilization = 0;
   double packets_per_s = 0;
   std::uint64_t irqs = 0;
 };
 
-NetRunResult RunNativeNet(double mbit, std::uint32_t packet_bytes) {
-  hw::Machine machine(hw::MachineConfig{.cpus = {&hw::CoreI7_920()},
-                                        .ram_size = 512ull << 20,
-                                        .iommu_present = false});
-  root::Platform platform = root::SetupStandardPlatform(&machine, nullptr);
-  machine.irq().Configure(root::kNicGsi, 0, 42);
-  machine.irq().Unmask(root::kNicGsi);
+NetRunResult RunNativeNet(double mbit, std::uint32_t packet_bytes,
+                          sim::PicoSeconds measure) {
+  NativeGuest native(&hw::CoreI7_920(), /*timer_hz=*/0, /*host_ahci=*/false);
+  guest::GuestNicDriver driver(&native.kernel(),
+                               guest::GuestNicDriver::Config{
+                                   .mmio_base = root::kNicMmioBase,
+                                   .irq_vector = kHostNicVector,
+                                   .packet_bytes = packet_bytes});
+  guest::UdpWorkload workload(&native.kernel(), &driver);
+  native.Boot(workload.EmitMain());
 
-  guest::BareMetalRunner runner(&machine);
-  guest::GuestKernel gk(
-      &machine.mem(), [](std::uint64_t gpa) { return gpa; }, &runner.mux(),
-      guest::GuestKernelConfig{.mem_bytes = 128ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestNicDriver driver(&gk, guest::GuestNicDriver::Config{
-                                        .mmio_base = root::kNicMmioBase,
-                                        .irq_vector = 42,
-                                        .packet_bytes = packet_bytes});
-  guest::UdpWorkload workload(&gk, &driver);
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(runner.gs());
-
+  root::Platform& platform = native.platform();
   platform.link->StartStream(mbit, packet_bytes);
-  runner.RunUntil([] { return false; }, kWarmup);
-  hw::Cpu& cpu = machine.cpu(0);
+  native.runner().RunUntil([] { return false; }, kWarmup);
+  hw::Cpu& cpu = native.machine().cpu(0);
   cpu.ResetUtilization();
   const std::uint64_t p0 = workload.packets();
   const sim::PicoSeconds t0 = cpu.NowPs();
-  runner.RunUntil([] { return false; }, t0 + g_measure);
+  native.runner().RunUntil([] { return false; }, t0 + measure);
   platform.link->Stop();
 
   NetRunResult r;
@@ -63,17 +49,19 @@ NetRunResult RunNativeNet(double mbit, std::uint32_t packet_bytes) {
   return r;
 }
 
-NetRunResult RunDirectNet(double mbit, std::uint32_t packet_bytes) {
+NetRunResult RunDirectNet(double mbit, std::uint32_t packet_bytes,
+                          sim::PicoSeconds measure) {
   root::SystemConfig sc;
   sc.machine = hw::MachineConfig{.cpus = {&hw::CoreI7_920()}, .ram_size = 512ull << 20};
   root::NovaSystem system(sc);
   GuestVm vm(system, vmm::VmmConfig{.guest_mem_bytes = 128ull << 20},
              GuestVm::Disk::kNone);
-  CheckOk("Vmm::AssignHostDevice(nic)", vm.vmm().AssignHostDevice("nic", 42));
+  CheckOk("Vmm::AssignHostDevice(nic)",
+          vm.vmm().AssignHostDevice("nic", kHostNicVector));
   guest::GuestNicDriver driver(&vm.kernel(),
                                guest::GuestNicDriver::Config{
                                    .mmio_base = root::kNicMmioBase,
-                                   .irq_vector = 42,
+                                   .irq_vector = kHostNicVector,
                                    .packet_bytes = packet_bytes});
   guest::UdpWorkload workload(&vm.kernel(), &driver);
   vm.Boot(workload.EmitMain());
@@ -84,7 +72,7 @@ NetRunResult RunDirectNet(double mbit, std::uint32_t packet_bytes) {
   cpu.ResetUtilization();
   const std::uint64_t p0 = workload.packets();
   const sim::PicoSeconds t0 = cpu.NowPs();
-  system.hv.RunUntilCondition([] { return false; }, t0 + g_measure);
+  system.hv.RunUntilCondition([] { return false; }, t0 + measure);
   system.platform.link->Stop();
 
   NetRunResult r;
@@ -96,23 +84,22 @@ NetRunResult RunDirectNet(double mbit, std::uint32_t packet_bytes) {
 }
 
 void Run(const BenchOptions& opts) {
-  if (opts.smoke) {
-    g_measure = sim::Milliseconds(10);
-    g_max_mbit = 16;
-  }
+  // --smoke: a shorter measurement window, a truncated bandwidth sweep.
+  const sim::PicoSeconds measure = opts.smoke ? sim::Milliseconds(10) : kMeasure;
+  const double max_mbit = opts.smoke ? 16 : 1024;
   PrintHeader("Figure 7: UDP receive, CPU utilization vs bandwidth");
   const std::uint32_t sizes[] = {64, 1472, 9188};
   for (const std::uint32_t size : sizes) {
     std::printf("\n-- packet size %u bytes --\n", size);
     std::printf("%10s %14s %14s %14s %14s\n", "MBit/s", "native util[%]",
                 "direct util[%]", "native kpps", "direct kpps");
-    for (double mbit = 2; mbit <= g_max_mbit; mbit *= 2) {
+    for (double mbit = 2; mbit <= max_mbit; mbit *= 2) {
       // Skip configurations beyond the wire's packet capacity.
       if (mbit * 1e6 / (size * 8.0) > 2.2e6) {
         continue;
       }
-      const NetRunResult native = RunNativeNet(mbit, size);
-      const NetRunResult direct = RunDirectNet(mbit, size);
+      const NetRunResult native = RunNativeNet(mbit, size, measure);
+      const NetRunResult direct = RunDirectNet(mbit, size, measure);
       std::printf("%10.0f %14.2f %14.2f %14.1f %14.1f\n", mbit,
                   native.utilization * 100, direct.utilization * 100,
                   native.packets_per_s / 1000, direct.packets_per_s / 1000);

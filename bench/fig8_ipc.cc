@@ -11,9 +11,6 @@
 namespace nova::bench {
 namespace {
 
-// Set by --smoke: fewer iterations per measurement.
-int g_iterations = 1000;
-
 struct IpcCost {
   double entry_exit = 0;
   double ipc_path = 0;
@@ -22,7 +19,8 @@ struct IpcCost {
   double nanoseconds = 0;
 };
 
-IpcCost MeasureIpc(const hw::CpuModel* model, bool cross_as, int words) {
+IpcCost MeasureIpc(const hw::CpuModel* model, bool cross_as, int words,
+                   int iterations) {
   hw::Machine machine(hw::MachineConfig{.cpus = {model}, .ram_size = 256ull << 20});
   hv::Hypervisor hv(&machine);
   hv::Pd* root = hv.Boot();
@@ -40,7 +38,6 @@ IpcCost MeasureIpc(const hw::CpuModel* model, bool cross_as, int words) {
   hv::Ec* client = nullptr;
   (void)hv.CreateEcGlobal(root, 112, 101, 0, [] {}, &client);
 
-  const int iterations = g_iterations;
   client->utcb().untyped = words;
   // Warm up once.
   (void)hv.Call(client, 50);
@@ -68,17 +65,16 @@ IpcCost MeasureIpc(const hw::CpuModel* model, bool cross_as, int words) {
 }
 
 void Run(const BenchOptions& opts) {
-  if (opts.smoke) {
-    g_iterations = 50;
-  }
+  // --smoke: fewer iterations per measurement.
+  const int iterations = opts.smoke ? 50 : 1000;
   PrintHeader("Figure 8: IPC microbenchmark (cycles; one call+reply)");
   std::printf("%-12s | %-34s | %-44s\n", "", "same address space",
               "cross address space");
   std::printf("%-12s | %8s %8s %8s | %8s %8s %8s %8s %8s\n", "CPU", "entry",
               "path", "total", "entry", "path", "TLB", "total", "ns");
   for (const hw::CpuModel* model : hw::AllModels()) {
-    const IpcCost same = MeasureIpc(model, /*cross_as=*/false, 0);
-    const IpcCost cross = MeasureIpc(model, /*cross_as=*/true, 0);
+    const IpcCost same = MeasureIpc(model, /*cross_as=*/false, 0, iterations);
+    const IpcCost cross = MeasureIpc(model, /*cross_as=*/true, 0, iterations);
     std::printf("%-12s | %8.0f %8.0f %8.0f | %8.0f %8.0f %8.0f %8.0f %8.0f\n",
                 model->tag.data(), same.entry_exit, same.ipc_path, same.total,
                 cross.entry_exit, cross.ipc_path, cross.tlb_effects, cross.total,
@@ -91,7 +87,7 @@ void Run(const BenchOptions& opts) {
   std::printf("%8s %10s\n", "words", "cycles");
   double base = 0;
   for (int words : {0, 4, 16, 64}) {
-    const IpcCost c = MeasureIpc(&hw::CoreI7_920(), false, words);
+    const IpcCost c = MeasureIpc(&hw::CoreI7_920(), false, words, iterations);
     if (words == 0) {
       base = c.total;
       std::printf("%8d %10.0f\n", words, c.total);

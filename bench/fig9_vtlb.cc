@@ -18,10 +18,6 @@
 namespace nova::bench {
 namespace {
 
-// Set by --smoke: fewer pages in the miss loop, fewer ladder repeats.
-int g_pages = 4096;
-int g_repeat = 32;
-
 struct VtlbCost {
   double exit_resume = 0;
   double vmread = 0;
@@ -30,7 +26,7 @@ struct VtlbCost {
   double nanoseconds = 0;
 };
 
-VtlbCost MeasureVtlbMiss(const hw::CpuModel* model) {
+VtlbCost MeasureVtlbMiss(const hw::CpuModel* model, int pages) {
   hw::Machine machine(hw::MachineConfig{.cpus = {model}, .ram_size = 512ull << 20});
   hv::Hypervisor hv(&machine);
   hv::Pd* root = hv.Boot();
@@ -53,9 +49,8 @@ VtlbCost MeasureVtlbMiss(const hw::CpuModel* model) {
 
   // Guest page table: code identity plus a large data region, pre-mapped
   // and pre-dirtied so every access is a pure vTLB fill (no guest faults).
-  const int kPages = g_pages;
   (void)gpt.Map(0x100000, 0x1000, 0x1000, hw::kPageSize, hw::pte::kWritable);
-  for (int i = 0; i < kPages; ++i) {
+  for (int i = 0; i < pages; ++i) {
     (void)gpt.Map(0x100000, 0x400000 + i * hw::kPageSize, 0x400000 + i * hw::kPageSize,
             hw::kPageSize,
             hw::pte::kWritable | hw::pte::kAccessed | hw::pte::kDirty);
@@ -63,7 +58,7 @@ VtlbCost MeasureVtlbMiss(const hw::CpuModel* model) {
 
   // Guest program: touch each page once (one vTLB miss per iteration).
   hw::isa::Assembler as(0x1000);
-  as.MovImm(0, kPages);
+  as.MovImm(0, pages);
   as.MovImm(1, 0x400000);
   const std::uint64_t top = as.Load(2, 1, 0);
   as.AddImm(1, hw::kPageSize);
@@ -193,7 +188,7 @@ LadderTotals RunSwitchWorkload(const hw::CpuModel* model,
   return t;
 }
 
-void RunLadder() {
+void RunLadder(const BenchOptions& opts) {
   PrintHeader(
       "Figure 9 (ladder): address-space switch under the vTLB, "
       "2 spaces x 16 pages, steady state per pass");
@@ -213,7 +208,7 @@ void RunLadder() {
                                                    &hw::CoreI7_920()};
 
   constexpr int kWarm = 1;
-  const int kRepeat = g_repeat;
+  const int kRepeat = opts.smoke ? 4 : 32;  // --smoke: fewer repeats.
   for (const hw::CpuModel* model : models) {
     for (const Rung& rung : rungs) {
       if (rung.policy.use_vpid && !model->has_guest_tlb_tags) {
@@ -243,10 +238,7 @@ void RunLadder() {
 }
 
 void Run(const BenchOptions& opts) {
-  if (opts.smoke) {
-    g_pages = 256;
-    g_repeat = 4;
-  }
+  const int pages = opts.smoke ? 256 : 4096;  // --smoke: a shorter miss loop.
   PrintHeader("Figure 9: vTLB miss microbenchmark (cycles per miss)");
   std::printf("%-12s %12s %10s %10s %10s %10s\n", "CPU", "exit+resume",
               "6xVMREAD", "vTLB fill", "total", "ns");
@@ -254,7 +246,7 @@ void Run(const BenchOptions& opts) {
       &hw::CoreDuoT2500(), &hw::Core2DuoE6600(), &hw::Core2DuoE8400(),
       &hw::CoreI7_920_NoVpid(), &hw::CoreI7_920()};
   for (const hw::CpuModel* model : models) {
-    const VtlbCost c = MeasureVtlbMiss(model);
+    const VtlbCost c = MeasureVtlbMiss(model, pages);
     std::printf("%-12s %12.0f %10.0f %10.0f %10.0f %10.0f\n", model->tag.data(),
                 c.exit_resume, c.vmread, c.fill, c.total, c.nanoseconds);
   }
@@ -270,6 +262,6 @@ void Run(const BenchOptions& opts) {
 int main(int argc, char** argv) {
   const nova::bench::BenchOptions opts = nova::bench::ParseBenchArgs(argc, argv);
   nova::bench::Run(opts);
-  nova::bench::RunLadder();
+  nova::bench::RunLadder(opts);
   return 0;
 }

@@ -2,30 +2,27 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <map>
+#include <utility>
 
 namespace nova::bench {
 namespace {
 
-// The host AHCI's interrupt vector in the guest (root::kAhciGsi).
+// The platform timer's and the host AHCI's interrupt vectors in the guest
+// (root::kTimerGsi, root::kAhciGsi).
+constexpr std::uint8_t kTimerVector = 32;
 constexpr std::uint8_t kHostAhciVector = 43;
 
-// The guest-logic mux on `engine`. An engine holds one guest-logic
-// callback and a second Attach silently replaces the first, so every
-// GuestVm whose vCPU runs there shares the one mux; it lives as long as
-// they do.
-std::shared_ptr<guest::GuestLogicMux> MuxOn(hw::VmEngine& engine) {
-  static std::map<const hw::VmEngine*, std::weak_ptr<guest::GuestLogicMux>>
-      muxes;
-  std::erase_if(muxes, [](const auto& entry) { return entry.second.expired(); });
-  std::weak_ptr<guest::GuestLogicMux>& slot = muxes[&engine];
-  if (std::shared_ptr<guest::GuestLogicMux> shared = slot.lock()) {
-    return shared;
-  }
-  auto mux = std::make_shared<guest::GuestLogicMux>();
-  mux->Attach(engine);
-  slot = mux;
-  return mux;
+// The guest's driver of the host AHCI, at the controller's own window:
+// identity-mapped on bare metal, assigned to a direct VM.
+guest::GuestAhciDriver::Config HostAhciDriverConfig(hw::Machine& machine) {
+  return {.mmio_base = root::kAhciMmioBase,
+          .irq_vector = kHostAhciVector,
+          .read_ci = [&machine]() -> std::uint32_t {
+            std::uint64_t v = 0;
+            (void)machine.bus().MmioRead(root::kAhciMmioBase + hw::ahci::kPxCi,
+                                         4, &v);
+            return static_cast<std::uint32_t>(v);
+          }};
 }
 
 }  // namespace
@@ -48,10 +45,10 @@ GuestVm::GuestVm(root::NovaSystem& system, const vmm::VmmConfig& config,
   } else if (disk != Disk::kNone) {
     vmm_->ConnectDiskServer(&system.StartDiskServer());
   }
-  mux_ = MuxOn(system.hv.engine(config.first_cpu));
+  mux_.Attach(system.hv.engine(config.first_cpu));
   kernel_ = std::make_unique<guest::GuestKernel>(
       &system.machine.mem(),
-      [this](std::uint64_t gpa) { return vmm_->GpaToHpa(gpa); }, mux_.get(),
+      [this](std::uint64_t gpa) { return vmm_->GpaToHpa(gpa); }, &mux_,
       guest::GuestKernelConfig{.mem_bytes = config.guest_mem_bytes,
                                .timer_hz = timer_hz});
   kernel_->BuildStandardHandlers();
@@ -63,15 +60,7 @@ GuestVm::GuestVm(root::NovaSystem& system, const vmm::VmmConfig& config,
 
 guest::GuestAhciDriver::Config GuestVm::DriverConfig() {
   if (disk_ == Disk::kHostAhci) {
-    return {.mmio_base = root::kAhciMmioBase,
-            .irq_vector = kHostAhciVector,
-            .read_ci = [this]() -> std::uint32_t {
-              std::uint64_t v = 0;
-              (void)system_.machine.bus().MmioRead(
-                  root::kAhciMmioBase + hw::ahci::kPxCi, 4, &v);
-              return static_cast<std::uint32_t>(v);
-            },
-            .read_err = nullptr};
+    return HostAhciDriverConfig(system_.machine);
   }
   // Registers are read through vmm_, so they follow a restarted VMM.
   const auto vahci_reg = [this](std::uint64_t reg) {
@@ -113,6 +102,38 @@ void GuestVm::Restart(const root::VmmSupervisor::RecoveryInfo& info) {
   vmm_->vahci().InjectAbort(driver_->issued_mask());
 }
 
+NativeGuest::NativeGuest(const hw::CpuModel* cpu, std::uint32_t timer_hz,
+                         bool host_ahci)
+    : machine_(hw::MachineConfig{.cpus = {cpu},
+                                 .ram_size = 512ull << 20,
+                                 .iommu_present = false}),
+      platform_(root::SetupStandardPlatform(&machine_, nullptr)),
+      runner_(&machine_),
+      kernel_(
+          &machine_.mem(), [](std::uint64_t gpa) { return gpa; },
+          &runner_.mux(),
+          guest::GuestKernelConfig{.mem_bytes = kBenchGuestMem,
+                                   .timer_hz = timer_hz}) {
+  for (const auto& [gsi, vector] :
+       {std::pair{root::kTimerGsi, kTimerVector},
+        std::pair{root::kNicGsi, kHostNicVector},
+        std::pair{root::kAhciGsi, kHostAhciVector}}) {
+    machine_.irq().Configure(gsi, 0, vector);
+    machine_.irq().Unmask(gsi);
+  }
+  kernel_.BuildStandardHandlers();
+  if (host_ahci) {
+    driver_ = std::make_unique<guest::GuestAhciDriver>(
+        &kernel_, HostAhciDriverConfig(machine_));
+  }
+}
+
+void NativeGuest::Boot(std::uint64_t main) {
+  kernel_.EmitBoot(main);
+  kernel_.Install();
+  kernel_.PrimeState(runner_.gs());
+}
+
 CompileScenario::CompileScenario(const RunConfig& config) : config_(config) {
   // This sequence is shared with RunCompile's virtualized path: any change
   // here changes construction order for every golden-trace digest.
@@ -141,7 +162,7 @@ CompileScenario::CompileScenario(const RunConfig& config) : config_(config) {
       *system_, vc, direct ? GuestVm::Disk::kHostAhci : GuestVm::Disk::kServer,
       config.timer_hz);
   if (direct) {
-    CheckOk("Vmm::AssignHostDevice(timer)", vm().AssignHostDevice("timer", 32));
+    CheckOk("Vmm::AssignHostDevice(timer)", vm().AssignHostDevice("timer", kTimerVector));
     CheckOk("Vmm::GrantGuestPorts(PIC)", vm().GrantGuestPorts(0x20, 2));
   }
   workload_ = std::make_unique<guest::CompileWorkload>(

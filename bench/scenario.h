@@ -1,9 +1,10 @@
-// The virtualized guest stacks the benches and tests run.
+// The guest stacks the benches and tests run.
 //
 // `GuestVm` assembles one virtualized guest on a NovaSystem: the VMM and
 // its device wiring, the guest kernel and its AHCI driver. It also holds
-// the VMM crash restart. `CompileScenario` builds a whole compile-workload
-// node on it as one restorable object: its mutable state can be
+// the VMM crash restart. `NativeGuest` assembles the same guest kernel on
+// bare metal. `CompileScenario` builds a whole compile-workload node on a
+// GuestVm as one restorable object: its mutable state can be
 // checkpointed into a `sim::Snapshot` and restored onto a twin built from
 // the identical RunConfig. That is the unit the migration driver moves
 // between nodes and the snapshot round-trip tests verify digest-exactness
@@ -26,12 +27,12 @@ constexpr std::uint64_t kBenchGuestMem = 128ull << 20;
 // that went on would measure a guest that never started.
 void CheckOk(const char* call, Status s);
 
-// One guest VM, built in this order: the VMM and its disk wiring, the
-// guest-logic mux of the vCPU's core, the guest kernel with its standard
-// handlers, and the AHCI driver. The caller emits its program through
-// kernel() and passes its entry point to Boot(). Every assembly status is
-// checked with CheckOk. The guest kernel gets `config.guest_mem_bytes` of
-// RAM.
+// One guest VM, built in this order: the VMM and its disk wiring, a handle
+// on the guest-logic table of the vCPU's engine, the guest kernel with its
+// standard handlers, and the AHCI driver. The caller emits its program
+// through kernel() and passes its entry point to Boot(). Every assembly
+// status is checked with CheckOk. The guest kernel gets
+// `config.guest_mem_bytes` of RAM.
 class GuestVm {
  public:
   // The disk the guest's AHCI driver talks to.
@@ -71,8 +72,42 @@ class GuestVm {
   const vmm::VmmConfig config_;
   const Disk disk_;
   std::unique_ptr<vmm::Vmm> vmm_;
-  std::shared_ptr<guest::GuestLogicMux> mux_;
+  guest::GuestLogicMux mux_;
   std::unique_ptr<guest::GuestKernel> kernel_;
+  std::unique_ptr<guest::GuestAhciDriver> driver_;
+};
+
+// The host NIC's interrupt vector in the guest (root::kNicGsi).
+constexpr std::uint8_t kHostNicVector = 42;
+
+// One bare-metal guest (§8's Native), built in this order: a 512 MiB
+// machine without an IOMMU, the standard platform with the timer, NIC and
+// AHCI GSIs routed to CPU 0, the runner, the guest kernel (kBenchGuestMem,
+// identity GPA->HPA) with its standard handlers, and with `host_ahci` the
+// host-AHCI driver, which maps the controller's window into the guest page
+// table. Used like GuestVm: emit through kernel(), then Boot(main).
+class NativeGuest {
+ public:
+  NativeGuest(const hw::CpuModel* cpu, std::uint32_t timer_hz, bool host_ahci);
+  NativeGuest(const NativeGuest&) = delete;
+  NativeGuest& operator=(const NativeGuest&) = delete;
+
+  // Emits the boot code that ends in `main`, installs the image and primes
+  // the runner's state.
+  void Boot(std::uint64_t main);
+
+  hw::Machine& machine() { return machine_; }
+  root::Platform& platform() { return platform_; }
+  guest::BareMetalRunner& runner() { return runner_; }
+  guest::GuestKernel& kernel() { return kernel_; }
+  // Null without `host_ahci`.
+  guest::GuestAhciDriver* driver() { return driver_.get(); }
+
+ private:
+  hw::Machine machine_;
+  root::Platform platform_;
+  guest::BareMetalRunner runner_;
+  guest::GuestKernel kernel_;
   std::unique_ptr<guest::GuestAhciDriver> driver_;
 };
 

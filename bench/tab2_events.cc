@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <algorithm>
+#include <utility>
 #include <vector>
 
 #include "bench/scenario.h"
@@ -116,25 +117,16 @@ RunResult RunDisk4k(bool smoke) {
                                   .total_requests = smoke ? 100u : 2000u});
   vm.Boot(workload.EmitMain());
 
-  system.hv.stats().ResetAll();
-  sim::Tracer& tracer = system.machine.tracer();
-  sim::TraceReport report;
-  tracer.Reset();
-  tracer.set_sink(&report);
-  tracer.set_enabled(true);
   const sim::PicoSeconds t0 = system.machine.cpu(0).NowPs();
-  system.hv.RunUntilCondition([&workload] { return workload.done(); },
-                              sim::Seconds(60));
+  MeasuredWindow window = MeasureWindow(system.hv, /*trace=*/true, [&] {
+    system.hv.RunUntilCondition([&workload] { return workload.done(); },
+                                sim::Seconds(60));
+  });
   RunResult r;
   r.seconds = static_cast<double>(system.machine.cpu(0).NowPs() - t0) / 1e12;
-  for (const auto& [name, counter] : system.hv.stats().counters()) {
-    r.stats.counter(name).Add(counter.value());
-  }
-  tracer.set_enabled(false);
-  report.FoldRemaining(tracer);
-  r.trace_digest = tracer.digest();
-  r.trace_rows = report.Rows(tracer);
-  tracer.set_sink(nullptr);
+  r.stats = std::move(window.counters);
+  r.trace_digest = window.trace_digest;
+  r.trace_rows = std::move(window.trace_rows);
   r.stats.counter("Disk Operations").Add(workload.completed());
   r.stats.counter("Injected vIRQ").Add(vm.vmm().interrupts_injected());
   r.exits = vm.vmm().exits_handled();

@@ -1,45 +1,32 @@
-// Guest-logic dispatch.
+// Guest-logic registration.
 //
 // Guest kernels express dynamic, data-dependent decisions (next workload
 // address, page-fault policy, command assembly) through kGuestLogic
-// instructions. Each engine has a single callback; the mux fans those out
-// to registered handlers by id.
+// instructions. The handlers live in the guest-logic table of the engine
+// the guest runs on; a GuestLogicMux is a guest kernel's handle on that
+// engine.
 #ifndef SRC_GUEST_LOGIC_MUX_H_
 #define SRC_GUEST_LOGIC_MUX_H_
 
 #include <cstdint>
-#include <functional>
-#include <vector>
+#include <utility>
 
-#include "src/hw/guest_state.h"
 #include "src/hw/vm_engine.h"
 
 namespace nova::guest {
 
 class GuestLogicMux {
  public:
-  using Fn = std::function<void(hw::GuestState&)>;
+  // Register handlers with `engine` from now on.
+  void Attach(hw::VmEngine& engine) { engine_ = &engine; }
 
   // Register a handler; returns the id to pass to isa::Assembler::GuestLogic.
-  std::uint32_t Register(Fn fn) {
-    handlers_.push_back(std::move(fn));
-    return static_cast<std::uint32_t>(handlers_.size() - 1);
-  }
-
-  void Dispatch(std::uint32_t id, hw::GuestState& gs) {
-    if (id < handlers_.size()) {
-      handlers_[id](gs);
-    }
-  }
-
-  // Install this mux as the engine's guest-logic callback.
-  void Attach(hw::VmEngine& engine) {
-    engine.set_guest_logic(
-        [this](std::uint32_t id, hw::GuestState& gs) { Dispatch(id, gs); });
+  std::uint32_t Register(hw::VmEngine::GuestLogicFn fn) {
+    return engine_->AddGuestLogic(std::move(fn));
   }
 
  private:
-  std::vector<Fn> handlers_;
+  hw::VmEngine* engine_ = nullptr;
 };
 
 }  // namespace nova::guest

@@ -85,9 +85,7 @@ class Vtlb {
     std::function<void(hw::PhysAddr)> free;
     hw::TlbTagAllocator* tags = nullptr;       // Per-context hardware tags.
     sim::StatRegistry* stats = nullptr;
-    // Machine tracer; the permanently disabled default keeps direct Vtlb
-    // construction in tests null-check free.
-    sim::Tracer* tracer = &sim::Tracer::Disabled();
+    sim::Tracer* tracer = nullptr;  // The machine's tracer.
   };
 
   Vtlb(Env env, VtlbPolicy policy);

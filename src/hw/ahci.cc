@@ -5,19 +5,16 @@
 namespace nova::hw {
 
 AhciController::AhciController(DeviceId id, Iommu* iommu, IrqChip* irq,
-                               std::uint32_t gsi, DiskModel* disk)
-    : Device(id, "ahci"), iommu_(iommu), irq_(irq), gsi_(gsi), disk_(disk) {
+                               std::uint32_t gsi, DiskModel* disk,
+                               sim::Tracer& tracer)
+    : Device(id, "ahci"), iommu_(iommu), irq_(irq), gsi_(gsi), disk_(disk),
+      tracer_(tracer), trace_issue_(tracer.Intern("AHCI Issue")),
+      trace_dma_(tracer.Intern("AHCI DMA")) {
   disk_->set_completion_handler(
       [this](DiskModel::RequestId /*id*/, std::uint64_t cookie, Status status,
              const std::uint8_t* data, std::uint64_t len) {
         CompleteSlot(static_cast<int>(cookie), status, data, len);
       });
-}
-
-void AhciController::set_tracer(sim::Tracer* t) {
-  tracer_ = t;
-  trace_issue_ = t->Intern("AHCI Issue");
-  trace_dma_ = t->Intern("AHCI DMA");
 }
 
 std::uint64_t AhciController::MmioRead(std::uint64_t offset, unsigned /*size*/) {
@@ -153,7 +150,7 @@ void AhciController::IssueSlot(int slot) {
     return;
   }
 
-  tracer_->Instant(sim::TraceCat::kDevice, trace_issue_, bytes, write ? 1 : 0);
+  tracer_.Instant(sim::TraceCat::kDevice, trace_issue_, bytes, write ? 1 : 0);
   if (write) {
     // Gather data from the PRDT buffers, then hand it to the disk.
     fl.data.resize(bytes);
@@ -217,8 +214,8 @@ void AhciController::CompleteSlot(int slot, Status status,
     }
   }
   fl.active = false;
-  tracer_->Instant(sim::TraceCat::kDevice, trace_dma_, prd_bytes,
-                   fl.write ? 1 : 0);
+  tracer_.Instant(sim::TraceCat::kDevice, trace_dma_, prd_bytes,
+                  fl.write ? 1 : 0);
   px_ci_ &= ~(1u << slot);
   px_is_ |= ahci::kPxIsDhrs;
   is_ |= 0x1;

@@ -58,8 +58,9 @@ constexpr int kNumSlots = 32;
 
 class AhciController : public Device {
  public:
+  // Interns its event names in `tracer`, which it emits them to.
   AhciController(DeviceId id, Iommu* iommu, IrqChip* irq, std::uint32_t gsi,
-                 DiskModel* disk);
+                 DiskModel* disk, sim::Tracer& tracer);
 
   std::uint64_t MmioRead(std::uint64_t offset, unsigned size) override;
   void MmioWrite(std::uint64_t offset, unsigned size, std::uint64_t value) override;
@@ -70,9 +71,6 @@ class AhciController : public Device {
 
   // Optional fault injection (kDmaUnmapped on the completion scatter path).
   void set_fault_plan(sim::FaultPlan* plan) { fault_plan_ = plan; }
-
-  // Wires the machine's tracer in; interns the controller's event names.
-  void set_tracer(sim::Tracer* t);
 
   // Serialize the register file and per-slot in-flight buffers. The disk
   // model's pending table is saved separately by the machine orchestrator.
@@ -120,9 +118,9 @@ class AhciController : public Device {
   Inflight inflight_[ahci::kNumSlots];
   std::uint64_t dma_faults_ = 0;
   sim::FaultPlan* fault_plan_ = nullptr;
-  sim::Tracer* tracer_ = &sim::Tracer::Disabled();
-  std::uint16_t trace_issue_ = 0;
-  std::uint16_t trace_dma_ = 0;
+  sim::Tracer& tracer_;
+  const std::uint16_t trace_issue_;
+  const std::uint16_t trace_dma_;
 };
 
 }  // namespace nova::hw

@@ -2,11 +2,9 @@
 
 namespace nova::hw {
 
-void IrqChip::set_tracer(sim::Tracer* t) {
-  tracer_ = t;
-  trace_assert_ = t->Intern("IRQ Assert");
-  trace_deliver_ = t->Intern("IRQ Deliver");
-}
+IrqChip::IrqChip(sim::Tracer& tracer)
+    : tracer_(tracer), trace_assert_(tracer.Intern("IRQ Assert")),
+      trace_deliver_(tracer.Intern("IRQ Deliver")) {}
 
 void IrqChip::Configure(std::uint32_t gsi, std::uint32_t cpu, std::uint8_t vector) {
   if (gsi >= kNumGsis || cpu >= kMaxCpus) {
@@ -37,7 +35,7 @@ void IrqChip::Assert(std::uint32_t gsi) {
     return;
   }
   ++assert_counts_[gsi];
-  tracer_->Instant(sim::TraceCat::kIrq, trace_assert_, gsi);
+  tracer_.Instant(sim::TraceCat::kIrq, trace_assert_, gsi);
   const Route& r = routes_[gsi];
   if (!r.enabled) {
     return;  // Unrouted interrupts are dropped.
@@ -51,7 +49,7 @@ void IrqChip::Assert(std::uint32_t gsi) {
 
 void IrqChip::Deliver(std::uint32_t gsi) {
   const Route& r = routes_[gsi];
-  tracer_->Instant(sim::TraceCat::kIrq, trace_deliver_, gsi, r.vector);
+  tracer_.Instant(sim::TraceCat::kIrq, trace_deliver_, gsi, r.vector);
   pending_[r.cpu][r.vector / 64] |= 1ull << (r.vector % 64);
 }
 

@@ -23,6 +23,9 @@ constexpr std::uint32_t kMaxCpus = 8;
 
 class IrqChip {
  public:
+  // Interns its event names in `tracer`, which it emits them to.
+  explicit IrqChip(sim::Tracer& tracer);
+
   struct Route {
     bool enabled = false;
     bool masked = true;
@@ -55,9 +58,6 @@ class IrqChip {
 
   std::uint64_t asserted(std::uint32_t gsi) const { return assert_counts_[gsi]; }
 
-  // Wires the machine's tracer in; interns the chip's event names once.
-  void set_tracer(sim::Tracer* t);
-
   Status SaveState(sim::SnapWriter& w) const { return w.Save(*this); }
   Status LoadState(sim::SnapReader& r) { return r.Restore(*this); }
   template <class Ar>
@@ -68,9 +68,9 @@ class IrqChip {
  private:
   void Deliver(std::uint32_t gsi);
 
-  sim::Tracer* tracer_ = &sim::Tracer::Disabled();
-  std::uint16_t trace_assert_ = 0;
-  std::uint16_t trace_deliver_ = 0;
+  sim::Tracer& tracer_;
+  const std::uint16_t trace_assert_;
+  const std::uint16_t trace_deliver_;
   std::array<Route, kNumGsis> routes_{};
   std::array<bool, kNumGsis> latched_{};
   // Per-CPU pending vector bitmap (256 vectors).

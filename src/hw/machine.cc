@@ -19,7 +19,6 @@ MachineConfig ApplyTestCpuOverride(MachineConfig config) {
 Machine::Machine(const MachineConfig& config_in)
     : mem_(config_in.ram_size), iommu_(&mem_, config_in.iommu_present) {
   const MachineConfig config = ApplyTestCpuOverride(config_in);
-  irq_.set_tracer(&tracer_);
   std::uint32_t id = 0;
   for (const CpuModel* model : config.cpus) {
     cpus_.push_back(std::make_unique<Cpu>(id++, model));

@@ -87,10 +87,11 @@ class Machine {
   // built on top of the machine (Hypervisor, platform devices, services,
   // VMMs, fault plans) must be destroyed before the Machine itself.
   sim::EventQueue events_;
-  IrqChip irq_;
+  // Before irq_, which interns its names here when the machine is built.
+  sim::Tracer tracer_{&events_};
+  IrqChip irq_{tracer_};
   Iommu iommu_;
   Bus bus_;
-  sim::Tracer tracer_{&events_};
   std::vector<std::unique_ptr<Cpu>> cpus_;
   std::vector<std::unique_ptr<Device>> devices_;
 };

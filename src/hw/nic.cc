@@ -12,16 +12,12 @@ constexpr sim::EventTag kSendTag{sim::EventQueue::OwnerToken("hw.netlink"),
 }  // namespace
 
 Nic::Nic(DeviceId id, Iommu* iommu, IrqChip* irq, std::uint32_t gsi,
-         sim::EventQueue* events)
-    : Device(id, "nic"), iommu_(iommu), irq_(irq), gsi_(gsi), events_(events) {
+         sim::EventQueue* events, sim::Tracer& tracer)
+    : Device(id, "nic"), iommu_(iommu), irq_(irq), gsi_(gsi), events_(events),
+      tracer_(tracer), trace_rx_(tracer.Intern("NIC RX DMA")) {
   event_owner_ = events_->RegisterOwner(kCoalesceTag.owner, [this](const sim::EventTag&) {
     return [this] { CoalesceExpired(); };
   });
-}
-
-void Nic::set_tracer(sim::Tracer* t) {
-  tracer_ = t;
-  trace_rx_ = t->Intern("NIC RX DMA");
 }
 
 std::uint64_t Nic::MmioRead(std::uint64_t offset, unsigned /*size*/) {
@@ -107,7 +103,7 @@ bool Nic::Receive(const std::uint8_t* frame, std::uint32_t length) {
   }
   rdh_ = (rdh_ + 1) % RingEntries();
   rx_packets_.Add();
-  tracer_->Instant(sim::TraceCat::kDevice, trace_rx_, length);
+  tracer_.Instant(sim::TraceCat::kDevice, trace_rx_, length);
 
   icr_ |= nic::kIcrRxt0;
   RaiseOrCoalesce();

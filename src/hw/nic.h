@@ -56,8 +56,9 @@ constexpr std::uint8_t kRxStatusEop = 1u << 1;
 
 class Nic : public Device {
  public:
+  // Interns its event name in `tracer`, which it emits it to.
   Nic(DeviceId id, Iommu* iommu, IrqChip* irq, std::uint32_t gsi,
-      sim::EventQueue* events);
+      sim::EventQueue* events, sim::Tracer& tracer);
 
   std::uint64_t MmioRead(std::uint64_t offset, unsigned size) override;
   void MmioWrite(std::uint64_t offset, unsigned size, std::uint64_t value) override;
@@ -74,9 +75,6 @@ class Nic : public Device {
 
   // Optional fault injection (kNicDrop / kNicCorrupt on the wire side).
   void set_fault_plan(sim::FaultPlan* plan) { fault_plan_ = plan; }
-
-  // Wires the machine's tracer in; interns the NIC's event names.
-  void set_tracer(sim::Tracer* t);
 
   Status SaveState(sim::SnapWriter& w) const;
   Status LoadState(sim::SnapReader& r);
@@ -112,8 +110,8 @@ class Nic : public Device {
   sim::Counter rx_corrupted_;
   sim::Counter irqs_;
   sim::FaultPlan* fault_plan_ = nullptr;
-  sim::Tracer* tracer_ = &sim::Tracer::Disabled();
-  std::uint16_t trace_rx_ = 0;
+  sim::Tracer& tracer_;
+  const std::uint16_t trace_rx_;
   sim::EventOwner event_owner_;  // Last member: unregisters first.
 };
 

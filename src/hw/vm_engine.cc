@@ -508,10 +508,11 @@ bool VmEngine::Execute(GuestState& gs, const VmControls& ctl,
       break;
 
     case Opcode::kGuestLogic:
-      gs.rip = next_rip;  // Logic may overwrite rip (e.g. to re-loop).
-      if (guest_logic_) {
-        guest_logic_(insn.imm32, gs);
+      if (insn.imm32 >= guest_logic_.size()) {
+        return exit_with(VmExit{.reason = ExitReason::kError});
       }
+      gs.rip = next_rip;  // Logic may overwrite rip (e.g. to re-loop).
+      guest_logic_[insn.imm32](gs);
       break;
 
     default:

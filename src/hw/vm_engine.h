@@ -19,6 +19,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <vector>
 
 #include "src/hw/cpu.h"
 #include "src/hw/device.h"
@@ -44,13 +45,19 @@ struct EngineCosts {
 
 class VmEngine {
  public:
-  // `guest_logic` lets the embedding guest kernel run host-side helpers for
-  // workload decisions; it is invoked synchronously for kGuestLogic ops.
-  using GuestLogicFn = std::function<void(std::uint32_t id, GuestState& gs)>;
+  // A host-side helper a guest kernel runs for a workload decision; a
+  // kGuestLogic op invokes it synchronously.
+  using GuestLogicFn = std::function<void(GuestState& gs)>;
 
   VmEngine(Cpu* cpu, PhysMem* mem, Bus* bus, IrqChip* irq);
 
-  void set_guest_logic(GuestLogicFn fn) { guest_logic_ = std::move(fn); }
+  // Adds `fn` to the guest-logic table every guest on this engine shares;
+  // returns the id a kGuestLogic op names it by. An op naming an id never
+  // handed out exits with kError.
+  std::uint32_t AddGuestLogic(GuestLogicFn fn) {
+    guest_logic_.push_back(std::move(fn));
+    return static_cast<std::uint32_t>(guest_logic_.size() - 1);
+  }
   const EngineCosts& costs() const { return costs_; }
 
   // Execute until a VM exit condition or until `cycle_budget` cycles have
@@ -133,7 +140,7 @@ class VmEngine {
   PhysMem* mem_;
   Bus* bus_;
   IrqChip* irq_;
-  GuestLogicFn guest_logic_;
+  std::vector<GuestLogicFn> guest_logic_;
   EngineCosts costs_;
 
   // Paging-structure cache for nested walks (GPA -> HPA at host page

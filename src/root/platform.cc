@@ -1,5 +1,8 @@
 #include "src/root/platform.h"
 
+#include <cstdio>
+#include <cstdlib>
+
 #include "src/hw/disk.h"
 
 namespace nova::root {
@@ -9,15 +12,15 @@ Platform SetupStandardPlatform(hw::Machine* machine, RootPartitionManager* root)
 
   p.disk = std::make_unique<hw::DiskModel>(&machine->events(), hw::DiskGeometry{});
   auto ahci = std::make_unique<hw::AhciController>(
-      kAhciDevId, &machine->iommu(), &machine->irq(), kAhciGsi, p.disk.get());
+      kAhciDevId, &machine->iommu(), &machine->irq(), kAhciGsi, p.disk.get(),
+      machine->tracer());
   p.ahci = machine->AddDevice(std::move(ahci));
-  p.ahci->set_tracer(&machine->tracer());
   (void)machine->bus().RegisterMmio(kAhciMmioBase, kAhciMmioSize, p.ahci);
 
   auto nic = std::make_unique<hw::Nic>(kNicDevId, &machine->iommu(),
-                                       &machine->irq(), kNicGsi, &machine->events());
+                                       &machine->irq(), kNicGsi,
+                                       &machine->events(), machine->tracer());
   p.nic = machine->AddDevice(std::move(nic));
-  p.nic->set_tracer(&machine->tracer());
   (void)machine->bus().RegisterMmio(kNicMmioBase, kNicMmioSize, p.nic);
   p.link = std::make_unique<hw::NetLink>(&machine->events(), p.nic);
 
@@ -31,21 +34,31 @@ Platform SetupStandardPlatform(hw::Machine* machine, RootPartitionManager* root)
   (void)machine->bus().RegisterPio(hw::uart::kPortBase, 8, p.uart);
 
   if (root != nullptr) {
-    root->RegisterDevice("ahci", DeviceInfo{.id = kAhciDevId,
-                                            .mmio_base = kAhciMmioBase,
-                                            .mmio_size = kAhciMmioSize,
-                                            .gsi = kAhciGsi});
-    root->RegisterDevice("nic", DeviceInfo{.id = kNicDevId,
-                                           .mmio_base = kNicMmioBase,
-                                           .mmio_size = kNicMmioSize,
-                                           .gsi = kNicGsi});
-    root->RegisterDevice("timer", DeviceInfo{.id = kTimerDevId,
-                                             .pio_base = hw::timer::kPortPeriodLo,
-                                             .pio_count = 4,
-                                             .gsi = kTimerGsi});
-    root->RegisterDevice("uart", DeviceInfo{.id = kUartDevId,
-                                            .pio_base = hw::uart::kPortBase,
-                                            .pio_count = 8});
+    // The windows are fixed, page-aligned constants, so a refused one is a
+    // broken platform: stop here, naming the device, not at a later access.
+    const auto add = [root](const char* name, const DeviceInfo& info) {
+      const Status s = root->RegisterDevice(name, info);
+      if (!Ok(s)) {
+        std::fprintf(stderr, "SetupStandardPlatform: RegisterDevice(%s): %s\n",
+                     name, StatusName(s));
+        std::abort();
+      }
+    };
+    add("ahci", DeviceInfo{.id = kAhciDevId,
+                           .mmio_base = kAhciMmioBase,
+                           .mmio_size = kAhciMmioSize,
+                           .gsi = kAhciGsi});
+    add("nic", DeviceInfo{.id = kNicDevId,
+                          .mmio_base = kNicMmioBase,
+                          .mmio_size = kNicMmioSize,
+                          .gsi = kNicGsi});
+    add("timer", DeviceInfo{.id = kTimerDevId,
+                            .pio_base = hw::timer::kPortPeriodLo,
+                            .pio_count = 4,
+                            .gsi = kTimerGsi});
+    add("uart", DeviceInfo{.id = kUartDevId,
+                           .pio_base = hw::uart::kPortBase,
+                           .pio_count = 8});
   }
   return p;
 }

@@ -36,6 +36,31 @@ hv::CapSel RootPartitionManager::CreatePd(const std::string& name, bool is_vm,
   return sel;
 }
 
+bool RootPartitionManager::DelegateRange(hv::CapSel pd_sel, std::uint64_t src,
+                                         std::uint64_t dst, std::uint64_t pages,
+                                         std::uint8_t perms, bool large) {
+  const std::uint64_t large_pages =
+      hw::LargePageSize(hv_->machine().cpu(0).model().host_paging) / hw::kPageSize;
+  std::uint64_t remaining = pages;
+  while (remaining > 0) {
+    std::uint8_t order = 0;
+    while ((2ull << order) <= remaining && (src & ((2ull << order) - 1)) == 0 &&
+           (dst & ((2ull << order) - 1)) == 0) {
+      ++order;
+    }
+    const std::uint64_t chunk = 1ull << order;
+    const bool chunk_large = large && chunk % large_pages == 0;
+    if (!Ok(hv_->Delegate(pd_, pd_sel, hv::Crd::Mem(src, order, perms), dst, 0xff,
+                          chunk_large))) {
+      return false;
+    }
+    src += chunk;
+    dst += chunk;
+    remaining -= chunk;
+  }
+  return true;
+}
+
 std::uint64_t RootPartitionManager::GrantMemory(hv::CapSel pd_sel,
                                                 std::uint64_t pages,
                                                 std::uint64_t hotspot_page,
@@ -55,60 +80,29 @@ std::uint64_t RootPartitionManager::GrantMemory(hv::CapSel pd_sel,
   if (first == 0) {
     return 0;
   }
-  // Delegate in power-of-two chunks (CRDs describe 2^order units).
-  std::uint64_t remaining = pages;
-  std::uint64_t src = first;
-  std::uint64_t dst = hotspot_page == ~0ull ? first : hotspot_page;
-  while (remaining > 0) {
-    std::uint8_t order = 0;
-    while ((2ull << order) <= remaining && (src & ((2ull << order) - 1)) == 0 &&
-           (dst & ((2ull << order) - 1)) == 0) {
-      ++order;
-    }
-    const std::uint64_t chunk = 1ull << order;
-    const bool chunk_large = large && chunk % large_pages == 0;
-    if (!Ok(hv_->Delegate(pd_, pd_sel, hv::Crd::Mem(src, order, perms), dst, 0xff,
-                          chunk_large))) {
-      return 0;
-    }
-    src += chunk;
-    dst += chunk;
-    remaining -= chunk;
-  }
-  return first;
+  const std::uint64_t dst = hotspot_page == ~0ull ? first : hotspot_page;
+  return DelegateRange(pd_sel, first, dst, pages, perms, large) ? first : 0;
 }
 
 std::uint64_t RootPartitionManager::GrantMemoryAt(hv::CapSel pd_sel,
                                                   std::uint64_t first_page,
                                                   std::uint64_t pages,
                                                   std::uint8_t perms, bool large) {
-  const std::uint64_t large_pages =
-      hw::LargePageSize(hv_->machine().cpu(0).model().host_paging) / hw::kPageSize;
-  std::uint64_t remaining = pages;
-  std::uint64_t page = first_page;
-  while (remaining > 0) {
-    std::uint8_t order = 0;
-    while ((2ull << order) <= remaining && (page & ((2ull << order) - 1)) == 0) {
-      ++order;
-    }
-    const std::uint64_t chunk = 1ull << order;
-    const bool chunk_large = large && chunk % large_pages == 0;
-    if (!Ok(hv_->Delegate(pd_, pd_sel, hv::Crd::Mem(page, order, perms), page, 0xff,
-                          chunk_large))) {
-      return 0;
-    }
-    page += chunk;
-    remaining -= chunk;
-  }
-  return first_page;
+  return DelegateRange(pd_sel, first_page, first_page, pages, perms, large)
+             ? first_page
+             : 0;
 }
 
-void RootPartitionManager::RegisterDevice(const std::string& name,
-                                          const DeviceInfo& info) {
-  devices_[name] = info;
+Status RootPartitionManager::RegisterDevice(const std::string& name,
+                                            const DeviceInfo& info) {
   if (info.mmio_size > 0) {
-    (void)hv_->GrantDeviceWindow(info.mmio_base, info.mmio_size);
+    const Status s = hv_->GrantDeviceWindow(info.mmio_base, info.mmio_size);
+    if (!Ok(s)) {
+      return s;
+    }
   }
+  devices_[name] = info;
+  return Status::kSuccess;
 }
 
 const DeviceInfo* RootPartitionManager::FindDevice(const std::string& name) const {

@@ -65,7 +65,9 @@ class RootPartitionManager {
                               bool large = false);
 
   // --- Device policy ----------------------------------------------------
-  void RegisterDevice(const std::string& name, const DeviceInfo& info);
+  // Grants the device's MMIO window to the root and records the device;
+  // a refused window records nothing.
+  Status RegisterDevice(const std::string& name, const DeviceInfo& info);
   const DeviceInfo* FindDevice(const std::string& name) const;
 
   // Assign a device to a domain: delegates its MMIO window and ports and
@@ -95,6 +97,11 @@ class RootPartitionManager {
   }
 
  private:
+  // Delegates `pages` frames from `src` to `dst` in `pd_sel`'s space in
+  // power-of-two chunks (CRDs describe 2^order units); false on a refusal.
+  bool DelegateRange(hv::CapSel pd_sel, std::uint64_t src, std::uint64_t dst,
+                     std::uint64_t pages, std::uint8_t perms, bool large);
+
   hv::Hypervisor* hv_;
   hv::Pd* pd_;
   std::uint64_t alloc_next_page_;

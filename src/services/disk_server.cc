@@ -29,6 +29,16 @@ void CheckOk(const char* call, Status s) {
   }
 }
 
+// GrantMemory's first frame, which is 0 when the root could not allocate
+// or delegate the frames.
+std::uint64_t CheckGranted(const char* call, std::uint64_t first_page) {
+  if (first_page == 0) {
+    std::fprintf(stderr, "services::DiskServer: %s failed: no frames\n", call);
+    std::abort();
+  }
+  return first_page;
+}
+
 // Root delegates the AHCI window when it builds the server and nothing
 // revokes it, so a refused access is a broken construction invariant.
 void CheckMmio(const char* access, std::uint64_t offset, Status s) {
@@ -66,8 +76,10 @@ DiskServer::DiskServer(hv::Hypervisor* hv, root::RootPartitionManager* root,
           root->BindInterrupt(pd_sel_, "ahci", kSmSel, cpu));
 
   // Command list (1 KiB) + command tables (32 x 256 B): three pages.
-  clb_page_ = root->GrantMemory(pd_sel_, 1, ~0ull, hv::perm::kRw);
-  ctba_page_ = root->GrantMemory(pd_sel_, 2, ~0ull, hv::perm::kRw);
+  clb_page_ = CheckGranted("GrantMemory(command list)",
+                           root->GrantMemory(pd_sel_, 1, ~0ull, hv::perm::kRw));
+  ctba_page_ = CheckGranted("GrantMemory(command tables)",
+                            root->GrantMemory(pd_sel_, 2, ~0ull, hv::perm::kRw));
 
   // Request handler EC: one per server, shared by every channel portal.
   req_ec_cap_sel_ = root->FreeSel();

@@ -72,11 +72,6 @@ Tracer::Tracer(const EventQueue* clock, std::size_t capacity)
   ids_.Insert(names_.back(), 0);
 }
 
-Tracer& Tracer::Disabled() {
-  static Tracer t(nullptr, 1);
-  return t;
-}
-
 std::uint16_t Tracer::Intern(const std::string& name) {
   if (const std::uint16_t* id = ids_.Find(name)) return *id;
   const std::uint16_t id = static_cast<std::uint16_t>(names_.size());

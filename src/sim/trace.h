@@ -88,11 +88,6 @@ class Tracer {
   explicit Tracer(const EventQueue* clock = nullptr,
                   std::size_t capacity = 1u << 16);
 
-  // A process-wide, permanently disabled tracer: layers that may run
-  // without tracing wired up default their pointer here and skip null
-  // checks on the hot path.
-  static Tracer& Disabled();
-
   void set_enabled(bool on) { enabled_ = on; }
   bool enabled() const { return enabled_; }
 

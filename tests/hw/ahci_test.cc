@@ -23,7 +23,7 @@ class AhciTest : public ::testing::Test {
       : mem_(64 << 20),
         iommu_(&mem_, true),
         disk_(&events_, DiskGeometry{}),
-        hba_(7, &iommu_, &irq_, kGsi, &disk_) {
+        hba_(7, &iommu_, &irq_, kGsi, &disk_, tracer_) {
     irq_.Configure(kGsi, 0, 43);
     irq_.Unmask(kGsi);
     iommu_.AllowGsi(7, kGsi);
@@ -55,9 +55,10 @@ class AhciTest : public ::testing::Test {
   }
 
   sim::EventQueue events_;
+  sim::Tracer tracer_;
   PhysMem mem_;
   Iommu iommu_;
-  IrqChip irq_;
+  IrqChip irq_{tracer_};
   DiskModel disk_;
   AhciController hba_;
 };

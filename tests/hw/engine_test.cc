@@ -537,22 +537,33 @@ TEST_F(EngineTest, InvalidOpcodeIsError) {
 }
 
 TEST_F(EngineTest, GuestLogicCallbackRuns) {
+  ASSERT_EQ(engine_.AddGuestLogic([](GuestState& gs) { gs.regs[2] = 1; }), 0u);
+  ASSERT_EQ(engine_.AddGuestLogic([](GuestState& gs) { gs.regs[2] = 0x1234; }), 1u);
   isa::Assembler as(0x10000);
-  as.GuestLogic(3);
+  as.GuestLogic(1);
   as.Hlt();
   Install(as);
-
-  std::uint32_t seen = 0;
-  engine_.set_guest_logic([&](std::uint32_t id, GuestState& gs) {
-    seen = id;
-    gs.regs[2] = 0x1234;
-  });
 
   GuestState gs;
   gs.rip = 0x10000;
   engine_.Run(gs, VmControls{}, kBudget);
-  EXPECT_EQ(seen, 3u);
   EXPECT_EQ(gs.regs[2], 0x1234u);
+}
+
+// An op naming no handler is a broken guest image: the guest stops at it
+// instead of running on.
+TEST_F(EngineTest, UnregisteredGuestLogicIdExitsWithError) {
+  ASSERT_EQ(engine_.AddGuestLogic([](GuestState& gs) { gs.regs[3] = 1; }), 0u);
+  isa::Assembler as(0x10000);
+  as.GuestLogic(1);
+  as.Hlt();
+  Install(as);
+
+  GuestState gs;
+  gs.rip = 0x10000;
+  EXPECT_EQ(engine_.Run(gs, VmControls{}, kBudget).reason, ExitReason::kError);
+  EXPECT_EQ(gs.rip, 0x10000u);
+  EXPECT_EQ(gs.regs[3], 0u);
 }
 
 TEST_F(EngineTest, CopyMovesBytesAndCharges) {

@@ -6,14 +6,16 @@ namespace nova::hw {
 namespace {
 
 TEST(IrqChip, UnroutedInterruptDropped) {
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   chip.Assert(5);
   EXPECT_FALSE(chip.HasPending(0));
   EXPECT_EQ(chip.asserted(5), 1u);
 }
 
 TEST(IrqChip, MaskedInterruptLatchesUntilUnmask) {
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   chip.Configure(3, 0, 35);  // Routes start masked.
   chip.Assert(3);
   EXPECT_FALSE(chip.HasPending(0));
@@ -23,7 +25,8 @@ TEST(IrqChip, MaskedInterruptLatchesUntilUnmask) {
 }
 
 TEST(IrqChip, UnmaskedDeliversImmediately) {
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   chip.Configure(3, 1, 35);
   chip.Unmask(3);
   chip.Assert(3);
@@ -32,7 +35,8 @@ TEST(IrqChip, UnmaskedDeliversImmediately) {
 }
 
 TEST(IrqChip, AcknowledgeConsumes) {
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   chip.Configure(3, 0, 35);
   chip.Unmask(3);
   chip.Assert(3);
@@ -41,7 +45,8 @@ TEST(IrqChip, AcknowledgeConsumes) {
 }
 
 TEST(IrqChip, HighestVectorWins) {
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   chip.Configure(1, 0, 33);
   chip.Configure(9, 0, 41);
   chip.Unmask(1);
@@ -54,7 +59,8 @@ TEST(IrqChip, HighestVectorWins) {
 }
 
 TEST(IrqChip, PendingVectorsSnapshot) {
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   chip.Configure(1, 0, 33);
   chip.Configure(2, 0, 34);
   chip.Unmask(1);
@@ -70,7 +76,8 @@ TEST(IrqChip, PendingVectorsSnapshot) {
 }
 
 TEST(IrqChip, RemaskWhilePendingKeepsPendingBit) {
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   chip.Configure(4, 0, 36);
   chip.Unmask(4);
   chip.Assert(4);
@@ -86,7 +93,8 @@ TEST(IrqChip, RemaskWhilePendingKeepsPendingBit) {
 }
 
 TEST(IrqChip, OutOfRangeIgnored) {
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   chip.Configure(kNumGsis + 1, 0, 40);  // No crash.
   chip.Assert(kNumGsis + 1);
   chip.Unmask(kNumGsis + 1);

@@ -22,7 +22,8 @@ TEST(Uart, CollectsOutputBytes) {
 
 TEST(PlatformTimer, PeriodicTicksAssertGsi) {
   sim::EventQueue events;
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   chip.Configure(0, 0, 32);
   chip.Unmask(0);
   PlatformTimer timer(2, &chip, 0, &events);
@@ -34,7 +35,8 @@ TEST(PlatformTimer, PeriodicTicksAssertGsi) {
 
 TEST(PlatformTimer, PioProgrammingInterface) {
   sim::EventQueue events;
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   chip.Configure(0, 0, 32);
   chip.Unmask(0);
   PlatformTimer timer(2, &chip, 0, &events);
@@ -53,7 +55,8 @@ TEST(PlatformTimer, PioProgrammingInterface) {
 
 TEST(PlatformTimer, RestartInvalidatesOldSchedule) {
   sim::EventQueue events;
-  IrqChip chip;
+  sim::Tracer tracer;
+  IrqChip chip(tracer);
   PlatformTimer timer(2, &chip, 0, &events);
   (void)timer.Start(sim::Milliseconds(1));
   (void)timer.Start(sim::Milliseconds(10));  // Reprogram before first tick.

@@ -19,7 +19,7 @@ class NicTest : public ::testing::Test {
   NicTest()
       : mem_(64 << 20),
         iommu_(&mem_, true),
-        nic_(5, &iommu_, &irq_, kGsi, &events_) {
+        nic_(5, &iommu_, &irq_, kGsi, &events_, tracer_) {
     irq_.Configure(kGsi, 0, 41);
     irq_.Unmask(kGsi);
     iommu_.AllowGsi(5, kGsi);
@@ -42,9 +42,10 @@ class NicTest : public ::testing::Test {
   }
 
   sim::EventQueue events_;
+  sim::Tracer tracer_;
   PhysMem mem_;
   Iommu iommu_;
-  IrqChip irq_;
+  IrqChip irq_{tracer_};
   Nic nic_;
 };
 

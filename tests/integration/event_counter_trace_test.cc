@@ -7,7 +7,6 @@
 #include <gtest/gtest.h>
 
 #include <array>
-#include <functional>
 #include <map>
 #include <string>
 
@@ -25,40 +24,19 @@ const std::map<std::string, std::string> kTraceName = {
     {"vm-event-ipc", "VM Event IPC"},
 };
 
-struct Traced {
-  std::map<std::string, std::uint64_t> counters;
-  std::map<std::string, sim::TraceReport::Entry> rows;
-};
+using bench::MeasuredWindow;
 
-Traced TraceFromCounterReset(hv::Hypervisor& hv, sim::Tracer& tracer,
-                             const std::function<void()>& run) {
-  hv.stats().ResetAll();
-  sim::TraceReport report;
-  tracer.Reset();
-  tracer.set_sink(&report);
-  tracer.set_enabled(true);
-  run();
-  tracer.set_enabled(false);
-  report.FoldRemaining(tracer);
-  tracer.set_sink(nullptr);
-  Traced t;
-  for (const auto& [name, counter] : hv.stats().counters()) {
-    t.counters[name] = counter.value();
-  }
-  t.rows = report.Rows(tracer);
-  return t;
-}
-
-void ExpectCountersMatchTrace(const Traced& t) {
-  for (const auto& [name, value] : t.counters) {
+void ExpectCountersMatchTrace(const MeasuredWindow& t) {
+  for (const auto& [name, counter] : t.counters.counters()) {
     const auto renamed = kTraceName.find(name);
     const std::string row = renamed == kTraceName.end() ? name : renamed->second;
-    const auto it = t.rows.find(row);
-    EXPECT_EQ(value, it == t.rows.end() ? 0 : it->second.count) << name;
+    const auto it = t.trace_rows.find(row);
+    EXPECT_EQ(counter.value(), it == t.trace_rows.end() ? 0 : it->second.count)
+        << name;
   }
 }
 
-Traced TraceCompile(hw::TranslationMode mode, hv::VtlbPolicy vtlb = {}) {
+MeasuredWindow TraceCompile(hw::TranslationMode mode, hv::VtlbPolicy vtlb = {}) {
   bench::RunConfig config;
   config.mode = mode;
   config.vtlb = vtlb;
@@ -71,17 +49,17 @@ Traced TraceCompile(hw::TranslationMode mode, hv::VtlbPolicy vtlb = {}) {
   config.workload.disk_every = 80;
   bench::CompileScenario scenario(config);
   root::NovaSystem& system = scenario.system();
-  return TraceFromCounterReset(system.hv, system.machine.tracer(), [&] {
+  return bench::MeasureWindow(system.hv, /*trace=*/true, [&] {
     scenario.RunUntilDone(sim::Seconds(120));
   });
 }
 
 TEST(EventCounterTrace, CompileUnderEpt) {
-  const Traced t = TraceCompile(hw::TranslationMode::kNested);
+  const MeasuredWindow t = TraceCompile(hw::TranslationMode::kNested);
   ExpectCountersMatchTrace(t);
   for (const char* row : {"Memory-Mapped I/O", "Port I/O", "vm-event-ipc",
                           "ipc-calls", "gsi-delivered"}) {
-    EXPECT_GT(t.counters.at(row), 0u) << row;
+    EXPECT_GT(t.counters.Value(row), 0u) << row;
   }
 }
 
@@ -93,14 +71,14 @@ TEST(EventCounterTrace, CompileUnderEveryVtlbRung) {
   }};
   for (const auto& [rung, policy] : rungs) {
     SCOPED_TRACE(rung);
-    const Traced t = TraceCompile(hw::TranslationMode::kShadow, policy);
+    const MeasuredWindow t = TraceCompile(hw::TranslationMode::kShadow, policy);
     ExpectCountersMatchTrace(t);
-    EXPECT_GT(t.counters.at("vTLB Fill"), 0u);
+    EXPECT_GT(t.counters.Value("vTLB Fill"), 0u);
     if (policy.cache_contexts) {
-      EXPECT_GT(t.counters.at("vTLB Context Hit"), 0u);
-      EXPECT_GT(t.counters.at("vTLB Context Miss"), 0u);
+      EXPECT_GT(t.counters.Value("vTLB Context Hit"), 0u);
+      EXPECT_GT(t.counters.Value("vTLB Context Miss"), 0u);
     } else {
-      EXPECT_GT(t.counters.at("vTLB Flush"), 0u);
+      EXPECT_GT(t.counters.Value("vTLB Flush"), 0u);
     }
   }
 }
@@ -150,7 +128,7 @@ TEST_F(FourCoreTest, XcallsShootdownsAndLockContention) {
     vm->NoteCore(c);
   }
 
-  const Traced t = TraceFromCounterReset(hv_, machine_.tracer(), [&] {
+  const MeasuredWindow t = bench::MeasureWindow(hv_, /*trace=*/true, [&] {
     for (int i = 0; i < 400 && hv_.StepOnce(); ++i) {
     }
     ASSERT_EQ(hv_.Revoke(root_, hv::Crd::Mem(page, 2, hv::perm::kRwx),
@@ -160,9 +138,9 @@ TEST_F(FourCoreTest, XcallsShootdownsAndLockContention) {
   ExpectCountersMatchTrace(t);
   for (const char* row : {"ipc-calls", "ipc-xcalls", "TLB Shootdown",
                           "lock-contention"}) {
-    EXPECT_GT(t.counters.at(row), 0u) << row;
+    EXPECT_GT(t.counters.Value(row), 0u) << row;
   }
-  EXPECT_EQ(t.counters.at("ipc-xcalls"), t.counters.at("ipc-calls"));
+  EXPECT_EQ(t.counters.Value("ipc-xcalls"), t.counters.Value("ipc-calls"));
 }
 
 }  // namespace

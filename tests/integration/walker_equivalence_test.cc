@@ -181,6 +181,7 @@ struct VtlbWorld : World {
   hw::VmControls ctl;
   hv::HvCosts costs;
   sim::StatRegistry stats;
+  sim::Tracer tracer;
   hw::TlbTagAllocator tags{2};
   hw::PhysAddr next_shadow = kShadowPool;
   std::vector<hw::PhysAddr> free_shadow;
@@ -213,6 +214,7 @@ struct VtlbWorld : World {
     env.free = [this](hw::PhysAddr f) { free_shadow.push_back(f); };
     env.tags = &tags;
     env.stats = &stats;
+    env.tracer = &tracer;
     vtlb = std::make_unique<hv::Vtlb>(std::move(env), hv::VtlbPolicy{});
   }
 

@@ -109,64 +109,44 @@ TEST(CompileWorkload, DestroyedNodeFreesEveryKernelObject) {
 }
 
 TEST(UdpWorkload, ReceivesStreamBareMetal) {
-  hw::Machine machine(hw::MachineConfig{.cpus = {&hw::CoreI7_920()},
-                                        .ram_size = 256ull << 20,
-                                        .iommu_present = false});
-  root::Platform platform = root::SetupStandardPlatform(&machine, nullptr);
-  machine.irq().Configure(root::kNicGsi, 0, 42);
-  machine.irq().Unmask(root::kNicGsi);
+  NativeGuest native(&hw::CoreI7_920(), /*timer_hz=*/0, /*host_ahci=*/false);
+  guest::GuestNicDriver driver(&native.kernel(),
+                               guest::GuestNicDriver::Config{
+                                   .mmio_base = root::kNicMmioBase,
+                                   .irq_vector = kHostNicVector,
+                                   .packet_bytes = 1472});
+  guest::UdpWorkload workload(&native.kernel(), &driver);
+  native.Boot(workload.EmitMain());
 
-  guest::BareMetalRunner runner(&machine);
-  guest::GuestKernel gk(
-      &machine.mem(), [](std::uint64_t gpa) { return gpa; }, &runner.mux(),
-      guest::GuestKernelConfig{.mem_bytes = 128ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestNicDriver driver(&gk, guest::GuestNicDriver::Config{
-                                        .mmio_base = root::kNicMmioBase,
-                                        .irq_vector = 42,
-                                        .packet_bytes = 1472});
-  guest::UdpWorkload workload(&gk, &driver);
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(runner.gs());
-
+  root::Platform& platform = native.platform();
   platform.link->StartStream(/*mbit=*/100, /*packet_bytes=*/1472);
-  runner.RunUntil([&] { return workload.packets() >= 50; }, sim::Seconds(1));
+  native.runner().RunUntil([&] { return workload.packets() >= 50; },
+                           sim::Seconds(1));
   platform.link->Stop();
 
   EXPECT_GE(workload.packets(), 50u);
   EXPECT_EQ(platform.nic->packets_dropped(), 0u);
   // The payload copy landed in the application buffer.
   std::uint8_t first = 0;
-  (void)machine.mem().Read(0x7a0000, &first, 1);
+  (void)native.machine().mem().Read(0x7a0000, &first, 1);
   EXPECT_EQ(first, 0xee);  // Frame header fill byte from the generator.
 }
 
 TEST(UdpWorkload, CoalescingLimitsInterruptRate) {
-  hw::Machine machine(hw::MachineConfig{.cpus = {&hw::CoreI7_920()},
-                                        .ram_size = 256ull << 20,
-                                        .iommu_present = false});
-  root::Platform platform = root::SetupStandardPlatform(&machine, nullptr);
-  machine.irq().Configure(root::kNicGsi, 0, 42);
-  machine.irq().Unmask(root::kNicGsi);
-  guest::BareMetalRunner runner(&machine);
-  guest::GuestKernel gk(
-      &machine.mem(), [](std::uint64_t gpa) { return gpa; }, &runner.mux(),
-      guest::GuestKernelConfig{.mem_bytes = 128ull << 20});
-  gk.BuildStandardHandlers();
-  guest::GuestNicDriver driver(&gk, guest::GuestNicDriver::Config{
-                                        .mmio_base = root::kNicMmioBase,
-                                        .irq_vector = 42,
-                                        .packet_bytes = 64});
-  guest::UdpWorkload workload(&gk, &driver);
-  gk.EmitBoot(workload.EmitMain());
-  gk.Install();
-  gk.PrimeState(runner.gs());
+  NativeGuest native(&hw::CoreI7_920(), /*timer_hz=*/0, /*host_ahci=*/false);
+  guest::GuestNicDriver driver(&native.kernel(),
+                               guest::GuestNicDriver::Config{
+                                   .mmio_base = root::kNicMmioBase,
+                                   .irq_vector = kHostNicVector,
+                                   .packet_bytes = 64});
+  guest::UdpWorkload workload(&native.kernel(), &driver);
+  native.Boot(workload.EmitMain());
 
   // 100 Mbit/s of 64-byte packets ~= 195 kpps; coalescing caps interrupts
   // near 20 k/s (§8.3).
+  root::Platform& platform = native.platform();
   platform.link->StartStream(100, 64);
-  runner.RunUntil([] { return false; }, sim::Milliseconds(100));
+  native.runner().RunUntil([] { return false; }, sim::Milliseconds(100));
   platform.link->Stop();
   const double irq_rate = platform.nic->interrupts_raised() / 0.1;
   EXPECT_LT(irq_rate, 25'000);

@@ -299,5 +299,28 @@ TEST(DiskServerSetupDeathTest, RootWithoutAhciDeviceAbortsNamingAssignDevice) {
                "services::DiskServer: AssignDevice\\(ahci\\) failed: kBadDevice");
 }
 
+// The command list and tables come from the root's RAM. With none left the
+// server stops naming the grant, where it used to program page 0.
+TEST(DiskServerSetupDeathTest, ExhaustedRootRamAbortsNamingGrantMemory) {
+  root::NovaSystem system;
+  for (std::uint64_t pages = 1ull << 20; pages != 0; pages /= 2) {
+    while (system.root->AllocPages(pages) != 0) {
+    }
+  }
+  EXPECT_DEATH((void)system.StartDiskServer(),
+               "services::DiskServer: GrantMemory\\(command list\\) failed");
+}
+
+// A device window the hypervisor refuses records no device, so no domain
+// is later assigned a window the root never held.
+TEST(RootDeviceRegistry, RefusedWindowRecordsNoDevice) {
+  root::NovaSystem system;
+  EXPECT_EQ(system.root->RegisterDevice(
+                "extra", root::DeviceInfo{.mmio_base = root::kAhciMmioBase + 8,
+                                          .mmio_size = 0x1000}),
+            Status::kBadParameter);
+  EXPECT_EQ(system.root->FindDevice("extra"), nullptr);
+}
+
 }  // namespace
 }  // namespace nova::services

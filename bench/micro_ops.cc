@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "bench/scenario.h"
+#include "src/guest/guest_pt.h"
 #include "src/hv/dirty_log.h"
 #include "src/sim/rng.h"
 
@@ -176,6 +177,96 @@ void BM_TlbFlushTagSparse(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TlbFlushTagSparse);
+
+// The event queue's steady state with 64 events pending: schedule one
+// tagged event, whose owner's factory builds its closure, and run the
+// earliest.
+void BM_EventQueueScheduleRun(benchmark::State& state) {
+  constexpr std::uint64_t kOwner = sim::EventQueue::OwnerToken("bench.events");
+  sim::EventQueue queue;
+  std::uint64_t fired = 0;
+  const sim::EventOwner owner =
+      queue.RegisterOwner(kOwner, [&fired](const sim::EventTag&) {
+        return [&fired] { ++fired; };
+      });
+  sim::Rng rng(1);
+  const auto schedule = [&] {
+    queue.ScheduleAfter(sim::Nanoseconds(1 + rng.Below(1000)),
+                        sim::EventTag{kOwner, 1, 0, 0});
+  };
+  for (int i = 0; i < 64; ++i) {
+    schedule();
+  }
+  for (auto _ : state) {
+    schedule();
+    benchmark::DoNotOptimize(queue.RunOne());
+  }
+  benchmark::DoNotOptimize(fired);
+}
+BENCHMARK(BM_EventQueueScheduleRun);
+
+// One trace record through Tracer::InstantAt: with the tracer enabled (Arg
+// 1), the ring write and the digest fold; disabled (Arg 0), the inlined
+// check alone, its flag reloaded each time.
+void BM_TracerEmit(benchmark::State& state) {
+  sim::Tracer tracer;
+  tracer.set_enabled(state.range(0) != 0);
+  const std::uint16_t name = tracer.Intern("bench.emit");
+  sim::PicoSeconds ts = 0;
+  for (auto _ : state) {
+    ++ts;
+    tracer.InstantAt(ts, sim::TraceCat::kIrq, name, 0, ts);
+    benchmark::ClobberMemory();
+  }
+  benchmark::DoNotOptimize(tracer.digest());
+}
+BENCHMARK(BM_TracerEmit)->Arg(0)->Arg(1);
+
+// One vTLB fill under shadow paging (§5.3): a guest page fault resolved by
+// walking the guest's two-level table and the host table and installing a
+// 4 KiB shadow entry, over 256 mapped guest pages in turn. The shadow
+// tree's tables exist after the first pass, as in a warm guest.
+void BM_VtlbFill(benchmark::State& state) {
+  constexpr std::uint64_t kGuestRoot = 0x100000;
+  constexpr std::uint64_t kGva = 0x400000;
+  constexpr std::uint64_t kPages = 256;
+  hw::Machine machine(hw::MachineConfig{.cpus = {&hw::CoreDuoT2500()},
+                                        .ram_size = 512ull << 20});
+  hv::Hypervisor hv(&machine);
+  hv::Pd* root = hv.Boot();
+  (void)hv.CreatePd(root, 100, "vm", true);
+  const std::uint64_t guest_page = hv.kernel_reserve() >> hw::kPageShift;
+  (void)hv.Delegate(root, 100, hv::Crd::Mem(guest_page, 13, hv::perm::kRwx), 0);
+  hv::Ec* vcpu = nullptr;
+  (void)hv.CreateVcpu(root, 101, 100, 0, 200, &vcpu);
+  vcpu->ctl().mode = hw::TranslationMode::kShadow;
+  guest::GuestPageTableBuilder gpt(
+      &machine.mem(),
+      [guest_page](std::uint64_t gpa) {
+        return (guest_page << hw::kPageShift) + gpa;
+      },
+      kGuestRoot + hw::kPageSize);
+  for (std::uint64_t i = 0; i < kPages; ++i) {
+    (void)gpt.Map(kGuestRoot, kGva + i * hw::kPageSize,
+                  0x800000 + i * hw::kPageSize, hw::kPageSize,
+                  hw::pte::kWritable | hw::pte::kUser);
+  }
+  vcpu->gstate().paging = true;
+  vcpu->gstate().cr3 = kGuestRoot;
+  hv::Vtlb& vtlb = hv.VtlbFor(vcpu);
+  hw::VmExit exit;
+  exit.reason = hw::ExitReason::kPageFault;
+  std::uint64_t gpa = 0;
+  std::uint64_t i = 0;
+  for (auto _ : state) {
+    exit.gva = kGva + (i++ % kPages) * hw::kPageSize;
+    if (vtlb.Resolve(exit, &gpa) != hv::Vtlb::Outcome::kFilled) {
+      state.SkipWithError("the fill did not install an entry");
+      break;
+    }
+  }
+}
+BENCHMARK(BM_VtlbFill);
 
 void BM_IpcCallReply(benchmark::State& state) {
   hw::Machine machine(hw::MachineConfig{.cpus = {&hw::CoreI7_920()},

@@ -67,6 +67,10 @@ class CompileWorkload {
     }
     ar.Io(current_, units_done_, fresh_pages_, switches_, disk_reads_,
           next_lba_, disk_outstanding_, next_fresh_page_, done_);
+    // PickAddress indexes the process table by current_.
+    if (current_ >= processes_.size()) {
+      ar.Fail(Status::kBadParameter);
+    }
   }
 
  private:

@@ -142,6 +142,18 @@ void Hypervisor::Io(Ar& ar) {
   for (auto& ec : gsi_direct_.Get(SerialPhase::kQuiescedSnapshot)) {
     refs.Io(ar, ec);
   }
+  if constexpr (Ar::kLoading) {
+    // Delivery indexes these tables by vector - 32, the kernel routing GSI
+    // g at vector 32 + g: a pending vector past them in the machine's IRQ
+    // chip, restored before this section, can only be forged.
+    ForEachCpu(machine_->num_cpus(), [&](CpuId c) {
+      const std::vector<std::uint8_t> pending =
+          machine_->irq().PendingVectors(c);
+      if (!pending.empty() && pending.front() >= 32 + hw::kNumGsis) {
+        ar.Fail(Status::kBadParameter);
+      }
+    });
+  }
 
   // Per-core scheduler state, core by core.
   ar.Verify(static_cast<std::uint32_t>(machine_->num_cpus()));

@@ -34,6 +34,10 @@ class IrqChip {
     template <class Ar>
     void Io(Ar& ar) {
       ar.Io(enabled, masked, cpu, vector);
+      // Delivery indexes the pending rows by `cpu`; Configure sets no other.
+      if (cpu >= kMaxCpus) {
+        ar.Fail(Status::kBadParameter);
+      }
     }
   };
 

@@ -483,6 +483,12 @@ void DiskServer::Io(Ar& ar) {
   ar.Io(slots_, next_comp_sel_, issued_, completed_, throttled_, retried_,
         failed_, deadline_ps_, max_retries_, backoff_ps_, next_generation_,
         quarantine_mask_);
+  // Completing an active slot indexes the channel table by its channel.
+  for (const Slot& slot : slots_) {
+    if (slot.active && slot.channel >= channels_.size()) {
+      ar.Fail(Status::kBadParameter);
+    }
+  }
 }
 
 Status DiskServer::SaveState(sim::SnapWriter& w) const { return w.Save(*this); }

@@ -2,7 +2,8 @@
 // recovery story extended to full-VM snapshots).
 //
 // A `Snapshot` is an ordered set of named sections, each an opaque byte
-// string with a small section version and an FNV-1a checksum. The
+// string with a small section version. Its wire encoding checksums each
+// section record with FNV-1a's step run over four lanes of 64-bit words. The
 // writer/reader pair implements a tiny little-endian encoding with no
 // host-dependent layout, so an encoded snapshot is bit-identical across
 // runs. It moves each integer with one memcpy in host order, as guest
@@ -55,7 +56,8 @@ namespace nova::sim {
 static_assert(std::endian::native == std::endian::little,
               "snapshot bytes are copied in host order");
 
-// Incremental FNV-1a, shared with the trace digest machinery.
+// Incremental byte-serial FNV-1a, shared with the trace digest machinery
+// (the container's section checksum is a word-wide variant, snapshot.cc).
 constexpr std::uint64_t kSnapFnvOffset = 0xcbf29ce484222325ull;
 constexpr std::uint64_t kSnapFnvPrime = 0x100000001b3ull;
 std::uint64_t SnapFnv1a(const std::uint8_t* data, std::size_t len,
@@ -423,8 +425,16 @@ class Snapshot {
   Status Restore(T& obj) const;
 
   // Wire encoding: magic, file version, section count, then per section
-  // (name, version, length, FNV-1a checksum, payload). Decode fails with
-  // kBadParameter on a section name that appears twice.
+  // in name order (name, version, length, checksum, payload). The checksum
+  // covers the record's other fields and its payload: FNV-1a's step over
+  // four lanes of the payload's 64-bit words, folded with FNV-1a of the
+  // name, version and length into byte-serial FNV-1a of the last < 32
+  // bytes. Like FNV-1a, it always moves when one byte or one word of the
+  // record does. Decode fails with kBadFeature on another file version and
+  // with kBadParameter on bad magic, a length beyond the input, a checksum
+  // mismatch, trailing bytes, or names that do not strictly ascend (a
+  // repeat included), so each snapshot has one encoding. It is
+  // all-or-nothing: a failed Decode leaves the snapshot empty.
   std::vector<std::uint8_t> Encode() const;
   Status Decode(const std::uint8_t* data, std::size_t len);
   Status Decode(const std::vector<std::uint8_t>& bytes) {
@@ -437,7 +447,9 @@ class Snapshot {
 
   static constexpr char kMagic[8] = {'N', 'O', 'V', 'A',
                                      'S', 'N', 'A', 'P'};
-  static constexpr std::uint32_t kFileVersion = 1;
+  // 2 since the word-wide section checksum; version 1 streams, which
+  // carry byte-serial FNV-1a, fail to decode with kBadFeature.
+  static constexpr std::uint32_t kFileVersion = 2;
 
  private:
   struct Stored {

@@ -146,6 +146,113 @@ TEST(Snapshot, DecodeRejectsRepeatedSection) {
   EXPECT_EQ(decoded.Encode(), snap.Encode());
 }
 
+// Records in another order than Encode writes them, each intact, are a
+// second encoding of the same snapshot: Decode refuses them too.
+TEST(Snapshot, DecodeRejectsSectionsOutOfNameOrder) {
+  Snapshot snap;
+  snap.Section("a", 1).U64(1);
+  snap.Section("b", 1).U32(2);
+  std::vector<std::uint8_t> bytes = snap.Encode();
+  constexpr std::size_t kHeader = sizeof Snapshot::kMagic + 4 + 4;
+  // Record a: 4 + 1 name, 2 version, 8 length, 8 checksum, 8 payload.
+  constexpr std::size_t kRecordA = 4 + 1 + 2 + 8 + 8 + 8;
+  std::vector<std::uint8_t> swapped(bytes.begin(), bytes.begin() + kHeader);
+  swapped.insert(swapped.end(), bytes.begin() + kHeader + kRecordA,
+                 bytes.end());
+  swapped.insert(swapped.end(), bytes.begin() + kHeader,
+                 bytes.begin() + kHeader + kRecordA);
+  ASSERT_EQ(swapped.size(), bytes.size());
+  Snapshot decoded;
+  EXPECT_EQ(decoded.Decode(swapped), Status::kBadParameter);
+  ASSERT_EQ(decoded.Decode(bytes), Status::kSuccess);
+  EXPECT_EQ(decoded.Encode(), bytes);
+}
+
+// A failed Decode keeps none of the sections before the one that failed,
+// and none of what the snapshot held before the call.
+TEST(Snapshot, FailedDecodeLeavesNoSections) {
+  Snapshot snap;
+  snap.Section("a", 1).U64(1);
+  snap.Section("b", 1).U64(2);
+  snap.Section("c", 1).U64(3);
+  std::vector<std::uint8_t> bytes = snap.Encode();
+  Snapshot decoded;
+  ASSERT_EQ(decoded.Decode(bytes), Status::kSuccess);
+  ASSERT_EQ(decoded.SectionNames().size(), 3u);
+  bytes.back() ^= 1;  // The last section's payload.
+  EXPECT_EQ(decoded.Decode(bytes), Status::kBadParameter);
+  EXPECT_TRUE(decoded.SectionNames().empty());
+  EXPECT_EQ(decoded.PayloadBytes(), 0u);
+}
+
+// The section checksum changes whenever one byte of a record does, so
+// every single-byte change of an encoded snapshot fails to decode: in the
+// container header by its own checks, in a record by the checksum. The
+// payload lengths put a section below one 32-byte block, between and
+// across blocks.
+TEST(Snapshot, EverySingleByteChangeIsRejected) {
+  Snapshot snap;
+  snap.Section("empty", 1);
+  SnapWriter& seven = snap.Section("seven", 3);
+  for (std::uint8_t b = 1; b <= 7; ++b) {
+    seven.U8(b);
+  }
+  SnapWriter& hundred = snap.Section("x.hundred", 2);
+  for (std::uint8_t b = 0; b < 100; ++b) {
+    hundred.U8(static_cast<std::uint8_t>(b * 37));
+  }
+  const std::vector<std::uint8_t> bytes = snap.Encode();
+  Snapshot decoded;
+  ASSERT_EQ(decoded.Decode(bytes), Status::kSuccess);
+  int accepted = 0;
+  for (std::size_t at = 0; at < bytes.size(); ++at) {
+    std::vector<std::uint8_t> mutated = bytes;
+    for (int flip = 1; flip < 256; ++flip) {
+      mutated[at] = static_cast<std::uint8_t>(bytes[at] ^ flip);
+      if (Ok(decoded.Decode(mutated))) {
+        ++accepted;
+        ADD_FAILURE() << "byte " << at << " ^ " << flip << " decoded";
+      }
+    }
+  }
+  EXPECT_EQ(accepted, 0);
+}
+
+// Every payload length from 0 to 70 (each tail length, none to two whole
+// blocks) behind names of 1 to 8 bytes (each word alignment of the payload
+// in the stream) round-trips.
+TEST(Snapshot, EveryLengthAndAlignmentRoundTrips) {
+  for (std::size_t name_len = 1; name_len <= 8; ++name_len) {
+    for (std::size_t len = 0; len <= 70; ++len) {
+      Snapshot snap;
+      SnapWriter& w = snap.Section(std::string(name_len, 'n'), 1);
+      for (std::size_t i = 0; i < len; ++i) {
+        w.U8(static_cast<std::uint8_t>(i * 131 + name_len));
+      }
+      const std::vector<std::uint8_t> bytes = snap.Encode();
+      Snapshot decoded;
+      ASSERT_EQ(decoded.Decode(bytes), Status::kSuccess)
+          << "name " << name_len << " payload " << len;
+      EXPECT_EQ(decoded.Encode(), bytes);
+      EXPECT_EQ(decoded.PayloadBytes(), len);
+    }
+  }
+}
+
+// Version 1 streams carried byte-serial FNV-1a in the checksum field; this
+// decoder reads only its own version.
+TEST(Snapshot, OtherFileVersionIsAnUnknownFeature) {
+  Snapshot snap;
+  snap.Section("dev", 1).U64(1);
+  std::vector<std::uint8_t> bytes = snap.Encode();
+  constexpr std::size_t kVersionAt = sizeof Snapshot::kMagic;
+  ASSERT_EQ(bytes[kVersionAt], static_cast<std::uint8_t>(Snapshot::kFileVersion));
+  bytes[kVersionAt] = 1;
+  Snapshot decoded;
+  EXPECT_EQ(decoded.Decode(bytes), Status::kBadFeature);
+  EXPECT_TRUE(decoded.SectionNames().empty());
+}
+
 TEST(Snapshot, PayloadBytesSumsSections) {
   Snapshot snap;
   snap.Section("a", 1).U64(1);  // 8 bytes.

@@ -10,10 +10,17 @@ LD_PRELOAD=libhostprof.so wrote. The second runs COMMAND with the sampler
 preloaded, writing into a temporary directory, and reports the samples of
 COMMAND's own process. Addresses are symbolized with `addr2line -f -C -i`.
 
-The report has two tables of ten rows. Top functions attribute each
-sample to the function that contains its address (the outermost frame of
-an inline chain). Top addresses list single instructions with their inline
-chain, innermost first, and the source line of the innermost frame.
+The report opens with the process's minor and major page faults and its
+system CPU seconds (from getrusage at exit, summed over the profiles read),
+then has two tables of ten rows. Top functions attribute each sample to the
+function that contains its address (the outermost frame of an inline
+chain). Top addresses list single instructions with their inline chain,
+innermost first, and the source line of the innermost frame. A module
+without line info, such as a stripped libc, names only the nearest
+exported symbol below an address, which can be far from the function
+that holds it (glibc's _int_malloc reads as __default_morecore). Both
+tables therefore label such a sample `<module>+0x<offset> (nearest export
+<name>)`.
 
 Samples are wall-clock (a CLOCK_MONOTONIC timer, every 50 us): time a
 process spends blocked, such as perfbench waiting for its RSS child, shows
@@ -35,14 +42,23 @@ import tempfile
 TOP = 10  # Rows per table.
 
 
+# Header fields the report sums over its profiles: (field, format, what).
+# All but `dropped` come from getrusage at exit.
+HEADER = (("dropped", "%d", "dropped"), ("minflt", "%d", "minor faults"),
+          ("majflt", "%d", "major faults"),
+          ("sys_s", "%.3f", "s of system CPU"))
+
+
 def read_profile(path):
-    """Returns {(module, base, offset): samples} and the header line."""
+    """Returns {(module, base, offset): samples} and the header's
+    {field: value}."""
     samples = collections.Counter()
-    header = ""
+    header = {}
     with open(path) as f:
         for line in f:
             if line.startswith("#"):
-                header = line[1:].strip()
+                header = dict(field.split("=", 1) for field in line[1:].split()
+                              if "=" in field)
                 continue
             count, base, offset, module = line.rstrip("\n").split(" ", 3)
             samples[(module, int(base, 16), int(offset, 16))] += int(count)
@@ -81,8 +97,25 @@ def symbolize(module, addresses):
     return chains
 
 
+def has_lines(frames):
+    return any(not where.startswith("??") for _, where in frames)
+
+
+def label(key, frames):
+    """The function a sample is in: the outermost frame of its inline chain,
+    or, in a module without line info, its address and nearest export."""
+    if has_lines(frames):
+        return frames[-1][0]
+    module, _, offset = key
+    address = "%s+%#x" % (os.path.basename(module), offset)
+    if frames and frames[-1][0] != "??":
+        return "%s (nearest export %s)" % (address, frames[-1][0])
+    return address
+
+
 def report(samples, header):
-    """Prints both tables; returns every sampled function."""
+    """Prints the header's sums and both tables; returns every sampled
+    function."""
     total = sum(samples.values())
     by_module = collections.defaultdict(set)
     for module, base, offset in samples:
@@ -94,16 +127,13 @@ def report(samples, header):
         for offset in offsets:
             chains[(module, base, offset)] = found.get(offset + shift, [])
 
-    def name_of(key, frames):
-        if frames and frames[-1][0] != "??":
-            return frames[-1][0]
-        return "?? (%s)" % os.path.basename(key[0])
-
     functions = collections.Counter()
     for key, count in samples.items():
-        functions[name_of(key, chains[key])] += count
+        functions[label(key, chains[key])] += count
 
-    print("hostprof: %s; %d samples" % (header or "no header", total))
+    print("hostprof: %d samples; %s" % (total, ", ".join(
+        (fmt + " %s") % (header[field], what) if field in header
+        else "%s not recorded" % what for field, fmt, what in HEADER)))
     print("\ntop functions (samples at addresses each contains):")
     ranked = functions.most_common()
     for name, count in ranked[:TOP]:
@@ -112,11 +142,13 @@ def report(samples, header):
     for key, count in samples.most_common(TOP):
         module, _, offset = key
         frames = chains[key]
-        chain = " <- ".join(f for f, _ in frames) or name_of(key, frames)
-        where = frames[0][1] if frames else "??"
-        print("  %5.1f%% %8d  %s+%#x  %s  [%s]" % (
-            100.0 * count / total, count, os.path.basename(module), offset,
-            chain, where))
+        if has_lines(frames):
+            name = "%s+%#x  %s  [%s]" % (
+                os.path.basename(module), offset,
+                " <- ".join(f for f, _ in frames), frames[0][1])
+        else:
+            name = label(key, frames)
+        print("  %5.1f%% %8d  %s" % (100.0 * count / total, count, name))
     return [name for name, _ in ranked]
 
 
@@ -137,7 +169,15 @@ def main():
         parser.error("no profile to read")
 
     samples = collections.Counter()
-    header = ""
+    header = {}
+
+    def add(path):
+        more, fields = read_profile(path)
+        samples.update(more)
+        for field, _, _ in HEADER:
+            if field in fields:
+                header[field] = header.get(field, 0) + float(fields[field])
+
     if command:
         with tempfile.TemporaryDirectory() as tmp:
             prefix = os.path.join(tmp, "prof")
@@ -152,10 +192,9 @@ def main():
             if not os.path.isfile(path):
                 print("hostprof: the command wrote no profile", file=sys.stderr)
                 return 1
-            samples, header = read_profile(path)
+            add(path)
     for path in args.profiles:
-        more, header = read_profile(path)
-        samples.update(more)
+        add(path)
     if not samples:
         print("hostprof: no samples", file=sys.stderr)
         return 1

@@ -60,6 +60,12 @@ class Cpu {
   template <class Ar>
   void Io(Ar& ar) {
     ar.Io(cycles_, idle_, busy_, tlb_);
+    // NowPs and the deadlines computed from it wrap for a clock near 2^64
+    // cycles: a restored clock must read at most half the picosecond range
+    // (about 107 days of simulated time).
+    if (cycles_ > model_->frequency.PicosToCycles(~sim::PicoSeconds{0} / 2)) {
+      ar.Fail(Status::kBadParameter);
+    }
   }
 
  private:

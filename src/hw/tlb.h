@@ -100,8 +100,10 @@ class Tlb {
   // slot written as a byte and reloaded as a word, which stalls the hit
   // test of every guest access. Every guest fetch, load, store and nested
   // walk step probes, so the hash, the probe loop and the LRU touch are
-  // inline: a hit makes no call.
-  std::uint64_t Probe(TlbTag tag, VirtAddr va, Access access) {
+  // inline, and Probe itself is forced inline into its callers, which GCC
+  // would otherwise leave calling an out-of-line clone: a hit makes no call.
+  [[gnu::always_inline]] std::uint64_t Probe(TlbTag tag, VirtAddr va,
+                                             Access access) {
     // Probe each page size: we do not know the mapping size in advance. The
     // superpage probes cannot hit while their class is empty. Unrolled, each
     // probe's size is a constant and `access` stays in registers.

@@ -77,13 +77,20 @@ VmEngine::XlatResult VmEngine::TranslateGpa(const VmControls& ctl,
 
 VmEngine::XlatResult VmEngine::Translate(GuestState& gs, const VmControls& ctl,
                                          VirtAddr gva, Access access) {
-  XlatResult r;
-  Tlb& tlb = cpu_->tlb();
-  if (const std::uint64_t delta = tlb.Probe(ctl.tag, gva, access);
+  if (const std::uint64_t delta = cpu_->tlb().Probe(ctl.tag, gva, access);
       delta != Tlb::kMiss) {
+    XlatResult r;
     r.hpa = gva + delta;
     return r;
   }
+  return TranslateMiss(gs, ctl, gva, access);
+}
+
+VmEngine::XlatResult VmEngine::TranslateMiss(GuestState& gs,
+                                             const VmControls& ctl,
+                                             VirtAddr gva, Access access) {
+  XlatResult r;
+  Tlb& tlb = cpu_->tlb();
   const CpuModel& model = cpu_->model();
 
   switch (ctl.mode) {

@@ -80,9 +80,10 @@ class VmEngine {
   };
 
   // Translate a guest-virtual address, charging walk costs. Public for
-  // tests. The guest-table walk itself is hw::PageTable's, which the
-  // hypervisor's vTLB and the VMM's instruction emulator also call, each
-  // with its own entry resolver and cycle charges.
+  // tests. A TLB hit returns here, from an inlined Tlb::Probe; a miss walks
+  // in TranslateMiss. The guest-table walk itself is hw::PageTable's, which
+  // the hypervisor's vTLB and the VMM's instruction emulator also call,
+  // each with its own entry resolver and cycle charges.
   XlatResult Translate(GuestState& gs, const VmControls& ctl, VirtAddr gva,
                        Access access);
 
@@ -129,6 +130,13 @@ class VmEngine {
   // Deliver an exception/interrupt through the guest IDT. Returns false on
   // a nested-delivery failure (triple fault analogue).
   bool DeliverEvent(GuestState& gs, std::uint8_t vector);
+
+  // Translate's walks after a TLB miss. Out of line, so that a hit, which
+  // every guest fetch, load and store hopes for, runs without the walks'
+  // stack frame and saved registers.
+  [[gnu::noinline]] XlatResult TranslateMiss(GuestState& gs,
+                                             const VmControls& ctl,
+                                             VirtAddr gva, Access access);
 
   // A failed translation of `gva`: a guest #PF is delivered through the
   // IDT and the instruction restarts in the handler (false); an EPT

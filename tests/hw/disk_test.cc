@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
 #include <memory>
+#include <numeric>
 #include <vector>
+
+#include "src/sim/rng.h"
 
 namespace nova::hw {
 namespace {
@@ -44,20 +49,67 @@ TEST(DiskModel, UnwrittenSectorsDeterministic) {
   EXPECT_EQ(0, memcmp(a, b, sizeof(a)));
 }
 
-// Unwritten bytes read as the per-byte formula below at any offset and
-// length: unaligned, around the fill's 16-byte blocks, across sector
-// boundaries, across the 2^32 offset (where the fill's 32-bit product
-// wraps) and beside a written sector, including the pattern a partial
-// write leaves in the rest of its fresh sector.
-TEST(DiskModel, PatternFillMatchesPerByteFormula) {
-  const auto pattern = [](std::uint64_t offset) {
-    return static_cast<std::uint8_t>((offset * 2654435761u) >> 24);
-  };
+// The content of an unwritten byte at `offset`.
+std::uint8_t Pattern(std::uint64_t offset) {
+  return static_cast<std::uint8_t>((offset * 2654435761u) >> 24);
+}
+
+// A disk and a reference of every byte written to it; an unwritten byte,
+// including one in the fresh sector a partial write leaves, reads as
+// Pattern.
+struct ReferenceDisk {
+  void Write(std::uint64_t offset, const std::vector<std::uint8_t>& data) {
+    disk.WriteContent(offset, data.data(), data.size());
+    for (std::size_t i = 0; i < data.size(); ++i) {
+      written[offset + i] = data[i];
+    }
+  }
+  std::vector<std::uint8_t> Expected(std::uint64_t offset,
+                                     std::uint64_t bytes) const {
+    std::vector<std::uint8_t> want(bytes);
+    for (std::uint64_t i = 0; i < bytes; ++i) {
+      want[i] = Pattern(offset + i);
+    }
+    for (auto it = written.lower_bound(offset);
+         it != written.end() && it->first - offset < bytes; ++it) {
+      want[it->first - offset] = it->second;
+    }
+    return want;
+  }
+  // ReadContent of [offset, offset + bytes) against the reference.
+  ::testing::AssertionResult Reads(std::uint64_t offset,
+                                   std::uint64_t bytes) const {
+    std::vector<std::uint8_t> got(bytes);
+    disk.ReadContent(offset, got.data(), bytes);
+    const std::vector<std::uint8_t> want = Expected(offset, bytes);
+    for (std::uint64_t i = 0; i < bytes; ++i) {
+      if (got[i] != want[i]) {
+        return ::testing::AssertionFailure()
+               << "read of " << bytes << " bytes at " << offset << ": byte "
+               << offset + i << " reads " << int{got[i]} << ", want "
+               << int{want[i]};
+      }
+    }
+    return ::testing::AssertionSuccess();
+  }
+
   sim::EventQueue events;
-  DiskModel disk(&events, DiskGeometry{});
-  const std::uint64_t written = 5000 * kSectorSize + 100;
-  const std::uint8_t data[40] = {1, 2, 3, 4, 5, 6, 7, 8};
-  disk.WriteContent(written, data, sizeof(data));
+  DiskModel disk{&events, DiskGeometry{}};
+  std::map<std::uint64_t, std::uint8_t> written;
+};
+
+// Unwritten bytes read as the per-byte formula at any offset and length:
+// unaligned, around the fill's 16-byte blocks, across sector boundaries,
+// across the 2^32 offset (where the fill's 32-bit products wrap) and
+// beside a written sector, including the pattern a partial write leaves
+// in the rest of its fresh sector. A disk never written takes the
+// one-fill path; one with written sectors fills each unwritten run.
+TEST(DiskModel, PatternFillMatchesPerByteFormula) {
+  ReferenceDisk clean;
+  ReferenceDisk written;
+  std::vector<std::uint8_t> data(40);
+  std::iota(data.begin(), data.begin() + 8, 1);
+  written.Write(5000 * kSectorSize + 100, data);
 
   const struct {
     std::uint64_t offset;
@@ -76,16 +128,69 @@ TEST(DiskModel, PatternFillMatchesPerByteFormula) {
       {4999 * kSectorSize + 17, 3 * kSectorSize},
   };
   for (const auto& read : reads) {
-    std::vector<std::uint8_t> got(read.bytes);
-    disk.ReadContent(read.offset, got.data(), got.size());
-    for (std::uint64_t i = 0; i < read.bytes; ++i) {
-      const std::uint64_t at = read.offset + i;
-      const std::uint8_t want = at >= written && at < written + sizeof(data)
-                                    ? data[at - written]
-                                    : pattern(at);
-      ASSERT_EQ(got[i], want) << "offset " << at;
+    EXPECT_TRUE(clean.Reads(read.offset, read.bytes));
+    EXPECT_TRUE(written.Reads(read.offset, read.bytes));
+  }
+
+  // A seeded sweep: 2 000 reads of 0 to 16 KiB on each disk at offsets
+  // below 2^40, a quarter of them across 2^32. `written` gains about 50
+  // scattered sectors, some adjoining, some just below 2^32, and half the
+  // reads start near one of them.
+  constexpr std::uint64_t kMaxRead = 16 * 1024;
+  sim::Rng rng(42);
+  std::uint64_t at = 0;
+  for (int w = 0; w < 30; ++w) {
+    switch (rng.Below(3)) {
+      case 0: at = rng.Below(1ull << 40); break;
+      case 1: at = (1ull << 32) - rng.Below(64 * 1024); break;
+      default: at += rng.Below(2 * kSectorSize); break;
+    }
+    data.resize(rng.Range(1, 2 * kSectorSize));
+    for (std::uint8_t& b : data) {
+      b = static_cast<std::uint8_t>(rng.Next());
+    }
+    written.Write(at, data);
+  }
+  std::vector<std::uint64_t> sectors;
+  for (const auto& [offset, byte] : written.written) {
+    if (sectors.empty() || sectors.back() != offset / kSectorSize) {
+      sectors.push_back(offset / kSectorSize);
     }
   }
+  EXPECT_GE(sectors.size(), 40u);
+  EXPECT_LE(sectors.size(), 60u);
+  for (ReferenceDisk* disk : {&clean, &written}) {
+    for (int r = 0; r < 2000; ++r) {
+      const std::uint64_t bytes = rng.Below(kMaxRead + 1);
+      std::uint64_t offset = 0;
+      switch (rng.Below(4)) {
+        case 0:
+          offset = (1ull << 32) - rng.Below(bytes + 1);
+          break;
+        case 1:
+          offset = rng.Below(1ull << 40);
+          break;
+        default:
+          offset = sectors[rng.Below(sectors.size())] * kSectorSize +
+                   rng.Below(kSectorSize);
+          offset -= std::min(offset, rng.Below(kMaxRead));
+          break;
+      }
+      ASSERT_TRUE(disk->Reads(offset, bytes)) << "sweep read " << r;
+    }
+  }
+
+  // A completed 16 KiB read delivers what ReadContent reads.
+  Catcher done(&written.disk);
+  const std::uint64_t offset =
+      sectors[sectors.size() / 2] * kSectorSize - kMaxRead / 2 + 7;
+  written.disk.SubmitRead(offset, kMaxRead, 1);
+  written.events.AdvanceTo(sim::Seconds(1));
+  ASSERT_EQ(done.cookies.size(), 1u);
+  std::vector<std::uint8_t> direct(kMaxRead);
+  written.disk.ReadContent(offset, direct.data(), direct.size());
+  EXPECT_EQ(done.last_data, direct);
+  EXPECT_EQ(done.last_data, written.Expected(offset, kMaxRead));
 }
 
 TEST(DiskModel, ReadCompletesAfterServiceTime) {

@@ -127,6 +127,61 @@ TEST_F(EngineTest, LoadTranslatingToLastAddressHitsTlbOnce) {
   EXPECT_EQ(a.data(), b.data());
 }
 
+// A TLB hit returns from Translate's probe, without its walks: for a 4 KiB
+// and a 4 MiB page in a guest's own two-level table and a 2 MiB page in a
+// four-level shadow table, a second translation of an address returns the
+// address the first one walked, counts one hit and charges no walk.
+TEST_F(EngineTest, TranslateHitReturnsTheWalkedAddressWithoutAWalk) {
+  const struct {
+    TranslationMode mode;
+    PagingMode format;
+    std::uint64_t page_size;
+    VirtAddr va;
+    PhysAddr pa;
+  } cases[] = {
+      {TranslationMode::kNative, PagingMode::kTwoLevel, kPageSize, 0x400000,
+       0x300000},
+      {TranslationMode::kShadow, PagingMode::kFourLevel, 2ull << 20, 0x600000,
+       0x4000000},
+      {TranslationMode::kNative, PagingMode::kTwoLevel, 4ull << 20, 0x800000,
+       0x8000000},
+  };
+  const Tlb& tlb = machine_.cpu(0).tlb();
+  for (const auto& c : cases) {
+    SCOPED_TRACE(c.page_size);
+    const PhysAddr root = Alloc()();
+    PageTable pt(&machine_.mem(), c.format, root);
+    ASSERT_EQ(pt.Map(c.va, c.pa, c.page_size, pte::kWritable | pte::kUser,
+                     Alloc()),
+              Status::kSuccess);
+    GuestState gs;
+    gs.paging = true;
+    gs.cr3 = root;
+    VmControls ctl;
+    ctl.mode = c.mode;
+    ctl.nested_format = c.format;
+    ctl.nested_root = root;
+    const VirtAddr gva = c.va + c.page_size - 8;  // The page's last word.
+
+    const std::uint64_t misses = tlb.misses().value();
+    sim::Cycles cycles = machine_.cpu(0).cycles();
+    const VmEngine::XlatResult walked = engine_.Translate(gs, ctl, gva, Access{});
+    ASSERT_EQ(walked.kind, VmEngine::XlatResult::Kind::kOk);
+    EXPECT_EQ(walked.hpa, c.pa + c.page_size - 8);
+    EXPECT_EQ(tlb.misses().value(), misses + 1);
+    EXPECT_GT(machine_.cpu(0).cycles(), cycles);  // The walk's accesses.
+
+    const std::uint64_t hits = tlb.hits().value();
+    cycles = machine_.cpu(0).cycles();
+    const VmEngine::XlatResult hit = engine_.Translate(gs, ctl, gva, Access{});
+    ASSERT_EQ(hit.kind, VmEngine::XlatResult::Kind::kOk);
+    EXPECT_EQ(hit.hpa, walked.hpa);
+    EXPECT_EQ(tlb.hits().value(), hits + 1);
+    EXPECT_EQ(tlb.misses().value(), misses + 1);
+    EXPECT_EQ(machine_.cpu(0).cycles(), cycles);
+  }
+}
+
 TEST_F(EngineTest, LoopExecutesNTimes) {
   isa::Assembler as(0x10000);
   as.MovImm(0, 10);  // Counter.

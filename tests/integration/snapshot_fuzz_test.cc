@@ -9,9 +9,11 @@
 //     fresh twin's LoadState must return, whatever its Status, without a
 //     crash or a sanitizer report.
 // The oracle stops at the restore: running a forged state that loaded is
-// not held to anything yet. The ForgedSection tests pin four loader bounds
-// that the same payload mutations, followed by a run, found: each index
-// loaded with kSuccess and crashed the run.
+// not held to anything yet. The ForgedSection tests pin five loader
+// bounds. The same payload mutations, followed by a run, found four: each
+// index loaded with kSuccess and crashed the run. The fifth is the CPU
+// clock: one forged near 2^64 cycles loaded, and the run then stalled or
+// wrapped the clock.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -276,6 +278,9 @@ T Get(const Bytes& b, std::size_t at) {
 void Put32(Bytes& b, std::size_t at, std::uint32_t v) {
   std::memcpy(b.data() + at, &v, sizeof v);
 }
+void Put64(Bytes& b, std::size_t at, std::uint64_t v) {
+  std::memcpy(b.data() + at, &v, sizeof v);
+}
 
 class ForgedSection : public ::testing::Test {
  protected:
@@ -301,6 +306,25 @@ class ForgedSection : public ::testing::Test {
 TEST_F(ForgedSection, HonestSnapshotLoads) {
   CompileScenario twin(config_);
   EXPECT_EQ(twin.LoadState(snap_), Status::kSuccess);
+}
+
+// hw.cpus: the CPU count (u32), then each CPU, its cycle clock first. A
+// clock whose NowPs passes half the picosecond range fails; one at that
+// bound loads.
+TEST_F(ForgedSection, CpuClockNearWrapFails) {
+  Bytes cpus = SectionBytes(snap_, "hw.cpus");
+  hw::Machine& machine = original_.system().machine;
+  ASSERT_EQ(Get<std::uint32_t>(cpus, 0), machine.num_cpus());
+  ASSERT_EQ(Get<std::uint64_t>(cpus, 4), machine.cpu(0).cycles());
+  Put64(cpus, 4, ~std::uint64_t{0} - 100'000'000);
+  EXPECT_EQ(LoadForged("hw.cpus", cpus), Status::kBadParameter);
+
+  const sim::Cycles bound = machine.cpu(0).model().frequency.PicosToCycles(
+      ~sim::PicoSeconds{0} / 2);
+  Put64(cpus, 4, bound);
+  EXPECT_EQ(LoadForged("hw.cpus", cpus), Status::kSuccess);
+  Put64(cpus, 4, bound + 1);
+  EXPECT_EQ(LoadForged("hw.cpus", cpus), Status::kBadParameter);
 }
 
 // hw.irq: 64 routes of 7 bytes (enabled, masked, cpu u32, vector), 64

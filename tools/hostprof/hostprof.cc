@@ -6,15 +6,19 @@
 // With HOSTPROF_OUT set, a CLOCK_MONOTONIC timer raises SIGPROF every 50 us
 // of wall time. The handler stores the interrupted program counter and
 // nothing else, which keeps it async-signal-safe. At exit the process that
-// armed the timer writes $HOSTPROF_OUT.<pid>: one line per distinct address
-// with its sample count, its module's load base, its offset in the module
-// and the module's path. Unlike gprof's -pg, this sees libc and the time
-// the kernel spends on the program's behalf (page faults, system calls),
-// and because the clock is wall time, time blocked in a system call is
-// sampled too, at the instruction that entered it.
+// armed the timer writes $HOSTPROF_OUT.<pid>: a header with the process's
+// minor and major page faults and system CPU seconds (getrusage at exit),
+// then one line per distinct address with its sample count, its module's
+// load base, its offset in the module and the module's path. Unlike gprof's
+// -pg, this sees libc and the time the kernel spends on the program's
+// behalf (page faults, system calls), and because the clock is wall time,
+// time blocked in a system call is sampled too, at the instruction that
+// entered it. A page fault's kernel time is sampled at the instruction
+// that touched the page; the header's fault count says how many there were.
 #include <dlfcn.h>
 #include <errno.h>
 #include <signal.h>
+#include <sys/resource.h>
 #include <time.h>
 #include <ucontext.h>
 #include <unistd.h>
@@ -60,8 +64,14 @@ void WriteSamples() {
   }
   char exe[PATH_MAX] = {};
   (void)!readlink("/proc/self/exe", exe, sizeof exe - 1);
-  fprintf(out, "# hostprof samples=%zu dropped=%zu period_us=50\n", n,
-          taken.load() - n);
+  rusage usage{};
+  getrusage(RUSAGE_SELF, &usage);
+  fprintf(out,
+          "# hostprof samples=%zu dropped=%zu period_us=50 minflt=%ld "
+          "majflt=%ld sys_s=%ld.%06ld\n",
+          n, taken.load() - n, usage.ru_minflt, usage.ru_majflt,
+          static_cast<long>(usage.ru_stime.tv_sec),
+          static_cast<long>(usage.ru_stime.tv_usec));
   for (std::size_t i = 0, j = 0; i < n; i = j) {
     while (j < n && pcs[j] == pcs[i]) {
       ++j;
